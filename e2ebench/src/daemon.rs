@@ -11,6 +11,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use arena::sched::POLICY_NAMES;
 use arena::server::protocol::submit_line;
 use arena::sim::SimConfig;
 use serde::Value;
@@ -27,6 +28,8 @@ use crate::sim::{run_batch, Mode, Timing};
 /// thread and `Server::start`'s spinning wait get a CPU each, and the
 /// mean moves smoothly with that mix where the median jumps.
 const RESTARTS: usize = 9;
+/// Reader samples a session collects at least, for a supported p95.
+const MIN_READS: usize = 200;
 /// The reader's pause between two queries.
 const READER_PAUSE: Duration = Duration::from_millis(1);
 /// `repro serve`'s default plan-service seed and horizon, which the
@@ -120,11 +123,11 @@ impl Drop for Daemon {
 impl Daemon {
     /// Spawns `repro serve --resume` and waits until it listens; returns
     /// the daemon and the restart time (spawn plus log replay).
-    fn spawn(repro: &Path, resume: &Path) -> std::io::Result<(Daemon, f64)> {
+    fn spawn(repro: &Path, cluster: &str, resume: &Path) -> std::io::Result<(Daemon, f64)> {
         let started = Instant::now();
         let child = Command::new(repro)
             .args(["serve", "--addr", "127.0.0.1:0", "--policy", "arena"])
-            .args(["--cluster", "testbed", "--resume"])
+            .args(["--cluster", cluster, "--resume"])
             .arg(resume)
             .stdin(Stdio::null())
             .stdout(Stdio::null())
@@ -239,6 +242,7 @@ struct Session {
 /// submit stream with the reader alongside, drain, final scrapes.
 fn session(
     repro: &Path,
+    cluster: &str,
     resume: &Path,
     stream: &[arena::trace::JobSpec],
     restarts: usize,
@@ -248,7 +252,7 @@ fn session(
     let mut daemon = None;
     for i in 0..restarts {
         report.op(true);
-        let (d, setup_s) = match Daemon::spawn(repro, resume) {
+        let (d, setup_s) = match Daemon::spawn(repro, cluster, resume) {
             Ok(x) => x,
             Err(e) => {
                 eprintln!("cannot start the daemon: {e}");
@@ -281,7 +285,9 @@ fn session(
             let mut samples = Vec::new();
             let mut failures = 0u64;
             let mut status = true;
-            while !stop.load(Ordering::SeqCst) {
+            // Past the stream's end the reader goes on until its p95 has
+            // 200 samples (or the daemon stops answering).
+            while !stop.load(Ordering::SeqCst) || (samples.len() < MIN_READS && failures == 0) {
                 let what = if status { "status" } else { "metrics" };
                 let r = rd.call(&format!("{{\"cmd\":\"query\",\"what\":\"{what}\"}}"));
                 match ok_reply(&r) {
@@ -382,6 +388,33 @@ fn check_online_equals_batch(
     );
 }
 
+/// The server layer on another workload's trace: a fresh `repro serve`
+/// on `cluster` takes every job over TCP with the reader alongside, then
+/// drains. The traced run of a simulation workload uses it so every
+/// per-layer metric is measured on that workload's own inputs.
+pub fn serve_trace(
+    repro: &Path,
+    cluster: &str,
+    jobs: &[arena::trace::JobSpec],
+    out: &Path,
+    report: &mut Report,
+) -> ServerLayer {
+    let empty = out.join("serve-empty.jsonl");
+    if std::fs::create_dir_all(out)
+        .and_then(|()| std::fs::write(&empty, ""))
+        .is_err()
+    {
+        report.op(false);
+        return ServerLayer::default();
+    }
+    let s = session(repro, cluster, &empty, jobs, 1, report);
+    report.check(
+        "served trace: every job is in the post-drain snapshot",
+        s.jobs.len() == jobs.len(),
+    );
+    s.server
+}
+
 /// The daemon workload's inputs: the resume log on disk and the stream.
 pub struct DaemonWorkload {
     inputs: Inputs,
@@ -430,6 +463,18 @@ impl DaemonWorkload {
         run.result
     }
 
+    /// The four baselines over the same trace in-process, so the traced
+    /// run attributes every policy's decision cost on this workload.
+    fn baselines(&self, mode: &Mode, t: &mut Timing, report: &mut Report, layers: &mut Layers) {
+        let cfg = SimConfig::new(SERVE_HORIZON_S);
+        for p in &POLICY_NAMES[..POLICY_NAMES.len() - 1] {
+            let run = run_batch(&self.inputs, p, SERVE_SEED, &cfg, mode, t, report, layers);
+            if let Some(stats) = run.stats {
+                layers.add_policy(p, stats, run.warm_busy_s, Some(&self.inputs.jobs));
+            }
+        }
+    }
+
     fn check(&self, report: &mut Report, s: &Session, replica: &arena::sim::SimResult) {
         report.check(
             "every job is admissible",
@@ -454,7 +499,14 @@ impl DaemonWorkload {
     }
 
     pub fn measure(&self, repro: &Path, report: &mut Report) {
-        let s = session(repro, &self.resume, self.stream(), RESTARTS, report);
+        let s = session(
+            repro,
+            "testbed",
+            &self.resume,
+            self.stream(),
+            RESTARTS,
+            report,
+        );
         let mut t = Timing::default();
         let replica = self.replica(&Mode::untraced(), &mut t, report, &mut Layers::default());
         self.check(report, &s, &replica);
@@ -490,17 +542,19 @@ impl DaemonWorkload {
     }
 
     pub fn trace(&self, repro: &Path, report: &mut Report, out: &Path, seed: u64) {
-        let plain = session(repro, &self.resume, self.stream(), 1, report);
+        let plain = session(repro, "testbed", &self.resume, self.stream(), 1, report);
         let mut t0 = Timing::default();
         let replica0 = self.replica(&Mode::untraced(), &mut t0, report, &mut Layers::default());
+        self.baselines(&Mode::untraced(), &mut t0, report, &mut Layers::default());
         let mut layers = Layers::default();
         let mode = Mode {
             registry: Some(std::sync::Arc::new(arena::sim::MetricsRegistry::new(256))),
         };
         probe::install();
-        let traced = session(repro, &self.resume, self.stream(), 1, report);
+        let traced = session(repro, "testbed", &self.resume, self.stream(), 1, report);
         let mut t1 = Timing::default();
         let replica1 = self.replica(&mode, &mut t1, report, &mut layers);
+        self.baselines(&mode, &mut t1, report, &mut layers);
         layers.tracer = probe::uninstall();
         self.check(report, &traced, &replica1);
         report.check(

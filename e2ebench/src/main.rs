@@ -70,10 +70,12 @@ fn run(args: &Args, report: &mut Report) -> Result<(), String> {
     let (seed, secs, out) = (args.seed, args.seconds, args.out.as_path());
     match (args.workload.as_str(), args.trace) {
         ("hetero_compare", false) => sim::hetero_compare(seed, secs).measure(report),
-        ("hetero_compare", true) => sim::hetero_compare(seed, secs).trace(report, out, seed),
+        ("hetero_compare", true) => {
+            sim::hetero_compare(seed, secs).trace(&args.repro, report, out, seed);
+        }
         ("deep_queue_faults", false) => sim::deep_queue_faults(seed, secs).measure(report),
         ("deep_queue_faults", true) => {
-            sim::deep_queue_faults(seed, secs).trace(report, out, seed);
+            sim::deep_queue_faults(seed, secs).trace(&args.repro, report, out, seed);
         }
         ("fleet_stream", false) => sim::fleet_stream(seed, secs).measure(report),
         ("fleet_stream", true) => sim::fleet_stream(seed, secs).trace(report, out, seed),

@@ -305,6 +305,9 @@ pub struct Batch {
     pub input: Inputs,
     /// Seconds a measured run repeats the input for.
     pub seconds: f64,
+    /// Cluster preset `repro serve` takes the trace on in the traced run,
+    /// for the server layer's metrics; `None` leaves them at zero.
+    pub serve_on: Option<&'static str>,
 }
 
 /// Traced repetitions in a `--trace 1` run, each paired with an
@@ -469,7 +472,7 @@ impl Batch {
 
     /// The traced run: untraced and traced repetitions of the same
     /// inputs in turn, then cold replays of the workload's keys.
-    pub fn trace(&self, report: &mut Report, out: &Path, seed: u64) {
+    pub fn trace(&self, repro: &Path, report: &mut Report, out: &Path, seed: u64) {
         let mut layers = Layers::default();
         let mode = Mode {
             registry: Some(Arc::new(MetricsRegistry::new(256))),
@@ -497,6 +500,15 @@ impl Batch {
         }
         layers.registry = mode.registry;
         layers.pull_s = self.input.pull_s;
+        if let Some(cluster) = self.serve_on {
+            layers.server = Some(crate::daemon::serve_trace(
+                repro,
+                cluster,
+                &self.input.jobs,
+                out,
+                report,
+            ));
+        }
         let jobs: Vec<&JobSpec> = self.input.jobs.iter().collect();
         layers.replay(&self.input.cluster, &jobs, self.service_seed);
         layers.emit(report);
@@ -515,6 +527,7 @@ pub fn hetero_compare(seed: u64, seconds: u64) -> Batch {
         cfg: SimConfig::new(3.5 * 86_400.0),
         input: inputs::hetero(seed),
         seconds: seconds as f64,
+        serve_on: Some("table1"),
     }
 }
 
@@ -529,6 +542,7 @@ pub fn deep_queue_faults(seed: u64, seconds: u64) -> Batch {
         cfg: SimConfig::new(30.0 * 86_400.0),
         input: inputs::deep_queue(seed),
         seconds: seconds as f64,
+        serve_on: None,
     }
 }
 
