@@ -33,6 +33,8 @@ const MEASURED_PER_CELL: usize = 8;
 /// Client-side and scraped daemon timings (daemon workload only).
 #[derive(Default)]
 pub struct ServerLayer {
+    /// Submit round trips.
+    pub cmd_s: Vec<f64>,
     pub ttfb_s: Vec<f64>,
     pub tail_s: Vec<f64>,
     pub apply_p50_s: f64,
@@ -413,6 +415,11 @@ impl Layers {
 
         let empty = ServerLayer::default();
         let s = self.server.as_ref().unwrap_or(&empty);
+        report.metric(
+            "server.cmd_p95_ms",
+            quantile(&s.cmd_s, tail_q(s.cmd_s.len())) * 1e3,
+            "ms",
+        );
         report.metric("server.ttfb_p50_ms", median(&s.ttfb_s) * 1e3, "ms");
         report.metric("server.tail_p50_ms", median(&s.tail_s) * 1e3, "ms");
         report.metric("server.apply_p50_ms", s.apply_p50_s * 1e3, "ms");
