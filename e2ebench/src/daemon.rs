@@ -1,7 +1,8 @@
 //! `daemon_restart_tcp`: `repro serve` restarts from a resume log, then
 //! the rest of the trace arrives over loopback TCP from one submitter
 //! that waits for each reply, while one reader alternates `status` and
-//! `metrics` queries with a fixed pause. The run ends with `drain`.
+//! `metrics` queries with a fixed pause. A session ends with `drain`; a
+//! measured run repeats sessions for its `--seconds`.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -20,14 +21,13 @@ use crate::inputs::{self, Inputs, DAEMON_RESUME_JOBS};
 use crate::layers::{Layers, ServerLayer};
 use crate::probe::{self, span};
 use crate::report::{log_timing, quantile, vm_hwm_mib, Report};
-use crate::sim::{run_batch, Mode, Timing};
+use crate::sim::{mean, repeat_for, run_batch, Mode, Timing};
 
-/// Restarts timed per measured run; the last one serves the stream. The
-/// run reports their mean: a restart takes either about 0.28 s or about
-/// 0.48 s on a 2-vCPU host, depending on whether the daemon's replay
-/// thread and `Server::start`'s spinning wait get a CPU each, and the
-/// mean moves smoothly with that mix where the median jumps.
-const RESTARTS: usize = 9;
+/// Restarts timed per measured session; the last one serves the stream.
+/// The run reports the median over every session's restarts. On a
+/// 2-vCPU host the replay's CPU time alone ranges from about 0.27 s to
+/// about 0.45 s from one restart to the next, so a run takes many.
+const RESTARTS: usize = 8;
 /// Reader samples a session collects at least, for a supported p95.
 const MIN_READS: usize = 200;
 /// The reader's pause between two queries.
@@ -414,7 +414,85 @@ pub fn serve_trace(
     s.server
 }
 
-/// The daemon workload's inputs: the resume log on disk and the stream.
+/// Traces a measured run cycles its sessions through. Arena's mean
+/// queueing delay on one trace spreads by 10% over seeds (first to third
+/// quartile over median, 48 seeds), and still by 7% at a tenth of the
+/// arrival jitter; its mean over three traces spreads by 5%.
+pub const TRACES: u64 = 3;
+
+/// The untraced measurement: sessions repeated for `seconds`, session
+/// `i` serving trace `i mod TRACES` and checked against that trace's
+/// in-process run. The outcome metrics are the mean over the traces'
+/// in-process runs, which the checks prove equal to the daemon's.
+pub fn measure(traces: &[DaemonWorkload], repro: &Path, seconds: u64, report: &mut Report) {
+    let mut sessions: Vec<Session> = Vec::new();
+    repeat_for(seconds as f64, || {
+        let w = &traces[sessions.len() % traces.len()];
+        let failed = report.failed;
+        sessions.push(session(
+            repro,
+            "testbed",
+            &w.resume,
+            w.stream(),
+            RESTARTS,
+            report,
+        ));
+        report.failed == failed
+    });
+    let replicas: Vec<arena::sim::SimResult> = traces
+        .iter()
+        .map(|w| {
+            let mut t = Timing::default();
+            w.replica(&Mode::untraced(), &mut t, report, &mut Layers::default())
+        })
+        .collect();
+    for (i, s) in sessions.iter().enumerate() {
+        let k = i % traces.len();
+        traces[k].check(report, s, &replicas[k]);
+    }
+    // Each trace's mean JCT, mean queueing delay and utilisation.
+    let per_trace: Vec<[f64; 3]> = replicas
+        .iter()
+        .map(|r| {
+            let jct: Vec<f64> = r.records.iter().filter_map(|j| j.jct_s()).collect();
+            let queue: Vec<f64> = r.records.iter().filter_map(|j| j.queue_s()).collect();
+            [mean(&jct), mean(&queue), r.metrics.cluster_util_frac]
+        })
+        .collect();
+    let outcome = |i: usize| mean(&per_trace.iter().map(|o| o[i]).collect::<Vec<f64>>());
+    let restarts: Vec<f64> = sessions.iter().flat_map(|s| s.setup_s.clone()).collect();
+    let cmd: Vec<f64> = sessions
+        .iter()
+        .flat_map(|s| s.server.cmd_s.clone())
+        .collect();
+    let queries: Vec<f64> = sessions.iter().flat_map(|s| s.server.query_s()).collect();
+    let wall_s: f64 = sessions.iter().map(|s| s.wall_s).sum();
+    let streamed: usize = (0..sessions.len())
+        .map(|i| traces[i % traces.len()].stream().len())
+        .sum();
+    let peak_rss = sessions.iter().map(|s| s.peak_rss_mb).fold(0.0, f64::max);
+    report.metric("setup_s", quantile(&restarts, 0.5), "s");
+    report.metric("jobs_per_s", streamed as f64 / wall_s, "1/s");
+    report.metric("peak_rss_mb", peak_rss, "MiB");
+    report.metric("avg_jct_s", outcome(0), "s");
+    report.metric("avg_queue_s", outcome(1), "s");
+    report.metric("cluster_util", outcome(2), "ratio");
+    report.metric("jct_gain", 1.0, "ratio");
+    report.metric("thpt_gain", 1.0, "ratio");
+    report.metric("cmd_p50_ms", quantile(&cmd, 0.5) * 1e3, "ms");
+    report.check(
+        "command and query p95s have at least 200 samples per session",
+        sessions
+            .iter()
+            .all(|s| s.server.cmd_s.len() >= 200 && s.server.query_s().len() >= 200),
+    );
+    eprintln!("  {} sessions, {streamed} streamed submits", sessions.len());
+    log_timing("cmd", &cmd, 1e3, "ms");
+    log_timing("query", &queries, 1e3, "ms");
+    log_timing("restart", &restarts, 1.0, "s");
+}
+
+/// One daemon trace's inputs: the resume log on disk and the stream.
 pub struct DaemonWorkload {
     inputs: Inputs,
     resume: std::path::PathBuf,
@@ -495,48 +573,6 @@ impl DaemonWorkload {
                 && finished + dropped + unfinished == self.inputs.jobs.len(),
         );
         check_online_equals_batch(report, &s.jobs, replica);
-    }
-
-    pub fn measure(&self, repro: &Path, report: &mut Report) {
-        let s = session(
-            repro,
-            "testbed",
-            &self.resume,
-            self.stream(),
-            RESTARTS,
-            report,
-        );
-        let mut t = Timing::default();
-        let replica = self.replica(&Mode::untraced(), &mut t, report, &mut Layers::default());
-        self.check(report, &s, &replica);
-        let jct: Vec<f64> = s
-            .jobs
-            .iter()
-            .filter_map(|j| Some(f64_field(j, "finish_s")? - f64_field(j, "submit_s")?))
-            .collect();
-        let queue: Vec<f64> = s
-            .jobs
-            .iter()
-            .filter_map(|j| Some(f64_field(j, "start_s")? - f64_field(j, "submit_s")?))
-            .collect();
-        let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
-        let restarts = s.setup_s.iter().sum::<f64>() / s.setup_s.len().max(1) as f64;
-        report.metric("setup_s", restarts, "s");
-        report.metric("jobs_per_s", self.stream().len() as f64 / s.wall_s, "1/s");
-        report.metric("peak_rss_mb", s.peak_rss_mb, "MiB");
-        report.metric("avg_jct_s", mean(&jct), "s");
-        report.metric("avg_queue_s", mean(&queue), "s");
-        report.metric("cluster_util", replica.metrics.cluster_util_frac, "ratio");
-        report.metric("jct_gain", 1.0, "ratio");
-        report.metric("thpt_gain", 1.0, "ratio");
-        report.metric("cmd_p50_ms", quantile(&s.server.cmd_s, 0.5) * 1e3, "ms");
-        report.check(
-            "command and query p95s have at least 200 samples",
-            s.server.cmd_s.len() >= 200 && s.server.query_s().len() >= 200,
-        );
-        log_timing("cmd", &s.server.cmd_s, 1e3, "ms");
-        log_timing("query", &s.server.query_s(), 1e3, "ms");
-        log_timing("restart", &s.setup_s, 1.0, "s");
     }
 
     pub fn trace(&self, repro: &Path, report: &mut Report, out: &Path, seed: u64) {

@@ -80,12 +80,16 @@ fn run(args: &Args, report: &mut Report) -> Result<(), String> {
         ("fleet_stream", false) => sim::fleet_stream(seed, secs).measure(report),
         ("fleet_stream", true) => sim::fleet_stream(seed, secs).trace(report, out, seed),
         ("daemon_restart_tcp", trace) => {
-            let w = daemon::DaemonWorkload::new(seed, out)
+            // Trace `v` of seed `N` is generated from `mix(N, v)`; the
+            // traced run uses the first.
+            let traces = (0..if trace { 1 } else { daemon::TRACES })
+                .map(|v| daemon::DaemonWorkload::new(inputs::mix(seed, v), out))
+                .collect::<std::io::Result<Vec<_>>>()
                 .map_err(|e| format!("cannot write the resume log: {e}"))?;
             if trace {
-                w.trace(&args.repro, report, out, seed);
+                traces[0].trace(&args.repro, report, out, seed);
             } else {
-                w.measure(&args.repro, report);
+                daemon::measure(&traces, &args.repro, secs, report);
             }
         }
         (other, _) => return Err(format!("unknown workload {other}")),

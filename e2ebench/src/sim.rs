@@ -21,10 +21,9 @@ use crate::layers::Layers;
 use crate::probe::{self, span, PolicyStats, Timed, TimedSource};
 use crate::report::{median, vm_hwm_mib, LatHist, Report};
 
-/// Set-up samples taken before each repetition; their median is that
-/// repetition's set-up time, and the run reports the mean over
-/// repetitions, so the set-up is sampled across the whole run like the
-/// other timings.
+/// Set-up samples taken before each repetition; the run reports the
+/// median of all of them, so the set-up is sampled across the whole run
+/// like the other timings.
 const SETUP_SAMPLES: usize = 5;
 
 /// Each set-up sample repeats the set-up for at least this long and
@@ -84,23 +83,24 @@ impl Mode {
 }
 
 /// Calls `rep` at least once and then while another call still fits in
-/// `seconds`, so a run measures for about `seconds` on any host.
-fn repeat_for(seconds: f64, mut rep: impl FnMut()) {
+/// `seconds`, so a run measures for about `seconds` on any host. `rep`
+/// returns whether it succeeded; a failed call ends the run early.
+pub fn repeat_for(seconds: f64, mut rep: impl FnMut() -> bool) {
     let started = Instant::now();
     let mut n = 0u32;
     loop {
-        rep();
+        let ok = rep();
         n += 1;
         let elapsed = started.elapsed().as_secs_f64();
-        if elapsed + elapsed / f64::from(n) > seconds {
+        if !ok || elapsed + elapsed / f64::from(n) > seconds {
             break;
         }
     }
 }
 
-/// Median over [`SETUP_SAMPLES`] samples of one set-up's wall-clock.
-fn setup_median(mut set_up: impl FnMut()) -> f64 {
-    let samples: Vec<f64> = (0..SETUP_SAMPLES)
+/// [`SETUP_SAMPLES`] samples of one set-up's wall-clock.
+fn setup_samples(mut set_up: impl FnMut()) -> Vec<f64> {
+    (0..SETUP_SAMPLES)
         .map(|_| {
             let started = Instant::now();
             let mut n = 0u32;
@@ -113,11 +113,10 @@ fn setup_median(mut set_up: impl FnMut()) -> f64 {
                 }
             }
         })
-        .collect();
-    median(&samples)
+        .collect()
 }
 
-fn mean(v: &[f64]) -> f64 {
+pub fn mean(v: &[f64]) -> f64 {
     v.iter().sum::<f64>() / v.len().max(1) as f64
 }
 
@@ -362,11 +361,11 @@ impl Batch {
             .collect()
     }
 
-    /// Median wall-clock of building the cluster, every policy's plan
+    /// Wall-clock samples of building the cluster, every policy's plan
     /// service, policy and engine, and handing over the trace.
-    fn setup_s(&self) -> f64 {
+    fn setup_s(&self) -> Vec<f64> {
         let inp = &self.input;
-        setup_median(|| {
+        setup_samples(|| {
             let cluster = (self.cluster)();
             for &p in self.policies {
                 let service = PlanService::new(&cluster, CostParams::default(), self.service_seed);
@@ -459,7 +458,7 @@ impl Batch {
         let mut t = Timing::default();
         let mut first: Option<Vec<PolicyRun>> = None;
         repeat_for(self.seconds, || {
-            setup.push(self.setup_s());
+            setup.extend(self.setup_s());
             let runs = self.rep(&Mode::untraced(), &mut t, report, &mut Layers::default());
             t.end_rep();
             match &first {
@@ -469,9 +468,10 @@ impl Batch {
                     Self::fingerprints(f) == Self::fingerprints(&runs),
                 ),
             }
+            true
         });
         let (jct, queue, util, gains) = self.outcomes(&first.expect("at least one repetition"));
-        report.metric("setup_s", mean(&setup), "s");
+        report.metric("setup_s", median(&setup), "s");
         emit_timings(report, &t);
         report.metric("avg_jct_s", jct, "s");
         report.metric("avg_queue_s", queue, "s");
@@ -708,8 +708,8 @@ impl Fleet {
         summary
     }
 
-    fn setup_s(&self) -> f64 {
-        setup_median(|| {
+    fn setup_s(&self) -> Vec<f64> {
+        setup_samples(|| {
             let cluster = inputs::fleet_cluster();
             let service = PlanService::new(&cluster, CostParams::default(), FLEET_SERVICE_SEED);
             let mut policy = policy_by_name("fcfs", 1).expect("known policy");
@@ -724,7 +724,7 @@ impl Fleet {
         let mut t = Timing::default();
         let mut first: Option<StreamSummary> = None;
         repeat_for(self.seconds, || {
-            setup.push(self.setup_s());
+            setup.extend(self.setup_s());
             let summary = self.rep(&Mode::untraced(), &mut t, report, &mut Layers::default());
             t.end_rep();
             match &first {
@@ -734,9 +734,10 @@ impl Fleet {
                     f.fingerprint == summary.fingerprint,
                 ),
             }
+            true
         });
         let s = first.expect("at least one repetition");
-        report.metric("setup_s", mean(&setup), "s");
+        report.metric("setup_s", median(&setup), "s");
         emit_timings(report, &t);
         report.metric("avg_jct_s", s.jobs.avg_jct_s(), "s");
         report.metric("avg_queue_s", s.jobs.avg_queue_s(), "s");
