@@ -143,9 +143,7 @@ fn serve(args: &[String]) {
     } else {
         let (local, acceptor) = spawn_listener(&handle, &addr).expect("bind");
         eprintln!("[arena-server listening on {local}]");
-        while !handle.is_shutdown() {
-            std::thread::sleep(std::time::Duration::from_millis(50));
-        }
+        // The acceptor returns once a `shutdown` command arrives.
         let _ = acceptor.join();
     }
     let outcome = server.join();

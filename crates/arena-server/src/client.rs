@@ -1,6 +1,13 @@
 //! A small blocking TCP client for the daemon's JSONL protocol —
 //! used by the example session and the end-to-end tests, and the
 //! reference for writing clients in other languages.
+//!
+//! Framing: a command is one JSON object followed by one `\n`, and
+//! every response line ends the same way. Send each command as a
+//! single write of the object and its newline, with `TCP_NODELAY` set
+//! on the socket. A command written in two parts waits on Nagle's
+//! algorithm: the newline stays in the kernel until the daemon's
+//! delayed ACK, about 40 ms later.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -25,6 +32,7 @@ impl Client {
     /// Propagates connection failures.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> std::io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         Ok(Client {
             reader: BufReader::new(stream),
@@ -39,8 +47,7 @@ impl Client {
     /// Propagates I/O failures; an empty read (server gone) is
     /// `UnexpectedEof`.
     pub fn send_line(&mut self, line: &str) -> std::io::Result<String> {
-        writeln!(self.writer, "{line}")?;
-        self.writer.flush()?;
+        self.writer.write_all(format!("{line}\n").as_bytes())?;
         let mut response = String::new();
         let n = self.reader.read_line(&mut response)?;
         if n == 0 {

@@ -29,10 +29,11 @@
 use std::collections::BTreeMap;
 use std::fs::OpenOptions;
 use std::io::Write as _;
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -160,6 +161,47 @@ enum Request {
     },
 }
 
+/// The shutdown flag plus the listener addresses to wake when it is
+/// set. An acceptor blocks in `accept`, so requesting shutdown makes one
+/// loopback connection to each registered listener, which returns the
+/// `accept` and lets the acceptor see the flag.
+#[derive(Default)]
+struct Shutdown {
+    requested: AtomicBool,
+    wake: Mutex<Vec<SocketAddr>>,
+}
+
+impl Shutdown {
+    fn is_requested(&self) -> bool {
+        self.requested.load(Ordering::SeqCst)
+    }
+
+    /// Sets the flag; the first call wakes every registered listener.
+    fn request(&self) {
+        if !self.requested.swap(true, Ordering::SeqCst) {
+            let addrs = self.wake.lock().expect("wake list lock poisoned").clone();
+            for addr in addrs {
+                let _ = TcpStream::connect(addr);
+            }
+        }
+    }
+
+    /// Registers a listener to wake on shutdown, waking it at once if
+    /// shutdown was already requested. The flag is read under the lock
+    /// that `request` takes after setting it, so every listener is
+    /// woken at least once whichever call comes first.
+    fn wake_on_request(&self, addr: SocketAddr) {
+        let requested = {
+            let mut addrs = self.wake.lock().expect("wake list lock poisoned");
+            addrs.push(addr);
+            self.is_requested()
+        };
+        if requested {
+            let _ = TcpStream::connect(addr);
+        }
+    }
+}
+
 /// Cloneable handle to a running daemon: forwards mutating commands,
 /// answers queries from the snapshot hub and live telemetry from the
 /// metrics registry.
@@ -167,7 +209,7 @@ enum Request {
 pub struct ServerHandle {
     tx: Sender<Request>,
     hub: Arc<SnapshotHub>,
-    shutdown: Arc<AtomicBool>,
+    shutdown: Arc<Shutdown>,
     metrics: Arc<MetricsRegistry>,
 }
 
@@ -189,7 +231,13 @@ impl ServerHandle {
     /// Whether shutdown has been requested.
     #[must_use]
     pub fn is_shutdown(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
+        self.shutdown.is_requested()
+    }
+
+    /// Makes every shutdown request connect once to `addr`, the
+    /// loopback address of a listener whose acceptor blocks in `accept`.
+    pub(crate) fn wake_on_shutdown(&self, addr: SocketAddr) {
+        self.shutdown.wake_on_request(addr);
     }
 
     /// Processes one protocol line and returns the response line.
@@ -280,7 +328,7 @@ impl ServerHandle {
                 ])
             }
             Ok(Command::Shutdown) => {
-                self.shutdown.store(true, Ordering::SeqCst);
+                self.shutdown.request();
                 let (reply, rx) = mpsc::channel();
                 match self.tx.send(Request::Shutdown { reply }) {
                     Ok(()) => rx.recv().unwrap_or_else(|_| {
@@ -357,7 +405,7 @@ impl Server {
             counters: BTreeMap::new(),
             decisions: Vec::new(),
         }));
-        let shutdown = Arc::new(AtomicBool::new(false));
+        let shutdown = Arc::new(Shutdown::default());
         let metrics = Arc::new(MetricsRegistry::new(cfg.flight_capacity));
         let handle = ServerHandle {
             tx,
@@ -365,18 +413,18 @@ impl Server {
             shutdown: Arc::clone(&shutdown),
             metrics: Arc::clone(&metrics),
         };
+        let (ready_tx, ready) = mpsc::channel();
         let daemon = std::thread::Builder::new()
             .name("arena-daemon".to_string())
-            .spawn(move || daemon_main(cfg, rx, &hub, &shutdown, metrics))
+            .spawn(move || daemon_main(cfg, rx, &hub, &shutdown, metrics, &ready_tx))
             .map_err(|e| format!("failed to spawn daemon thread: {e}"))?;
-        // Wait for the daemon's first publication (which happens after
+        // Block until the daemon's first publication (which happens after
         // any resume-log replay) so a caller never observes the seq-0
-        // placeholder: `start` returning means the server is ready.
-        while handle.hub.load().seq == 0 {
-            if daemon.is_finished() {
-                return Err("daemon exited before publishing a snapshot".to_string());
-            }
-            std::thread::yield_now();
+        // placeholder: `start` returning means the server is ready. A
+        // daemon that dies first drops the sender, which ends the wait.
+        if ready.recv().is_err() {
+            let _ = daemon.join();
+            return Err("daemon exited before publishing a snapshot".to_string());
         }
         Ok(Server {
             handle,
@@ -390,8 +438,9 @@ impl Server {
         self.handle.clone()
     }
 
-    /// Requests shutdown (if not already requested) and waits for the
-    /// daemon to flush and stop.
+    /// Requests shutdown (if not already requested), which also wakes
+    /// every acceptor [`crate::spawn_listener`] started on this daemon,
+    /// and waits for the daemon to flush and stop.
     ///
     /// # Panics
     ///
@@ -492,8 +541,9 @@ fn daemon_main(
     cfg: ServerConfig,
     rx: Receiver<Request>,
     hub: &SnapshotHub,
-    shutdown: &AtomicBool,
+    shutdown: &Shutdown,
     metrics: Arc<MetricsRegistry>,
+    ready: &Sender<()>,
 ) -> ServerOutcome {
     let mut policy =
         policy_by_name(&cfg.policy, cfg.worker_threads).expect("policy validated in Server::start");
@@ -560,6 +610,7 @@ fn daemon_main(
 
     seq += 1;
     publish(hub, &engine, &obs, &mut mirror, seq, &cfg.policy, shards);
+    let _ = ready.send(());
 
     let origin = Instant::now();
     loop {
@@ -600,7 +651,7 @@ fn daemon_main(
                 break;
             }
             Err(RecvTimeoutError::Timeout) => {
-                if shutdown.load(Ordering::SeqCst) {
+                if shutdown.is_requested() {
                     break;
                 }
                 if let ClockMode::Wall { speedup } = cfg.clock {
@@ -612,7 +663,7 @@ fn daemon_main(
             Err(RecvTimeoutError::Disconnected) => break,
         }
     }
-    shutdown.store(true, Ordering::SeqCst);
+    shutdown.request();
 
     // Final snapshot so late readers observe the terminal state.
     seq += 1;

@@ -4,11 +4,15 @@
 //! [`ServerHandle::handle_line`], write the response line back. Queries
 //! are answered inside `handle_line` from the snapshot hub without ever
 //! reaching the daemon thread, so a slow drain never stalls a reader.
+//!
+//! Every line goes out as one write of the body and its newline, and
+//! sockets run with `TCP_NODELAY`: written in two parts, Nagle's
+//! algorithm holds the 1-byte newline until the peer's delayed ACK,
+//! about 40 ms per reply.
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use crate::daemon::ServerHandle;
 
@@ -32,7 +36,9 @@ pub fn serve_lines<R: BufRead, W: Write>(
         let Ok(line) = line else { break };
         let mut io_err: Option<std::io::Error> = None;
         handle.handle_line_sink(&line, &mut |response| {
-            let wrote = writeln!(output, "{response}").and_then(|()| output.flush());
+            let wrote = output
+                .write_all(format!("{response}\n").as_bytes())
+                .and_then(|()| output.flush());
             match wrote {
                 Ok(()) => true,
                 Err(e) => {
@@ -53,9 +59,10 @@ pub fn serve_lines<R: BufRead, W: Write>(
 
 /// Binds a TCP listener on `addr` (use port 0 for an ephemeral port)
 /// and returns the bound address plus the acceptor thread's handle.
-/// The acceptor polls the shutdown flag between accepts and exits on
-/// its own once shutdown is requested; each connection gets a thread
-/// running the same line loop as [`serve_lines`].
+/// The acceptor blocks in `accept` and exits on its own once shutdown is
+/// requested: every shutdown request connects once to the listener to
+/// wake it. Each connection gets a thread running the same line loop as
+/// [`serve_lines`].
 ///
 /// # Errors
 ///
@@ -66,30 +73,24 @@ pub fn spawn_listener(
 ) -> std::io::Result<(SocketAddr, JoinHandle<()>)> {
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
+    handle.wake_on_shutdown(loopback(local));
     let handle = handle.clone();
     let acceptor = std::thread::Builder::new()
         .name("arena-acceptor".to_string())
         .spawn(move || {
             let mut conns: Vec<JoinHandle<()>> = Vec::new();
-            loop {
+            for stream in listener.incoming() {
+                // A shutdown's wake-up connection lands here too.
                 if handle.is_shutdown() {
                     break;
                 }
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        let h = handle.clone();
-                        if let Ok(t) = std::thread::Builder::new()
-                            .name("arena-conn".to_string())
-                            .spawn(move || serve_conn(&h, stream))
-                        {
-                            conns.push(t);
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(20));
-                    }
-                    Err(_) => break,
+                let Ok(stream) = stream else { break };
+                let h = handle.clone();
+                if let Ok(t) = std::thread::Builder::new()
+                    .name("arena-conn".to_string())
+                    .spawn(move || serve_conn(&h, stream))
+                {
+                    conns.push(t);
                 }
             }
             for t in conns {
@@ -99,7 +100,20 @@ pub fn spawn_listener(
     Ok((local, acceptor))
 }
 
+/// The address a local client reaches a listener bound to `addr` at.
+fn loopback(mut addr: SocketAddr) -> SocketAddr {
+    match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => addr.set_ip(Ipv4Addr::LOCALHOST.into()),
+        IpAddr::V6(ip) if ip.is_unspecified() => addr.set_ip(Ipv6Addr::LOCALHOST.into()),
+        _ => {}
+    }
+    addr
+}
+
 fn serve_conn(handle: &ServerHandle, stream: TcpStream) {
+    // Without it, a reply written while an earlier segment is still
+    // unacknowledged can wait for the peer's delayed ACK.
+    let _ = stream.set_nodelay(true);
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
