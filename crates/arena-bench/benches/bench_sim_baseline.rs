@@ -216,11 +216,11 @@ fn bench_simulate_500(smoke: bool) -> BenchEntry {
     let jobs = make_jobs(n, 4, 120.0, 2);
     let cfg = SimConfig::new(14.0 * 24.0 * 3600.0);
     // Warm the plan caches once.
-    let _ = simulate(&cluster, &jobs, &mut ArenaPolicy::new(), &service, &cfg);
+    let _ = Run::new(&cluster, &mut ArenaPolicy::new(), &service, &cfg).batch(&jobs);
     let iters = if smoke { 1 } else { 5 };
     time_loop(&format!("sim/simulate_{n}_jobs_arena"), iters, || {
         let mut p = ArenaPolicy::new();
-        black_box(simulate(&cluster, black_box(&jobs), &mut p, &service, &cfg));
+        black_box(Run::new(&cluster, &mut p, &service, &cfg).batch(black_box(&jobs)));
     })
 }
 
@@ -229,7 +229,7 @@ fn bench_simulate_500(smoke: bool) -> BenchEntry {
 /// policy — dominates. This is the bench the CI speedup gate holds the
 /// event-indexed core's ≥3x claim against (`BENCH_sim_pre_event_core.json`
 /// records the pre-change engine on the same fixture).
-fn bench_simulate_loaded(smoke: bool) -> Vec<BenchEntry> {
+fn bench_simulate_loaded(smoke: bool) -> BenchEntry {
     let cluster = arena::cluster::presets::physical_testbed();
     let service = PlanService::new(&cluster, CostParams::default(), 51);
     let n = if smoke { 200 } else { 5000 };
@@ -241,70 +241,29 @@ fn bench_simulate_loaded(smoke: bool) -> Vec<BenchEntry> {
         fault_span_s,
     );
     let cfg = SimConfig::new(30.0 * 24.0 * 3600.0);
+    let run = |p: &mut FcfsPolicy| {
+        Run::new(&cluster, p, &service, &cfg)
+            .faults(&faults)
+            .batch(black_box(&jobs))
+    };
     // Warm the plan caches once.
-    let _ = simulate_with_faults(
-        &cluster,
-        &jobs,
-        &mut FcfsPolicy::new(),
-        &service,
-        &cfg,
-        &faults,
-    );
+    let _ = run(&mut FcfsPolicy::new());
     let iters = if smoke { 1 } else { 3 };
-    let serial = time_loop(
+    time_loop(
         &format!("sim/simulate_{n}_jobs_faulted_fcfs"),
         iters,
         || {
-            let mut p = FcfsPolicy::new();
-            black_box(simulate_with_faults(
-                &cluster,
-                black_box(&jobs),
-                &mut p,
-                &service,
-                &cfg,
-                &faults,
-            ));
+            black_box(run(&mut FcfsPolicy::new()));
         },
-    );
-    // A one-shard plan must cost the same as the serial engine: the
-    // sharded driver routes `shards == 1` straight through the serial
-    // path (DESIGN.md §12), so the merge-round machinery can never tax
-    // a degenerate plan. This entry pins that routing.
-    let shard1 = ShardPlan::per_pool(&cluster).with_shards(1);
-    let pinned = time_loop(
-        &format!("sim/simulate_{n}_jobs_faulted_fcfs_shard1"),
-        iters,
-        || {
-            let mut p = FcfsPolicy::new();
-            black_box(simulate_sharded_with_faults(
-                &cluster,
-                black_box(&jobs),
-                &mut p,
-                &service,
-                &cfg,
-                &faults,
-                &shard1,
-            ));
-        },
-    );
-    if !smoke {
-        assert!(
-            pinned.mean_s <= serial.mean_s * 1.25,
-            "one-shard sharded run must track the serial engine \
-             (serial {:.3}s vs shard1 {:.3}s): the shards==1 routing broke",
-            serial.mean_s,
-            pinned.mean_s
-        );
-    }
-    vec![serial, pinned]
+    )
 }
 
-/// The loaded engine round through the sharded incremental driver —
-/// the decision loop the telemetry plane instruments — once with
-/// `Obs::disabled()` and once with the live plane attached
-/// (`Obs::metrics_only` + a `MetricsRegistry`): every burst timed,
-/// per-shard gauges stored, event counters bumped, estimator ratios
-/// refreshed, stage spans recorded into lock-free histograms. The pair
+/// The loaded engine round on the per-pool shard plan — the plan the
+/// daemon runs by default — once with `Obs::disabled()` and once with
+/// the live plane attached (`Obs::metrics_only` + a `MetricsRegistry`):
+/// every burst timed, per-shard gauges stored, event counters bumped,
+/// estimator ratios refreshed, stage spans recorded into lock-free
+/// histograms. The pair
 /// is the overhead gate — telemetry-on must stay within 5% of
 /// telemetry-off, enforced in CI by `arena-analyze bench-check
 /// BENCH_sim_telemetry_off.json <committed BENCH_sim.json> --threshold
@@ -323,16 +282,15 @@ fn bench_simulate_loaded_telemetry(smoke: bool) -> (Vec<BenchEntry>, BenchEntry)
     );
     let cfg = SimConfig::new(30.0 * 24.0 * 3600.0);
     let plan = ShardPlan::per_pool(&cluster);
+    let run = |p: &mut FcfsPolicy, obs: &Obs| {
+        Run::new(&cluster, p, &service, &cfg)
+            .faults(&faults)
+            .obs(obs)
+            .plan(&plan)
+            .batch(black_box(&jobs))
+    };
     // Warm the plan caches once.
-    let _ = simulate_sharded_with_faults(
-        &cluster,
-        &jobs,
-        &mut FcfsPolicy::new(),
-        &service,
-        &cfg,
-        &faults,
-        &plan,
-    );
+    let _ = run(&mut FcfsPolicy::new(), &Obs::disabled());
     // More iterations than the other loaded benches: the overhead gate
     // compares these two means at a 5% threshold, well inside this
     // host's run-to-run noise at 3 iterations.
@@ -341,33 +299,14 @@ fn bench_simulate_loaded_telemetry(smoke: bool) -> (Vec<BenchEntry>, BenchEntry)
         &format!("sim/simulate_{n}_jobs_faulted_fcfs_sharded"),
         iters,
         || {
-            let mut p = FcfsPolicy::new();
-            black_box(simulate_sharded_with_faults(
-                &cluster,
-                black_box(&jobs),
-                &mut p,
-                &service,
-                &cfg,
-                &faults,
-                &plan,
-            ));
+            black_box(run(&mut FcfsPolicy::new(), &Obs::disabled()));
         },
     );
     let registry = std::sync::Arc::new(MetricsRegistry::new(256));
     let obs = Obs::metrics_only(std::sync::Arc::clone(&registry));
     let name_on = format!("sim/simulate_{n}_jobs_faulted_fcfs_telemetry");
     let on = time_loop(&name_on, iters, || {
-        let mut p = FcfsPolicy::new();
-        black_box(simulate_sharded_with_faults_traced(
-            &cluster,
-            black_box(&jobs),
-            &mut p,
-            &service,
-            &cfg,
-            &faults,
-            &obs,
-            &plan,
-        ));
+        black_box(run(&mut FcfsPolicy::new(), &obs));
     });
     // The run must actually have fed the plane, or the gate is a no-op.
     assert!(
@@ -418,16 +357,16 @@ fn multipool_burst(n: u64, num_pools: usize) -> Vec<JobSpec> {
 
 /// The loaded multi-pool pair: a deep, class-diverse Arena-scheduled
 /// burst over the 4-pool simulated cluster, cold (fresh `PlanService`
-/// per iteration, like the cold decision-round benches), run through the
-/// serial engine and through the sharded decision loop (one shard per
+/// per iteration, like the cold decision-round benches), run on the
+/// default one-shard plan and on the sharded decision loop (one shard per
 /// pool, workers sized to the machine). The sharded loop's
 /// `prepare_shards` pre-pass batches each flush round's cold candidate
-/// estimation into one fan-out instead of the serial loop's job-by-job
+/// estimation into one fan-out instead of the one-shard run's job-by-job
 /// fills; with more than one hardware thread that fan-out is a real
 /// wall-clock win, and on a single-core host the pool sizes itself to
-/// one worker and the sharded loop must track the serial engine to
+/// one worker and the sharded loop must track the one-shard run to
 /// within its bookkeeping overhead. Output is byte-identical either
-/// way. `BENCH_sim_unsharded.json` freezes the serial mean under the
+/// way. `BENCH_sim_unsharded.json` freezes the one-shard mean under the
 /// sharded entry's name so CI can gate the committed ratio with
 /// `bench-check`.
 fn bench_simulate_multipool(smoke: bool) -> Vec<BenchEntry> {
@@ -451,20 +390,20 @@ fn bench_simulate_multipool(smoke: bool) -> Vec<BenchEntry> {
     // even on single-core hosts.
     {
         let service = PlanService::new(&cluster, CostParams::default(), 51);
-        let serial = simulate(&cluster, &jobs, &mut ArenaPolicy::new(), &service, &cfg);
+        let one = Run::new(&cluster, &mut ArenaPolicy::new(), &service, &cfg).batch(&jobs);
         let service = PlanService::new(&cluster, CostParams::default(), 51);
         let check = ShardPlan::per_pool(&cluster).with_workers(WorkerPool::new(4));
-        let sharded = simulate_sharded(
+        let sharded = Run::new(
             &cluster,
-            &jobs,
             &mut ArenaPolicy::new().with_worker_threads(4),
             &service,
             &cfg,
-            &check,
-        );
+        )
+        .plan(&check)
+        .batch(&jobs);
         assert_eq!(
-            serial.timeline, sharded.timeline,
-            "sharded bench fixture diverged from the serial engine"
+            one.timeline, sharded.timeline,
+            "sharded bench fixture diverged from the one-shard run"
         );
     }
     let iters = if smoke { 1 } else { 5 };
@@ -472,19 +411,16 @@ fn bench_simulate_multipool(smoke: bool) -> Vec<BenchEntry> {
         time_loop("sim/simulate_multipool_arena_serial", iters, || {
             let service = PlanService::new(&cluster, CostParams::default(), 51);
             let mut p = ArenaPolicy::new();
-            black_box(simulate(&cluster, black_box(&jobs), &mut p, &service, &cfg));
+            black_box(Run::new(&cluster, &mut p, &service, &cfg).batch(black_box(&jobs)));
         }),
         time_loop("sim/simulate_multipool_arena_sharded", iters, || {
             let service = PlanService::new(&cluster, CostParams::default(), 51);
             let mut p = ArenaPolicy::new().with_worker_threads(threads);
-            black_box(simulate_sharded(
-                &cluster,
-                black_box(&jobs),
-                &mut p,
-                &service,
-                &cfg,
-                &plan,
-            ));
+            black_box(
+                Run::new(&cluster, &mut p, &service, &cfg)
+                    .plan(&plan)
+                    .batch(black_box(&jobs)),
+            );
         }),
     ]
 }
@@ -527,7 +463,9 @@ fn bench_stream_fleet(smoke: bool) -> Vec<BenchEntry> {
         let mut policy = FcfsPolicy::new();
         let mut source = TakeSource::new(GenSource::new(&trace_cfg), n);
         let t0 = Instant::now();
-        let summary = simulate_stream(&cluster, &mut policy, &service, &mut source, &cfg, &plan)
+        let summary = Run::new(&cluster, &mut policy, &service, &cfg)
+            .plan(&plan)
+            .stream(&mut source)
             .expect("generator-backed source cannot fail");
         let wall = t0.elapsed().as_secs_f64();
         assert_eq!(summary.jobs.jobs, n, "generator ran dry before the cap");
@@ -573,7 +511,7 @@ fn main() {
     benches.extend(bench_arena_schedule(smoke));
     benches.extend(bench_arena_500(smoke));
     benches.push(bench_simulate_500(smoke));
-    benches.extend(bench_simulate_loaded(smoke));
+    benches.push(bench_simulate_loaded(smoke));
     let (telemetry, telemetry_gate) = bench_simulate_loaded_telemetry(smoke);
     benches.extend(telemetry);
     benches.extend(bench_simulate_multipool(smoke));
@@ -613,11 +551,11 @@ fn main() {
         };
         write_bench_report("BENCH_sim_telemetry_off.json", &gate)
             .expect("write BENCH_sim_telemetry_off.json");
-        // The serial-engine reference for the sharded decision-loop
+        // The one-shard reference for the sharded decision-loop
         // gate, refreshed from this same run so both sides of the
         // comparison come off the same machine under the same load —
         // a stale frozen number drifts with host speed and fails the
-        // gate spuriously. The serial entry is renamed to the sharded
+        // gate spuriously. The one-shard entry is renamed to the sharded
         // entry's name, which is how bench-check pairs them.
         let serial = report
             .benches

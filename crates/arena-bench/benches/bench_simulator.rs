@@ -15,122 +15,36 @@ fn bench_replay(c: &mut Criterion) {
 
     // Warm the plan caches once; the bench then measures the event loop
     // and policy logic, as in a long-running scheduler process.
-    let _ = simulate(&cluster, &jobs, &mut ArenaPolicy::new(), &service, &sim_cfg);
+    let _ = Run::new(&cluster, &mut ArenaPolicy::new(), &service, &sim_cfg).batch(&jobs);
 
     let mut group = c.benchmark_group("simulator/replay_2h_trace");
     group.sample_size(10);
     group.bench_function("fcfs", |b| {
         b.iter(|| {
             let mut p = FcfsPolicy::new();
-            black_box(simulate(
-                &cluster,
-                black_box(&jobs),
-                &mut p,
-                &service,
-                &sim_cfg,
-            ))
+            black_box(Run::new(&cluster, &mut p, &service, &sim_cfg).batch(black_box(&jobs)))
         })
     });
     group.bench_function("elasticflow_ls", |b| {
         b.iter(|| {
             let mut p = ElasticFlowPolicy::loosened();
-            black_box(simulate(
-                &cluster,
-                black_box(&jobs),
-                &mut p,
-                &service,
-                &sim_cfg,
-            ))
+            black_box(Run::new(&cluster, &mut p, &service, &sim_cfg).batch(black_box(&jobs)))
         })
     });
     group.bench_function("arena", |b| {
         b.iter(|| {
             let mut p = ArenaPolicy::new();
-            black_box(simulate(
-                &cluster,
-                black_box(&jobs),
-                &mut p,
-                &service,
-                &sim_cfg,
-            ))
+            black_box(Run::new(&cluster, &mut p, &service, &sim_cfg).batch(black_box(&jobs)))
         })
     });
     group.bench_function("arena_solver", |b| {
         b.iter(|| {
             let mut p = ArenaSolverPolicy::new();
-            black_box(simulate(
-                &cluster,
-                black_box(&jobs),
-                &mut p,
-                &service,
-                &sim_cfg,
-            ))
+            black_box(Run::new(&cluster, &mut p, &service, &sim_cfg).batch(black_box(&jobs)))
         })
     });
     group.finish();
 }
 
-/// The loaded engine round: 5000 jobs arriving every 30 s under a
-/// generated node-failure schedule, replayed with FCFS so the event
-/// loop — not the policy — dominates the measurement. Mirrors the
-/// `sim/simulate_5000_jobs_faulted_fcfs` entry of `bench_sim_baseline`.
-fn bench_loaded_faulted(c: &mut Criterion) {
-    let cluster = arena::cluster::presets::physical_testbed();
-    let service = PlanService::new(&cluster, CostParams::default(), 51);
-    let n = 5000_u64;
-    let jobs: Vec<JobSpec> = (0..n)
-        .map(|i| {
-            let fam =
-                [ModelFamily::Bert, ModelFamily::Moe, ModelFamily::WideResNet][(i % 3) as usize];
-            let size = if fam == ModelFamily::WideResNet {
-                1.0
-            } else {
-                1.3
-            };
-            JobSpec {
-                id: i,
-                name: format!("j{i}"),
-                submit_s: 30.0 * i as f64,
-                model: ModelConfig::new(fam, size, 256),
-                iterations: 400 + 100 * (i % 4),
-                requested_gpus: 4,
-                requested_pool: i as usize % 2,
-                deadline_s: None,
-            }
-        })
-        .collect();
-    let faults = arena::trace::generate_faults(
-        &arena::trace::FaultConfig::with_mtbf(60_000.0),
-        &[16, 16],
-        n as f64 * 30.0 * 1.4,
-    );
-    let sim_cfg = SimConfig::new(30.0 * 24.0 * 3600.0);
-    let _ = simulate_with_faults(
-        &cluster,
-        &jobs,
-        &mut FcfsPolicy::new(),
-        &service,
-        &sim_cfg,
-        &faults,
-    );
-
-    let mut group = c.benchmark_group("simulator/loaded_5k_faulted");
-    group.sample_size(10);
-    group.bench_function("fcfs", |b| {
-        b.iter(|| {
-            let mut p = FcfsPolicy::new();
-            black_box(simulate_with_faults(
-                &cluster,
-                black_box(&jobs),
-                &mut p,
-                &service,
-                &sim_cfg,
-                &faults,
-            ))
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_replay, bench_loaded_faulted);
+criterion_group!(benches, bench_replay);
 criterion_main!(benches);

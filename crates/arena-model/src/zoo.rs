@@ -38,6 +38,16 @@ impl ModelFamily {
         }
     }
 
+    /// Whether `params_b` is one of [`ModelFamily::table2_sizes`], within
+    /// the 1e-6 tolerance the `config_for` builders match sizes with — so
+    /// exactly the sizes the builders accept.
+    #[must_use]
+    pub fn has_table2_size(self, params_b: f64) -> bool {
+        self.table2_sizes()
+            .iter()
+            .any(|&s| (s - params_b).abs() < 1e-6)
+    }
+
     /// Global batch sizes listed in Table 2.
     #[must_use]
     pub fn table2_batches(self) -> &'static [usize] {
@@ -139,6 +149,20 @@ mod tests {
     #[test]
     fn table2_has_fourteen_sizes() {
         assert_eq!(table2_configs().len(), 5 + 4 + 5);
+    }
+
+    #[test]
+    fn table2_size_check_matches_the_builders() {
+        for family in ModelFamily::all() {
+            for &size in family.table2_sizes() {
+                assert!(family.has_table2_size(size));
+                assert!(family.has_table2_size(size + 5e-7));
+                let _ = ModelConfig::new(family, size + 5e-7, 256).build();
+            }
+            for bad in [-1.0, 0.0, 7.7, f64::NAN, f64::INFINITY] {
+                assert!(!family.has_table2_size(bad), "{family} {bad}");
+            }
+        }
     }
 
     #[test]

@@ -161,7 +161,7 @@ pub enum Action {
 }
 
 /// One executor shard's slice of the queue, as handed to
-/// [`Policy::prepare_shards`] by the sharded simulation engine before a
+/// [`Policy::prepare_shards`] by the simulation engine before a
 /// scheduling pass.
 #[derive(Debug)]
 pub struct ShardQueue<'a> {
@@ -188,8 +188,9 @@ pub trait Policy: Send {
     /// Produces scheduling actions for an event.
     fn schedule(&mut self, event: SchedEvent, view: &SchedView<'_>) -> Vec<Action>;
 
-    /// Per-shard pre-pass hook of the sharded engine, called once before
-    /// [`Policy::schedule`] with the queue split by executor shard.
+    /// Per-shard pre-pass hook of the simulation engine, called once
+    /// before every [`Policy::schedule`] with the queue split by executor
+    /// shard (a one-shard run passes the whole queue as shard 0).
     ///
     /// Implementations may warm caches concurrently (candidate
     /// prefetching), but MUST NOT change any observable scheduling

@@ -1,4 +1,4 @@
-//! The resident daemon: single writer thread that owns the incremental
+//! The resident daemon: single writer thread that owns the simulation
 //! engine and applies mutating commands, plus the handle other threads
 //! use to reach it.
 //!
@@ -18,13 +18,15 @@
 //!
 //! Determinism: applying a `submit` first advances the engine to just
 //! *before* the command's timestamp (`advance_before` stops at the
-//! first burst `te >= s - EPS`, exactly the window in which the batch
-//! loop would consume an arrival at `s`); a `fault` is queued without
-//! advancing, because the batch engines never simulate past the last
+//! first burst `te >= s - EPS`, exactly the window in which a batch
+//! run would consume an arrival at `s`); a `fault` is queued without
+//! advancing, because a batch run never simulates past the last
 //! arrival's drain and a queued fault is consumed at the right burst by
 //! whichever later input moves the clock. An online run fed the same
-//! trace is therefore byte-identical to `simulate_sharded*` — the
-//! contract pinned by `tests/server_e2e.rs`.
+//! trace is therefore byte-identical to a batch run
+//! ([`arena_sim::Run::batch`]) — the contract pinned by
+//! `tests/server_e2e.rs`. A refused command changes nothing, the clock
+//! included, so the event log of accepted commands replays it exactly.
 
 use std::collections::BTreeMap;
 use std::fs::OpenOptions;
@@ -714,9 +716,11 @@ fn apply(
 ) -> Result<Vec<(String, Value)>, String> {
     match cmd {
         Command::Submit(spec) => {
-            if spec.submit_s.is_finite() {
-                engine.advance_before(spec.submit_s);
-            }
+            // Check before advancing: a refused job must not move the
+            // clock, since it never reaches the event log a replay
+            // rebuilds the run from.
+            engine.check_submit(spec).map_err(|e| e.to_string())?;
+            engine.advance_before(spec.submit_s);
             engine
                 .submit(spec.clone())
                 .map_err(|e| e.to_string())
@@ -728,9 +732,9 @@ fn apply(
                 })
         }
         Command::Fault(fault) => {
-            // Queue without advancing. The batch engines stop at the
-            // first idle point after the arrival stream is exhausted and
-            // never simulate trailing faults; advancing here would burst
+            // Queue without advancing. A batch run stops at the first
+            // idle point after the arrival stream is exhausted and never
+            // simulates trailing faults; advancing here would burst
             // through round ticks the batch run does not have. A queued
             // fault is a next-event candidate, so whichever later input
             // (submit, advance, drain) moves the clock past `time_s`

@@ -1,8 +1,8 @@
 //! Resident scheduling daemon for the Arena reproduction.
 //!
-//! Where the batch entry points (`simulate_sharded*`) consume a whole
-//! trace and return a [`arena_sim::SimResult`], this crate keeps the
-//! incremental engine *resident*: a single daemon thread owns the
+//! Where a batch run ([`arena_sim::Run::batch`]) consumes a whole trace
+//! and returns a [`arena_sim::SimResult`], this crate keeps the same
+//! [`arena_sim::Engine`] *resident*: a single daemon thread owns the
 //! decision loop and applies newline-delimited JSON commands — job
 //! submissions, node-health events, cancellations, clock advances —
 //! as they arrive over TCP or stdin. Reads never wait on the writer:
@@ -24,7 +24,7 @@
 //! a trace to the daemon one command at a time, in any interleaving
 //! with queries, then draining, produces byte-identical output
 //! (records, timelines, decision JSONL, metrics) to handing the whole
-//! trace to `simulate_sharded_with_faults_traced`. `tests/server_e2e.rs`
+//! trace to a batch run on the same shard plan. `tests/server_e2e.rs`
 //! pins this for every policy, with and without fault injection, and
 //! the restart suite pins that replaying the daemon's event log
 //! reproduces the same bytes after a mid-trace shutdown.

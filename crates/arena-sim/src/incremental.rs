@@ -1,6 +1,5 @@
-//! The incremental engine: the sharded decision loop of
-//! [`crate::shard`], refactored from a run-to-completion function into a
-//! stepwise API that a resident daemon can drive.
+//! The simulation engine: the one event loop behind every batch run,
+//! streaming run and the resident daemon.
 //!
 //! [`Engine`] owns the whole simulation state — job table, per-shard
 //! event heaps and membership indexes, cluster books, fault log,
@@ -10,16 +9,26 @@
 //! processes every burst strictly earlier than a given instant so a
 //! caller replaying a timestamped command stream can interleave
 //! injection and advancement; [`Engine::close_input`] +
-//! [`Engine::run_to_end`] drain the remainder exactly like the batch
-//! loop; [`Engine::finish`] folds the tail (conformance asserts, fault
-//! log close-out, metric aggregation) into a [`SimResult`].
+//! [`Engine::run_to_end`] drain the remainder; [`Engine::finish`] folds
+//! the tail (conformance asserts, fault log close-out, metric
+//! aggregation) into a [`SimResult`]. Whole-trace runs go through the
+//! [`crate::Run`] builder, which loads a sorted trace up front and
+//! drains it.
+//!
+//! The loop is event-indexed (see `DESIGN.md` §11): a lazy-deletion
+//! min-heap predicts the next job event, `BTreeSet` membership indexes
+//! replace full job-table scans, and jobs advance lazily — only
+//! `Running` members of the active set, and only when time actually
+//! moves. Every floating-point accumulation happens with the same
+//! operands in the same (ascending job-index) order as the pre-index
+//! reference loop preserved in [`crate::reference`], which the
+//! `engine_equivalence` suite holds this file to byte-for-byte.
 //!
 //! **Equivalence contract.** Feeding a sorted trace through
 //! `submit`/`inject_fault` in any interleaving consistent with
 //! `advance_before(event time)` — including all-up-front, which is
-//! literally what [`crate::simulate_sharded_with_faults_traced`] now
-//! does — produces byte-identical output to the historical batch loop.
-//! The argument is the burst-window lemma: a batch burst at time `te`
+//! literally what [`crate::Run::batch`] does — produces byte-identical
+//! output. The argument is the burst-window lemma: a burst at time `te`
 //! consumes an arrival at `s` iff `s <= te + EPS`, i.e. `te >= s - EPS`;
 //! `advance_before(s)` stops at exactly the first burst with
 //! `te >= s - EPS`, so every burst it runs could not have seen the
@@ -27,26 +36,82 @@
 //! `tests/server_e2e.rs` pins this across the batch/online boundary for
 //! all five policies, with and without faults.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
-use arena_cluster::{Cluster, GpuTypeId};
+use arena_cluster::{Allocation, Cluster, GpuTypeId};
 use arena_estimator::Interner;
+use arena_model::zoo::ModelFamily;
 use arena_obs::{
     labeled, Counter, Decision, Gauge, Histogram, JobEventKind, MetricsRegistry, Obs, Span,
-    StopCause,
+    StopCause, TraceReport,
 };
 use arena_runtime::merge_by_index;
 use arena_sched::PlanService;
-use arena_sched::{Action, JobView, PlanMode, Policy, SchedEvent, SchedView, ShardQueue};
+use arena_sched::{
+    Action, JobView, PlacementView, PlanMode, Policy, SchedEvent, SchedView, ShardQueue,
+};
 use arena_trace::{FaultEvent, FaultKind, JobSpec};
 
-use crate::engine::{job_view, EventIndex, JState, SJob, SimConfig, SimResult, EPS};
-use crate::metrics::{aggregate, DecisionStats, FaultLog, FoldedRecords, JobRecord};
+use crate::heap::EventHeap;
+use crate::metrics::{aggregate, DecisionStats, FaultLog, FoldedRecords, JobRecord, Metrics};
 use crate::shard::ShardPlan;
 use crate::store::JobStore;
 use crate::stream::StreamSummary;
 use serde::Serialize;
+
+/// Simulator configuration.
+#[derive(Debug, Clone)]
+pub struct SimConfig {
+    /// Scheduling-round interval, seconds (§7: 5 minutes).
+    pub round_interval_s: f64,
+    /// Fixed (re)start overhead per placement, seconds (process launch,
+    /// NCCL bootstrap).
+    pub restart_overhead_s: f64,
+    /// Shared-storage bandwidth for checkpoint save + restore, bytes/s;
+    /// restarting a job additionally costs `2 x checkpoint / bandwidth`,
+    /// so shuffling big models is proportionally more expensive.
+    pub checkpoint_bw_bps: f64,
+    /// Periodic checkpoint interval while running, seconds. A node
+    /// failure rolls the victim's progress back to its last checkpoint,
+    /// so shorter intervals lose less work (but real systems pay more
+    /// checkpoint stalls; that trade-off is not modelled here).
+    pub checkpoint_interval_s: f64,
+    /// Hard stop; jobs still queued/running are recorded as unfinished.
+    pub horizon_s: f64,
+}
+
+impl SimConfig {
+    /// The defaults used throughout the evaluation.
+    #[must_use]
+    pub fn new(horizon_s: f64) -> Self {
+        SimConfig {
+            round_interval_s: 300.0,
+            restart_overhead_s: 30.0,
+            checkpoint_bw_bps: 2.0e9,
+            checkpoint_interval_s: 600.0,
+            horizon_s,
+        }
+    }
+}
+
+/// Result of one simulation run.
+#[derive(Debug, Clone)]
+pub struct SimResult {
+    /// The policy's display name.
+    pub policy: String,
+    /// Final per-job records.
+    pub records: Vec<JobRecord>,
+    /// `(time, normalised cluster throughput)` at every round.
+    pub timeline: Vec<(f64, f64)>,
+    /// `(time, raw cluster throughput in samples/s)` at every round.
+    pub raw_timeline: Vec<(f64, f64)>,
+    /// Aggregated metrics.
+    pub metrics: Metrics,
+    /// Everything the observability layer recorded. Empty unless the run
+    /// recorded into an enabled [`Obs`] (see [`crate::Run::obs`]).
+    pub trace: TraceReport,
+}
 
 /// Below this many live jobs, per-shard view fragments are built inline:
 /// a view build is an `Arc` bump plus a few scalar copies, so spawning
@@ -97,6 +162,15 @@ pub enum InputError {
     },
     /// [`Engine::drop_job`] named a job the engine has never seen.
     UnknownJob(u64),
+    /// The job's model size is not one of its family's Table-2 sizes.
+    UnknownModel {
+        /// The job's model family.
+        family: ModelFamily,
+        /// The offending nominal size, billions of parameters.
+        params_b: f64,
+    },
+    /// The job requests a pool the cluster does not have.
+    NoSuchPool(usize),
 }
 
 impl std::fmt::Display for InputError {
@@ -118,6 +192,10 @@ impl std::fmt::Display for InputError {
                 write!(f, "no node {node} in pool {pool}")
             }
             InputError::UnknownJob(id) => write!(f, "unknown job id {id}"),
+            InputError::UnknownModel { family, params_b } => {
+                write!(f, "{family}-{params_b}B is not a Table-2 configuration")
+            }
+            InputError::NoSuchPool(pool) => write!(f, "no pool {pool}"),
         }
     }
 }
@@ -231,6 +309,137 @@ pub struct EngineState {
     /// first, then pending ones).
     pub jobs: Vec<JobStatus>,
 }
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum JState {
+    Queued,
+    /// Restarting/exploring until the given time; holds GPUs, no progress.
+    Starting(f64),
+    Running,
+    Finished,
+    Dropped,
+}
+
+pub(crate) struct SJob {
+    pub(crate) spec: Arc<JobSpec>,
+    /// `spec.model.name()` interned once at arrival — the plan-database
+    /// key component, so placements never hash a fresh `String`.
+    pub(crate) model_key: u32,
+    pub(crate) state: JState,
+    /// Epoch for this job's event-heap entries: bumped on every
+    /// transition that invalidates a predicted event, so stale heap
+    /// entries identify themselves by generation mismatch.
+    pub(crate) generation: u64,
+    /// Simulation time this job's progress was last advanced to. Lags
+    /// the clock only across zero-width event bursts, where an advance
+    /// would be an exact no-op.
+    pub(crate) last_update_s: f64,
+    pub(crate) remaining: f64,
+    pub(crate) alloc: Option<Allocation>,
+    /// Home executor shard, fixed at arrival. Carried on the job rather
+    /// than in a side table so that reclaiming a terminal job's slot
+    /// frees *all* of its per-job state.
+    pub(crate) home: usize,
+    pub(crate) pool: usize,
+    pub(crate) gpus: usize,
+    pub(crate) opportunistic: bool,
+    pub(crate) sps: f64,
+    pub(crate) iter_time: f64,
+    pub(crate) start_s: Option<f64>,
+    pub(crate) finish_s: Option<f64>,
+    pub(crate) restarts: u32,
+    pub(crate) profiled: bool,
+    /// Wall-clock spent running since the last checkpoint; on a node
+    /// failure this much progress is lost.
+    pub(crate) since_ckpt_s: f64,
+    /// Set when a failure evicts the job; cleared (and recorded) when it
+    /// runs again.
+    pub(crate) recovering_since: Option<f64>,
+    /// Start of the current `Running` segment; flushed into the totals
+    /// when the job stops, finishes, or the run ends.
+    pub(crate) run_since: Option<f64>,
+    /// Start of the current GPU-holding segment (`Starting` or
+    /// `Running`); flushed like `run_since`.
+    pub(crate) alloc_since: Option<f64>,
+    /// Total wall-clock spent running.
+    pub(crate) run_s: f64,
+    /// GPU-seconds spent making progress (`Running` only).
+    pub(crate) productive_gpu_s: f64,
+    /// GPU-seconds held, productive or not (`Starting` + `Running`).
+    pub(crate) allocated_gpu_s: f64,
+}
+
+impl SJob {
+    pub(crate) fn active(&self) -> bool {
+        matches!(self.state, JState::Starting(_) | JState::Running)
+    }
+
+    /// Closes the current `Running` segment at `t`. The accumulation —
+    /// one `(t - since) * gpus` product added per segment, in
+    /// chronological order — mirrors [`arena_obs::Timeline::accounts`]
+    /// exactly, so the two stay bitwise equal.
+    pub(crate) fn flush_run(&mut self, t: f64) {
+        if let Some(since) = self.run_since.take() {
+            let dt = t - since;
+            self.run_s += dt;
+            self.productive_gpu_s += dt * self.gpus as f64;
+        }
+    }
+
+    /// Closes the current GPU-holding segment at `t` (see
+    /// [`SJob::flush_run`]).
+    pub(crate) fn flush_alloc(&mut self, t: f64) {
+        if let Some(since) = self.alloc_since.take() {
+            self.allocated_gpu_s += (t - since) * self.gpus as f64;
+        }
+    }
+}
+
+/// One executor shard's membership indexes over the job table plus its
+/// pending-event heap.
+///
+/// Invariants: `queued` holds exactly the shard's `Queued` job indices
+/// and `active` exactly its `Starting`/`Running` ones — both iterate in
+/// ascending index order, which is submission order, the same order the
+/// reference loop's full-table scans visit jobs in. Every active job has
+/// exactly one *fresh* heap entry (generation matches) carrying its next
+/// predicted event; everything else in the heap is stale and discarded
+/// lazily.
+#[derive(Default)]
+pub(crate) struct EventIndex {
+    pub(crate) queued: BTreeSet<usize>,
+    pub(crate) active: BTreeSet<usize>,
+    pub(crate) heap: EventHeap,
+}
+
+impl EventIndex {
+    /// Queued or active -> holding a fresh grant (`Starting`): schedules
+    /// the start deadline and invalidates any previous prediction.
+    pub(crate) fn place(&mut self, j: &mut SJob, idx: usize, ready_at: f64) {
+        self.queued.remove(&idx);
+        self.active.insert(idx);
+        j.generation += 1;
+        self.heap.push(ready_at, j.generation, idx);
+    }
+
+    /// Active (or already queued, after a capacity race) -> `Queued`.
+    pub(crate) fn requeue(&mut self, j: &mut SJob, idx: usize) {
+        self.active.remove(&idx);
+        self.queued.insert(idx);
+        j.generation += 1;
+    }
+
+    /// Any state -> terminal (`Finished` / `Dropped`).
+    pub(crate) fn retire(&mut self, j: &mut SJob, idx: usize) {
+        self.queued.remove(&idx);
+        self.active.remove(&idx);
+        j.generation += 1;
+    }
+}
+
+/// Burst window: events within this many seconds of a burst's time
+/// fire in that burst.
+pub(crate) const EPS: f64 = 1e-6;
 
 /// Pre-registered live-telemetry handles for the decision loop
 /// (DESIGN.md §14). Present only when the engine's [`Obs`] carries a
@@ -375,8 +584,8 @@ impl Drop for StageGuard<'_> {
     }
 }
 
-/// The incremental sharded engine. See the module docs for the API
-/// shape and the equivalence contract with the batch loop.
+/// The simulation engine. See the module docs for the API shape and the
+/// equivalence contract.
 pub struct Engine<'a> {
     cluster: Cluster,
     cfg: SimConfig,
@@ -390,7 +599,9 @@ pub struct Engine<'a> {
     // One event heap + membership index per executor shard; a job lives
     // in the index of its home shard for its whole lifetime.
     indexes: Vec<EventIndex>,
-    due: Vec<usize>,
+    // Scratch for the burst walks: one membership set's indices across
+    // all shards, in ascending global order (see `merge_into`).
+    order: Vec<usize>,
     interner: Interner,
     acquired: HashSet<(u32, usize, usize, usize)>,
     t: f64,
@@ -453,7 +664,7 @@ impl<'a> Engine<'a> {
             id_of: HashMap::new(),
             seen_ids: HashSet::new(),
             indexes: (0..plan.shards()).map(|_| EventIndex::default()).collect(),
-            due: Vec::new(),
+            order: Vec::new(),
             interner: Interner::new(),
             acquired: HashSet::new(),
             t: 0.0,
@@ -529,9 +740,26 @@ impl<'a> Engine<'a> {
     ///
     /// # Errors
     ///
-    /// Rejects closed input, non-finite/unsorted/past timestamps and
-    /// duplicate job ids.
+    /// See [`Engine::check_submit`].
     pub fn submit(&mut self, spec: JobSpec) -> Result<(), InputError> {
+        self.check_submit(&spec)?;
+        self.push_job_unchecked(spec);
+        Ok(())
+    }
+
+    /// Every check [`Engine::submit`] applies, without submitting. A
+    /// caller that advances the clock to a submission's timestamp before
+    /// submitting it (the daemon) checks first, so a refused job moves
+    /// nothing. Advancing never turns an accepted job into a refused one:
+    /// `advance_before(s)` leaves the clock more than `EPS` short of `s`.
+    ///
+    /// # Errors
+    ///
+    /// Rejects closed input, non-finite/unsorted/past timestamps,
+    /// duplicate job ids, model sizes outside the family's Table-2 list
+    /// (the only sizes the model builders accept) and pools the cluster
+    /// does not have.
+    pub fn check_submit(&self, spec: &JobSpec) -> Result<(), InputError> {
         if !self.input_open {
             return Err(InputError::InputClosed);
         }
@@ -553,7 +781,16 @@ impl<'a> Engine<'a> {
         if self.seen_ids.contains(&spec.id) {
             return Err(InputError::DuplicateJobId(spec.id));
         }
-        self.push_job_unchecked(spec);
+        let model = &spec.model;
+        if !model.family.has_table2_size(model.params_b) {
+            return Err(InputError::UnknownModel {
+                family: model.family,
+                params_b: model.params_b,
+            });
+        }
+        if spec.requested_pool >= self.cluster.num_pools() {
+            return Err(InputError::NoSuchPool(spec.requested_pool));
+        }
         Ok(())
     }
 
@@ -594,9 +831,9 @@ impl<'a> Engine<'a> {
         Ok(())
     }
 
-    /// Enqueues a job bypassing validation — the batch wrappers feed
-    /// pre-asserted traces through this to preserve their historical
-    /// semantics (including tolerated duplicate ids) bit-for-bit.
+    /// Enqueues a job bypassing validation — [`crate::Run`] feeds
+    /// pre-asserted traces through this to keep the batch semantics
+    /// (including tolerated duplicate ids) bit-for-bit.
     pub(crate) fn push_job_unchecked(&mut self, spec: JobSpec) {
         self.last_submit_s = self.last_submit_s.max(spec.submit_s);
         if !self.fold_records {
@@ -607,7 +844,7 @@ impl<'a> Engine<'a> {
         self.pending_jobs.push_back(spec);
     }
 
-    /// Enqueues a fault bypassing validation (batch wrappers).
+    /// Enqueues a fault bypassing validation ([`crate::Run`]).
     pub(crate) fn push_fault_unchecked(&mut self, fault: FaultEvent) {
         self.last_fault_s = self.last_fault_s.max(fault.time_s);
         self.pending_faults.push_back(fault);
@@ -694,7 +931,7 @@ impl<'a> Engine<'a> {
         !self.stopped
     }
 
-    /// Drains every remaining burst (the batch loop's `loop`).
+    /// Drains every remaining burst.
     pub fn run_to_end(&mut self) {
         while self.step() {}
     }
@@ -787,9 +1024,9 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Folds the drained run into a [`SimResult`] — the batch loop's
-    /// tail: conformance asserts, fault-log close-out, open-segment
-    /// flushes, metric aggregation, estimator counter export.
+    /// Folds the drained run into a [`SimResult`]: conformance asserts,
+    /// fault-log close-out, open-segment flushes, metric aggregation,
+    /// estimator counter export.
     ///
     /// # Panics
     ///
@@ -956,11 +1193,12 @@ impl<'a> Engine<'a> {
     }
 
     /// Heap maintenance plus the next-event computation. The per-shard
-    /// heaps partition the serial engine's single heap, and `f64::min`
-    /// ignores NaN consistently, so the fold over per-shard fresh minima
-    /// is bitwise the global fresh minimum. Maintenance (lazy-deletion
-    /// compaction) is purely a memory cap: running it more often than
-    /// the batch loop did is invisible in output.
+    /// heaps partition one global heap, and `f64::min` ignores NaN
+    /// consistently, so the fold over per-shard fresh minima is bitwise
+    /// the global fresh minimum — the value the reference loop's scan
+    /// folds to. Maintenance (lazy-deletion compaction) is purely a
+    /// memory cap: stale entries below the top cannot affect
+    /// `next_fresh`.
     fn peek_te(&mut self) -> f64 {
         let sjobs = &self.sjobs;
         for index in &mut self.indexes {
@@ -995,7 +1233,7 @@ impl<'a> Engine<'a> {
 
     /// [`Engine::burst`] wrapped in live telemetry: burst wall-clock
     /// plus per-shard heap-depth/queue-length gauges. A no-op wrapper
-    /// when no registry is attached — the batch path pays nothing.
+    /// when no registry is attached, so a registry-less run pays nothing.
     fn burst_timed(&mut self, te: f64) {
         let timer = self
             .tele
@@ -1014,16 +1252,29 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// One burst at `te`: the body of the batch loop, verbatim.
+    /// One burst at `te`: advance, start, finish, fault, arrive, tick,
+    /// dispatch, sample.
     #[allow(clippy::too_many_lines)]
     fn burst(&mut self, te: f64) {
-        // Advance running jobs to `te`. Merge round: the per-shard active
-        // sets are walked merged back into ascending global index, so
-        // `flog.samples_processed` accumulates with the same operands in
-        // the same order as the serial engine's single-set walk.
+        // The active set in ascending global (submission) order. Advancing
+        // and starting jobs moves no job between sets, so one snapshot
+        // serves every walk up to the completions. Walking the snapshot
+        // rather than a shard's own set keeps `flog.samples_processed`,
+        // cluster releases and obs events in the reference loop's job
+        // order at any shard count.
+        let mut order = std::mem::take(&mut self.order);
+        merge_into(&mut order, &self.indexes, |ix| &ix.active);
+
+        // Advance running jobs to `te`. Lazy on two axes, both exact:
+        // only Running members of the active set step (everything else
+        // was a no-op in the reference loop), and zero-width bursts skip
+        // the walk entirely (`x + 0.0 == x`, `x % m == x` for
+        // `0 <= x < m`). Each advanced job's completion prediction is
+        // refreshed here — `te + remaining * iter_time` is exactly the
+        // value the reference scan would recompute next iteration.
         let dt = (te - self.t).max(0.0);
         if dt > 0.0 {
-            for (i, ()) in merged_indices(&self.indexes, |ix| ix.active.iter().copied()) {
+            for &i in &order {
                 let j = &mut self.sjobs[i];
                 if j.state == JState::Running && j.iter_time > 0.0 {
                     j.remaining = (j.remaining - dt / j.iter_time).max(0.0);
@@ -1046,20 +1297,25 @@ impl<'a> Engine<'a> {
         self.t = te;
         let t = te;
         if t >= self.cfg.horizon_s - EPS {
+            self.order = order;
             self.stopped = true;
             return;
         }
 
-        // 1. Starting -> Running transitions due now, in merged global
-        // order (recovery-time pushes and RunStart events keep the serial
-        // order).
-        for (i, ()) in merged_indices(&self.indexes, |ix| ix.active.iter().copied()) {
+        // 1. Starting -> Running transitions due now. The heap wakes the
+        // loop at the earliest deadline; the EPS window means later
+        // deadlines can fire in the same burst, so the walk re-checks
+        // every active job rather than popping the heap.
+        for &i in &order {
             let j = &mut self.sjobs[i];
             if let JState::Starting(r) = j.state {
                 if r <= t + EPS {
                     j.state = JState::Running;
                     j.start_s.get_or_insert(t);
                     j.since_ckpt_s = 0.0;
+                    // Split the allocation segment at the run boundary so
+                    // the accumulation order matches the timeline's
+                    // Placed/Running interval split bitwise.
                     j.flush_alloc(t);
                     j.alloc_since = Some(t);
                     j.run_since = Some(t);
@@ -1068,6 +1324,7 @@ impl<'a> Engine<'a> {
                         self.flog.recovery_times_s.push(t - since);
                     }
                     self.obs.job_event(t, j.spec.id, JobEventKind::RunStart);
+                    // Retire the start deadline, predict completion.
                     j.generation += 1;
                     let (home, generation, wake) =
                         (j.home, j.generation, t + j.remaining * j.iter_time);
@@ -1076,45 +1333,35 @@ impl<'a> Engine<'a> {
             }
         }
 
-        // 2. Completions due now (free resources before anything else),
-        // merged so cluster releases and Finish events apply in global
-        // order.
+        // 2. Completions due now (free resources before anything else).
+        // Finishing one job never changes whether another is due, so
+        // testing each job as the walk reaches it is the same as
+        // collecting the due set first.
         let mut event: Option<SchedEvent> = None;
-        self.due.clear();
-        self.due.extend(
-            merged_indices(&self.indexes, |ix| ix.active.iter().copied())
-                .into_iter()
-                .map(|(i, ())| i)
-                .filter(|&i| {
-                    let j = &self.sjobs[i];
-                    j.state == JState::Running && j.remaining <= EPS
-                }),
-        );
-        let due = std::mem::take(&mut self.due);
-        for &i in &due {
+        for &i in &order {
             let j = &mut self.sjobs[i];
-            j.state = JState::Finished;
-            j.finish_s = Some(t);
-            j.flush_run(t);
-            j.flush_alloc(t);
-            if let Some(alloc) = j.alloc.take() {
-                self.cluster.release(&alloc).expect("release finished job");
-                self.obs
-                    .alloc_event(t, j.spec.id, alloc.pool.0, &alloc.node_gpus, false);
-            }
-            self.obs.job_event(t, j.spec.id, JobEventKind::Finish);
-            event = Some(SchedEvent::Departure(j.spec.id));
-            let home = self.sjobs[i].home;
-            self.indexes[home].retire(&mut self.sjobs[i], i);
-            if self.fold_records {
-                self.reclaim_pending.push(i);
+            if j.state == JState::Running && j.remaining <= EPS {
+                j.state = JState::Finished;
+                j.finish_s = Some(t);
+                j.flush_run(t);
+                j.flush_alloc(t);
+                if let Some(alloc) = j.alloc.take() {
+                    self.cluster.release(&alloc).expect("release finished job");
+                    self.obs
+                        .alloc_event(t, j.spec.id, alloc.pool.0, &alloc.node_gpus, false);
+                }
+                self.obs.job_event(t, j.spec.id, JobEventKind::Finish);
+                event = Some(SchedEvent::Departure(j.spec.id));
+                let home = j.home;
+                self.indexes[home].retire(&mut self.sjobs[i], i);
+                if self.fold_records {
+                    self.reclaim_pending.push(i);
+                }
             }
         }
-        self.due = due;
 
-        // 2b. Fault events due now. Victims landing mid-merge-round are
-        // detected per shard and applied in merged global order, so
-        // requeue provenance is identical to the serial engine's.
+        // 2b. Fault events due now. Each gets its own scheduling pass so
+        // the policy can react to every transition individually.
         while self
             .pending_faults
             .front()
@@ -1129,27 +1376,28 @@ impl<'a> Engine<'a> {
                         .expect("fault schedule names a node the cluster has");
                     self.obs.context(t, "engine", "node-failure");
                     self.obs.incr("sim.fault.failure", 1);
-                    self.due.clear();
-                    self.due.extend(
-                        merged_indices(&self.indexes, |ix| ix.active.iter().copied())
-                            .into_iter()
-                            .map(|(i, ())| i)
-                            .filter(|&i| {
-                                self.sjobs[i]
-                                    .alloc
-                                    .as_ref()
-                                    .is_some_and(|a| a.uses_node(pool, fault.node))
-                            }),
-                    );
-                    let due = std::mem::take(&mut self.due);
-                    for &i in &due {
+                    // Victims in global order, so requeue provenance is
+                    // the reference loop's; evicting one job never makes
+                    // another a victim.
+                    merge_into(&mut order, &self.indexes, |ix| &ix.active);
+                    for &i in &order {
                         let j = &mut self.sjobs[i];
+                        if !j
+                            .alloc
+                            .as_ref()
+                            .is_some_and(|a| a.uses_node(pool, fault.node))
+                        {
+                            continue;
+                        }
                         let alloc = j.alloc.take().expect("active job holds an allocation");
                         self.cluster.release(&alloc).expect("release crashed job");
                         j.flush_run(t);
                         j.flush_alloc(t);
                         self.obs
                             .alloc_event(t, j.spec.id, alloc.pool.0, &alloc.node_gpus, false);
+                        // A running victim loses everything since its
+                        // last checkpoint; a starting one had nothing to
+                        // lose (its checkpoint was saved at placement).
                         let mut rollback = 0.0;
                         if j.state == JState::Running && j.iter_time > 0.0 {
                             let lost_iters = (j.since_ckpt_s / j.iter_time)
@@ -1170,6 +1418,8 @@ impl<'a> Engine<'a> {
                         j.restarts += 1;
                         j.opportunistic = false;
                         j.since_ckpt_s = 0.0;
+                        // Keep the earliest failure time if the job is
+                        // knocked over again while restarting.
                         j.recovering_since.get_or_insert(t);
                         self.flog.failure_evictions += 1;
                         self.obs.decision(
@@ -1177,10 +1427,9 @@ impl<'a> Engine<'a> {
                                 .on_shard(j.spec.requested_pool as u32)
                                 .why("node-failure-evict"),
                         );
-                        let home = self.sjobs[i].home;
+                        let home = j.home;
                         self.indexes[home].requeue(&mut self.sjobs[i], i);
                     }
-                    self.due = due;
                     SchedEvent::NodeFailure {
                         pool,
                         node: fault.node,
@@ -1255,22 +1504,24 @@ impl<'a> Engine<'a> {
         }
 
         // 6. Sample the throughput timeline at round boundaries: both
-        // sums fold the merged (ascending global index) running stream,
-        // reproducing the serial accumulation order bitwise.
+        // sums fold the running jobs in ascending global index, the
+        // reference loop's accumulation order.
         if matches!(event, Some(SchedEvent::Round)) {
-            let running: Vec<usize> = merged_indices(&self.indexes, |ix| ix.active.iter().copied())
-                .into_iter()
-                .map(|(i, ())| i)
-                .filter(|&i| self.sjobs[i].state == JState::Running)
-                .collect();
-            let norm: f64 = running
-                .iter()
-                .map(|&i| self.sjobs[i].sps / self.service.ideal_sps(&self.sjobs[i].spec))
+            merge_into(&mut order, &self.indexes, |ix| &ix.active);
+            let running = || {
+                order
+                    .iter()
+                    .map(|&i| &self.sjobs[i])
+                    .filter(|j| j.state == JState::Running)
+            };
+            let norm: f64 = running()
+                .map(|j| j.sps / self.service.ideal_sps(&j.spec))
                 .sum();
-            let raw: f64 = running.iter().map(|&i| self.sjobs[i].sps).sum();
+            let raw: f64 = running().map(|j| j.sps).sum();
             self.timeline.push((t, norm));
             self.raw_timeline.push((t, raw));
         }
+        self.order = order;
 
         // Termination: input closed, no arrivals left, nothing queued or
         // active.
@@ -1298,9 +1549,8 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Builds the policy's view shard-by-shard, merges the fragments,
-    /// runs the policy's per-shard pre-pass and scheduling pass, and
-    /// executes the actions.
+    /// Builds the policy's view, runs the policy's per-shard pre-pass and
+    /// scheduling pass, and executes the actions.
     fn dispatch(&mut self, ev: SchedEvent) {
         let t = self.t;
         let service = self.service;
@@ -1319,114 +1569,7 @@ impl<'a> Engine<'a> {
                     .all(|&i| self.sjobs[i].active()),
                 "active index holds an inactive job"
             );
-            // Merge round: per-shard index streams fold back into ascending
-            // global (submission) order, so the policy sees exactly the
-            // serial engine's queue and running vectors. Each job's view is
-            // constructed exactly once on either path: the parallel path
-            // builds per-shard fragments on the worker pool and *moves*
-            // their views through the merge; the serial path skips the
-            // fragments and builds the merged vectors directly from one walk
-            // of the merged streams. `queued_homes` remembers each merged
-            // queue slot's home shard so the per-shard queues below can lend
-            // references instead of cloning.
-            let live: usize = self
-                .indexes
-                .iter()
-                .map(|ix| ix.queued.len() + ix.active.len())
-                .sum();
-            let parallel = self.plan.workers().threads() > 1
-                && self.indexes.len() > 1
-                && live >= PARALLEL_VIEW_CUTOFF;
-            let (queued_homes, queued, running): (Vec<usize>, Vec<JobView>, Vec<JobView>) =
-                if parallel {
-                    let mut frags: Vec<ViewFragment> = {
-                        let sjobs: &JobStore = &self.sjobs;
-                        // Per-shard candidate-gen latency: each worker
-                        // times its own fragment build into that
-                        // shard's histogram (atomics, thread-safe).
-                        let hists: Vec<Option<Histogram>> = match &self.tele {
-                            Some(tele) => {
-                                tele.candidate_gen.iter().map(|h| Some(h.clone())).collect()
-                            }
-                            None => self.indexes.iter().map(|_| None).collect(),
-                        };
-                        self.plan.workers().run_all(
-                            self.indexes
-                                .iter()
-                                .zip(hists)
-                                .map(|(ix, hist)| {
-                                    move || {
-                                        let started =
-                                            hist.as_ref().map(|_| std::time::Instant::now());
-                                        let frag = build_fragment(ix, sjobs);
-                                        if let (Some(h), Some(s)) = (hist, started) {
-                                            h.observe(s.elapsed().as_secs_f64());
-                                        }
-                                        frag
-                                    }
-                                })
-                                .collect(),
-                        )
-                    };
-                    let _merge = match &self.tele {
-                        Some(tele) => {
-                            StageGuard::Direct(tele.stage_merge.clone(), std::time::Instant::now())
-                        }
-                        None => StageGuard::Span(self.obs.span("sim.shard.merge")),
-                    };
-                    let queued_pairs = merge_by_index(
-                        frags
-                            .iter_mut()
-                            .map(|f| {
-                                f.queued_idx
-                                    .iter()
-                                    .copied()
-                                    .zip(f.queued.drain(..))
-                                    .collect()
-                            })
-                            .collect(),
-                    );
-                    let running = merge_by_index(
-                        frags
-                            .iter_mut()
-                            .map(|f| {
-                                f.active_idx
-                                    .iter()
-                                    .copied()
-                                    .zip(f.active.drain(..))
-                                    .collect()
-                            })
-                            .collect(),
-                    )
-                    .into_iter()
-                    .map(|(_, v)| v)
-                    .collect();
-                    let mut homes = Vec::with_capacity(queued_pairs.len());
-                    let mut queued = Vec::with_capacity(queued_pairs.len());
-                    for (i, v) in queued_pairs {
-                        homes.push(self.sjobs[i].home);
-                        queued.push(v);
-                    }
-                    (homes, queued, running)
-                } else {
-                    let _merge = match &self.tele {
-                        Some(tele) => {
-                            StageGuard::Direct(tele.stage_merge.clone(), std::time::Instant::now())
-                        }
-                        None => StageGuard::Span(self.obs.span("sim.shard.merge")),
-                    };
-                    let merged_q = merged_indices(&self.indexes, |ix| ix.queued.iter().copied());
-                    let homes = merged_q.iter().map(|&(i, _)| self.sjobs[i].home).collect();
-                    let queued = merged_q
-                        .iter()
-                        .map(|&(i, _)| job_view(&self.sjobs[i]))
-                        .collect();
-                    let running = merged_indices(&self.indexes, |ix| ix.active.iter().copied())
-                        .into_iter()
-                        .map(|(i, _)| job_view(&self.sjobs[i]))
-                        .collect();
-                    (homes, queued, running)
-                };
+            let (queued, running) = self.views();
             let pools = self.cluster.pool_stats();
             if self.obs.is_enabled() {
                 self.obs.context(t, self.policy.name(), ev.label());
@@ -1457,27 +1600,36 @@ impl<'a> Engine<'a> {
                 obs: self.obs.clone(),
             };
             // Per-shard pre-pass: policies may warm caches concurrently but
-            // must not change what `schedule` returns. The per-shard queues
-            // lend references into the merged vector, routed by home shard;
-            // merged order is ascending within each shard, so every shard
-            // sees its jobs in arrival order.
+            // must not change what `schedule` returns. Each shard's queue
+            // lends references into the merged vector; merged order is
+            // ascending within each shard, so every shard sees its jobs in
+            // arrival order. A job's home is its requested pool's shard.
             {
-                let _prepare = match &self.tele {
-                    Some(tele) => {
-                        StageGuard::Direct(tele.stage_prepare.clone(), std::time::Instant::now())
+                let _prepare = stage(
+                    self.tele.as_ref(),
+                    &self.obs,
+                    |tele| &tele.stage_prepare,
+                    "sim.shard.prepare",
+                );
+                // One shard owns the whole queue: lending it as is skips a
+                // home lookup per queued job on every pass.
+                let shard_queues: Vec<ShardQueue<'_>> = if self.indexes.len() == 1 {
+                    vec![ShardQueue {
+                        shard: 0,
+                        queued: queued.iter().collect(),
+                    }]
+                } else {
+                    let mut split: Vec<Vec<&JobView>> =
+                        (0..self.indexes.len()).map(|_| Vec::new()).collect();
+                    for v in &queued {
+                        split[self.plan.shard_of_pool(v.spec.requested_pool)].push(v);
                     }
-                    None => StageGuard::Span(self.obs.span("sim.shard.prepare")),
+                    split
+                        .into_iter()
+                        .enumerate()
+                        .map(|(shard, queued)| ShardQueue { shard, queued })
+                        .collect()
                 };
-                let mut split: Vec<Vec<&JobView>> =
-                    (0..self.indexes.len()).map(|_| Vec::new()).collect();
-                for (&home, v) in queued_homes.iter().zip(queued.iter()) {
-                    split[home].push(v);
-                }
-                let shard_queues: Vec<ShardQueue<'_>> = split
-                    .into_iter()
-                    .enumerate()
-                    .map(|(shard, queued)| ShardQueue { shard, queued })
-                    .collect();
                 self.policy.prepare_shards(&shard_queues, &view);
             }
             let started = std::time::Instant::now();
@@ -1507,20 +1659,14 @@ impl<'a> Engine<'a> {
         };
         {
             // Commit stage: action execution against the cluster books.
-            // The histogram handle is cloned out of `tele` first so the
-            // mutable borrow for `execute` stays free.
-            match self.tele.as_ref().map(|t| t.stage_commit.clone()) {
-                Some(hist) => {
-                    let started = std::time::Instant::now();
-                    self.execute(&actions);
-                    hist.observe(started.elapsed().as_secs_f64());
-                }
-                None => {
-                    let obs = self.obs.clone();
-                    let _span = obs.span("sim.commit");
-                    self.execute(&actions);
-                }
-            }
+            let obs = self.obs.clone();
+            let _commit = stage(
+                self.tele.as_ref(),
+                &obs,
+                |tele| &tele.stage_commit,
+                "sim.commit",
+            );
+            self.execute(&actions);
         }
         if let Some(tele) = &self.tele {
             tele.observe_estimator(&self.service.estimator_stats());
@@ -1544,9 +1690,99 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Executes scheduling actions — the serial engine's executor with
-    /// index membership routed to each job's home shard. Actions apply
-    /// in the policy's emission order, exactly as in the serial engine.
+    /// The policy's queued and running views, each in ascending global
+    /// (submission) order — the merge round, timed as
+    /// `sim.shard.merge`. One shard's own index order already is that
+    /// order, so its views come straight off the index; more shards are
+    /// k-way merged, with the per-shard view builds fanned out on the
+    /// worker pool when the queue is deep.
+    fn views(&self) -> (Vec<JobView>, Vec<JobView>) {
+        let sjobs = &self.sjobs;
+        let merge = || {
+            stage(
+                self.tele.as_ref(),
+                &self.obs,
+                |tele| &tele.stage_merge,
+                "sim.shard.merge",
+            )
+        };
+        if let [ix] = &self.indexes[..] {
+            let _merge = merge();
+            let views = |set: &BTreeSet<usize>| set.iter().map(|&i| job_view(&sjobs[i])).collect();
+            return (views(&ix.queued), views(&ix.active));
+        }
+        let live: usize = self
+            .indexes
+            .iter()
+            .map(|ix| ix.queued.len() + ix.active.len())
+            .sum();
+        if self.plan.workers().threads() > 1 && live >= PARALLEL_VIEW_CUTOFF {
+            let mut frags: Vec<ViewFragment> = {
+                // Per-shard candidate-gen latency: each worker times its
+                // own fragment build into that shard's histogram
+                // (atomics, thread-safe).
+                let hists: Vec<Option<Histogram>> = match &self.tele {
+                    Some(tele) => tele.candidate_gen.iter().map(|h| Some(h.clone())).collect(),
+                    None => self.indexes.iter().map(|_| None).collect(),
+                };
+                self.plan.workers().run_all(
+                    self.indexes
+                        .iter()
+                        .zip(hists)
+                        .map(|(ix, hist)| {
+                            move || {
+                                let started = hist.as_ref().map(|_| std::time::Instant::now());
+                                let frag = build_fragment(ix, sjobs);
+                                if let (Some(h), Some(s)) = (hist, started) {
+                                    h.observe(s.elapsed().as_secs_f64());
+                                }
+                                frag
+                            }
+                        })
+                        .collect(),
+                )
+            };
+            let _merge = merge();
+            let queued = merge_by_index(
+                frags
+                    .iter_mut()
+                    .map(|f| {
+                        f.queued_idx
+                            .iter()
+                            .copied()
+                            .zip(f.queued.drain(..))
+                            .collect()
+                    })
+                    .collect(),
+            );
+            let running = merge_by_index(
+                frags
+                    .iter_mut()
+                    .map(|f| {
+                        f.active_idx
+                            .iter()
+                            .copied()
+                            .zip(f.active.drain(..))
+                            .collect()
+                    })
+                    .collect(),
+            );
+            let queued = queued.into_iter().map(|(_, v)| v).collect();
+            let running = running.into_iter().map(|(_, v)| v).collect();
+            return (queued, running);
+        }
+        let _merge = merge();
+        let mut order = Vec::new();
+        let mut views = |set: fn(&EventIndex) -> &BTreeSet<usize>| {
+            merge_into(&mut order, &self.indexes, set);
+            order.iter().map(|&i| job_view(&sjobs[i])).collect()
+        };
+        let queued = views(|ix| &ix.queued);
+        (queued, views(|ix| &ix.active))
+    }
+
+    /// Executes scheduling actions in the policy's emission order, with
+    /// index membership routed to each job's home shard.
     #[allow(clippy::too_many_lines)]
     fn execute(&mut self, actions: &[Action]) {
         let t = self.t;
@@ -1709,26 +1945,40 @@ impl<'a> Engine<'a> {
     }
 }
 
-/// K-way merges one per-shard index stream back into ascending global
-/// (submission) order — the engine-side merge round. The per-shard sets
-/// hold disjoint global indices, each iterated ascending, so the merge is
-/// exactly the order a single global set would iterate in.
-fn merged_indices<'a, I>(
-    indexes: &'a [EventIndex],
-    stream: impl Fn(&'a EventIndex) -> I,
-) -> Vec<(usize, ())>
-where
-    I: Iterator<Item = usize> + 'a,
-{
-    if indexes.len() == 1 {
-        return stream(&indexes[0]).map(|i| (i, ())).collect();
+/// Refills `buf` with one membership set's indices over every shard, in
+/// ascending global (submission) order — the engine-side merge round.
+/// The per-shard sets hold disjoint indices, each iterated ascending, so
+/// the k-way merge is exactly the order a single global set would
+/// iterate in; with one shard it is a plain copy.
+fn merge_into(
+    buf: &mut Vec<usize>,
+    indexes: &[EventIndex],
+    set: fn(&EventIndex) -> &BTreeSet<usize>,
+) {
+    buf.clear();
+    if let [ix] = indexes {
+        buf.extend(set(ix));
+        return;
     }
-    merge_by_index(
-        indexes
-            .iter()
-            .map(|ix| stream(ix).map(|i| (i, ())).collect())
-            .collect(),
-    )
+    let streams = indexes
+        .iter()
+        .map(|ix| set(ix).iter().map(|&i| (i, ())).collect())
+        .collect();
+    buf.extend(merge_by_index(streams).into_iter().map(|(i, ())| i));
+}
+
+/// The stage timer for one decision-loop stage: a registry histogram
+/// when live telemetry is attached, else the span plane.
+fn stage<'a>(
+    tele: Option<&EngineTelemetry>,
+    obs: &'a Obs,
+    hist: fn(&EngineTelemetry) -> &Histogram,
+    span: &'static str,
+) -> StageGuard<'a> {
+    match tele {
+        Some(tele) => StageGuard::Direct(hist(tele).clone(), std::time::Instant::now()),
+        None => StageGuard::Span(obs.span(span)),
+    }
 }
 
 /// Per-shard queued/running view fragments: global indices (ascending)
@@ -1747,6 +1997,21 @@ fn build_fragment(ix: &EventIndex, sjobs: &JobStore) -> ViewFragment {
         queued: ix.queued.iter().map(|&i| job_view(&sjobs[i])).collect(),
         active_idx: ix.active.iter().copied().collect(),
         active: ix.active.iter().map(|&i| job_view(&sjobs[i])).collect(),
+    }
+}
+
+/// The policy's view of one job.
+pub(crate) fn job_view(j: &SJob) -> JobView {
+    JobView {
+        spec: Arc::clone(&j.spec),
+        remaining_iters: j.remaining,
+        #[allow(clippy::unnecessary_lazy_evaluations)]
+        placement: j.active().then(|| PlacementView {
+            pool: GpuTypeId(j.pool),
+            gpus: j.gpus,
+            throughput_sps: j.sps,
+            opportunistic: j.opportunistic,
+        }),
     }
 }
 

@@ -17,13 +17,18 @@
 //! * **Metrics**: JCT / queueing statistics, a normalised
 //!   cluster-throughput timeline, restart counts, deadline satisfaction
 //!   and the policy's own decision latency (Fig. 21a).
+//!
+//! One event loop, [`Engine`], runs everything: whole-trace batch and
+//! streaming runs through the [`Run`] builder, and the resident daemon
+//! one command at a time. [`reference`] keeps the pre-index loop as the
+//! equivalence oracle the engine is held to byte for byte.
 
-pub mod engine;
 mod heap;
 pub mod incremental;
 pub mod metrics;
 #[doc(hidden)]
 pub mod reference;
+mod run;
 pub mod shard;
 mod store;
 pub mod stream;
@@ -32,14 +37,10 @@ pub use arena_obs::{
     Decision, DecisionKind, JobAccount, JobEventKind, JobState, MetricsRegistry, Obs, StopCause,
     Timeline, TraceReport, UtilSample,
 };
-pub use engine::{
-    simulate, simulate_traced, simulate_with_faults, simulate_with_faults_traced, SimConfig,
-    SimResult,
+pub use incremental::{
+    Engine, EngineState, InputError, JobPhase, JobStatus, PoolSnapshot, SimConfig, SimResult,
 };
-pub use incremental::{Engine, EngineState, InputError, JobPhase, JobStatus, PoolSnapshot};
 pub use metrics::{record_fingerprint, DecisionStats, FaultLog, FoldedRecords, JobRecord, Metrics};
-pub use shard::{
-    simulate_sharded, simulate_sharded_traced, simulate_sharded_with_faults,
-    simulate_sharded_with_faults_traced, ShardPlan,
-};
-pub use stream::{simulate_stream, simulate_stream_with_faults, StreamSummary};
+pub use run::Run;
+pub use shard::ShardPlan;
+pub use stream::StreamSummary;

@@ -1,13 +1,14 @@
 //! The pre-index reference engine: the event loop exactly as it was
 //! before the event-indexed core landed, kept as the bitwise-equality
-//! oracle for `tests/engine_equivalence.rs`.
+//! oracle for `tests/engine_equivalence.rs`, which holds the one
+//! [`crate::Engine`] to it.
 //!
 //! Every per-event pass here is a linear scan over the whole job table
 //! and the plan-database key is a heap-allocated `String` tuple — the
 //! O(jobs) shape the indexed engine replaces. Apart from storing job
 //! specs behind `Arc` (required by the shared policy view types, and
 //! invisible to the simulation), this file must stay a frozen copy of
-//! the old `engine.rs`: any behavioural fix belongs in the real engine
+//! the old serial loop: any behavioural fix belongs in the real engine
 //! first, with the equivalence suite deciding whether the oracle moves.
 //!
 //! Not part of the public API; hidden from docs on purpose.
@@ -20,7 +21,7 @@ use arena_sched::PlanService;
 use arena_sched::{Action, JobView, PlacementView, PlanMode, Policy, SchedEvent, SchedView};
 use arena_trace::{FaultEvent, FaultKind, JobSpec};
 
-use crate::engine::{SimConfig, SimResult};
+use crate::incremental::{SimConfig, SimResult};
 use crate::metrics::{aggregate, FaultLog, JobRecord};
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,7 +78,8 @@ impl SJob {
 
 const EPS: f64 = 1e-6;
 
-/// [`crate::simulate_with_faults`] on the reference loop.
+/// A batch run with a fault schedule ([`crate::Run::batch`]) on the
+/// reference loop.
 #[must_use]
 pub fn simulate_with_faults(
     cluster: &Cluster,
@@ -98,7 +100,7 @@ pub fn simulate_with_faults(
     )
 }
 
-/// [`crate::simulate_with_faults_traced`] on the reference loop.
+/// [`simulate_with_faults`], recording into `obs` ([`crate::Run::obs`]).
 #[must_use]
 #[allow(clippy::too_many_lines)]
 pub fn simulate_with_faults_traced(

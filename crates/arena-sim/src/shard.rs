@@ -1,4 +1,4 @@
-//! The sharded decision loop: per-partition scheduler shards with a
+//! Executor shards: per-partition event heaps and indexes with a
 //! deterministic merge round.
 //!
 //! The cluster's pools are grouped into *partitions* by an
@@ -9,29 +9,24 @@
 //! arrival). Heavy per-shard work — building the policy's view fragments,
 //! and the policy's own per-shard candidate prefetch via
 //! [`arena_sched::Policy::prepare_shards`] — runs concurrently on an
-//! [`arena_runtime::WorkerPool`].
+//! [`arena_runtime::WorkerPool`]. [`crate::Run`] defaults to one shard
+//! with sequential workers; [`crate::Run::plan`] picks another plan.
 //!
 //! **The merge round is what keeps every observable output byte-identical
-//! to the unsharded engine at any shard count.** Per-shard index sets
-//! partition the global job table, and within a shard every set iterates
-//! in ascending global job index (= submission order). Wherever the
-//! serial engine walks jobs in ascending index and folds non-associative
-//! state (floating-point throughput sums, `FaultLog` accumulation, obs
-//! event order, cluster book mutations), the sharded loop first k-way
-//! merges the per-shard index streams back into ascending global order
-//! with [`arena_runtime::merge_by_index`] and then applies exactly the
-//! serial fold. The executor shard count is thereby an execution knob
-//! only; `tests/shard_equivalence.rs` pins the byte-identity at shard
-//! counts 1/2/4/8, and `DESIGN.md` §12 spells out the argument.
+//! at any shard count.** Per-shard index sets partition the global job
+//! table, and within a shard every set iterates in ascending global job
+//! index (= submission order). Wherever the engine walks jobs and folds
+//! non-associative state (floating-point throughput sums, `FaultLog`
+//! accumulation, obs event order, cluster book mutations), it first
+//! k-way merges the per-shard index streams back into ascending global
+//! order with [`arena_runtime::merge_by_index`]; with one shard the
+//! shard's own order already is that order and nothing is merged. The
+//! executor shard count is thereby an execution knob only;
+//! `tests/shard_equivalence.rs` pins the byte-identity at shard counts
+//! 1/2/4/8, and `DESIGN.md` §12 spells out the argument.
 
 use arena_cluster::{Cluster, PartitionMap};
-use arena_obs::Obs;
 use arena_runtime::{shards_from_env_or, WorkerPool};
-use arena_sched::{PlanService, Policy};
-use arena_trace::{FaultEvent, JobSpec};
-
-use crate::engine::{SimConfig, SimResult};
-use crate::incremental::Engine;
 
 /// How a sharded run partitions the cluster and executes the shards.
 ///
@@ -121,130 +116,16 @@ impl ShardPlan {
     }
 }
 
-/// [`crate::simulate`] on the sharded decision loop. Output is
-/// byte-identical to the unsharded engine at any shard count.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`crate::simulate`].
-#[must_use]
-pub fn simulate_sharded(
-    cluster: &Cluster,
-    jobs: &[JobSpec],
-    policy: &mut dyn Policy,
-    service: &PlanService,
-    cfg: &SimConfig,
-    plan: &ShardPlan,
-) -> SimResult {
-    simulate_sharded_with_faults(cluster, jobs, policy, service, cfg, &[], plan)
-}
-
-/// [`crate::simulate_traced`] on the sharded decision loop.
-#[must_use]
-pub fn simulate_sharded_traced(
-    cluster: &Cluster,
-    jobs: &[JobSpec],
-    policy: &mut dyn Policy,
-    service: &PlanService,
-    cfg: &SimConfig,
-    obs: &Obs,
-    plan: &ShardPlan,
-) -> SimResult {
-    simulate_sharded_with_faults_traced(cluster, jobs, policy, service, cfg, &[], obs, plan)
-}
-
-/// [`crate::simulate_with_faults`] on the sharded decision loop.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`crate::simulate_with_faults`].
-#[must_use]
-pub fn simulate_sharded_with_faults(
-    cluster: &Cluster,
-    jobs: &[JobSpec],
-    policy: &mut dyn Policy,
-    service: &PlanService,
-    cfg: &SimConfig,
-    faults: &[FaultEvent],
-    plan: &ShardPlan,
-) -> SimResult {
-    simulate_sharded_with_faults_traced(
-        cluster,
-        jobs,
-        policy,
-        service,
-        cfg,
-        faults,
-        &Obs::disabled(),
-        plan,
-    )
-}
-
-/// [`crate::simulate_with_faults_traced`] on the sharded decision loop —
-/// now a thin batch driver over the incremental [`crate::Engine`]: load
-/// every input up front, close the input stream, drain to completion.
-/// Every other `simulate_sharded*` entry delegates here, and the server
-/// drives the *same* engine one command at a time — so the batch/online
-/// equivalence is held by construction plus `tests/server_e2e.rs`.
-///
-/// # Panics
-///
-/// Panics under the same conditions as
-/// [`crate::simulate_with_faults_traced`].
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_sharded_with_faults_traced(
-    cluster: &Cluster,
-    jobs: &[JobSpec],
-    policy: &mut dyn Policy,
-    service: &PlanService,
-    cfg: &SimConfig,
-    faults: &[FaultEvent],
-    obs: &Obs,
-    plan: &ShardPlan,
-) -> SimResult {
-    assert!(
-        jobs.windows(2).all(|w| w[0].submit_s <= w[1].submit_s),
-        "trace must be sorted by submission time"
-    );
-    assert!(
-        faults.windows(2).all(|w| w[0].time_s <= w[1].time_s),
-        "fault schedule must be sorted by time"
-    );
-    // One shard means the deterministic merge round has nothing to
-    // merge: the sharded machinery (per-shard streams, the merge pass,
-    // worker hand-off) is pure overhead there, and the serial engine is
-    // byte-identical by the shard-equivalence suite. Route degenerate
-    // plans straight through it; the crossover is documented in
-    // DESIGN.md §12 and pinned by `sim/simulate_5000_jobs_faulted_
-    // fcfs_shard1` in the baseline bench.
-    if plan.shards() <= 1 {
-        return crate::engine::simulate_with_faults_traced(
-            cluster, jobs, policy, service, cfg, faults, obs,
-        );
-    }
-    let mut engine = Engine::new(cluster, policy, service, cfg, obs, plan);
-    // The asserts above are the historical batch validation; feed the
-    // pre-asserted stream past the incremental checks so batch semantics
-    // (e.g. tolerated duplicate ids) are preserved bit-for-bit.
-    for job in jobs {
-        engine.push_job_unchecked(job.clone());
-    }
-    for fault in faults {
-        engine.push_fault_unchecked(fault.clone());
-    }
-    engine.close_input();
-    engine.run_to_end();
-    engine.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Run, SimConfig, SimResult};
     use arena_cluster::presets;
     use arena_model::zoo::{ModelConfig, ModelFamily};
+    use arena_obs::Obs;
     use arena_perf::CostParams;
-    use arena_sched::{ArenaPolicy, FcfsPolicy};
+    use arena_sched::{ArenaPolicy, FcfsPolicy, PlanService};
+    use arena_trace::JobSpec;
 
     fn tiny_trace() -> Vec<JobSpec> {
         let mk = |id: u64, submit: f64, size: f64, gpus: usize, pool: usize| JobSpec {
@@ -265,6 +146,17 @@ mod tests {
         ]
     }
 
+    /// A fresh-service FCFS run of the tiny trace under `plan`.
+    fn fcfs(plan: &ShardPlan, obs: &Obs) -> SimResult {
+        let cluster = presets::physical_testbed();
+        let service = PlanService::new(&cluster, CostParams::default(), 11);
+        let cfg = SimConfig::new(48.0 * 3600.0);
+        Run::new(&cluster, &mut FcfsPolicy::new(), &service, &cfg)
+            .obs(obs)
+            .plan(plan)
+            .batch(&tiny_trace())
+    }
+
     #[test]
     fn plan_folds_partitions_onto_shards() {
         let cluster = presets::physical_testbed();
@@ -281,28 +173,20 @@ mod tests {
     }
 
     #[test]
-    fn sharded_run_matches_serial_engine() {
+    fn sharded_run_matches_the_default_run() {
         let cluster = presets::physical_testbed();
         let jobs = tiny_trace();
         let cfg = SimConfig::new(48.0 * 3600.0);
-        let serial = {
+        let one = {
             let service = PlanService::new(&cluster, CostParams::default(), 11);
-            crate::simulate(&cluster, &jobs, &mut FcfsPolicy::new(), &service, &cfg)
+            Run::new(&cluster, &mut FcfsPolicy::new(), &service, &cfg).batch(&jobs)
         };
         for shards in [1, 2, 4] {
-            let service = PlanService::new(&cluster, CostParams::default(), 11);
             let plan = ShardPlan::per_pool(&cluster).with_shards(shards);
-            let r = simulate_sharded(
-                &cluster,
-                &jobs,
-                &mut FcfsPolicy::new(),
-                &service,
-                &cfg,
-                &plan,
-            );
-            assert_eq!(r.metrics.avg_jct_s, serial.metrics.avg_jct_s, "{shards}");
-            assert_eq!(r.timeline, serial.timeline, "{shards} shards");
-            assert_eq!(r.raw_timeline, serial.raw_timeline, "{shards} shards");
+            let r = fcfs(&plan, &Obs::disabled());
+            assert_eq!(r.metrics.avg_jct_s, one.metrics.avg_jct_s, "{shards}");
+            assert_eq!(r.timeline, one.timeline, "{shards} shards");
+            assert_eq!(r.raw_timeline, one.raw_timeline, "{shards} shards");
         }
     }
 
@@ -311,49 +195,40 @@ mod tests {
         use arena_obs::MetricsRegistry;
         use std::sync::Arc;
         let cluster = presets::physical_testbed();
-        let jobs = tiny_trace();
-        let cfg = SimConfig::new(48.0 * 3600.0);
-        let plan = ShardPlan::per_pool(&cluster).with_shards(2);
-        let off = {
-            let service = PlanService::new(&cluster, CostParams::default(), 11);
-            simulate_sharded(
-                &cluster,
-                &jobs,
-                &mut FcfsPolicy::new(),
-                &service,
-                &cfg,
-                &plan,
-            )
-        };
-        let registry = Arc::new(MetricsRegistry::new(64));
-        let on = {
-            let service = PlanService::new(&cluster, CostParams::default(), 11);
-            let obs = Obs::metrics_only(Arc::clone(&registry));
-            simulate_sharded_with_faults_traced(
-                &cluster,
-                &jobs,
-                &mut FcfsPolicy::new(),
-                &service,
-                &cfg,
-                &[],
-                &obs,
-                &plan,
-            )
-        };
-        // The live plane must not perturb a single simulated byte.
-        assert_eq!(on.metrics.avg_jct_s, off.metrics.avg_jct_s);
-        assert_eq!(on.timeline, off.timeline);
-        assert_eq!(on.raw_timeline, off.raw_timeline);
-        // ... while the registry fills with per-stage / per-shard data.
-        let counters = registry.counters_snapshot();
-        assert!(counters["sim.event.arrival"] >= jobs.len() as u64);
-        assert!(counters.contains_key("sim.place.ok"));
-        let hists = registry.histograms_snapshot();
-        assert!(hists["sim.stage.burst_seconds"].count > 0);
-        let text = registry.expose();
-        assert!(text.contains("sim_shard_heap_depth{shard=\"0\"}"));
-        assert!(text.contains("sim_shard_queue_len{shard=\"1\"}"));
-        assert!(text.contains("sim_estimator_estimate_hit_ratio"));
+        for shards in [1, 2] {
+            let plan = ShardPlan::per_pool(&cluster).with_shards(shards);
+            let off = fcfs(&plan, &Obs::disabled());
+            let registry = Arc::new(MetricsRegistry::new(64));
+            let on = fcfs(&plan, &Obs::metrics_only(Arc::clone(&registry)));
+            // The live plane must not perturb a single simulated byte.
+            assert_eq!(on.metrics.avg_jct_s, off.metrics.avg_jct_s);
+            assert_eq!(on.timeline, off.timeline);
+            assert_eq!(on.raw_timeline, off.raw_timeline);
+            // ... while the registry fills with per-stage / per-shard
+            // data, the merge stage included even where one shard has
+            // nothing to merge.
+            let counters = registry.counters_snapshot();
+            assert!(counters["sim.event.arrival"] >= tiny_trace().len() as u64);
+            assert!(counters.contains_key("sim.place.ok"));
+            let hists = registry.histograms_snapshot();
+            for stage in [
+                "sim.stage.burst_seconds",
+                "sim.shard.merge",
+                "sim.shard.prepare",
+                "sim.schedule",
+                "sim.commit",
+            ] {
+                assert!(hists[stage].count > 0, "{shards} shards: {stage} empty");
+            }
+            let text = registry.expose();
+            assert!(text.contains("sim_shard_heap_depth{shard=\"0\"}"));
+            assert!(text.contains("sim_estimator_estimate_hit_ratio"));
+            assert_eq!(
+                text.contains("sim_shard_queue_len{shard=\"1\"}"),
+                shards == 2,
+                "{shards} shards"
+            );
+        }
     }
 
     #[test]
@@ -366,14 +241,14 @@ mod tests {
             let plan = ShardPlan::per_pool(&cluster)
                 .with_shards(2)
                 .with_workers(WorkerPool::new(workers));
-            simulate_sharded(
+            Run::new(
                 &cluster,
-                &jobs,
                 &mut ArenaPolicy::new().with_worker_threads(workers),
                 &service,
                 &cfg,
-                &plan,
             )
+            .plan(&plan)
+            .batch(&jobs)
         };
         let seq = go(1);
         let par = go(4);

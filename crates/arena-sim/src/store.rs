@@ -23,7 +23,7 @@
 //!
 //! [`finish`]: crate::Engine::finish
 
-use crate::engine::SJob;
+use crate::incremental::SJob;
 
 /// Slots per segment. Small enough that a partial tail segment wastes
 /// little, large enough that segment bookkeeping is noise: at ~300
@@ -188,7 +188,7 @@ impl std::ops::IndexMut<usize> for JobStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::JState;
+    use crate::incremental::JState;
     use arena_model::zoo::{ModelConfig, ModelFamily};
     use arena_trace::JobSpec;
     use std::sync::Arc;

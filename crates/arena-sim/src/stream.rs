@@ -1,9 +1,10 @@
-//! Streaming simulation drivers: million-job traces in bounded memory.
+//! Streaming runs: million-job traces in bounded memory.
 //!
-//! The batch drivers in [`crate::shard`] materialise the whole trace
-//! (`&[JobSpec]`), load it into the engine's pending queue, and keep a
+//! A batch run ([`crate::Run::batch`]) materialises the whole trace
+//! (`&[JobSpec]`), loads it into the engine's pending queue, and keeps a
 //! terminal `SJob` plus a `JobRecord` for every job to the end of the
-//! run — all O(trace length). The drivers here hold none of that:
+//! run — all O(trace length). A streaming run ([`crate::Run::stream`])
+//! holds none of that:
 //!
 //! * arrivals are *pulled* one at a time from an
 //!   [`arena_trace::TraceSource`] and injected through the burst-window
@@ -18,23 +19,18 @@
 //! **Equivalence.** The interleaving is exactly the one the burst-window
 //! lemma licenses (see [`crate::incremental`] module docs), and folding
 //! only ever touches jobs every engine path already treats as inert —
-//! so a streaming run schedules byte-identically to the batch driver on
-//! the same trace. The summary's [`StreamSummary::fingerprint`] is an
+//! so a streaming run schedules byte-identically to a batch run on the
+//! same trace. The summary's [`StreamSummary::fingerprint`] is an
 //! order-free hash over per-job records, comparable against
 //! [`crate::record_fingerprint`] of the batch run's record vector;
 //! `tests/streaming_identity.rs` pins the identity across policies,
 //! shard counts and fault schedules.
 
-use arena_cluster::Cluster;
-use arena_obs::Obs;
-use arena_sched::{PlanService, Policy};
 use arena_trace::{FaultEvent, TraceSource};
 use serde::Serialize;
 
-use crate::engine::SimConfig;
 use crate::incremental::Engine;
 use crate::metrics::{DecisionStats, FoldedRecords};
-use crate::shard::ShardPlan;
 
 /// What a streaming run yields instead of a [`crate::SimResult`]:
 /// constant-memory aggregates plus the round-sampled throughput
@@ -73,71 +69,23 @@ pub struct StreamSummary {
     pub raw_timeline: Vec<(f64, f64)>,
 }
 
-/// Streams a fault-free trace through the engine. See
-/// [`simulate_stream_with_faults`].
-///
-/// # Errors
-///
-/// Propagates any I/O error from the trace source.
-///
-/// # Panics
-///
-/// Panics if the source yields out-of-order submissions.
-pub fn simulate_stream(
-    cluster: &Cluster,
-    policy: &mut dyn Policy,
-    service: &PlanService,
-    source: &mut dyn TraceSource,
-    cfg: &SimConfig,
-    plan: &ShardPlan,
-) -> std::io::Result<StreamSummary> {
-    simulate_stream_with_faults(
-        cluster,
-        policy,
-        service,
-        source,
-        &[],
-        cfg,
-        &Obs::disabled(),
-        plan,
-    )
-}
-
-/// The streaming counterpart of
-/// [`crate::simulate_sharded_with_faults_traced`]: pulls arrivals from
-/// `source` and merges them with the fault schedule in global time
-/// order, advancing the engine up to (but never past) each injection
-/// point; once the source runs dry the remaining faults load up front
-/// and the run drains exactly as the batch driver's does.
+/// Pumps `source` into a record-fold engine, merging arrivals with the
+/// fault schedule in global time order and advancing the engine up to
+/// (but never past) each injection point; once the source runs dry the
+/// remaining faults load up front and the run drains exactly as a batch
+/// run does.
 ///
 /// The fault schedule stays a slice: fault events are a few bytes each
 /// and their count follows cluster size × horizon, not trace length.
 ///
-/// # Errors
-///
-/// Propagates any I/O error from the trace source.
-///
 /// # Panics
 ///
-/// Panics if the source yields out-of-order submissions or the fault
-/// schedule is unsorted.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_stream_with_faults(
-    cluster: &Cluster,
-    policy: &mut dyn Policy,
-    service: &PlanService,
+/// Panics if the source yields out-of-order submissions.
+pub(crate) fn pump(
+    engine: &mut Engine<'_>,
     source: &mut dyn TraceSource,
     faults: &[FaultEvent],
-    cfg: &SimConfig,
-    obs: &Obs,
-    plan: &ShardPlan,
-) -> std::io::Result<StreamSummary> {
-    assert!(
-        faults.windows(2).all(|w| w[0].time_s <= w[1].time_s),
-        "fault schedule must be sorted by time"
-    );
-    let mut engine = Engine::new(cluster, policy, service, cfg, obs, plan);
-    engine.enable_record_fold();
+) -> std::io::Result<()> {
     let mut fault_idx = 0usize;
     let mut next_job = source.next_job()?;
     let mut last_submit_s = f64::NEG_INFINITY;
@@ -167,26 +115,26 @@ pub fn simulate_stream_with_faults(
         next_job = source.next_job()?;
     }
     // Source exhausted: the rest of the fault schedule is loaded up
-    // front and the input closes *before* the drain — exactly the batch
-    // driver's end-game, including its termination semantics (a drained
+    // front and the input closes *before* the drain — exactly a batch
+    // run's end-game, including its termination semantics (a drained
     // run stops even with later faults still pending).
     for fault in &faults[fault_idx..] {
         engine.push_fault_unchecked(fault.clone());
     }
     engine.close_input();
     engine.run_to_end();
-    Ok(engine.finish_stream())
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::record_fingerprint;
-    use crate::shard::simulate_sharded_with_faults;
+    use crate::{Run, SimConfig};
     use arena_cluster::presets;
     use arena_model::zoo::{ModelConfig, ModelFamily};
     use arena_perf::CostParams;
-    use arena_sched::FcfsPolicy;
+    use arena_sched::{FcfsPolicy, PlanService};
     use arena_trace::{FaultKind, JobSpec, VecSource};
 
     fn trace() -> Vec<JobSpec> {
@@ -231,32 +179,18 @@ mod tests {
         let jobs = trace();
         let flt = faults();
         let cfg = SimConfig::new(48.0 * 3600.0);
-        let plan = ShardPlan::per_pool(&cluster);
         let batch = {
             let service = PlanService::new(&cluster, CostParams::default(), 11);
-            simulate_sharded_with_faults(
-                &cluster,
-                &jobs,
-                &mut FcfsPolicy::new(),
-                &service,
-                &cfg,
-                &flt,
-                &plan,
-            )
+            Run::new(&cluster, &mut FcfsPolicy::new(), &service, &cfg)
+                .faults(&flt)
+                .batch(&jobs)
         };
         let stream = {
             let service = PlanService::new(&cluster, CostParams::default(), 11);
-            simulate_stream_with_faults(
-                &cluster,
-                &mut FcfsPolicy::new(),
-                &service,
-                &mut VecSource::new(jobs.clone()),
-                &flt,
-                &cfg,
-                &Obs::disabled(),
-                &plan,
-            )
-            .unwrap()
+            Run::new(&cluster, &mut FcfsPolicy::new(), &service, &cfg)
+                .faults(&flt)
+                .stream(&mut VecSource::new(jobs.clone()))
+                .unwrap()
         };
         assert_eq!(stream.fingerprint, record_fingerprint(&batch.records));
         assert_eq!(stream.timeline, batch.timeline);
@@ -277,21 +211,18 @@ mod tests {
     fn fingerprint_detects_a_changed_outcome() {
         let cluster = presets::physical_testbed();
         let jobs = trace();
-        let cfg = SimConfig::new(48.0 * 3600.0);
-        let plan = ShardPlan::per_pool(&cluster);
         let run = |horizon: f64| {
             let service = PlanService::new(&cluster, CostParams::default(), 11);
-            simulate_stream(
+            Run::new(
                 &cluster,
                 &mut FcfsPolicy::new(),
                 &service,
-                &mut VecSource::new(jobs.clone()),
                 &SimConfig::new(horizon),
-                &plan,
             )
+            .stream(&mut VecSource::new(jobs.clone()))
             .unwrap()
         };
-        let full = run(cfg.horizon_s);
+        let full = run(48.0 * 3600.0);
         // A horizon cutting the last job short yields different records.
         let cut = run(3000.0);
         assert_ne!(full.fingerprint, cut.fingerprint);

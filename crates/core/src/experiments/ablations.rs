@@ -8,7 +8,7 @@ use arena_cluster::presets;
 use arena_estimator::{Cell, CellEstimator};
 use arena_perf::{CostParams, GroundTruth};
 use arena_sched::{ArenaPolicy, ArenaSolverPolicy, PlanService, Policy, QueueOrder};
-use arena_sim::{simulate, SimConfig};
+use arena_sim::{Run, SimConfig};
 use arena_trace::{generate, TraceConfig, TraceKind};
 
 use crate::experiments::microbench::{a100_target, fig12_configs};
@@ -130,7 +130,7 @@ pub fn mechanism_ablation() -> Vec<MechanismRow> {
     variants
         .into_iter()
         .map(|(label, mut policy)| {
-            let r = simulate(&cluster, &jobs, &mut policy, &service, &sim_cfg);
+            let r = Run::new(&cluster, &mut policy, &service, &sim_cfg).batch(&jobs);
             MechanismRow {
                 variant: label,
                 avg_jct_s: r.metrics.avg_jct_s,
@@ -196,9 +196,9 @@ pub fn checkpoint_sensitivity() -> Vec<CheckpointRow> {
             let mut sim_cfg = SimConfig::new(36.0 * 3600.0);
             sim_cfg.checkpoint_bw_bps = bw_gbps * 1e9;
             let mut arena = ArenaPolicy::new();
-            let ra = simulate(&cluster, &jobs, &mut arena, &service, &sim_cfg);
+            let ra = Run::new(&cluster, &mut arena, &service, &sim_cfg).batch(&jobs);
             let mut ef = arena_sched::ElasticFlowPolicy::loosened();
-            let re = simulate(&cluster, &jobs, &mut ef, &service, &sim_cfg);
+            let re = Run::new(&cluster, &mut ef, &service, &sim_cfg).batch(&jobs);
             CheckpointRow {
                 bw_gbps,
                 arena_jct_s: ra.metrics.avg_jct_s,
@@ -278,7 +278,7 @@ pub fn zero1_ablation() -> Vec<ZeroRow> {
             Box::new(ArenaPolicy::new()),
         ];
         for policy in &mut policies {
-            let r = simulate(&cluster, &jobs, policy.as_mut(), &service, &sim_cfg);
+            let r = Run::new(&cluster, policy.as_mut(), &service, &sim_cfg).batch(&jobs);
             out.push(ZeroRow {
                 zero1,
                 policy: r.policy.clone(),
@@ -356,7 +356,7 @@ pub fn solver_extension() -> Vec<SolverRow> {
     policies
         .iter_mut()
         .map(|(label, policy)| {
-            let r = simulate(&cluster, &jobs, policy.as_mut(), &service, &sim_cfg);
+            let r = Run::new(&cluster, policy.as_mut(), &service, &sim_cfg).batch(&jobs);
             SolverRow {
                 policy: label.clone(),
                 avg_jct_s: r.metrics.avg_jct_s,

@@ -12,7 +12,7 @@ use serde::Serialize;
 use arena_cluster::presets;
 use arena_perf::CostParams;
 use arena_sched::{ArenaPolicy, FcfsPolicy, PlanService, Policy};
-use arena_sim::{simulate_with_faults, SimConfig};
+use arena_sim::{Run, SimConfig};
 use arena_trace::{generate, generate_faults, FaultConfig, TraceConfig, TraceKind};
 
 use crate::report::{f3, hms, pct, Table};
@@ -79,14 +79,9 @@ pub fn fault_ablation(quick: bool) -> Vec<FaultRow> {
         let mut policies: Vec<Box<dyn Policy>> =
             vec![Box::new(FcfsPolicy::new()), Box::new(ArenaPolicy::new())];
         for policy in &mut policies {
-            let r = simulate_with_faults(
-                &cluster,
-                &jobs,
-                policy.as_mut(),
-                &service,
-                &sim_cfg,
-                &faults,
-            );
+            let r = Run::new(&cluster, policy.as_mut(), &service, &sim_cfg)
+                .faults(&faults)
+                .batch(&jobs);
             rows.push(FaultRow {
                 mtbf_label: label.clone(),
                 mtbf_s,

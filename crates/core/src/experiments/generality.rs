@@ -6,7 +6,7 @@ use serde::Serialize;
 
 use arena_cluster::presets;
 use arena_sched::{ArenaPolicy, ArenaVariant, ElasticFlowPolicy, PlanService, Policy};
-use arena_sim::SimConfig;
+use arena_sim::{Run, SimConfig};
 use arena_trace::{generate, TraceConfig, TraceKind};
 
 use super::{fill_common_jct, run_policies, PolicySummary};
@@ -194,27 +194,16 @@ pub fn fig21(quick: bool) -> Vec<Fig21Row> {
 
     // Warm the service caches with one throwaway run so per-decision
     // timings measure scheduling logic, not first-touch exploration.
+    let sim_cfg = SimConfig::new(hours * 3600.0 * 6.0);
     {
         let mut policy = ArenaPolicy::new().with_search_depth(3);
-        let _ = arena_sim::simulate(
-            &cluster,
-            &jobs,
-            &mut policy,
-            &service,
-            &SimConfig::new(hours * 3600.0 * 6.0),
-        );
+        let _ = Run::new(&cluster, &mut policy, &service, &sim_cfg).batch(&jobs);
     }
 
     (1..=5)
         .map(|depth| {
             let mut policy = ArenaPolicy::new().with_search_depth(depth);
-            let r = arena_sim::simulate(
-                &cluster,
-                &jobs,
-                &mut policy,
-                &service,
-                &SimConfig::new(hours * 3600.0 * 6.0),
-            );
+            let r = Run::new(&cluster, &mut policy, &service, &sim_cfg).batch(&jobs);
             Fig21Row {
                 depth,
                 avg_decision_s: r.metrics.avg_decision_s,

@@ -41,7 +41,7 @@ use serde::Serialize;
 use arena_perf::CostParams;
 use arena_runtime::WorkerPool;
 use arena_sched::{PlanService, Policy};
-use arena_sim::{simulate, SimConfig, SimResult};
+use arena_sim::{Run, SimConfig, SimResult};
 use arena_trace::JobSpec;
 
 use crate::report::{f3, hms, Table};
@@ -146,7 +146,7 @@ pub fn run_policies(
 ) -> Vec<SimResult> {
     policies
         .into_iter()
-        .map(|mut p| simulate(cluster, jobs, p.as_mut(), service, cfg))
+        .map(|mut p| Run::new(cluster, p.as_mut(), service, cfg).batch(jobs))
         .collect()
 }
 
@@ -174,7 +174,7 @@ pub fn run_policies_parallel(
         .map(|mut p| {
             move || {
                 let service = PlanService::new(cluster, params.clone(), seed);
-                simulate(cluster, jobs, p.as_mut(), &service, cfg)
+                Run::new(cluster, p.as_mut(), &service, cfg).batch(jobs)
             }
         })
         .collect();

@@ -16,7 +16,7 @@ use arena_cluster::presets;
 use arena_perf::CostParams;
 use arena_runtime::WorkerPool;
 use arena_sched::PlanService;
-use arena_sim::{simulate_traced, DecisionKind, Obs, SimConfig, SimResult, Timeline};
+use arena_sim::{DecisionKind, Obs, Run, SimConfig, SimResult, Timeline};
 use arena_trace::{generate, TraceConfig, TraceKind};
 
 use crate::report::{count_table, f3, Table};
@@ -88,7 +88,9 @@ pub fn conformance_workload(quick: bool) -> Vec<TraceRun> {
             .expect("policy index in range");
         let service = PlanService::new(&cluster, CostParams::default(), 27);
         let obs = Obs::enabled();
-        let r = simulate_traced(&cluster, &jobs, policy.as_mut(), &service, &sim_cfg, &obs);
+        let r = Run::new(&cluster, policy.as_mut(), &service, &sim_cfg)
+            .obs(&obs)
+            .batch(&jobs);
         let t = &r.trace;
         let kind_count = |k: DecisionKind| t.decisions.iter().filter(|d| d.kind == k).count();
         let summary = TraceSummary {
@@ -333,7 +335,9 @@ pub fn timeline_workload(quick: bool) -> Vec<TimelineRun> {
             .expect("policy index in range");
         let service = PlanService::new(&cluster, CostParams::default(), 27);
         let obs = Obs::enabled();
-        let r = simulate_traced(&cluster, &jobs, policy.as_mut(), &service, &sim_cfg, &obs);
+        let r = Run::new(&cluster, policy.as_mut(), &service, &sim_cfg)
+            .obs(&obs)
+            .batch(&jobs);
         r.trace
             .timeline
             .validate()
@@ -445,14 +449,15 @@ mod tests {
             })
             .collect();
         let obs = Obs::enabled();
-        let r = simulate_traced(
+        let cfg = SimConfig::new(24.0 * 3600.0);
+        let r = Run::new(
             &cluster,
-            &jobs,
             &mut arena_sched::FcfsPolicy::new(),
             &service,
-            &SimConfig::new(24.0 * 3600.0),
-            &obs,
-        );
+            &cfg,
+        )
+        .obs(&obs)
+        .batch(&jobs);
         let run = summarize_run(&r);
         assert_eq!(run.summary.jobs.len(), 3);
         assert!(run.summary.events >= 3, "at least one event per job");

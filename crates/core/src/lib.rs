@@ -68,10 +68,8 @@ pub mod prelude {
         GavelPolicy, PlanService, Policy, QueueOrder,
     };
     pub use arena_sim::{
-        simulate, simulate_sharded, simulate_sharded_traced, simulate_sharded_with_faults,
-        simulate_sharded_with_faults_traced, simulate_stream, simulate_stream_with_faults,
-        simulate_traced, simulate_with_faults, simulate_with_faults_traced, Decision, DecisionKind,
-        MetricsRegistry, Obs, ShardPlan, SimConfig, SimResult, StreamSummary, TraceReport,
+        Decision, DecisionKind, MetricsRegistry, Obs, Run, ShardPlan, SimConfig, SimResult,
+        StreamSummary, TraceReport,
     };
     pub use arena_trace::{generate, GenSource, JobSpec, TraceConfig, TraceKind, TraceSource};
 }

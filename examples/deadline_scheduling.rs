@@ -32,7 +32,7 @@ fn main() {
         Box::new(ArenaPolicy::with_variant(ArenaVariant::Deadline)),
     ];
     for mut p in policies {
-        let r = simulate(&cluster, &jobs, p.as_mut(), &service, &sim_cfg);
+        let r = Run::new(&cluster, p.as_mut(), &service, &sim_cfg).batch(&jobs);
         println!(
             "{:<12} deadline satisfaction {:>5.1}%  avg JCT {:>6.0}s  dropped {:>3}  avg thpt {:.3}",
             r.policy,

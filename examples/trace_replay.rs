@@ -57,7 +57,7 @@ fn main() {
     );
     let mut arena_result: Option<SimResult> = None;
     for mut p in policies {
-        let r = simulate(&cluster, &jobs, p.as_mut(), &service, &sim_cfg);
+        let r = Run::new(&cluster, p.as_mut(), &service, &sim_cfg).batch(&jobs);
         println!(
             "{:<15} {:>8.0}s {:>8.0}s {:>9} {:>9.3} {:>9.2}",
             r.policy,

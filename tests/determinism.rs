@@ -63,14 +63,9 @@ fn traced_arena_run(policy: ArenaPolicy) -> SimResult {
     let cfg = SimConfig::new(24.0 * 3600.0);
     let obs = Obs::enabled();
     let mut policy = policy;
-    simulate_traced(
-        &cluster,
-        &steady_trace(16),
-        &mut policy,
-        &service,
-        &cfg,
-        &obs,
-    )
+    Run::new(&cluster, &mut policy, &service, &cfg)
+        .obs(&obs)
+        .batch(&steady_trace(16))
 }
 
 #[test]

@@ -77,15 +77,10 @@ fn assert_equivalent(jobs: &[JobSpec], faults: &[FaultEvent], cfg: &SimConfig, t
                     Obs::disabled()
                 };
                 let r = if engine_new {
-                    simulate_with_faults_traced(
-                        &cluster,
-                        jobs,
-                        policy.as_mut(),
-                        &service,
-                        cfg,
-                        faults,
-                        &obs,
-                    )
+                    Run::new(&cluster, policy.as_mut(), &service, cfg)
+                        .faults(faults)
+                        .obs(&obs)
+                        .batch(jobs)
                 } else {
                     reference::simulate_with_faults_traced(
                         &cluster,
@@ -164,7 +159,7 @@ proptest! {
             let service = PlanService::new(&cluster, CostParams::default(), 17);
             let mut policy = FcfsPolicy::new();
             let r = if engine_new {
-                simulate_with_faults(&cluster, &jobs, &mut policy, &service, &cfg, &faults)
+                Run::new(&cluster, &mut policy, &service, &cfg).faults(&faults).batch(&jobs)
             } else {
                 reference::simulate_with_faults(&cluster, &jobs, &mut policy, &service, &cfg, &faults)
             };

@@ -6,9 +6,6 @@ use proptest::prelude::*;
 
 use arena::cluster::{Allocation, Cluster, GpuSpec, GpuTypeId, NodeHealth, NodeSpec};
 use arena::prelude::*;
-use arena::sim::{
-    simulate_sharded_with_faults_traced, simulate_with_faults, simulate_with_faults_traced,
-};
 use arena::trace::{generate_faults, FaultConfig, FaultEvent, FaultKind};
 
 fn two_pool_cluster() -> Cluster {
@@ -134,14 +131,9 @@ fn faulty_simulation_is_bitwise_deterministic() {
     );
     let run = || {
         let service = PlanService::new(&cluster, CostParams::default(), 77);
-        simulate_with_faults(
-            &cluster,
-            &jobs,
-            &mut ArenaPolicy::new(),
-            &service,
-            &cfg,
-            &faults,
-        )
+        Run::new(&cluster, &mut ArenaPolicy::new(), &service, &cfg)
+            .faults(&faults)
+            .batch(&jobs)
     };
     let (a, b) = (run(), run());
     // Timelines and per-job lifecycles must be identical to the bit.
@@ -177,7 +169,9 @@ fn all_policies_survive_node_failures() {
         Box::new(ArenaPolicy::new()),
     ];
     for mut p in policies {
-        let r = simulate_with_faults(&cluster, &jobs, p.as_mut(), &service, &cfg, &faults);
+        let r = Run::new(&cluster, p.as_mut(), &service, &cfg)
+            .faults(&faults)
+            .batch(&jobs);
         let m = &r.metrics;
         assert_eq!(
             m.finished + m.dropped + m.unfinished,
@@ -206,22 +200,17 @@ fn all_policies_survive_node_failures() {
 
 #[test]
 fn zero_fault_schedule_reproduces_baseline() {
-    // The fault-aware entry point with an empty schedule must match
-    // `simulate` exactly — the seed experiments stay unchanged.
+    // An empty fault schedule must match a run without one exactly —
+    // the seed experiments stay unchanged.
     let cluster = arena::cluster::presets::physical_testbed();
     let jobs = small_trace(8);
     let cfg = SimConfig::new(24.0 * 3600.0);
     let service = PlanService::new(&cluster, CostParams::default(), 5);
-    let base = simulate(&cluster, &jobs, &mut ArenaPolicy::new(), &service, &cfg);
+    let base = Run::new(&cluster, &mut ArenaPolicy::new(), &service, &cfg).batch(&jobs);
     let service2 = PlanService::new(&cluster, CostParams::default(), 5);
-    let faulty = simulate_with_faults(
-        &cluster,
-        &jobs,
-        &mut ArenaPolicy::new(),
-        &service2,
-        &cfg,
-        &[],
-    );
+    let faulty = Run::new(&cluster, &mut ArenaPolicy::new(), &service2, &cfg)
+        .faults(&[])
+        .batch(&jobs);
     assert_eq!(base.timeline, faulty.timeline);
     assert_eq!(base.metrics.avg_jct_s, faulty.metrics.avg_jct_s);
     assert_eq!(base.metrics.finished, faulty.metrics.finished);
@@ -252,14 +241,9 @@ fn failures_cost_real_progress() {
         node: n,
         kind: FaultKind::Repair,
     }));
-    let r = simulate_with_faults(
-        &cluster,
-        &jobs,
-        &mut GavelPolicy::new(),
-        &service,
-        &cfg,
-        &faults,
-    );
+    let r = Run::new(&cluster, &mut GavelPolicy::new(), &service, &cfg)
+        .faults(&faults)
+        .batch(&jobs);
     assert!(r.metrics.failure_evictions > 0, "{:#?}", r.records);
     assert!(r.metrics.mean_recovery_s > 0.0);
     assert_eq!(
@@ -293,15 +277,10 @@ fn fault_evictions_carry_decision_provenance() {
         kind: FaultKind::Repair,
     }));
     let obs = Obs::enabled();
-    let r = simulate_with_faults_traced(
-        &cluster,
-        &jobs,
-        &mut GavelPolicy::new(),
-        &service,
-        &cfg,
-        &faults,
-        &obs,
-    );
+    let r = Run::new(&cluster, &mut GavelPolicy::new(), &service, &cfg)
+        .faults(&faults)
+        .obs(&obs)
+        .batch(&jobs);
     assert!(r.metrics.failure_evictions > 0);
 
     let failure_requeues: Vec<&Decision> = r
@@ -348,7 +327,7 @@ fn fault_provenance_identical_under_sharding() {
     // several shard counts: node failures land mid-merge-round (victims
     // are detected per shard, applied in merged submission order), yet
     // every requeue decision — job, reason, trigger, shard stamp, and
-    // position in the decision stream — must match the serial engine's.
+    // position in the decision stream — must match the one-shard run's.
     let cluster = arena::cluster::presets::physical_testbed();
     let jobs = small_trace(6);
     let mut cfg = SimConfig::new(24.0 * 3600.0);
@@ -370,15 +349,10 @@ fn fault_provenance_identical_under_sharding() {
     let serial = {
         let service = PlanService::new(&cluster, CostParams::default(), 2);
         let obs = Obs::enabled();
-        simulate_with_faults_traced(
-            &cluster,
-            &jobs,
-            &mut GavelPolicy::new(),
-            &service,
-            &cfg,
-            &faults,
-            &obs,
-        )
+        Run::new(&cluster, &mut GavelPolicy::new(), &service, &cfg)
+            .faults(&faults)
+            .obs(&obs)
+            .batch(&jobs)
     };
     assert!(
         serial.metrics.failure_evictions > 0,
@@ -390,16 +364,11 @@ fn fault_provenance_identical_under_sharding() {
         let plan = ShardPlan::per_pool(&cluster)
             .with_shards(shards)
             .with_workers(WorkerPool::new(2));
-        let sharded = simulate_sharded_with_faults_traced(
-            &cluster,
-            &jobs,
-            &mut GavelPolicy::new(),
-            &service,
-            &cfg,
-            &faults,
-            &obs,
-            &plan,
-        );
+        let sharded = Run::new(&cluster, &mut GavelPolicy::new(), &service, &cfg)
+            .faults(&faults)
+            .obs(&obs)
+            .plan(&plan)
+            .batch(&jobs);
         // The whole decision stream — not just the requeues — agrees
         // line-for-line, so ordering around the fault is preserved too.
         assert_eq!(

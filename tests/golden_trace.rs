@@ -61,7 +61,9 @@ fn run_traced(policy: &mut dyn Policy, obs: &Obs) -> SimResult {
     let cluster = arena::cluster::presets::physical_testbed();
     let service = PlanService::new(&cluster, CostParams::default(), 33);
     let cfg = SimConfig::new(24.0 * 3600.0);
-    simulate_traced(&cluster, &small_trace(16), policy, &service, &cfg, obs)
+    Run::new(&cluster, policy, &service, &cfg)
+        .obs(obs)
+        .batch(&small_trace(16))
 }
 
 fn slug(name: &str) -> String {

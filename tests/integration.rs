@@ -92,13 +92,13 @@ fn all_policies_conserve_jobs_and_capacity() {
         || Box::new(ArenaSolverPolicy::new()),
         || Box::new(ArenaPolicy::new().with_queue_order(QueueOrder::ShortestFirst)),
     ];
-    // Every policy runs through both decision loops: the serial
-    // event-indexed engine and the sharded loop under the env-driven
-    // plan (the CI matrix varies ARENA_SHARDS), which must agree.
+    // Every policy runs twice: on the default one-shard plan and on the
+    // env-driven plan (the CI matrix varies ARENA_SHARDS), which must
+    // agree.
     let plan = ShardPlan::from_env(&cluster);
     for make in policies {
         let mut p = make();
-        let r = simulate(&cluster, &jobs, p.as_mut(), &service, &cfg);
+        let r = Run::new(&cluster, p.as_mut(), &service, &cfg).batch(&jobs);
         let m = &r.metrics;
         assert_eq!(
             m.finished + m.dropped + m.unfinished,
@@ -118,7 +118,9 @@ fn all_policies_conserve_jobs_and_capacity() {
         }
         let mut again = make();
         let service2 = PlanService::new(&cluster, CostParams::default(), 2);
-        let s = simulate_sharded(&cluster, &jobs, again.as_mut(), &service2, &cfg, &plan);
+        let s = Run::new(&cluster, again.as_mut(), &service2, &cfg)
+            .plan(&plan)
+            .batch(&jobs);
         assert_eq!(s.metrics.finished, m.finished, "{} sharded drift", r.policy);
         assert_eq!(s.metrics.dropped, m.dropped);
         assert_eq!(
@@ -140,8 +142,8 @@ fn arena_beats_fcfs_under_contention() {
     }
     let cfg = SimConfig::new(24.0 * 3600.0);
 
-    let fcfs = simulate(&cluster, &jobs, &mut FcfsPolicy::new(), &service, &cfg);
-    let arena = simulate(&cluster, &jobs, &mut ArenaPolicy::new(), &service, &cfg);
+    let fcfs = Run::new(&cluster, &mut FcfsPolicy::new(), &service, &cfg).batch(&jobs);
+    let arena = Run::new(&cluster, &mut ArenaPolicy::new(), &service, &cfg).batch(&jobs);
     assert!(arena.metrics.finished >= fcfs.metrics.finished);
     assert!(
         arena.metrics.avg_jct_s <= fcfs.metrics.avg_jct_s * 1.05,
@@ -180,7 +182,7 @@ fn deadline_variant_drops_hopeless_and_meets_more() {
     }
     let cfg = SimConfig::new(24.0 * 3600.0);
     let mut ddl = ArenaPolicy::with_variant(ArenaVariant::Deadline);
-    let r = simulate(&cluster, &jobs, &mut ddl, &service, &cfg);
+    let r = Run::new(&cluster, &mut ddl, &service, &cfg).batch(&jobs);
     assert!(r.metrics.dropped >= 4, "hopeless jobs were not dropped");
     // Every finished job with a generous deadline met it.
     for rec in &r.records {
@@ -207,7 +209,7 @@ fn simulation_results_are_reproducible_across_services() {
     let cfg = SimConfig::new(24.0 * 3600.0);
     let run = || {
         let service = PlanService::new(&cluster, CostParams::default(), 77);
-        simulate(&cluster, &jobs, &mut ArenaPolicy::new(), &service, &cfg)
+        Run::new(&cluster, &mut ArenaPolicy::new(), &service, &cfg).batch(&jobs)
     };
     let (a, b) = (run(), run());
     assert_eq!(a.metrics.avg_jct_s, b.metrics.avg_jct_s);
@@ -217,14 +219,9 @@ fn simulation_results_are_reproducible_across_services() {
     // run, bit for bit.
     let service = PlanService::new(&cluster, CostParams::default(), 77);
     let plan = ShardPlan::from_env(&cluster);
-    let s = simulate_sharded(
-        &cluster,
-        &jobs,
-        &mut ArenaPolicy::new(),
-        &service,
-        &cfg,
-        &plan,
-    );
+    let s = Run::new(&cluster, &mut ArenaPolicy::new(), &service, &cfg)
+        .plan(&plan)
+        .batch(&jobs);
     assert_eq!(s.metrics.avg_jct_s, a.metrics.avg_jct_s);
     assert_eq!(s.timeline, a.timeline);
 }

@@ -11,10 +11,7 @@ use arena::perf::target::Channel;
 use arena::perf::{collective, noise::NoiseModel, CostParams, HwTarget, PerfModel};
 use arena::runtime::WorkerPool;
 use arena::sched::{FcfsPolicy, PlanService};
-use arena::sim::{
-    simulate_sharded_with_faults_traced, simulate_with_faults_traced, JobState, Obs, ShardPlan,
-    SimConfig,
-};
+use arena::sim::{JobState, Obs, Run, ShardPlan, SimConfig};
 use arena::trace::{FaultEvent, FaultKind, JobSpec};
 
 fn family(ix: usize) -> (ModelFamily, f64) {
@@ -293,15 +290,7 @@ proptest! {
             }));
         }
         let obs = Obs::enabled();
-        let r = simulate_with_faults_traced(
-            &cluster,
-            &jobs,
-            &mut FcfsPolicy::new(),
-            &service,
-            &SimConfig::new(24.0 * 3600.0),
-            &faults,
-            &obs,
-        );
+        let r = Run::new(&cluster, &mut FcfsPolicy::new(), &service, &SimConfig::new(24.0 * 3600.0)).faults(&faults).obs(&obs).batch(&jobs);
         let tl = &r.trace.timeline;
         prop_assert!(tl.validate().is_ok(), "invalid timeline: {:?}", tl.validate());
         for (job, ivs) in tl.job_intervals() {
@@ -359,8 +348,8 @@ proptest! {
 
     /// Sharding is conservative and invisible under adversarial
     /// partition maps: per-shard capacity stats always sum to the
-    /// cluster's books, and the sharded engine reproduces the serial
-    /// engine byte-for-byte — twice, so the sharded run is also
+    /// cluster's books, and the sharded run reproduces the one-shard
+    /// run byte-for-byte — twice, so the sharded run is also
     /// deterministic against itself.
     #[test]
     fn adversarial_partitions_conserve_and_reproduce(
@@ -415,9 +404,7 @@ proptest! {
         };
         let serial = {
             let service = PlanService::new(&cluster, CostParams::default(), 11);
-            let mut r = simulate_with_faults_traced(
-                &cluster, &jobs, &mut FcfsPolicy::new(), &service, &cfg, &[], &Obs::enabled(),
-            );
+            let mut r = Run::new(&cluster, &mut FcfsPolicy::new(), &service, &cfg).obs(&Obs::enabled()).batch(&jobs);
             r.metrics.avg_decision_s = 0.0;
             fingerprint(r)
         };
@@ -427,10 +414,7 @@ proptest! {
                 .with_partition(map.clone())
                 .with_shards(shards)
                 .with_workers(WorkerPool::new(workers));
-            let mut r = simulate_sharded_with_faults_traced(
-                &cluster, &jobs, &mut FcfsPolicy::new(), &service, &cfg, &[], &Obs::enabled(),
-                &plan,
-            );
+            let mut r = Run::new(&cluster, &mut FcfsPolicy::new(), &service, &cfg).obs(&Obs::enabled()).plan(&plan).batch(&jobs);
             r.metrics.avg_decision_s = 0.0;
             fingerprint(r)
         };

@@ -1,12 +1,12 @@
-//! End-to-end service equivalence: the resident daemon against the
-//! batch engine.
+//! End-to-end service equivalence: the resident daemon against a batch
+//! run.
 //!
-//! `arena-server` drives the same incremental engine the batch entry
-//! points wrap, so replaying a trace as an online command stream — one
+//! `arena-server` drives the same `Engine` a batch run (`Run::batch`)
+//! drives, so replaying a trace as an online command stream — one
 //! JSONL `submit`/`fault` line at a time, in timestamp order, in any
 //! interleaving with read-only queries — then draining must produce
-//! output *byte-identical* to `simulate_sharded_with_faults_traced` on
-//! the whole trace: every record, timeline sample, decision line and
+//! output *byte-identical* to a batch run of the whole trace on the same
+//! shard plan: every record, timeline sample, decision line and
 //! traced event. These tests pin that contract for all five policies,
 //! with and without fault injection, across shard counts — extending
 //! the engine/shard equivalence guarantee across the batch/online
@@ -18,7 +18,6 @@
 
 use arena::prelude::*;
 use arena::sched::{policy_by_name, POLICY_NAMES};
-use arena::sim::simulate_sharded_with_faults_traced;
 use arena::trace::FaultEvent;
 use arena_server::protocol::{fault_line, submit_line};
 use arena_server::{Server, ServerConfig};
@@ -78,16 +77,13 @@ fn batch_fingerprint(
     let plan = ShardPlan::per_pool(&cluster)
         .with_shards(shards)
         .with_workers(WorkerPool::new(1));
-    fingerprint(simulate_sharded_with_faults_traced(
-        &cluster,
-        jobs,
-        p.as_mut(),
-        &service,
-        cfg,
-        faults,
-        &obs,
-        &plan,
-    ))
+    fingerprint(
+        Run::new(&cluster, p.as_mut(), &service, cfg)
+            .faults(faults)
+            .obs(&obs)
+            .plan(&plan)
+            .batch(jobs),
+    )
 }
 
 /// The trace as the daemon would receive it live: submissions and

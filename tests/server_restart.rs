@@ -12,7 +12,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use arena::prelude::*;
 use arena::sched::policy_by_name;
-use arena::sim::simulate_sharded_with_faults_traced;
 use arena::trace::FaultEvent;
 use arena_server::protocol::{fault_line, submit_line};
 use arena_server::{Server, ServerConfig};
@@ -70,16 +69,13 @@ fn batch_fingerprint(
     let plan = ShardPlan::per_pool(&cluster)
         .with_shards(shards)
         .with_workers(WorkerPool::new(1));
-    fingerprint(simulate_sharded_with_faults_traced(
-        &cluster,
-        jobs,
-        p.as_mut(),
-        &service,
-        cfg,
-        faults,
-        &obs,
-        &plan,
-    ))
+    fingerprint(
+        Run::new(&cluster, p.as_mut(), &service, cfg)
+            .faults(faults)
+            .obs(&obs)
+            .plan(&plan)
+            .batch(jobs),
+    )
 }
 
 fn command_stream(jobs: &[JobSpec], faults: &[FaultEvent]) -> Vec<String> {
@@ -302,4 +298,68 @@ fn in_memory_event_log_replays_identically() {
         fingerprint(replayed.result.expect("drained")),
     );
     assert_eq!(a, b, "in-memory replay diverged");
+}
+
+#[test]
+fn refused_submits_stay_out_of_the_event_log() {
+    // Well-formed submits the engine cannot run: a BERT size outside
+    // Table 2, an MoE size between two Table-2 sizes, and a pool the
+    // testbed does not have. They are stamped after the valid job, so a
+    // refused submit that still moved the clock would refuse it too.
+    let mut valid = mixed_trace(1, 0.0).remove(0);
+    valid.submit_s = 100.0;
+    let refused = |id: u64, family: ModelFamily, params_b: f64, pool: usize| JobSpec {
+        id,
+        name: format!("bad{id}"),
+        submit_s: 600.0,
+        model: ModelConfig::new(family, params_b, 256),
+        requested_pool: pool,
+        ..valid.clone()
+    };
+    let bad = [
+        (refused(1, ModelFamily::Bert, -1.0, 0), "Table-2"),
+        (refused(2, ModelFamily::Moe, 7.7, 0), "Table-2"),
+        (refused(3, ModelFamily::Bert, 1.3, 99), "no pool 99"),
+    ];
+    let cfg = SimConfig::new(24.0 * 3600.0);
+    let log_path = scratch("refused");
+    let drain = "{\"cmd\":\"drain\"}";
+
+    let first = {
+        let mut sc = config("fcfs", &cfg);
+        sc.event_log = Some(log_path.clone());
+        let server = Server::start(sc).expect("server start");
+        let handle = server.handle();
+        for (job, why) in &bad {
+            let r = handle.handle_line(&submit_line(job));
+            assert!(r.contains("\"ok\":false") && r.contains(why), "{r}");
+        }
+        assert!(handle
+            .handle_line(&submit_line(&valid))
+            .contains("\"ok\":true"));
+        assert!(handle.handle_line(drain).contains("\"drained\":true"));
+        server.join()
+    };
+    let logged = std::fs::read_to_string(&log_path).expect("log written");
+    let want = vec![submit_line(&valid), drain.to_string()];
+    assert_eq!(logged.lines().collect::<Vec<_>>(), want);
+    assert_eq!(first.event_log, want);
+
+    let resumed = {
+        let mut sc = config("fcfs", &cfg);
+        sc.resume = Some(log_path.clone());
+        let server = Server::start(sc).expect("resume start");
+        let snap = server.handle().hub().load();
+        assert!(snap.state.drained, "replay did not reach the drain");
+        assert_eq!(snap.state.submitted, 1);
+        server.join()
+    };
+    let _ = std::fs::remove_file(&log_path);
+    let first = fingerprint(first.result.expect("drained"));
+    assert_eq!(fingerprint(resumed.result.expect("drained")), first);
+    assert_eq!(
+        batch_fingerprint("fcfs", &[valid], &[], &cfg, 2),
+        first,
+        "served run diverged from batch"
+    );
 }

@@ -60,7 +60,9 @@ fn batch(policy: &str, jobs: &[JobSpec], cfg: &SimConfig) -> SimResult {
     let plan = ShardPlan::per_pool(&cluster)
         .with_shards(1)
         .with_workers(WorkerPool::new(1));
-    simulate_sharded(&cluster, jobs, p.as_mut(), &service, cfg, &plan)
+    Run::new(&cluster, p.as_mut(), &service, cfg)
+        .plan(&plan)
+        .batch(jobs)
 }
 
 /// A numeric field of a `query jobs` entry; `null` reads as `None`.

@@ -1,14 +1,16 @@
-//! The sharded decision loop against the serial event-indexed engine.
+//! The sharded decision loop against the default one-shard run.
 //!
 //! `arena::sim::shard` partitions the cluster into per-pool scheduler
 //! shards — each with its own event heap and membership indexes —
 //! deciding concurrently on a worker pool, with a deterministic merge
 //! round folding per-shard streams back into submission order. The
 //! contract is that the shard count and worker pool are pure execution
-//! knobs: output must be *byte-identical* to the unsharded engine — every
-//! record, timeline sample, decision line (including `shard=` provenance)
-//! and traced job event — at any shard count. These tests pin that
-//! contract across:
+//! knobs: output must be *byte-identical* to the default one-shard run
+//! ([`Run`] with no plan) — every record, timeline sample, decision line
+//! (including `shard=` provenance) and traced job event — at any shard
+//! count. Both sides run the same `Engine`; the one-shard side skips
+//! the merge round, so the comparison also pins that the merge round
+//! reproduces one shard's order. These tests pin that contract across:
 //!
 //! * every comparison policy (FCFS, Gandiva, Gavel, ElasticFlow, Arena),
 //! * shard counts 1 / 2 / 4 / 8, crossed with worker-pool sizes 1 and 4,
@@ -75,7 +77,8 @@ fn fingerprint(mut r: SimResult) -> String {
     )
 }
 
-/// Serial-engine fingerprints for every comparison policy on a scenario.
+/// Default one-shard run fingerprints for every comparison policy on a
+/// scenario.
 fn serial_fingerprints(jobs: &[JobSpec], faults: &[FaultEvent], cfg: &SimConfig) -> Vec<String> {
     let cluster = arena::cluster::presets::physical_testbed();
     pinned_policies()
@@ -83,15 +86,12 @@ fn serial_fingerprints(jobs: &[JobSpec], faults: &[FaultEvent], cfg: &SimConfig)
         .map(|mut policy| {
             let service = PlanService::new(&cluster, CostParams::default(), 17);
             let obs = Obs::enabled();
-            fingerprint(simulate_with_faults_traced(
-                &cluster,
-                jobs,
-                policy.as_mut(),
-                &service,
-                cfg,
-                faults,
-                &obs,
-            ))
+            fingerprint(
+                Run::new(&cluster, policy.as_mut(), &service, cfg)
+                    .faults(faults)
+                    .obs(&obs)
+                    .batch(jobs),
+            )
         })
         .collect()
 }
@@ -109,22 +109,19 @@ fn sharded_fingerprints(
         .map(|mut policy| {
             let service = PlanService::new(&cluster, CostParams::default(), 17);
             let obs = Obs::enabled();
-            fingerprint(simulate_sharded_with_faults_traced(
-                &cluster,
-                jobs,
-                policy.as_mut(),
-                &service,
-                cfg,
-                faults,
-                &obs,
-                plan,
-            ))
+            fingerprint(
+                Run::new(&cluster, policy.as_mut(), &service, cfg)
+                    .faults(faults)
+                    .obs(&obs)
+                    .plan(plan)
+                    .batch(jobs),
+            )
         })
         .collect()
 }
 
 /// The tentpole assertion: for every policy, every shard count in
-/// {1, 2, 4, 8} crossed with worker pools {1, 4} reproduces the serial
+/// {1, 2, 4, 8} crossed with worker pools {1, 4} reproduces the one-shard
 /// engine byte-for-byte.
 fn assert_shard_invariant(jobs: &[JobSpec], faults: &[FaultEvent], cfg: &SimConfig) {
     let cluster = arena::cluster::presets::physical_testbed();
@@ -204,23 +201,17 @@ fn custom_partition_maps_are_invisible() {
 #[test]
 fn decisions_carry_home_shard_provenance() {
     // Every placement decision records the job's home partition — and the
-    // stamp is identical whether the run was sharded or serial.
+    // stamp is identical at any shard count.
     let cluster = arena::cluster::presets::physical_testbed();
     let jobs = mixed_trace(8, 100.0);
     let cfg = SimConfig::new(24.0 * 3600.0);
     let service = PlanService::new(&cluster, CostParams::default(), 17);
     let obs = Obs::enabled();
     let plan = ShardPlan::per_pool(&cluster);
-    let r = simulate_sharded_with_faults_traced(
-        &cluster,
-        &jobs,
-        &mut FcfsPolicy::new(),
-        &service,
-        &cfg,
-        &[],
-        &obs,
-        &plan,
-    );
+    let r = Run::new(&cluster, &mut FcfsPolicy::new(), &service, &cfg)
+        .obs(&obs)
+        .plan(&plan)
+        .batch(&jobs);
     let jsonl = r.trace.decisions_jsonl();
     assert!(!jsonl.is_empty(), "no decisions traced");
     let stamped = jsonl
@@ -260,7 +251,7 @@ fn env_plan_respects_arena_shards() {
 #[test]
 fn env_shard_count_reproduces_serial() {
     // Whatever ARENA_SHARDS the CI matrix sets, the env-derived plan
-    // must reproduce the serial engine byte-for-byte.
+    // must reproduce the one-shard run byte-for-byte.
     let cluster = arena::cluster::presets::physical_testbed();
     let jobs = mixed_trace(10, 130.0);
     let cfg = SimConfig::new(24.0 * 3600.0);

@@ -1,7 +1,7 @@
-//! Streaming-vs-resident identity: the fleet-scale streaming driver
-//! (`simulate_stream_with_faults` — pull-based arrivals, record-fold
-//! engine, reclaimed job slots) must schedule *byte-identically* to the
-//! batch driver that materialises the whole trace. These tests pin the
+//! Streaming-vs-resident identity: a fleet-scale streaming run
+//! (`Run::stream` — pull-based arrivals, record-fold engine, reclaimed
+//! job slots) must schedule *byte-identically* to a batch run
+//! (`Run::batch`) that materialises the whole trace. These tests pin the
 //! identity across every comparison policy, shard counts 1 and 4, and
 //! faulted/unfaulted schedules, plus the memory-budget contract: cache
 //! eviction under an arbitrarily tiny `set_mem_budget` is semantically
@@ -11,7 +11,7 @@
 //! throughput timelines and every integer counter are exact equality;
 //! floating-point *sums* (avg JCT) agree only to rounding, because the
 //! streaming engine folds records in termination order while the batch
-//! driver folds the submission-ordered record vector (see
+//! run folds the submission-ordered record vector (see
 //! `FoldedRecords`).
 
 use arena::prelude::*;
@@ -88,30 +88,19 @@ fn assert_stream_matches_batch(
     let batch = {
         let service = PlanService::new(&cluster, CostParams::default(), 17);
         let mut policy = policy_by_name(policy_name, 1).expect("known policy");
-        simulate_sharded_with_faults(
-            &cluster,
-            jobs,
-            policy.as_mut(),
-            &service,
-            &cfg,
-            faults,
-            &plan,
-        )
+        Run::new(&cluster, policy.as_mut(), &service, &cfg)
+            .faults(faults)
+            .plan(&plan)
+            .batch(jobs)
     };
     let stream = {
         let service = PlanService::new(&cluster, CostParams::default(), 17);
         let mut policy = policy_by_name(policy_name, 1).expect("known policy");
-        simulate_stream_with_faults(
-            &cluster,
-            policy.as_mut(),
-            &service,
-            &mut VecSource::new(jobs.to_vec()),
-            faults,
-            &cfg,
-            &Obs::disabled(),
-            &plan,
-        )
-        .expect("in-memory source cannot fail")
+        Run::new(&cluster, policy.as_mut(), &service, &cfg)
+            .faults(faults)
+            .plan(&plan)
+            .stream(&mut VecSource::new(jobs.to_vec()))
+            .expect("in-memory source cannot fail")
     };
 
     let ctx = format!(
@@ -182,15 +171,10 @@ fn run_with_budget(
     service.set_mem_budget(budget);
     service.estimator().set_mem_budget(budget);
     let mut policy = policy_by_name(policy_name, 1).expect("known policy");
-    let summary = simulate_stream(
-        &cluster,
-        policy.as_mut(),
-        &service,
-        &mut VecSource::new(jobs.to_vec()),
-        &cfg,
-        &plan,
-    )
-    .expect("in-memory source cannot fail");
+    let summary = Run::new(&cluster, policy.as_mut(), &service, &cfg)
+        .plan(&plan)
+        .stream(&mut VecSource::new(jobs.to_vec()))
+        .expect("in-memory source cannot fail");
     let evictions = service
         .mem_report()
         .iter()
