@@ -48,9 +48,8 @@ pub fn width_for_params(target_params: f64) -> f64 {
 /// Panics on a size that is not listed in Table 2.
 #[must_use]
 pub fn config_for(params_b: f64) -> WResNetConfig {
-    const SIZES: [f64; 5] = [0.5, 1.0, 2.0, 4.0, 6.8];
     assert!(
-        SIZES.iter().any(|&s| (s - params_b).abs() < 1e-6),
+        ModelFamily::WideResNet.has_table2_size(params_b),
         "WRes-{params_b}B is not a Table-2 configuration"
     );
     WResNetConfig {
