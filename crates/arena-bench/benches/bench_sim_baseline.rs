@@ -258,14 +258,12 @@ fn bench_simulate_loaded(smoke: bool) -> BenchEntry {
     )
 }
 
-/// The loaded engine round on the per-pool shard plan — the plan the
-/// daemon runs by default — once with `Obs::disabled()` and once with
+/// The loaded engine round once with `Obs::disabled()` and once with
 /// the live plane attached (`Obs::metrics_only` + a `MetricsRegistry`):
-/// every burst timed, per-shard gauges stored, event counters bumped,
+/// every burst timed, event-loop gauges stored, event counters bumped,
 /// estimator ratios refreshed, stage spans recorded into lock-free
-/// histograms. The pair
-/// is the overhead gate — telemetry-on must stay within 5% of
-/// telemetry-off, enforced in CI by `arena-analyze bench-check
+/// histograms. The pair is the overhead gate — telemetry-on must stay
+/// within 5% of telemetry-off, enforced in CI by `arena-analyze bench-check
 /// BENCH_sim_telemetry_off.json <committed BENCH_sim.json> --threshold
 /// 0.05` (the `_off` file freezes the off mean under the telemetry
 /// entry's name; both entries land in `BENCH_sim.json` too).
@@ -281,12 +279,10 @@ fn bench_simulate_loaded_telemetry(smoke: bool) -> (Vec<BenchEntry>, BenchEntry)
         fault_span_s,
     );
     let cfg = SimConfig::new(30.0 * 24.0 * 3600.0);
-    let plan = ShardPlan::per_pool(&cluster);
     let run = |p: &mut FcfsPolicy, obs: &Obs| {
         Run::new(&cluster, p, &service, &cfg)
             .faults(&faults)
             .obs(obs)
-            .plan(&plan)
             .batch(black_box(&jobs))
     };
     // Warm the plan caches once.
@@ -296,7 +292,7 @@ fn bench_simulate_loaded_telemetry(smoke: bool) -> (Vec<BenchEntry>, BenchEntry)
     // host's run-to-run noise at 3 iterations.
     let iters = if smoke { 1 } else { 8 };
     let off = time_loop(
-        &format!("sim/simulate_{n}_jobs_faulted_fcfs_sharded"),
+        &format!("sim/simulate_{n}_jobs_faulted_fcfs_telemetry_off"),
         iters,
         || {
             black_box(run(&mut FcfsPolicy::new(), &Obs::disabled()));
@@ -324,7 +320,7 @@ fn bench_simulate_loaded_telemetry(smoke: bool) -> (Vec<BenchEntry>, BenchEntry)
     (vec![off, on], gate)
 }
 
-/// A class-diverse burst for the multi-pool sharded bench: families,
+/// A class-diverse burst for the multi-pool bench: families,
 /// sizes and GPU requests all vary, so the queue spans many distinct
 /// candidate classes, and arrivals compress into a burst so the queue
 /// stays deep while the estimator is still cold.
@@ -355,74 +351,23 @@ fn multipool_burst(n: u64, num_pools: usize) -> Vec<JobSpec> {
         .collect()
 }
 
-/// The loaded multi-pool pair: a deep, class-diverse Arena-scheduled
+/// The loaded multi-pool run: a deep, class-diverse Arena-scheduled
 /// burst over the 4-pool simulated cluster, cold (fresh `PlanService`
-/// per iteration, like the cold decision-round benches), run on the
-/// default one-shard plan and on the sharded decision loop (one shard per
-/// pool, workers sized to the machine). The sharded loop's
-/// `prepare_shards` pre-pass batches each flush round's cold candidate
-/// estimation into one fan-out instead of the one-shard run's job-by-job
-/// fills; with more than one hardware thread that fan-out is a real
-/// wall-clock win, and on a single-core host the pool sizes itself to
-/// one worker and the sharded loop must track the one-shard run to
-/// within its bookkeeping overhead. Output is byte-identical either
-/// way. `BENCH_sim_unsharded.json` freezes the one-shard mean under the
-/// sharded entry's name so CI can gate the committed ratio with
-/// `bench-check`.
-fn bench_simulate_multipool(smoke: bool) -> Vec<BenchEntry> {
+/// per iteration, like the cold decision-round benches), so cold
+/// candidate estimation and per-round decision cost dominate.
+fn bench_simulate_multipool(smoke: bool) -> BenchEntry {
     let cluster = arena::cluster::presets::table1_simulated();
     let n = if smoke { 60 } else { 600 };
     let jobs = multipool_burst(n, 4);
     // A few loaded rounds: the burst keeps the queue deep for the whole
-    // horizon, so cold candidate estimation and per-round decision cost
-    // dominate the run.
+    // horizon.
     let cfg = SimConfig::new(2.0 * 3600.0);
-    let workers = WorkerPool::from_env_or(
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-            .min(4),
-    );
-    let threads = workers.threads();
-    let plan = ShardPlan::per_pool(&cluster).with_workers(workers);
-    // Pin byte-identity on this fixture before timing anything, at a
-    // fixed worker count so the check exercises the concurrent path
-    // even on single-core hosts.
-    {
-        let service = PlanService::new(&cluster, CostParams::default(), 51);
-        let one = Run::new(&cluster, &mut ArenaPolicy::new(), &service, &cfg).batch(&jobs);
-        let service = PlanService::new(&cluster, CostParams::default(), 51);
-        let check = ShardPlan::per_pool(&cluster).with_workers(WorkerPool::new(4));
-        let sharded = Run::new(
-            &cluster,
-            &mut ArenaPolicy::new().with_worker_threads(4),
-            &service,
-            &cfg,
-        )
-        .plan(&check)
-        .batch(&jobs);
-        assert_eq!(
-            one.timeline, sharded.timeline,
-            "sharded bench fixture diverged from the one-shard run"
-        );
-    }
     let iters = if smoke { 1 } else { 5 };
-    vec![
-        time_loop("sim/simulate_multipool_arena_serial", iters, || {
-            let service = PlanService::new(&cluster, CostParams::default(), 51);
-            let mut p = ArenaPolicy::new();
-            black_box(Run::new(&cluster, &mut p, &service, &cfg).batch(black_box(&jobs)));
-        }),
-        time_loop("sim/simulate_multipool_arena_sharded", iters, || {
-            let service = PlanService::new(&cluster, CostParams::default(), 51);
-            let mut p = ArenaPolicy::new().with_worker_threads(threads);
-            black_box(
-                Run::new(&cluster, &mut p, &service, &cfg)
-                    .plan(&plan)
-                    .batch(black_box(&jobs)),
-            );
-        }),
-    ]
+    time_loop("sim/simulate_multipool_arena_serial", iters, || {
+        let service = PlanService::new(&cluster, CostParams::default(), 51);
+        let mut p = ArenaPolicy::new();
+        black_box(Run::new(&cluster, &mut p, &service, &cfg).batch(black_box(&jobs)));
+    })
 }
 
 /// The fleet-scale streaming pair: an open-ended synthetic PAI-load
@@ -458,13 +403,11 @@ fn bench_stream_fleet(smoke: bool) -> Vec<BenchEntry> {
         if let Some(budget) = service.apply_env_budget() {
             println!("stream_fleet: cache budget {budget} bytes (ARENA_MEM_BUDGET_BYTES)");
         }
-        let plan = ShardPlan::per_pool(&cluster);
         let cfg = SimConfig::new(4.1e9);
         let mut policy = FcfsPolicy::new();
         let mut source = TakeSource::new(GenSource::new(&trace_cfg), n);
         let t0 = Instant::now();
         let summary = Run::new(&cluster, &mut policy, &service, &cfg)
-            .plan(&plan)
             .stream(&mut source)
             .expect("generator-backed source cannot fail");
         let wall = t0.elapsed().as_secs_f64();
@@ -514,7 +457,7 @@ fn main() {
     benches.push(bench_simulate_loaded(smoke));
     let (telemetry, telemetry_gate) = bench_simulate_loaded_telemetry(smoke);
     benches.extend(telemetry);
-    benches.extend(bench_simulate_multipool(smoke));
+    benches.push(bench_simulate_multipool(smoke));
 
     if !smoke {
         let mean = |name: &str| {
@@ -551,34 +494,13 @@ fn main() {
         };
         write_bench_report("BENCH_sim_telemetry_off.json", &gate)
             .expect("write BENCH_sim_telemetry_off.json");
-        // The one-shard reference for the sharded decision-loop
-        // gate, refreshed from this same run so both sides of the
-        // comparison come off the same machine under the same load —
-        // a stale frozen number drifts with host speed and fails the
-        // gate spuriously. The one-shard entry is renamed to the sharded
-        // entry's name, which is how bench-check pairs them.
-        let serial = report
-            .benches
-            .iter()
-            .find(|b| b.name == "sim/simulate_multipool_arena_serial")
-            .expect("serial multipool entry present in full runs");
-        let unsharded = BenchReport {
-            smoke,
-            git_rev: git_rev(),
-            policies: vec!["Arena".to_string()],
-            benches: vec![BenchEntry {
-                name: "sim/simulate_multipool_arena_sharded".to_string(),
-                ..serial.clone()
-            }],
-        };
-        write_bench_report("BENCH_sim_unsharded.json", &unsharded)
-            .expect("write BENCH_sim_unsharded.json");
         // The one-worker reference for the fan-out-granularity gate:
         // the cold 500-job decision round at w4/w8 must not be slower
         // than at w1 (chunked fan-out makes extra workers at worst
-        // free). Same same-machine refresh pattern as the unsharded
-        // gate; bench-check pairs entries by name, so the w1 entry is
-        // renamed to the w4 and w8 entry names.
+        // free). Refreshed from this same run so both sides come off
+        // the same machine under the same load; bench-check pairs
+        // entries by name, so the w1 entry is renamed to the w4 and w8
+        // entry names.
         let w1 = report
             .benches
             .iter()

@@ -23,7 +23,6 @@ pub mod cluster;
 pub mod gpu;
 pub mod link;
 pub mod node;
-pub mod partition;
 pub mod presets;
 
 pub use alloc::{Allocation, MeshShape};
@@ -31,4 +30,3 @@ pub use cluster::{Cluster, ClusterError, GpuTypeId, HealthDelta, NodeHealth, Poo
 pub use gpu::{GpuArch, GpuSpec};
 pub use link::LinkKind;
 pub use node::NodeSpec;
-pub use partition::{PartitionMap, ShardStats};

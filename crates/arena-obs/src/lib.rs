@@ -120,11 +120,8 @@ pub struct Decision {
     pub prev_gpus: Option<usize>,
     /// Why: a stable, policy-specific reason label.
     pub reason: &'static str,
-    /// Scheduler shard that owns the subject job: its home *partition*
-    /// under the engine's partition map (per-pool partitions by default,
-    /// so the id reads as the job's requested pool). A semantic
-    /// identifier — deliberately independent of the executor shard
-    /// count, which must stay invisible in observable output.
+    /// The subject job's home shard: the pool it requested. A property
+    /// of the job, not of how the simulator executes.
     pub shard: Option<u32>,
 }
 
@@ -206,7 +203,7 @@ impl Decision {
         self
     }
 
-    /// Attaches the owning scheduler shard (the job's home partition).
+    /// Attaches the job's home shard (its requested pool).
     #[must_use]
     pub fn on_shard(mut self, shard: u32) -> Self {
         self.shard = Some(shard);

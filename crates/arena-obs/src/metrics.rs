@@ -3,15 +3,15 @@
 //!
 //! The original [`Obs`](crate::Obs) primitives aggregate under one
 //! `Mutex` and only surface at end-of-run `TraceReport` time — fine for
-//! batch simulation, unacceptable inside a resident daemon's sharded
-//! decision loop. This module adds an **always-on, lock-free plane**:
+//! batch simulation, unacceptable inside a resident daemon's decision
+//! loop. This module adds an **always-on, lock-free plane**:
 //!
 //! * [`Counter`] / [`Gauge`] — one cache-line-padded `AtomicU64` each,
 //!   so two hot counters never false-share.
 //! * [`Histogram`] — a fixed array of 64 log2-bucketed atomic counters
 //!   plus atomic count/sum/min/max. Recording is `fetch_add` +
-//!   `fetch_min`/`fetch_max`; snapshots from different shards merge by
-//!   bucket-wise addition. Log2 buckets cover ten decades of latency
+//!   `fetch_min`/`fetch_max`; snapshots merge by bucket-wise
+//!   addition. Log2 buckets cover ten decades of latency
 //!   (1 ns … ~18 s and beyond) in 64 fixed slots with ≤2x relative
 //!   error and no allocation, which is why they are used instead of
 //!   exact sample vectors.
@@ -200,7 +200,7 @@ impl Histogram {
     }
 }
 
-/// An owned copy of one histogram's buckets, mergeable across shards.
+/// An owned copy of one histogram's buckets, mergeable by addition.
 #[derive(Debug, Clone)]
 pub struct HistSnapshot {
     /// Per-bucket counts (not cumulative).
@@ -228,7 +228,7 @@ impl Default for HistSnapshot {
 }
 
 impl HistSnapshot {
-    /// Adds another shard's snapshot into this one (bucket-wise).
+    /// Adds another snapshot into this one (bucket-wise).
     pub fn merge(&mut self, other: &HistSnapshot) {
         for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *a += b;

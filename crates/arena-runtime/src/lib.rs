@@ -32,60 +32,6 @@ use std::sync::Mutex;
 /// Environment variable overriding the default worker count.
 pub const WORKER_THREADS_ENV: &str = "ARENA_WORKER_THREADS";
 
-/// Environment variable overriding the default executor shard count of
-/// the sharded simulation engine.
-pub const SHARDS_ENV: &str = "ARENA_SHARDS";
-
-/// Reads `ARENA_SHARDS`, falling back to `default`. Clamped to at least
-/// one shard.
-#[must_use]
-pub fn shards_from_env_or(default: usize) -> usize {
-    std::env::var(SHARDS_ENV)
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(default)
-        .max(1)
-}
-
-/// K-way merges per-shard `(index, value)` streams into one stream of
-/// ascending index — the deterministic merge round of sharded
-/// execution.
-///
-/// Each input stream must already be sorted by ascending index, and
-/// indices must be unique across streams (each shard owns a disjoint
-/// subset). The merged order is then a pure function of the indices: it
-/// reproduces exactly the order a serial loop visiting `0..n` would
-/// produce, regardless of shard count or which thread produced which
-/// stream. Non-associative folds (floating-point accumulation) over the
-/// merged stream are therefore bitwise-identical to the unsharded fold.
-#[must_use]
-pub fn merge_by_index<T>(mut streams: Vec<Vec<(usize, T)>>) -> Vec<(usize, T)> {
-    debug_assert!(streams
-        .iter()
-        .all(|s| s.windows(2).all(|w| w[0].0 < w[1].0)));
-    let total: usize = streams.iter().map(Vec::len).sum();
-    let mut cursors: Vec<std::iter::Peekable<std::vec::IntoIter<(usize, T)>>> = streams
-        .drain(..)
-        .map(|s| s.into_iter().peekable())
-        .collect();
-    let mut out = Vec::with_capacity(total);
-    loop {
-        let mut best: Option<(usize, usize)> = None; // (index, cursor)
-        for (c, cur) in cursors.iter_mut().enumerate() {
-            if let Some(&(i, _)) = cur.peek() {
-                if best.is_none_or(|(bi, _)| i < bi) {
-                    best = Some((i, c));
-                }
-            }
-        }
-        match best {
-            Some((_, c)) => out.push(cursors[c].next().expect("peeked cursor yields")),
-            None => break,
-        }
-    }
-    out
-}
-
 /// A deterministic scoped-thread worker pool.
 ///
 /// Holds no threads while idle; each [`WorkerPool::map`] /
@@ -370,52 +316,6 @@ mod tests {
         let pool = WorkerPool::new(0);
         assert_eq!(pool.threads(), 1);
         assert_eq!(pool.map_indices(4, |i| i * 2), vec![0, 2, 4, 6]);
-    }
-
-    #[test]
-    fn merge_by_index_reproduces_serial_order() {
-        // Deal indices round-robin to 3 shards, merge back.
-        let mut streams: Vec<Vec<(usize, f64)>> = vec![Vec::new(); 3];
-        for i in 0..97_usize {
-            streams[i % 3].push((i, i as f64 * 0.5));
-        }
-        let merged = merge_by_index(streams);
-        let ids: Vec<usize> = merged.iter().map(|&(i, _)| i).collect();
-        assert_eq!(ids, (0..97).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn merge_by_index_handles_empty_and_skewed_streams() {
-        let streams: Vec<Vec<(usize, u8)>> =
-            vec![vec![], vec![(0, 1), (5, 2)], vec![], vec![(2, 3)]];
-        let merged = merge_by_index(streams);
-        assert_eq!(merged, vec![(0, 1), (2, 3), (5, 2)]);
-        assert!(merge_by_index(Vec::<Vec<(usize, u8)>>::new()).is_empty());
-    }
-
-    #[test]
-    fn sharded_float_fold_is_bitwise_serial() {
-        // The motivating property: folding the merged stream reproduces
-        // the serial accumulation order, so the sum is bitwise equal.
-        let vals: Vec<f64> = (0..64).map(|i| 1.0 / (i as f64 + 0.3)).collect();
-        let serial: f64 = vals.iter().sum();
-        for shards in [1, 2, 4, 8] {
-            let mut streams: Vec<Vec<(usize, f64)>> = vec![Vec::new(); shards];
-            for (i, &v) in vals.iter().enumerate() {
-                streams[i % shards].push((i, v));
-            }
-            let merged: f64 = merge_by_index(streams).into_iter().map(|(_, v)| v).sum();
-            assert_eq!(merged.to_bits(), serial.to_bits(), "{shards} shards");
-        }
-    }
-
-    #[test]
-    fn shards_from_env_or_defaults_and_clamps() {
-        // Read-only probe, mirroring `from_env_or_prefers_env`.
-        if std::env::var(SHARDS_ENV).is_err() {
-            assert_eq!(shards_from_env_or(4), 4);
-            assert_eq!(shards_from_env_or(0), 1);
-        }
     }
 
     #[test]

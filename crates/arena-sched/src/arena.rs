@@ -78,7 +78,7 @@ pub struct ArenaPolicy {
     /// Optional bound on each ranked candidate list (`None` = full grid).
     /// Lists are truncated to the top-`K` *after* ranking, so only the
     /// lowest-scored tail — the placements Arena would try last — is
-    /// dropped; both the lazy path and the shard prefetch apply the same
+    /// dropped; both the lazy path and the candidate prefetch apply the same
     /// cut, so the two paths stay bitwise identical.
     candidate_cap: Option<usize>,
     /// How many candidate lists the cap actually truncated (provenance;
@@ -307,7 +307,7 @@ const MOVE_PENALTY: f64 = 0.15;
 /// active while some capacity is actually down.
 const FAILED_POOL_PENALTY: f64 = 0.25;
 
-/// Minimum number of missing candidate classes before the shard
+/// Minimum number of missing candidate classes before the candidate
 /// prefetch fans estimation out to the worker pool; smaller batches are
 /// estimated inline, below the cost of spawning the workers.
 const PREFETCH_SPAWN_CUTOFF: usize = 8;
@@ -330,7 +330,7 @@ fn score_key(s: f64) -> f64 {
 }
 
 /// Estimates and ranks one precomputed candidate grid — the shared core
-/// of the lazy lookup and the sharded prefetch. A pure function of the
+/// of the lazy lookup and the candidate prefetch. A pure function of the
 /// grid, the job's class, the pool state, and the estimation service, so
 /// both callers compute bitwise the same list. `workers` fans the
 /// estimation grid out; the result vector keeps grid order, so ranking
@@ -850,7 +850,7 @@ impl Policy for ArenaPolicy {
         actions
     }
 
-    /// Per-shard candidate prefetch: warms the memo with every queued job
+    /// Candidate prefetch: warms the memo with every queued job
     /// class missing from it, computing the lists concurrently across
     /// classes on the worker pool. A candidate list is a pure function of
     /// (job class, pool state, service), so the subsequent scheduling
@@ -884,7 +884,7 @@ impl Policy for ArenaPolicy {
         {
             let memo = self.memo.borrow();
             for sq in shards {
-                for &job in &sq.queued {
+                for job in sq.queued {
                     let key = JobClassKey::of(&job.spec);
                     if memo.contains(&key) || !seen.insert(key) {
                         continue;

@@ -54,10 +54,9 @@ impl JobView {
         self.spec.id
     }
 
-    /// The scheduler shard that owns this job: its home partition under
-    /// the canonical per-pool partition map, i.e. the requested pool.
-    /// Decision provenance stamps this id — a semantic identifier that
-    /// is byte-identical at every executor shard count.
+    /// The job's home shard: its requested pool. Decision provenance
+    /// stamps this id (`shard=`), so a decision names the pool the job
+    /// asked for.
     #[must_use]
     pub fn home_shard(&self) -> u32 {
         self.spec.requested_pool as u32
@@ -160,17 +159,19 @@ pub enum Action {
     },
 }
 
-/// One executor shard's slice of the queue, as handed to
-/// [`Policy::prepare_shards`] by the simulation engine before a
-/// scheduling pass.
+/// The queue as handed to [`Policy::prepare_shards`] by the simulation
+/// engine before a scheduling pass: always one entry, shard 0, holding
+/// the whole queue. The type and its `shard` field outlive the removed
+/// executor shards only because the end-to-end benchmark (`e2ebench/`)
+/// implements `prepare_shards` against them; both go with the next
+/// change to that benchmark.
 #[derive(Debug)]
 pub struct ShardQueue<'a> {
-    /// Executor shard index.
+    /// Always 0.
     pub shard: usize,
-    /// Queued jobs owned by this shard, in arrival order. References
-    /// into the engine's merged queue vector, so handing the queue out
-    /// shard-by-shard costs no view clones.
-    pub queued: Vec<&'a JobView>,
+    /// Every queued job, in arrival order, borrowed from the policy's
+    /// queued view.
+    pub queued: &'a [JobView],
 }
 
 /// A cluster scheduling policy.
@@ -188,9 +189,10 @@ pub trait Policy: Send {
     /// Produces scheduling actions for an event.
     fn schedule(&mut self, event: SchedEvent, view: &SchedView<'_>) -> Vec<Action>;
 
-    /// Per-shard pre-pass hook of the simulation engine, called once
-    /// before every [`Policy::schedule`] with the queue split by executor
-    /// shard (a one-shard run passes the whole queue as shard 0).
+    /// Pre-pass hook of the simulation engine, called once before every
+    /// [`Policy::schedule`] with the whole queue as the single shard 0
+    /// (the slice signature is kept for the benchmark; see
+    /// [`ShardQueue`]).
     ///
     /// Implementations may warm caches concurrently (candidate
     /// prefetching), but MUST NOT change any observable scheduling

@@ -51,7 +51,7 @@ struct Choice {
 /// One job's row in the joint problem.
 struct Item {
     job: u64,
-    /// Home shard (partition) stamped on this row's decisions.
+    /// Home shard (requested pool) stamped on this row's decisions.
     home: u32,
     current: Option<(GpuTypeId, usize)>,
     choices: Vec<Choice>,

@@ -32,7 +32,7 @@ use std::collections::BTreeMap;
 use std::fs::OpenOptions;
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
@@ -42,7 +42,6 @@ use std::time::{Duration, Instant};
 use arena_cluster::Cluster;
 use arena_obs::{Decision, MetricsRegistry, Obs};
 use arena_perf::CostParams;
-use arena_runtime::WorkerPool;
 use arena_sched::{policy_by_name, PlanService};
 use arena_sim::{Engine, EngineState, ShardPlan, SimConfig, SimResult};
 use serde::Value;
@@ -77,10 +76,7 @@ pub struct ServerConfig {
     pub cluster: Cluster,
     /// Simulation constants (round interval, overheads, horizon).
     pub sim: SimConfig,
-    /// Decision-loop shard count; `None` reads `ARENA_SHARDS` like the
-    /// batch path does.
-    pub shards: Option<usize>,
-    /// Worker threads for the parallel view/estimator paths.
+    /// Worker threads for the policy's parallel candidate estimation.
     pub worker_threads: usize,
     /// Plan-service RNG seed.
     pub seed: u64,
@@ -92,7 +88,8 @@ pub struct ServerConfig {
     /// Write the decision log as JSONL here at shutdown.
     pub decision_log: Option<PathBuf>,
     /// Replay this event log before accepting new commands (recovery
-    /// after a restart). A missing file is treated as empty.
+    /// after a restart). A missing file is treated as empty; any other
+    /// read error fails [`Server::start`].
     pub resume: Option<PathBuf>,
     /// Publish a snapshot every this many bursts while draining.
     pub publish_every: usize,
@@ -113,7 +110,6 @@ impl ServerConfig {
             policy: policy.to_string(),
             cluster,
             sim,
-            shards: None,
             worker_threads: 1,
             seed: 17,
             clock: ClockMode::Virtual,
@@ -124,13 +120,6 @@ impl ServerConfig {
             flight_capacity: 256,
             flight_log: None,
         }
-    }
-
-    /// Pins the decision-loop shard count (ignores `ARENA_SHARDS`).
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = Some(shards);
-        self
     }
 }
 
@@ -381,12 +370,14 @@ pub struct Server {
 }
 
 impl Server {
-    /// Validates the config and spawns the daemon thread.
+    /// Validates the config, reads the resume log, opens the event log
+    /// and spawns the daemon thread.
     ///
     /// # Errors
     ///
-    /// Returns a message when the policy name is unknown or
-    /// `publish_every` is zero.
+    /// Returns a message when the policy name is unknown,
+    /// `publish_every` is zero, the resume log exists but cannot be read
+    /// or the event log cannot be opened.
     pub fn start(cfg: ServerConfig) -> Result<Server, String> {
         if policy_by_name(&cfg.policy, cfg.worker_threads).is_none() {
             return Err(format!(
@@ -398,11 +389,15 @@ impl Server {
         if cfg.publish_every == 0 {
             return Err("publish_every must be at least 1".to_string());
         }
+        let resume = match &cfg.resume {
+            Some(path) => read_resume(path)?,
+            None => Vec::new(),
+        };
+        let log = EventLog::open(cfg.event_log.as_ref())?;
         let (tx, rx) = mpsc::channel();
         let hub = Arc::new(SnapshotHub::new(ServerSnapshot {
             seq: 0,
             policy: cfg.policy.clone(),
-            shards: 0,
             state: empty_state(),
             counters: BTreeMap::new(),
             decisions: Vec::new(),
@@ -418,7 +413,7 @@ impl Server {
         let (ready_tx, ready) = mpsc::channel();
         let daemon = std::thread::Builder::new()
             .name("arena-daemon".to_string())
-            .spawn(move || daemon_main(cfg, rx, &hub, &shutdown, metrics, &ready_tx))
+            .spawn(move || daemon_main(cfg, &resume, log, rx, &hub, &shutdown, metrics, &ready_tx))
             .map_err(|e| format!("failed to spawn daemon thread: {e}"))?;
         // Block until the daemon's first publication (which happens after
         // any resume-log replay) so a caller never observes the seq-0
@@ -457,6 +452,15 @@ impl Server {
             .expect("daemon already joined")
             .join()
             .expect("daemon thread panicked")
+    }
+}
+
+/// The resume log's bytes; a missing file is an empty log.
+fn read_resume(path: &Path) -> Result<Vec<u8>, String> {
+    match std::fs::read(path) {
+        Ok(bytes) => Ok(bytes),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
+        Err(e) => Err(format!("cannot read resume log {}: {e}", path.display())),
     }
 }
 
@@ -539,8 +543,11 @@ impl EventLog {
     }
 }
 
+#[allow(clippy::too_many_arguments)]
 fn daemon_main(
     cfg: ServerConfig,
+    resume: &[u8],
+    mut log: EventLog,
     rx: Receiver<Request>,
     hub: &SnapshotHub,
     shutdown: &Shutdown,
@@ -551,67 +558,42 @@ fn daemon_main(
         policy_by_name(&cfg.policy, cfg.worker_threads).expect("policy validated in Server::start");
     let service = PlanService::new(&cfg.cluster, CostParams::default(), cfg.seed);
     let obs = Obs::enabled().with_metrics(Arc::clone(&metrics));
-    let plan = match cfg.shards {
-        Some(n) => ShardPlan::per_pool(&cfg.cluster)
-            .with_shards(n)
-            .with_workers(WorkerPool::new(cfg.worker_threads)),
-        None => ShardPlan::from_env(&cfg.cluster),
-    };
-    let shards = plan.shards();
     let mut engine = Engine::new(
         &cfg.cluster,
         policy.as_mut(),
         &service,
         &cfg.sim,
         &obs,
-        &plan,
+        &ShardPlan,
     );
 
     let mut mirror = DecisionMirror::new();
-    let mut log = EventLog::open(cfg.event_log.as_ref()).unwrap_or_else(|e| {
-        // Reported through the first snapshot's state being empty is
-        // useless; fail loudly instead — a daemon that silently drops
-        // its replay log is worse than one that refuses to start.
-        panic!("{e}");
-    });
     let mut seq: u64 = 0;
 
-    // Recovery: replay the prior run's accepted command stream.
-    if let Some(path) = &cfg.resume {
-        if let Ok(text) = std::fs::read_to_string(path) {
-            for line in text.lines() {
-                let trimmed = line.trim();
-                if trimmed.is_empty() {
-                    continue;
-                }
-                // Tolerate a truncated trailing line or stray garbage:
-                // skip anything unparseable and keep replaying.
-                let Ok(cmd) = parse_command(trimmed) else {
-                    continue;
-                };
-                if !cmd.is_mutating() {
-                    continue;
-                }
-                if apply(
-                    &mut engine,
-                    &cfg,
-                    &cmd,
-                    hub,
-                    &mut mirror,
-                    &obs,
-                    &mut seq,
-                    shards,
-                )
-                .is_ok()
-                {
-                    log.record_replayed(trimmed);
-                }
-            }
+    // Recovery: replay the prior run's accepted command stream. A torn
+    // write can leave a truncated or non-UTF-8 line; skip anything
+    // unparseable and keep replaying.
+    for line in resume.split(|&b| b == b'\n') {
+        let Ok(line) = std::str::from_utf8(line) else {
+            continue;
+        };
+        let trimmed = line.trim();
+        if trimmed.is_empty() {
+            continue;
+        }
+        let Ok(cmd) = parse_command(trimmed) else {
+            continue;
+        };
+        if !cmd.is_mutating() {
+            continue;
+        }
+        if apply(&mut engine, &cfg, &cmd, hub, &mut mirror, &obs, &mut seq).is_ok() {
+            log.record_replayed(trimmed);
         }
     }
 
     seq += 1;
-    publish(hub, &engine, &obs, &mut mirror, seq, &cfg.policy, shards);
+    publish(hub, &engine, &obs, &mut mirror, seq, &cfg.policy);
     let _ = ready.send(());
 
     let origin = Instant::now();
@@ -621,21 +603,12 @@ fn daemon_main(
                 if let ClockMode::Wall { speedup } = cfg.clock {
                     engine.advance_before(origin.elapsed().as_secs_f64() * speedup);
                 }
-                match apply(
-                    &mut engine,
-                    &cfg,
-                    &cmd,
-                    hub,
-                    &mut mirror,
-                    &obs,
-                    &mut seq,
-                    shards,
-                ) {
+                match apply(&mut engine, &cfg, &cmd, hub, &mut mirror, &obs, &mut seq) {
                     Ok(extra) => {
                         let faulted = matches!(cmd, Command::Fault(_));
                         log.append(&line);
                         seq += 1;
-                        publish(hub, &engine, &obs, &mut mirror, seq, &cfg.policy, shards);
+                        publish(hub, &engine, &obs, &mut mirror, seq, &cfg.policy);
                         if faulted {
                             // Fault injection is exactly when an operator
                             // wants the recent decision tail preserved.
@@ -659,7 +632,7 @@ fn daemon_main(
                 if let ClockMode::Wall { speedup } = cfg.clock {
                     engine.advance_before(origin.elapsed().as_secs_f64() * speedup);
                     seq += 1;
-                    publish(hub, &engine, &obs, &mut mirror, seq, &cfg.policy, shards);
+                    publish(hub, &engine, &obs, &mut mirror, seq, &cfg.policy);
                 }
             }
             Err(RecvTimeoutError::Disconnected) => break,
@@ -669,7 +642,7 @@ fn daemon_main(
 
     // Final snapshot so late readers observe the terminal state.
     seq += 1;
-    publish(hub, &engine, &obs, &mut mirror, seq, &cfg.policy, shards);
+    publish(hub, &engine, &obs, &mut mirror, seq, &cfg.policy);
 
     let state = engine.state();
     let drained = engine.drained();
@@ -703,7 +676,6 @@ fn dump_flight(path: Option<&PathBuf>, metrics: &MetricsRegistry) {
 
 /// Applies one mutating command. On `Err` the engine is untouched
 /// (validation happens before any state change).
-#[allow(clippy::too_many_arguments)]
 fn apply(
     engine: &mut Engine<'_>,
     cfg: &ServerConfig,
@@ -712,7 +684,6 @@ fn apply(
     mirror: &mut DecisionMirror,
     obs: &Obs,
     seq: &mut u64,
-    shards: usize,
 ) -> Result<Vec<(String, Value)>, String> {
     match cmd {
         Command::Submit(spec) => {
@@ -776,7 +747,7 @@ fn apply(
                     progressed = true;
                 }
                 *seq += 1;
-                publish(hub, engine, obs, mirror, *seq, &cfg.policy, shards);
+                publish(hub, engine, obs, mirror, *seq, &cfg.policy);
                 if !progressed || engine.drained() {
                     break;
                 }
@@ -799,14 +770,12 @@ fn publish(
     mirror: &mut DecisionMirror,
     seq: u64,
     policy: &str,
-    shards: usize,
 ) {
     let started = Instant::now();
     mirror.refresh(obs);
     hub.publish(ServerSnapshot {
         seq,
         policy: policy.to_string(),
-        shards,
         state: engine.state(),
         counters: obs.counters_snapshot(),
         decisions: mirror.chunks.clone(),

@@ -14,7 +14,7 @@
 //!
 //! The daemon also carries an always-on **telemetry plane**
 //! (DESIGN.md §14): a lock-free [`arena_obs::MetricsRegistry`] records
-//! per-stage decision-loop latencies, per-shard gauges and a
+//! per-stage decision-loop latencies, event-loop gauges and a
 //! flight-recorder ring of the last N decisions. `query metrics`
 //! renders a deterministic Prometheus-style scrape, `watch` streams any
 //! query on an interval, `dump` returns the flight recorder's contents,
@@ -24,7 +24,7 @@
 //! a trace to the daemon one command at a time, in any interleaving
 //! with queries, then draining, produces byte-identical output
 //! (records, timelines, decision JSONL, metrics) to handing the whole
-//! trace to a batch run on the same shard plan. `tests/server_e2e.rs`
+//! trace to a batch run. `tests/server_e2e.rs`
 //! pins this for every policy, with and without fault injection, and
 //! the restart suite pins that replaying the daemon's event log
 //! reproduces the same bytes after a mid-trace shutdown.

@@ -30,8 +30,6 @@ pub struct ServerSnapshot {
     pub seq: u64,
     /// Active policy name.
     pub policy: String,
-    /// Decision-loop shard count.
-    pub shards: usize,
     /// Engine state between two bursts.
     pub state: EngineState,
     /// Counter values at publication time.
@@ -124,7 +122,6 @@ pub fn answer_query(q: &Query, snap: &ServerSnapshot) -> String {
         Query::Status => ok_line(vec![
             ("seq".to_string(), Value::U64(snap.seq)),
             ("policy".to_string(), Value::Str(snap.policy.clone())),
-            ("shards".to_string(), Value::U64(snap.shards as u64)),
             ("now_s".to_string(), Value::F64(snap.state.now_s)),
             (
                 "submitted".to_string(),
@@ -217,7 +214,6 @@ mod tests {
         ServerSnapshot {
             seq,
             policy: "fcfs".to_string(),
-            shards: 1,
             state: empty_state(),
             counters: BTreeMap::new(),
             decisions: Vec::new(),

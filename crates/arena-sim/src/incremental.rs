@@ -1,9 +1,9 @@
 //! The simulation engine: the one event loop behind every batch run,
 //! streaming run and the resident daemon.
 //!
-//! [`Engine`] owns the whole simulation state — job table, per-shard
-//! event heaps and membership indexes, cluster books, fault log,
-//! timelines — and exposes the event loop one *burst* at a time. Inputs
+//! [`Engine`] owns the whole simulation state — job table, event heap
+//! and membership indexes, cluster books, fault log, timelines — and
+//! exposes the event loop one *burst* at a time. Inputs
 //! (job submissions, fault events) arrive through [`Engine::submit`] /
 //! [`Engine::inject_fault`] at any point; [`Engine::advance_before`]
 //! processes every burst strictly earlier than a given instant so a
@@ -43,10 +43,9 @@ use arena_cluster::{Allocation, Cluster, GpuTypeId};
 use arena_estimator::Interner;
 use arena_model::zoo::ModelFamily;
 use arena_obs::{
-    labeled, Counter, Decision, Gauge, Histogram, JobEventKind, MetricsRegistry, Obs, Span,
-    StopCause, TraceReport,
+    Counter, Decision, Gauge, Histogram, JobEventKind, MetricsRegistry, Obs, Span, StopCause,
+    TraceReport,
 };
-use arena_runtime::merge_by_index;
 use arena_sched::PlanService;
 use arena_sched::{
     Action, JobView, PlacementView, PlanMode, Policy, SchedEvent, SchedView, ShardQueue,
@@ -55,7 +54,6 @@ use arena_trace::{FaultEvent, FaultKind, JobSpec};
 
 use crate::heap::EventHeap;
 use crate::metrics::{aggregate, DecisionStats, FaultLog, FoldedRecords, JobRecord, Metrics};
-use crate::shard::ShardPlan;
 use crate::store::JobStore;
 use crate::stream::StreamSummary;
 use serde::Serialize;
@@ -113,13 +111,6 @@ pub struct SimResult {
     pub trace: TraceReport,
 }
 
-/// Below this many live jobs, per-shard view fragments are built inline:
-/// a view build is an `Arc` bump plus a few scalar copies, so spawning
-/// scoped workers (~tens of µs) only pays off for very deep queues. Both
-/// paths produce identical fragments, so the cutoff is invisible in
-/// output.
-const PARALLEL_VIEW_CUTOFF: usize = 4096;
-
 /// Why the engine refused an input. Rejection happens *before* the input
 /// touches any engine state, so a caller can drop the bad input and keep
 /// going — the server's reject-and-continue contract.
@@ -171,6 +162,17 @@ pub enum InputError {
     },
     /// The job requests a pool the cluster does not have.
     NoSuchPool(usize),
+    /// The job requests no GPUs, or more than its pool has.
+    UnsatisfiableGpus {
+        /// GPUs requested.
+        requested: usize,
+        /// The requested pool's GPU count, failed nodes included.
+        pool_gpus: usize,
+    },
+    /// The job has no iterations to run.
+    ZeroIterations,
+    /// The job's global batch is empty.
+    ZeroBatch,
 }
 
 impl std::fmt::Display for InputError {
@@ -196,6 +198,15 @@ impl std::fmt::Display for InputError {
                 write!(f, "{family}-{params_b}B is not a Table-2 configuration")
             }
             InputError::NoSuchPool(pool) => write!(f, "no pool {pool}"),
+            InputError::UnsatisfiableGpus {
+                requested,
+                pool_gpus,
+            } => write!(
+                f,
+                "{requested} GPUs requested from a pool of {pool_gpus} GPUs"
+            ),
+            InputError::ZeroIterations => write!(f, "job has zero iterations"),
+            InputError::ZeroBatch => write!(f, "job has a zero global batch"),
         }
     }
 }
@@ -336,10 +347,6 @@ pub(crate) struct SJob {
     pub(crate) last_update_s: f64,
     pub(crate) remaining: f64,
     pub(crate) alloc: Option<Allocation>,
-    /// Home executor shard, fixed at arrival. Carried on the job rather
-    /// than in a side table so that reclaiming a terminal job's slot
-    /// frees *all* of its per-job state.
-    pub(crate) home: usize,
     pub(crate) pool: usize,
     pub(crate) gpus: usize,
     pub(crate) opportunistic: bool,
@@ -395,11 +402,11 @@ impl SJob {
     }
 }
 
-/// One executor shard's membership indexes over the job table plus its
+/// The engine's membership indexes over the job table plus its
 /// pending-event heap.
 ///
-/// Invariants: `queued` holds exactly the shard's `Queued` job indices
-/// and `active` exactly its `Starting`/`Running` ones — both iterate in
+/// Invariants: `queued` holds exactly the `Queued` job indices and
+/// `active` exactly the `Starting`/`Running` ones — both iterate in
 /// ascending index order, which is submission order, the same order the
 /// reference loop's full-table scans visit jobs in. Every active job has
 /// exactly one *fresh* heap entry (generation matches) carrying its next
@@ -444,19 +451,16 @@ pub(crate) const EPS: f64 = 1e-6;
 /// Pre-registered live-telemetry handles for the decision loop
 /// (DESIGN.md §14). Present only when the engine's [`Obs`] carries a
 /// [`MetricsRegistry`]; every update is a handful of relaxed atomic
-/// ops, so the plane stays on even inside the sharded hot path.
+/// ops, so the plane stays on even inside the hot path.
 struct EngineTelemetry {
     /// Wall-clock of one full burst (advance + events + dispatch).
     burst: Histogram,
-    /// Per-shard event-heap depth after each burst.
-    heap_depth: Vec<Gauge>,
-    /// Per-shard queued-job count after each burst.
-    queue_len: Vec<Gauge>,
-    /// Per-shard active (Starting/Running) job count after each burst.
-    active_len: Vec<Gauge>,
-    /// Per-shard candidate view-build latency (the parallel fan-out
-    /// stage; shards observe from worker threads).
-    candidate_gen: Vec<Histogram>,
+    /// Event-heap depth after each burst.
+    heap_depth: Gauge,
+    /// Queued-job count after each burst.
+    queue_len: Gauge,
+    /// Active (Starting/Running) job count after each burst.
+    active_len: Gauge,
     /// Estimator cache hit ratios, refreshed after every dispatch.
     est_hit_ratio: Gauge,
     est_profile_ratio: Gauge,
@@ -465,14 +469,17 @@ struct EngineTelemetry {
     est_seconds: Gauge,
     /// Per-stage decision-loop latency, same names the span plane uses
     /// so exposition and trace reports agree. Held as resolved handles:
-    /// the per-event path must never pay a name-routed lookup.
+    /// the per-event path must never pay a name-routed lookup. The view
+    /// build keeps its `sim.shard.merge` name and the prepare pass its
+    /// `sim.shard.prepare` name because the end-to-end benchmark
+    /// (`e2ebench/`) reads them.
     stage_merge: Histogram,
     stage_prepare: Histogram,
     stage_schedule: Histogram,
     stage_commit: Histogram,
     /// Actions emitted per scheduling pass.
     actions_per_pass: Histogram,
-    /// Merged queue / running lengths at each dispatch.
+    /// Queue / running lengths at each dispatch.
     queue_depth: Gauge,
     running_jobs: Gauge,
     /// One counter per static event label (see [`event_counter_name`]).
@@ -484,22 +491,12 @@ struct EngineTelemetry {
 }
 
 impl EngineTelemetry {
-    fn new(reg: &MetricsRegistry, shards: usize) -> Self {
-        let shard_label = |base: &str, s: usize| labeled(base, &[("shard", &s.to_string())]);
+    fn new(reg: &MetricsRegistry) -> Self {
         EngineTelemetry {
             burst: reg.histogram("sim.stage.burst_seconds"),
-            heap_depth: (0..shards)
-                .map(|s| reg.gauge(&shard_label("sim.shard.heap_depth", s)))
-                .collect(),
-            queue_len: (0..shards)
-                .map(|s| reg.gauge(&shard_label("sim.shard.queue_len", s)))
-                .collect(),
-            active_len: (0..shards)
-                .map(|s| reg.gauge(&shard_label("sim.shard.active_len", s)))
-                .collect(),
-            candidate_gen: (0..shards)
-                .map(|s| reg.histogram(&shard_label("sim.stage.candidate_gen_seconds", s)))
-                .collect(),
+            heap_depth: reg.gauge("sim.heap_depth"),
+            queue_len: reg.gauge("sim.queue_len"),
+            active_len: reg.gauge("sim.active_len"),
             est_hit_ratio: reg.gauge("sim.estimator.estimate_hit_ratio"),
             est_profile_ratio: reg.gauge("sim.estimator.profile_hit_ratio"),
             est_table_ratio: reg.gauge("sim.estimator.table_hit_ratio"),
@@ -584,23 +581,36 @@ impl Drop for StageGuard<'_> {
     }
 }
 
+/// The argument [`Engine::new`] still takes in place of the removed
+/// executor-shard plan. It carries nothing and changes nothing; it
+/// remains only because the end-to-end benchmark (`e2ebench/`) builds
+/// engines with `ShardPlan::per_pool`, and goes with the next change to
+/// that benchmark.
+#[derive(Debug)]
+pub struct ShardPlan;
+
+impl ShardPlan {
+    /// The (only) plan: one event loop over the whole cluster.
+    #[must_use]
+    pub fn per_pool(_cluster: &Cluster) -> Self {
+        ShardPlan
+    }
+}
+
 /// The simulation engine. See the module docs for the API shape and the
 /// equivalence contract.
 pub struct Engine<'a> {
     cluster: Cluster,
     cfg: SimConfig,
-    plan: ShardPlan,
     obs: Obs,
     policy: &'a mut dyn Policy,
     service: &'a PlanService,
     sjobs: JobStore,
     id_of: HashMap<u64, usize>,
     seen_ids: HashSet<u64>,
-    // One event heap + membership index per executor shard; a job lives
-    // in the index of its home shard for its whole lifetime.
-    indexes: Vec<EventIndex>,
-    // Scratch for the burst walks: one membership set's indices across
-    // all shards, in ascending global order (see `merge_into`).
+    index: EventIndex,
+    // Scratch for the burst walks that edit the active set they walk:
+    // a copy of it in ascending index order.
     order: Vec<usize>,
     interner: Interner,
     acquired: HashSet<(u32, usize, usize, usize)>,
@@ -634,6 +644,7 @@ pub struct Engine<'a> {
 
 impl<'a> Engine<'a> {
     /// A fresh engine over a cluster, ready to accept inputs at `t = 0`.
+    /// `_plan` is unused (see [`ShardPlan`]).
     #[must_use]
     pub fn new(
         cluster: &Cluster,
@@ -641,7 +652,7 @@ impl<'a> Engine<'a> {
         service: &'a PlanService,
         cfg: &SimConfig,
         obs: &Obs,
-        plan: &ShardPlan,
+        _plan: &ShardPlan,
     ) -> Self {
         if obs.is_enabled() {
             let nodes: Vec<(usize, usize, usize)> = cluster
@@ -656,14 +667,13 @@ impl<'a> Engine<'a> {
         Engine {
             cluster: cluster.clone(),
             cfg: cfg.clone(),
-            plan: plan.clone(),
             obs: obs.clone(),
             policy,
             service,
             sjobs: JobStore::new(),
             id_of: HashMap::new(),
             seen_ids: HashSet::new(),
-            indexes: (0..plan.shards()).map(|_| EventIndex::default()).collect(),
+            index: EventIndex::default(),
             order: Vec::new(),
             interner: Interner::new(),
             acquired: HashSet::new(),
@@ -680,9 +690,7 @@ impl<'a> Engine<'a> {
             input_open: true,
             stopped: false,
             cluster_gpu_capacity: cluster.total_gpus(),
-            tele: obs
-                .metrics()
-                .map(|reg| EngineTelemetry::new(reg, plan.shards())),
+            tele: obs.metrics().map(|reg| EngineTelemetry::new(reg)),
             fold_records: false,
             folded: FoldedRecords::default(),
             reclaim_pending: Vec::new(),
@@ -757,8 +765,10 @@ impl<'a> Engine<'a> {
     ///
     /// Rejects closed input, non-finite/unsorted/past timestamps,
     /// duplicate job ids, model sizes outside the family's Table-2 list
-    /// (the only sizes the model builders accept) and pools the cluster
-    /// does not have.
+    /// (the only sizes the model builders accept), pools the cluster
+    /// does not have, GPU requests of zero or above the pool's GPU count
+    /// (failed nodes included, so a repair can always satisfy the job),
+    /// zero iterations and a zero global batch.
     pub fn check_submit(&self, spec: &JobSpec) -> Result<(), InputError> {
         if !self.input_open {
             return Err(InputError::InputClosed);
@@ -790,6 +800,20 @@ impl<'a> Engine<'a> {
         }
         if spec.requested_pool >= self.cluster.num_pools() {
             return Err(InputError::NoSuchPool(spec.requested_pool));
+        }
+        let pool = GpuTypeId(spec.requested_pool);
+        let pool_gpus = self.cluster.num_nodes(pool) * self.cluster.spec(pool).gpus_per_node;
+        if spec.requested_gpus == 0 || spec.requested_gpus > pool_gpus {
+            return Err(InputError::UnsatisfiableGpus {
+                requested: spec.requested_gpus,
+                pool_gpus,
+            });
+        }
+        if spec.iterations == 0 {
+            return Err(InputError::ZeroIterations);
+        }
+        if model.global_batch == 0 {
+            return Err(InputError::ZeroBatch);
         }
         Ok(())
     }
@@ -884,8 +908,7 @@ impl<'a> Engine<'a> {
             }
             j.state = JState::Dropped;
             self.obs.job_event(t, id, JobEventKind::Drop);
-            let home = self.sjobs[idx].home;
-            self.indexes[home].retire(&mut self.sjobs[idx], idx);
+            self.index.retire(j, idx);
             if self.fold_records {
                 self.reclaim_pending.push(idx);
             }
@@ -1040,20 +1063,20 @@ impl<'a> Engine<'a> {
             !self.fold_records,
             "record-fold runs finish via finish_stream"
         );
-        // Conformance: terminal jobs hold no GPUs, and each home shard's
-        // membership indexes agree with the job table.
+        // Conformance: terminal jobs hold no GPUs, and the membership
+        // indexes agree with the job table.
         for (i, j) in self.sjobs.iter() {
             if matches!(j.state, JState::Finished | JState::Dropped) {
                 assert!(j.alloc.is_none(), "terminal job {} holds GPUs", j.spec.id);
             }
             debug_assert_eq!(
-                self.indexes[j.home].queued.contains(&i),
+                self.index.queued.contains(&i),
                 j.state == JState::Queued,
                 "queued index out of sync for job {}",
                 j.spec.id
             );
             debug_assert_eq!(
-                self.indexes[j.home].active.contains(&i),
+                self.index.active.contains(&i),
                 j.active(),
                 "active index out of sync for job {}",
                 j.spec.id
@@ -1192,34 +1215,26 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Heap maintenance plus the next-event computation. The per-shard
-    /// heaps partition one global heap, and `f64::min` ignores NaN
-    /// consistently, so the fold over per-shard fresh minima is bitwise
-    /// the global fresh minimum — the value the reference loop's scan
-    /// folds to. Maintenance (lazy-deletion compaction) is purely a
-    /// memory cap: stale entries below the top cannot affect
-    /// `next_fresh`.
+    /// Heap maintenance plus the next-event computation. The heap's
+    /// fresh minimum is the value the reference loop's scan folds to.
+    /// Maintenance (lazy-deletion compaction) is purely a memory cap:
+    /// stale entries below the top cannot affect `next_fresh`.
     fn peek_te(&mut self) -> f64 {
         let sjobs = &self.sjobs;
-        for index in &mut self.indexes {
-            if index.heap.len() > 1024 && index.heap.len() > 8 * (index.active.len() + 1) {
-                let EventIndex { heap, .. } = index;
-                heap.compact(|job, generation| sjobs.is_fresh(job, generation));
-            }
+        let index = &mut self.index;
+        if index.heap.len() > 1024 && index.heap.len() > 8 * (index.active.len() + 1) {
+            index
+                .heap
+                .compact(|job, generation| sjobs.is_fresh(job, generation));
         }
         let next_arrival = self.pending_jobs.front().map(|j| j.submit_s);
         let next_fault = self
             .pending_faults
             .front()
             .map_or(f64::INFINITY, |f| f.time_s);
-        let next_job_event = self
-            .indexes
-            .iter_mut()
-            .map(|ix| {
-                ix.heap
-                    .next_fresh(|job, generation| sjobs.is_fresh(job, generation))
-            })
-            .fold(f64::INFINITY, f64::min);
+        let next_job_event = index
+            .heap
+            .next_fresh(|job, generation| sjobs.is_fresh(job, generation));
         [
             next_arrival.unwrap_or(f64::INFINITY),
             next_fault,
@@ -1232,7 +1247,7 @@ impl<'a> Engine<'a> {
     }
 
     /// [`Engine::burst`] wrapped in live telemetry: burst wall-clock
-    /// plus per-shard heap-depth/queue-length gauges. A no-op wrapper
+    /// plus heap-depth/queue-length gauges. A no-op wrapper
     /// when no registry is attached, so a registry-less run pays nothing.
     fn burst_timed(&mut self, te: f64) {
         let timer = self
@@ -1243,11 +1258,9 @@ impl<'a> Engine<'a> {
         if let Some((hist, started)) = timer {
             hist.observe(started.elapsed().as_secs_f64());
             if let Some(tele) = &self.tele {
-                for (s, ix) in self.indexes.iter().enumerate() {
-                    tele.heap_depth[s].set(ix.heap.len() as f64);
-                    tele.queue_len[s].set(ix.queued.len() as f64);
-                    tele.active_len[s].set(ix.active.len() as f64);
-                }
+                tele.heap_depth.set(self.index.heap.len() as f64);
+                tele.queue_len.set(self.index.queued.len() as f64);
+                tele.active_len.set(self.index.active.len() as f64);
             }
         }
     }
@@ -1256,14 +1269,9 @@ impl<'a> Engine<'a> {
     /// dispatch, sample.
     #[allow(clippy::too_many_lines)]
     fn burst(&mut self, te: f64) {
-        // The active set in ascending global (submission) order. Advancing
-        // and starting jobs moves no job between sets, so one snapshot
-        // serves every walk up to the completions. Walking the snapshot
-        // rather than a shard's own set keeps `flog.samples_processed`,
-        // cluster releases and obs events in the reference loop's job
-        // order at any shard count.
-        let mut order = std::mem::take(&mut self.order);
-        merge_into(&mut order, &self.indexes, |ix| &ix.active);
+        // Every walk visits the active set in ascending index (submission)
+        // order, the reference loop's job order for `flog`, cluster
+        // releases and obs events.
 
         // Advance running jobs to `te`. Lazy on two axes, both exact:
         // only Running members of the active set step (everything else
@@ -1274,7 +1282,7 @@ impl<'a> Engine<'a> {
         // value the reference scan would recompute next iteration.
         let dt = (te - self.t).max(0.0);
         if dt > 0.0 {
-            for &i in &order {
+            for &i in &self.index.active {
                 let j = &mut self.sjobs[i];
                 if j.state == JState::Running && j.iter_time > 0.0 {
                     j.remaining = (j.remaining - dt / j.iter_time).max(0.0);
@@ -1288,16 +1296,15 @@ impl<'a> Engine<'a> {
                     debug_assert!(j.last_update_s <= te, "job advanced backwards");
                     j.last_update_s = te;
                     j.generation += 1;
-                    let (home, generation, wake) =
-                        (j.home, j.generation, te + j.remaining * j.iter_time);
-                    self.indexes[home].heap.push(wake, generation, i);
+                    self.index
+                        .heap
+                        .push(te + j.remaining * j.iter_time, j.generation, i);
                 }
             }
         }
         self.t = te;
         let t = te;
         if t >= self.cfg.horizon_s - EPS {
-            self.order = order;
             self.stopped = true;
             return;
         }
@@ -1306,7 +1313,7 @@ impl<'a> Engine<'a> {
         // loop at the earliest deadline; the EPS window means later
         // deadlines can fire in the same burst, so the walk re-checks
         // every active job rather than popping the heap.
-        for &i in &order {
+        for &i in &self.index.active {
             let j = &mut self.sjobs[i];
             if let JState::Starting(r) = j.state {
                 if r <= t + EPS {
@@ -1326,9 +1333,9 @@ impl<'a> Engine<'a> {
                     self.obs.job_event(t, j.spec.id, JobEventKind::RunStart);
                     // Retire the start deadline, predict completion.
                     j.generation += 1;
-                    let (home, generation, wake) =
-                        (j.home, j.generation, t + j.remaining * j.iter_time);
-                    self.indexes[home].heap.push(wake, generation, i);
+                    self.index
+                        .heap
+                        .push(t + j.remaining * j.iter_time, j.generation, i);
                 }
             }
         }
@@ -1336,7 +1343,11 @@ impl<'a> Engine<'a> {
         // 2. Completions due now (free resources before anything else).
         // Finishing one job never changes whether another is due, so
         // testing each job as the walk reaches it is the same as
-        // collecting the due set first.
+        // collecting the due set first. Retiring edits the active set,
+        // so the walk runs over a copy of it.
+        let mut order = std::mem::take(&mut self.order);
+        order.clear();
+        order.extend(&self.index.active);
         let mut event: Option<SchedEvent> = None;
         for &i in &order {
             let j = &mut self.sjobs[i];
@@ -1352,8 +1363,7 @@ impl<'a> Engine<'a> {
                 }
                 self.obs.job_event(t, j.spec.id, JobEventKind::Finish);
                 event = Some(SchedEvent::Departure(j.spec.id));
-                let home = j.home;
-                self.indexes[home].retire(&mut self.sjobs[i], i);
+                self.index.retire(j, i);
                 if self.fold_records {
                     self.reclaim_pending.push(i);
                 }
@@ -1376,10 +1386,12 @@ impl<'a> Engine<'a> {
                         .expect("fault schedule names a node the cluster has");
                     self.obs.context(t, "engine", "node-failure");
                     self.obs.incr("sim.fault.failure", 1);
-                    // Victims in global order, so requeue provenance is
+                    // Victims in index order, so requeue provenance is
                     // the reference loop's; evicting one job never makes
-                    // another a victim.
-                    merge_into(&mut order, &self.indexes, |ix| &ix.active);
+                    // another a victim. Requeueing edits the active set,
+                    // so the walk runs over a copy of it.
+                    order.clear();
+                    order.extend(&self.index.active);
                     for &i in &order {
                         let j = &mut self.sjobs[i];
                         if !j
@@ -1427,8 +1439,7 @@ impl<'a> Engine<'a> {
                                 .on_shard(j.spec.requested_pool as u32)
                                 .why("node-failure-evict"),
                         );
-                        let home = j.home;
-                        self.indexes[home].requeue(&mut self.sjobs[i], i);
+                        self.index.requeue(j, i);
                     }
                     SchedEvent::NodeFailure {
                         pool,
@@ -1448,8 +1459,9 @@ impl<'a> Engine<'a> {
             };
             self.dispatch(ev);
         }
+        self.order = order;
 
-        // 3. Arrivals due now, homed onto their shard.
+        // 3. Arrivals due now.
         while self
             .pending_jobs
             .front()
@@ -1458,7 +1470,6 @@ impl<'a> Engine<'a> {
             let spec = Arc::new(self.pending_jobs.pop_front().expect("front checked"));
             let iters = spec.iterations as f64;
             let id = spec.id;
-            let home = self.plan.shard_of_pool(spec.requested_pool);
             let model_key = self.interner.intern(&spec.model.name());
             let idx = self.sjobs.push(SJob {
                 spec,
@@ -1468,7 +1479,6 @@ impl<'a> Engine<'a> {
                 last_update_s: t,
                 remaining: iters,
                 alloc: None,
-                home,
                 pool: 0,
                 gpus: 0,
                 opportunistic: false,
@@ -1487,7 +1497,7 @@ impl<'a> Engine<'a> {
                 allocated_gpu_s: 0.0,
             });
             self.id_of.entry(id).or_insert(idx);
-            self.indexes[home].queued.insert(idx);
+            self.index.queued.insert(idx);
             self.obs.job_event(t, id, JobEventKind::Submit);
             event = Some(SchedEvent::Arrival(id));
         }
@@ -1504,12 +1514,12 @@ impl<'a> Engine<'a> {
         }
 
         // 6. Sample the throughput timeline at round boundaries: both
-        // sums fold the running jobs in ascending global index, the
-        // reference loop's accumulation order.
+        // sums fold the running jobs in ascending index, the reference
+        // loop's accumulation order.
         if matches!(event, Some(SchedEvent::Round)) {
-            merge_into(&mut order, &self.indexes, |ix| &ix.active);
             let running = || {
-                order
+                self.index
+                    .active
                     .iter()
                     .map(|&i| &self.sjobs[i])
                     .filter(|j| j.state == JState::Running)
@@ -1521,16 +1531,13 @@ impl<'a> Engine<'a> {
             self.timeline.push((t, norm));
             self.raw_timeline.push((t, raw));
         }
-        self.order = order;
 
         // Termination: input closed, no arrivals left, nothing queued or
         // active.
         if !self.input_open
             && self.pending_jobs.is_empty()
-            && self
-                .indexes
-                .iter()
-                .all(|ix| ix.queued.is_empty() && ix.active.is_empty())
+            && self.index.queued.is_empty()
+            && self.index.active.is_empty()
         {
             self.stopped = true;
         }
@@ -1538,35 +1545,28 @@ impl<'a> Engine<'a> {
         // Burst end: record the live high-water mark (the streaming
         // memory-model's working-set measure) and return terminal jobs'
         // slots in record-fold mode.
-        let live: usize = self
-            .indexes
-            .iter()
-            .map(|ix| ix.queued.len() + ix.active.len())
-            .sum();
+        let live = self.index.queued.len() + self.index.active.len();
         self.peak_live_jobs = self.peak_live_jobs.max(live);
         if !self.reclaim_pending.is_empty() {
             self.process_reclaims();
         }
     }
 
-    /// Builds the policy's view, runs the policy's per-shard pre-pass and
+    /// Builds the policy's view, runs the policy's pre-pass and
     /// scheduling pass, and executes the actions.
     fn dispatch(&mut self, ev: SchedEvent) {
         let t = self.t;
         let service = self.service;
         let actions = {
             debug_assert!(
-                self.indexes
+                self.index
+                    .queued
                     .iter()
-                    .flat_map(|ix| ix.queued.iter())
                     .all(|&i| self.sjobs[i].state == JState::Queued),
                 "queued index holds a non-queued job"
             );
             debug_assert!(
-                self.indexes
-                    .iter()
-                    .flat_map(|ix| ix.active.iter())
-                    .all(|&i| self.sjobs[i].active()),
+                self.index.active.iter().all(|&i| self.sjobs[i].active()),
                 "active index holds an inactive job"
             );
             let (queued, running) = self.views();
@@ -1599,12 +1599,9 @@ impl<'a> Engine<'a> {
                 service,
                 obs: self.obs.clone(),
             };
-            // Per-shard pre-pass: policies may warm caches concurrently but
-            // must not change what `schedule` returns. Each shard's queue
-            // lends references into the queued view; view order is
-            // ascending within each shard, so every shard sees its jobs in
-            // arrival order. A job's home is its requested pool's shard
-            // (shard 0 for every job at one shard).
+            // Pre-pass: policies may warm caches concurrently but must
+            // not change what `schedule` returns. The whole queue, in
+            // arrival order, is lent as shard 0.
             {
                 let _prepare = stage(
                     self.tele.as_ref(),
@@ -1612,29 +1609,11 @@ impl<'a> Engine<'a> {
                     |tele| &tele.stage_prepare,
                     "sim.shard.prepare",
                 );
-                // One shard owns the whole queue, so it is lent as is. The
-                // general split reads every queued job's spec on every
-                // pass; at one shard that made the loaded 5k-job faulted
-                // FCFS run 1.20x slower (median of 10 interleaved pairs,
-                // 2-vCPU host), and pre-sizing the split did not help.
-                let shard_queues: Vec<ShardQueue<'_>> = if self.indexes.len() == 1 {
-                    vec![ShardQueue {
-                        shard: 0,
-                        queued: queued.iter().collect(),
-                    }]
-                } else {
-                    let mut split: Vec<Vec<&JobView>> =
-                        (0..self.indexes.len()).map(|_| Vec::new()).collect();
-                    for v in &queued {
-                        split[self.plan.shard_of_pool(v.spec.requested_pool)].push(v);
-                    }
-                    split
-                        .into_iter()
-                        .enumerate()
-                        .map(|(shard, queued)| ShardQueue { shard, queued })
-                        .collect()
-                };
-                self.policy.prepare_shards(&shard_queues, &view);
+                let whole = [ShardQueue {
+                    shard: 0,
+                    queued: &queued,
+                }];
+                self.policy.prepare_shards(&whole, &view);
             }
             let started = std::time::Instant::now();
             let actions = if self.tele.is_some() {
@@ -1694,99 +1673,21 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// The policy's queued and running views, each in ascending global
-    /// (submission) order — the merge round, timed as
-    /// `sim.shard.merge`. One shard's own index order already is that
-    /// order, so its views come straight off the index; more shards are
-    /// k-way merged, with the per-shard view builds fanned out on the
-    /// worker pool when the queue is deep.
+    /// The policy's queued and running views, each in ascending index
+    /// (submission) order, timed as `sim.shard.merge` (see
+    /// [`EngineTelemetry`] for why the name stays).
     fn views(&self) -> (Vec<JobView>, Vec<JobView>) {
-        let sjobs = &self.sjobs;
-        let merge = || {
-            stage(
-                self.tele.as_ref(),
-                &self.obs,
-                |tele| &tele.stage_merge,
-                "sim.shard.merge",
-            )
-        };
-        if let [ix] = &self.indexes[..] {
-            let _merge = merge();
-            let views = |set: &BTreeSet<usize>| set.iter().map(|&i| job_view(&sjobs[i])).collect();
-            return (views(&ix.queued), views(&ix.active));
-        }
-        let live: usize = self
-            .indexes
-            .iter()
-            .map(|ix| ix.queued.len() + ix.active.len())
-            .sum();
-        if self.plan.workers().threads() > 1 && live >= PARALLEL_VIEW_CUTOFF {
-            let mut frags: Vec<ViewFragment> = {
-                // Per-shard candidate-gen latency: each worker times its
-                // own fragment build into that shard's histogram
-                // (atomics, thread-safe).
-                let hists: Vec<Option<Histogram>> = match &self.tele {
-                    Some(tele) => tele.candidate_gen.iter().map(|h| Some(h.clone())).collect(),
-                    None => self.indexes.iter().map(|_| None).collect(),
-                };
-                self.plan.workers().run_all(
-                    self.indexes
-                        .iter()
-                        .zip(hists)
-                        .map(|(ix, hist)| {
-                            move || {
-                                let started = hist.as_ref().map(|_| std::time::Instant::now());
-                                let frag = build_fragment(ix, sjobs);
-                                if let (Some(h), Some(s)) = (hist, started) {
-                                    h.observe(s.elapsed().as_secs_f64());
-                                }
-                                frag
-                            }
-                        })
-                        .collect(),
-                )
-            };
-            let _merge = merge();
-            let queued = merge_by_index(
-                frags
-                    .iter_mut()
-                    .map(|f| {
-                        f.queued_idx
-                            .iter()
-                            .copied()
-                            .zip(f.queued.drain(..))
-                            .collect()
-                    })
-                    .collect(),
-            );
-            let running = merge_by_index(
-                frags
-                    .iter_mut()
-                    .map(|f| {
-                        f.active_idx
-                            .iter()
-                            .copied()
-                            .zip(f.active.drain(..))
-                            .collect()
-                    })
-                    .collect(),
-            );
-            let queued = queued.into_iter().map(|(_, v)| v).collect();
-            let running = running.into_iter().map(|(_, v)| v).collect();
-            return (queued, running);
-        }
-        let _merge = merge();
-        let mut order = Vec::new();
-        let mut views = |set: fn(&EventIndex) -> &BTreeSet<usize>| {
-            merge_into(&mut order, &self.indexes, set);
-            order.iter().map(|&i| job_view(&sjobs[i])).collect()
-        };
-        let queued = views(|ix| &ix.queued);
-        (queued, views(|ix| &ix.active))
+        let _build = stage(
+            self.tele.as_ref(),
+            &self.obs,
+            |tele| &tele.stage_merge,
+            "sim.shard.merge",
+        );
+        let views = |set: &BTreeSet<usize>| set.iter().map(|&i| job_view(&self.sjobs[i])).collect();
+        (views(&self.index.queued), views(&self.index.active))
     }
 
-    /// Executes scheduling actions in the policy's emission order, with
-    /// index membership routed to each job's home shard.
+    /// Executes scheduling actions in the policy's emission order.
     #[allow(clippy::too_many_lines)]
     fn execute(&mut self, actions: &[Action]) {
         let t = self.t;
@@ -1809,8 +1710,7 @@ impl<'a> Engine<'a> {
                     }
                     j.state = JState::Dropped;
                     self.obs.job_event(t, job, JobEventKind::Drop);
-                    let home = self.sjobs[idx].home;
-                    self.indexes[home].retire(&mut self.sjobs[idx], idx);
+                    self.index.retire(j, idx);
                     if self.fold_records {
                         self.reclaim_pending.push(idx);
                     }
@@ -1839,8 +1739,7 @@ impl<'a> Engine<'a> {
                                 lost_iters: 0.0,
                             },
                         );
-                        let home = self.sjobs[idx].home;
-                        self.indexes[home].requeue(&mut self.sjobs[idx], idx);
+                        self.index.requeue(j, idx);
                     }
                 }
                 Action::Place {
@@ -1916,8 +1815,7 @@ impl<'a> Engine<'a> {
                                     opportunistic,
                                 },
                             );
-                            let home = self.sjobs[idx].home;
-                            self.indexes[home].place(&mut self.sjobs[idx], idx, t + delay);
+                            self.index.place(j, idx, t + delay);
                         }
                         Err(_) => {
                             // Capacity race: job returns to the queue.
@@ -1939,36 +1837,13 @@ impl<'a> Engine<'a> {
                                     .on_shard(j.spec.requested_pool as u32)
                                     .why("capacity-race"),
                             );
-                            let home = self.sjobs[idx].home;
-                            self.indexes[home].requeue(&mut self.sjobs[idx], idx);
+                            self.index.requeue(j, idx);
                         }
                     }
                 }
             }
         }
     }
-}
-
-/// Refills `buf` with one membership set's indices over every shard, in
-/// ascending global (submission) order — the engine-side merge round.
-/// The per-shard sets hold disjoint indices, each iterated ascending, so
-/// the k-way merge is exactly the order a single global set would
-/// iterate in; with one shard it is a plain copy.
-fn merge_into(
-    buf: &mut Vec<usize>,
-    indexes: &[EventIndex],
-    set: fn(&EventIndex) -> &BTreeSet<usize>,
-) {
-    buf.clear();
-    if let [ix] = indexes {
-        buf.extend(set(ix));
-        return;
-    }
-    let streams = indexes
-        .iter()
-        .map(|ix| set(ix).iter().map(|&i| (i, ())).collect())
-        .collect();
-    buf.extend(merge_by_index(streams).into_iter().map(|(i, ())| i));
 }
 
 /// The stage timer for one decision-loop stage: a registry histogram
@@ -1982,25 +1857,6 @@ fn stage<'a>(
     match tele {
         Some(tele) => StageGuard::Direct(hist(tele).clone(), std::time::Instant::now()),
         None => StageGuard::Span(obs.span(span)),
-    }
-}
-
-/// Per-shard queued/running view fragments: global indices (ascending)
-/// alongside the matching views, kept as parallel vectors so the merge
-/// round can move the views into the merged vectors without cloning.
-struct ViewFragment {
-    queued_idx: Vec<usize>,
-    queued: Vec<JobView>,
-    active_idx: Vec<usize>,
-    active: Vec<JobView>,
-}
-
-fn build_fragment(ix: &EventIndex, sjobs: &JobStore) -> ViewFragment {
-    ViewFragment {
-        queued_idx: ix.queued.iter().copied().collect(),
-        queued: ix.queued.iter().map(|&i| job_view(&sjobs[i])).collect(),
-        active_idx: ix.active.iter().copied().collect(),
-        active: ix.active.iter().map(|&i| job_view(&sjobs[i])).collect(),
     }
 }
 

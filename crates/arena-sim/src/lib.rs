@@ -29,7 +29,6 @@ pub mod metrics;
 #[doc(hidden)]
 pub mod reference;
 mod run;
-pub mod shard;
 mod store;
 pub mod stream;
 
@@ -38,9 +37,9 @@ pub use arena_obs::{
     Timeline, TraceReport, UtilSample,
 };
 pub use incremental::{
-    Engine, EngineState, InputError, JobPhase, JobStatus, PoolSnapshot, SimConfig, SimResult,
+    Engine, EngineState, InputError, JobPhase, JobStatus, PoolSnapshot, ShardPlan, SimConfig,
+    SimResult,
 };
 pub use metrics::{record_fingerprint, DecisionStats, FaultLog, FoldedRecords, JobRecord, Metrics};
 pub use run::Run;
-pub use shard::ShardPlan;
 pub use stream::StreamSummary;

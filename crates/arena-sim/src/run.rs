@@ -2,23 +2,18 @@
 //!
 //! Every experiment, bench and test drives the simulator through
 //! [`Run`]: pick the cluster, policy, plan service and configuration,
-//! optionally add a fault schedule ([`Run::faults`]), an observability
-//! handle ([`Run::obs`]) or a shard plan ([`Run::plan`]), then run a
-//! sorted trace to completion ([`Run::batch`]) or stream one from a
-//! [`TraceSource`] in bounded memory ([`Run::stream`]). Both drive the
-//! same [`Engine`] the daemon drives one command at a time.
-//!
-//! The default plan is one executor shard with sequential workers: every
-//! output is byte-identical at any shard count, and one shard skips the
-//! merge round entirely.
+//! optionally add a fault schedule ([`Run::faults`]) or an
+//! observability handle ([`Run::obs`]), then run a sorted trace to
+//! completion ([`Run::batch`]) or stream one from a [`TraceSource`] in
+//! bounded memory ([`Run::stream`]). Both drive the same [`Engine`] the
+//! daemon drives one command at a time.
 
 use arena_cluster::Cluster;
 use arena_obs::Obs;
 use arena_sched::{PlanService, Policy};
 use arena_trace::{FaultEvent, JobSpec, TraceSource};
 
-use crate::incremental::{Engine, SimConfig, SimResult};
-use crate::shard::ShardPlan;
+use crate::incremental::{Engine, ShardPlan, SimConfig, SimResult};
 use crate::stream::{self, StreamSummary};
 
 /// A simulation run being configured; see the module docs.
@@ -50,11 +45,10 @@ pub struct Run<'a> {
     cfg: &'a SimConfig,
     faults: &'a [FaultEvent],
     obs: Obs,
-    plan: ShardPlan,
 }
 
 impl<'a> Run<'a> {
-    /// A fault-free, unobserved, one-shard run.
+    /// A fault-free, unobserved run.
     #[must_use]
     pub fn new(
         cluster: &'a Cluster,
@@ -69,7 +63,6 @@ impl<'a> Run<'a> {
             cfg,
             faults: &[],
             obs: Obs::disabled(),
-            plan: ShardPlan::per_pool(cluster).with_shards(1),
         }
     }
 
@@ -99,14 +92,6 @@ impl<'a> Run<'a> {
     #[must_use]
     pub fn obs(mut self, obs: &Obs) -> Self {
         self.obs = obs.clone();
-        self
-    }
-
-    /// Runs on `plan`'s executor shards and worker pool instead of one
-    /// sequential shard. Output is byte-identical at any plan.
-    #[must_use]
-    pub fn plan(mut self, plan: &ShardPlan) -> Self {
-        self.plan = plan.clone();
         self
     }
 
@@ -171,7 +156,7 @@ impl<'a> Run<'a> {
             self.service,
             self.cfg,
             &self.obs,
-            &self.plan,
+            &ShardPlan,
         )
     }
 }
@@ -479,6 +464,95 @@ mod tests {
                 rec.id
             );
         }
+    }
+
+    #[test]
+    fn admission_refuses_unsatisfiable_jobs() {
+        use crate::incremental::InputError;
+        let cluster = presets::physical_testbed();
+        let service = PlanService::new(&cluster, CostParams::default(), 11);
+        let cfg = SimConfig::new(1000.0);
+        let mut policy = FcfsPolicy::new();
+        let mut engine = Engine::new(
+            &cluster,
+            &mut policy,
+            &service,
+            &cfg,
+            &Obs::disabled(),
+            &ShardPlan,
+        );
+        // A failed node still counts toward its pool's 32 GPUs: a repair
+        // can bring them back.
+        engine
+            .inject_fault(pool0_outage(0.0, 500.0, 1).remove(0))
+            .expect("known node");
+        engine.advance_before(1.0);
+        let with = |edit: fn(&mut JobSpec)| {
+            let mut spec = tiny_trace().remove(0);
+            edit(&mut spec);
+            spec
+        };
+        let gpus = |requested| InputError::UnsatisfiableGpus {
+            requested,
+            pool_gpus: 32,
+        };
+        assert_eq!(
+            engine.check_submit(&with(|s| s.requested_gpus = 32)),
+            Ok(())
+        );
+        assert_eq!(
+            engine.check_submit(&with(|s| s.requested_gpus = 33)),
+            Err(gpus(33))
+        );
+        assert_eq!(
+            engine.check_submit(&with(|s| s.requested_gpus = 0)),
+            Err(gpus(0))
+        );
+        assert_eq!(
+            engine.check_submit(&with(|s| s.iterations = 0)),
+            Err(InputError::ZeroIterations)
+        );
+        assert_eq!(
+            engine.check_submit(&with(|s| s.model.global_batch = 0)),
+            Err(InputError::ZeroBatch)
+        );
+    }
+
+    #[test]
+    fn telemetry_plane_is_invisible_in_output() {
+        use arena_obs::MetricsRegistry;
+        use std::sync::Arc;
+        let cfg = SimConfig::new(48.0 * 3600.0);
+        let off = go(&mut FcfsPolicy::new(), &cfg, &[], &Obs::disabled());
+        let registry = Arc::new(MetricsRegistry::new(64));
+        let on = go(
+            &mut FcfsPolicy::new(),
+            &cfg,
+            &[],
+            &Obs::metrics_only(Arc::clone(&registry)),
+        );
+        // The live plane must not perturb a single simulated byte.
+        assert_eq!(on.metrics.avg_jct_s, off.metrics.avg_jct_s);
+        assert_eq!(on.timeline, off.timeline);
+        assert_eq!(on.raw_timeline, off.raw_timeline);
+        // ... while the registry fills with per-stage data, every stage
+        // of the decision loop included.
+        let counters = registry.counters_snapshot();
+        assert!(counters["sim.event.arrival"] >= tiny_trace().len() as u64);
+        assert!(counters.contains_key("sim.place.ok"));
+        let hists = registry.histograms_snapshot();
+        for stage in [
+            "sim.stage.burst_seconds",
+            "sim.shard.merge",
+            "sim.shard.prepare",
+            "sim.schedule",
+            "sim.commit",
+        ] {
+            assert!(hists[stage].count > 0, "{stage} empty");
+        }
+        let text = registry.expose();
+        assert!(text.contains("sim_heap_depth "));
+        assert!(text.contains("sim_estimator_estimate_hit_ratio"));
     }
 
     #[test]

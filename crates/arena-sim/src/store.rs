@@ -211,7 +211,6 @@ mod tests {
             last_update_s: 0.0,
             remaining: 10.0,
             alloc: None,
-            home: 0,
             pool: 0,
             gpus: 0,
             opportunistic: false,

@@ -23,8 +23,8 @@
 //! same trace. The summary's [`StreamSummary::fingerprint`] is an
 //! order-free hash over per-job records, comparable against
 //! [`crate::record_fingerprint`] of the batch run's record vector;
-//! `tests/streaming_identity.rs` pins the identity across policies,
-//! shard counts and fault schedules.
+//! `tests/streaming_identity.rs` pins the identity across policies
+//! and fault schedules.
 
 use arena_trace::{FaultEvent, TraceSource};
 use serde::Serialize;

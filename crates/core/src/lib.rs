@@ -56,7 +56,7 @@ pub mod report;
 
 /// The most commonly used types, re-exported flat.
 pub mod prelude {
-    pub use arena_cluster::{Cluster, GpuSpec, GpuTypeId, LinkKind, NodeSpec, PartitionMap};
+    pub use arena_cluster::{Cluster, GpuSpec, GpuTypeId, LinkKind, NodeSpec};
     pub use arena_estimator::{Cell, CellEstimator, Favor};
     pub use arena_model::zoo::{ModelConfig, ModelFamily};
     pub use arena_model::ModelGraph;
@@ -68,8 +68,8 @@ pub mod prelude {
         GavelPolicy, PlanService, Policy, QueueOrder,
     };
     pub use arena_sim::{
-        Decision, DecisionKind, MetricsRegistry, Obs, Run, ShardPlan, SimConfig, SimResult,
-        StreamSummary, TraceReport,
+        Decision, DecisionKind, MetricsRegistry, Obs, Run, SimConfig, SimResult, StreamSummary,
+        TraceReport,
     };
     pub use arena_trace::{generate, GenSource, JobSpec, TraceConfig, TraceKind, TraceSource};
 }

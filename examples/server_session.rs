@@ -32,13 +32,12 @@ fn job(id: u64, submit_s: f64, gpus: usize, pool: usize) -> JobSpec {
 
 fn main() {
     // A resident daemon scheduling the paper's physical testbed with
-    // the Arena policy, virtual clock, 2 decision shards.
+    // the Arena policy and a virtual clock.
     let cfg = ServerConfig::new(
         "arena",
         presets::physical_testbed(),
         SimConfig::new(864_000.0),
-    )
-    .with_shards(2);
+    );
     let server = Server::start(cfg).expect("server start");
     let (addr, acceptor) =
         spawn_listener(&server.handle(), "127.0.0.1:0").expect("bind ephemeral port");

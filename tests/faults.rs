@@ -297,7 +297,12 @@ fn fault_evictions_carry_decision_provenance() {
     for d in &failure_requeues {
         assert_eq!(d.policy, "engine", "fault evictions are engine-originated");
         assert_eq!(d.trigger, "node-failure");
-        assert!(jobs.iter().any(|j| j.id == d.job), "unknown job {}", d.job);
+        let spec = jobs
+            .iter()
+            .find(|j| j.id == d.job)
+            .unwrap_or_else(|| panic!("unknown job {}", d.job));
+        // Requeues carry the victim's home shard: its requested pool.
+        assert_eq!(d.shard, Some(spec.requested_pool as u32));
     }
     // The engine's fault counters line up with the schedule. (Repairs
     // are scheduled after the failures; the loop may legitimately end —
@@ -319,82 +324,4 @@ fn fault_evictions_carry_decision_provenance() {
         .iter()
         .filter(|d| d.policy == "engine")
         .all(|d| d.kind == DecisionKind::Requeue));
-}
-
-#[test]
-fn fault_provenance_identical_under_sharding() {
-    // The same mid-run outage, run through the sharded decision loop at
-    // several shard counts: node failures land mid-merge-round (victims
-    // are detected per shard, applied in merged submission order), yet
-    // every requeue decision — job, reason, trigger, shard stamp, and
-    // position in the decision stream — must match the one-shard run's.
-    let cluster = arena::cluster::presets::physical_testbed();
-    let jobs = small_trace(6);
-    let mut cfg = SimConfig::new(24.0 * 3600.0);
-    cfg.checkpoint_interval_s = f64::INFINITY;
-    let mut faults: Vec<FaultEvent> = (0..16)
-        .map(|n| FaultEvent {
-            time_s: 1500.0,
-            pool: 0,
-            node: n,
-            kind: FaultKind::Failure,
-        })
-        .collect();
-    faults.extend((0..16).map(|n| FaultEvent {
-        time_s: 6000.0,
-        pool: 0,
-        node: n,
-        kind: FaultKind::Repair,
-    }));
-    let serial = {
-        let service = PlanService::new(&cluster, CostParams::default(), 2);
-        let obs = Obs::enabled();
-        Run::new(&cluster, &mut GavelPolicy::new(), &service, &cfg)
-            .faults(&faults)
-            .obs(&obs)
-            .batch(&jobs)
-    };
-    assert!(
-        serial.metrics.failure_evictions > 0,
-        "fixture lost its bite"
-    );
-    for shards in [1_usize, 2, 4, 8] {
-        let service = PlanService::new(&cluster, CostParams::default(), 2);
-        let obs = Obs::enabled();
-        let plan = ShardPlan::per_pool(&cluster)
-            .with_shards(shards)
-            .with_workers(WorkerPool::new(2));
-        let sharded = Run::new(&cluster, &mut GavelPolicy::new(), &service, &cfg)
-            .faults(&faults)
-            .obs(&obs)
-            .plan(&plan)
-            .batch(&jobs);
-        // The whole decision stream — not just the requeues — agrees
-        // line-for-line, so ordering around the fault is preserved too.
-        assert_eq!(
-            sharded.trace.decisions_jsonl(),
-            serial.trace.decisions_jsonl(),
-            "decision stream diverged at {shards} shards"
-        );
-        assert_eq!(
-            sharded.metrics.failure_evictions,
-            serial.metrics.failure_evictions
-        );
-        assert_eq!(sharded.trace.counters.get("sim.fault.failure"), Some(&16));
-        // Failure requeues keep their engine provenance and carry the
-        // victim's home-partition stamp.
-        let requeues: Vec<&Decision> = sharded
-            .trace
-            .decisions
-            .iter()
-            .filter(|d| d.kind == DecisionKind::Requeue && d.reason == "node-failure-evict")
-            .collect();
-        assert_eq!(requeues.len(), sharded.metrics.failure_evictions);
-        for d in &requeues {
-            assert_eq!(d.policy, "engine");
-            assert_eq!(d.trigger, "node-failure");
-            let spec = jobs.iter().find(|j| j.id == d.job).expect("known job");
-            assert_eq!(d.shard, Some(spec.requested_pool as u32));
-        }
-    }
 }

@@ -264,3 +264,33 @@ fn decision_log_exports_one_json_object_per_decision() {
         assert!(fields.iter().any(|(k, _)| k == "reason"));
     }
 }
+
+#[test]
+fn decisions_carry_home_shard_provenance() {
+    // Every placement decision records the job's home shard, which is
+    // the pool the job requested.
+    let obs = Obs::enabled();
+    let r = run_traced(&mut FcfsPolicy::new(), &obs);
+    let jobs = small_trace(16);
+    let jsonl = r.trace.decisions_jsonl();
+    let stamped = jsonl
+        .lines()
+        .filter(|l| l.contains("\"kind\":\"place\""))
+        .collect::<Vec<_>>();
+    assert!(!stamped.is_empty(), "no placement decisions traced");
+    for line in &stamped {
+        assert!(
+            line.contains("\"shard\":"),
+            "placement decision missing shard provenance: {line}"
+        );
+    }
+    for d in r
+        .trace
+        .decisions
+        .iter()
+        .filter(|d| d.kind == DecisionKind::Place)
+    {
+        let spec = jobs.iter().find(|j| j.id == d.job).expect("known job");
+        assert_eq!(d.shard, Some(spec.requested_pool as u32), "job {}", d.job);
+    }
+}

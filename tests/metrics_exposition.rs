@@ -50,7 +50,6 @@ fn server_config(policy: &str) -> ServerConfig {
         arena::cluster::presets::physical_testbed(),
         SimConfig::new(24.0 * 3600.0),
     )
-    .with_shards(2)
 }
 
 fn field<'a>(response: &'a Value, key: &str) -> &'a Value {

@@ -2,16 +2,14 @@
 
 use proptest::prelude::*;
 
-use arena::cluster::PartitionMap;
 use arena::cluster::{Cluster, GpuSpec, GpuTypeId, NodeSpec};
 use arena::model::zoo::{ModelConfig, ModelFamily};
 use arena::parallelism::stages::pow2_composition;
 use arena::parallelism::{determine_stages, stage_plan_options, PipelinePlan, PlanSpace};
 use arena::perf::target::Channel;
 use arena::perf::{collective, noise::NoiseModel, CostParams, HwTarget, PerfModel};
-use arena::runtime::WorkerPool;
 use arena::sched::{FcfsPolicy, PlanService};
-use arena::sim::{JobState, Obs, Run, ShardPlan, SimConfig};
+use arena::sim::{JobState, Obs, Run, SimConfig};
 use arena::trace::{FaultEvent, FaultKind, JobSpec};
 
 fn family(ix: usize) -> (ModelFamily, f64) {
@@ -319,108 +317,6 @@ proptest! {
         prop_assert_eq!(productive, r.metrics.productive_gpu_s);
         let allocated: f64 = r.records.iter().map(|rec| accounts[&rec.id].allocated_gpu_s).sum();
         prop_assert_eq!(allocated, r.metrics.allocated_gpu_s);
-    }
-}
-
-/// Adversarial partition maps for a two-pool cluster: `partitions` may
-/// exceed the pool count (leaving shards empty), both pools may share a
-/// partition (funnelling all jobs through one shard), and any shard may
-/// end up owning a single node's worth of capacity. The strategy emits
-/// the assignment plus a deliberately mismatched executor shard count.
-fn adversarial_partition_maps() -> impl Strategy<Value = (PartitionMap, usize, usize)> {
-    (
-        proptest::collection::vec(0_usize..6, 2..3),
-        1_usize..7,
-        1_usize..5,
-    )
-        .prop_map(|(raw, shards, workers)| {
-            let partitions = raw.iter().copied().max().unwrap_or(0) + 1;
-            (
-                PartitionMap::with_partitions(raw, partitions),
-                shards,
-                workers,
-            )
-        })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    /// Sharding is conservative and invisible under adversarial
-    /// partition maps: per-shard capacity stats always sum to the
-    /// cluster's books, and the sharded run reproduces the one-shard
-    /// run byte-for-byte — twice, so the sharded run is also
-    /// deterministic against itself.
-    #[test]
-    fn adversarial_partitions_conserve_and_reproduce(
-        plan_gen in adversarial_partition_maps(),
-        job_gen in proptest::collection::vec((0_usize..3, 40_u64..160, 0_u32..300), 1..5),
-    ) {
-        let (map, shards, workers) = plan_gen;
-        let cluster = timeline_cluster();
-        // Conservation: shard capacity stats partition the cluster books.
-        let stats = map.shard_stats(&cluster);
-        prop_assert_eq!(stats.len(), map.partitions());
-        let total: usize = stats.iter().map(|s| s.total_gpus).sum();
-        let free: usize = stats.iter().map(|s| s.free_gpus).sum();
-        let pools: usize = stats.iter().map(|s| s.pools).sum();
-        prop_assert_eq!(total, cluster.total_gpus());
-        prop_assert_eq!(
-            free,
-            (0..cluster.num_pools())
-                .map(|p| cluster.free_gpus(arena::cluster::GpuTypeId(p)))
-                .sum::<usize>()
-        );
-        prop_assert_eq!(pools, cluster.num_pools());
-
-        let mut submit = 0.0;
-        let jobs: Vec<JobSpec> = job_gen
-            .iter()
-            .enumerate()
-            .map(|(i, &(sel, iters, gap))| {
-                submit += f64::from(gap);
-                JobSpec {
-                    id: i as u64,
-                    name: format!("j{i}"),
-                    submit_s: submit,
-                    model: ModelConfig::new(ModelFamily::Bert, 0.76, 256),
-                    iterations: iters,
-                    requested_gpus: [1, 2, 4][sel],
-                    requested_pool: i % 2,
-                    deadline_s: None,
-                }
-            })
-            .collect();
-        let cfg = SimConfig::new(24.0 * 3600.0);
-        let fingerprint = |r: arena::sim::SimResult| {
-            format!(
-                "{}|{:?}|{:?}|{:?}|{}",
-                serde_json::to_string(&r.metrics).expect("metrics serialise"),
-                r.records,
-                r.timeline,
-                r.raw_timeline,
-                r.trace.decisions_jsonl(),
-            )
-        };
-        let serial = {
-            let service = PlanService::new(&cluster, CostParams::default(), 11);
-            let mut r = Run::new(&cluster, &mut FcfsPolicy::new(), &service, &cfg).obs(&Obs::enabled()).batch(&jobs);
-            r.metrics.avg_decision_s = 0.0;
-            fingerprint(r)
-        };
-        let sharded = || {
-            let service = PlanService::new(&cluster, CostParams::default(), 11);
-            let plan = ShardPlan::per_pool(&cluster)
-                .with_partition(map.clone())
-                .with_shards(shards)
-                .with_workers(WorkerPool::new(workers));
-            let mut r = Run::new(&cluster, &mut FcfsPolicy::new(), &service, &cfg).obs(&Obs::enabled()).plan(&plan).batch(&jobs);
-            r.metrics.avg_decision_s = 0.0;
-            fingerprint(r)
-        };
-        let first = sharded();
-        prop_assert_eq!(&first, &serial);
-        prop_assert_eq!(&sharded(), &first);
     }
 }
 

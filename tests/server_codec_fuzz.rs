@@ -2,9 +2,9 @@
 //!
 //! The daemon's contract for adversarial input is **reject-and-continue**:
 //! truncated lines, unknown commands/fields, out-of-order timestamps,
-//! duplicate job ids, bad node coordinates — every malformed or invalid
-//! line yields exactly one `ok:false` response, never a panic, and
-//! never corrupts engine state. After any garbage barrage the daemon
+//! duplicate job ids, bad node coordinates, jobs no pool can run —
+//! every malformed or invalid line yields exactly one `ok:false`
+//! response, never a panic, and never corrupts engine state. After any garbage barrage the daemon
 //! still accepts clean input, drains, and its final state balances.
 
 use std::io::Cursor;
@@ -33,14 +33,11 @@ fn job(id: u64, submit_s: f64) -> JobSpec {
 fn server() -> Server {
     // Horizon comfortably past the clean-trace timestamps (1e6 s) so the
     // post-soup jobs can run to completion.
-    Server::start(
-        ServerConfig::new(
-            "fcfs",
-            arena::cluster::presets::physical_testbed(),
-            SimConfig::new(2_000_000.0),
-        )
-        .with_shards(2),
-    )
+    Server::start(ServerConfig::new(
+        "fcfs",
+        arena::cluster::presets::physical_testbed(),
+        SimConfig::new(2_000_000.0),
+    ))
     .expect("server start")
 }
 
@@ -81,6 +78,19 @@ fn adversarial_line(kind: usize, a: u64, b: u64) -> String {
         // Structural garbage.
         10 => "[1,2,3]".to_string(),
         11 => format!("garbage {a} \u{1F980} {b}"),
+        // Well-formed submits no pool can run: no GPUs, more GPUs than
+        // the pool has (the testbed's pools hold 32), no iterations, an
+        // empty batch.
+        12 => {
+            let mut spec = job(10_000 + a, (b % 10_000) as f64);
+            match a % 4 {
+                0 => spec.requested_gpus = 0,
+                1 => spec.requested_gpus = 33 + (b as usize % 100_000),
+                2 => spec.iterations = 0,
+                _ => spec.model.global_batch = 0,
+            }
+            submit_line(&spec)
+        }
         _ => "   ".to_string(),
     }
 }
@@ -92,7 +102,7 @@ proptest! {
     /// no panic, and the daemon still runs a clean trace to completion.
     #[test]
     fn adversarial_streams_reject_and_continue(
-        soup in proptest::collection::vec((0_usize..13, 0_u64..1000, 0_u64..100_000), 1..60)
+        soup in proptest::collection::vec((0_usize..14, 0_u64..1000, 0_u64..100_000), 1..60)
     ) {
         let server = server();
         let handle = server.handle();
@@ -108,7 +118,7 @@ proptest! {
                 "response missing ok: {}", response
             );
             // Definitely-bad categories must be rejected.
-            if matches!(kind, 1 | 2 | 3 | 5 | 6 | 7 | 9 | 10 | 11 | 12) {
+            if matches!(kind, 1 | 2 | 3 | 5 | 6 | 7 | 9 | 10 | 11 | 12 | 13) {
                 prop_assert!(
                     response.contains("\"ok\":false"),
                     "bad line accepted: {} -> {}", line, response
@@ -140,7 +150,7 @@ proptest! {
     /// yields exactly one response line per input line.
     #[test]
     fn stdin_transport_is_line_accurate(
-        soup in proptest::collection::vec((0_usize..13, 0_u64..1000, 0_u64..100_000), 1..40)
+        soup in proptest::collection::vec((0_usize..14, 0_u64..1000, 0_u64..100_000), 1..40)
     ) {
         let server = server();
         let handle = server.handle();

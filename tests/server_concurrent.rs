@@ -103,7 +103,7 @@ fn readers_observe_only_consistent_monotone_snapshots() {
     let jobs = mixed_trace(16, 90.0);
     let cfg = SimConfig::new(24.0 * 3600.0);
     let mut server_cfg =
-        ServerConfig::new("arena", arena::cluster::presets::physical_testbed(), cfg).with_shards(2);
+        ServerConfig::new("arena", arena::cluster::presets::physical_testbed(), cfg);
     // Publish very often so readers race many distinct snapshots.
     server_cfg.publish_every = 1;
     let server = Server::start(server_cfg).expect("server start");
@@ -183,7 +183,7 @@ fn metrics_reader_sees_monotone_live_series_during_drain() {
     let jobs = mixed_trace(16, 90.0);
     let cfg = SimConfig::new(24.0 * 3600.0);
     let mut server_cfg =
-        ServerConfig::new("arena", arena::cluster::presets::physical_testbed(), cfg).with_shards(2);
+        ServerConfig::new("arena", arena::cluster::presets::physical_testbed(), cfg);
     server_cfg.publish_every = 1;
     let server = Server::start(server_cfg).expect("server start");
     let handle = server.handle();
@@ -280,9 +280,11 @@ fn snapshots_outlive_later_publications() {
     // after newer ones are published; it must stay valid and unchanged.
     let jobs = mixed_trace(6, 120.0);
     let cfg = SimConfig::new(24.0 * 3600.0);
-    let server = Server::start(
-        ServerConfig::new("fcfs", arena::cluster::presets::physical_testbed(), cfg).with_shards(1),
-    )
+    let server = Server::start(ServerConfig::new(
+        "fcfs",
+        arena::cluster::presets::physical_testbed(),
+        cfg,
+    ))
     .expect("server start");
     let handle = server.handle();
 

@@ -5,16 +5,15 @@
 //! drives, so replaying a trace as an online command stream — one
 //! JSONL `submit`/`fault` line at a time, in timestamp order, in any
 //! interleaving with read-only queries — then draining must produce
-//! output *byte-identical* to a batch run of the whole trace on the same
-//! shard plan: every record, timeline sample, decision line and
-//! traced event. These tests pin that contract for all five policies,
-//! with and without fault injection, across shard counts — extending
-//! the engine/shard equivalence guarantee across the batch/online
-//! boundary.
+//! output *byte-identical* to a batch run of the whole trace: every
+//! record, timeline sample, decision line and traced event. These tests
+//! pin that contract for all five policies, with and without fault
+//! injection — extending the engine equivalence guarantee across the
+//! batch/online boundary.
 //!
 //! Every execution knob is pinned explicitly (policies built by name
-//! with one worker thread, shard counts set on the config), so ambient
-//! `ARENA_SHARDS` / `ARENA_WORKER_THREADS` cannot skew the comparison.
+//! with one worker thread), so an ambient `ARENA_WORKER_THREADS` cannot
+//! skew the comparison.
 
 use arena::prelude::*;
 use arena::sched::{policy_by_name, POLICY_NAMES};
@@ -46,8 +45,7 @@ fn mixed_trace(n: u64, gap_s: f64) -> Vec<JobSpec> {
         .collect()
 }
 
-/// Everything observable about a run except wall-clock decision timing
-/// (same convention as `tests/shard_equivalence.rs`).
+/// Everything observable about a run except wall-clock decision timing.
 fn fingerprint(mut r: SimResult) -> String {
     r.metrics.avg_decision_s = 0.0;
     format!(
@@ -68,20 +66,15 @@ fn batch_fingerprint(
     jobs: &[JobSpec],
     faults: &[FaultEvent],
     cfg: &SimConfig,
-    shards: usize,
 ) -> String {
     let cluster = arena::cluster::presets::physical_testbed();
     let mut p = policy_by_name(policy, 1).expect("known policy");
     let service = PlanService::new(&cluster, CostParams::default(), 17);
     let obs = Obs::enabled();
-    let plan = ShardPlan::per_pool(&cluster)
-        .with_shards(shards)
-        .with_workers(WorkerPool::new(1));
     fingerprint(
         Run::new(&cluster, p.as_mut(), &service, cfg)
             .faults(faults)
             .obs(&obs)
-            .plan(&plan)
             .batch(jobs),
     )
 }
@@ -105,13 +98,12 @@ fn command_stream(jobs: &[JobSpec], faults: &[FaultEvent]) -> Vec<String> {
     lines
 }
 
-fn server_config(policy: &str, cfg: &SimConfig, shards: usize) -> ServerConfig {
+fn server_config(policy: &str, cfg: &SimConfig) -> ServerConfig {
     ServerConfig::new(
         policy,
         arena::cluster::presets::physical_testbed(),
         cfg.clone(),
     )
-    .with_shards(shards)
 }
 
 /// Boots the daemon, feeds the command stream, optionally interleaving
@@ -122,10 +114,9 @@ fn server_fingerprint(
     jobs: &[JobSpec],
     faults: &[FaultEvent],
     cfg: &SimConfig,
-    shards: usize,
     query_between: bool,
 ) -> String {
-    let server = Server::start(server_config(policy, cfg, shards)).expect("server start");
+    let server = Server::start(server_config(policy, cfg)).expect("server start");
     let handle = server.handle();
     for line in command_stream(jobs, faults) {
         let response = handle.handle_line(&line);
@@ -165,14 +156,9 @@ fn online_stream_matches_batch_all_policies_unfaulted() {
     let jobs = mixed_trace(12, 150.0);
     let cfg = SimConfig::new(24.0 * 3600.0);
     for policy in POLICY_NAMES {
-        for shards in [1_usize, 4] {
-            let batch = batch_fingerprint(policy, &jobs, &[], &cfg, shards);
-            let online = server_fingerprint(policy, &jobs, &[], &cfg, shards, false);
-            assert_eq!(
-                online, batch,
-                "online {policy} (shards={shards}) diverged from batch"
-            );
-        }
+        let batch = batch_fingerprint(policy, &jobs, &[], &cfg);
+        let online = server_fingerprint(policy, &jobs, &[], &cfg, false);
+        assert_eq!(online, batch, "online {policy} diverged from batch");
     }
 }
 
@@ -182,14 +168,12 @@ fn online_stream_matches_batch_all_policies_faulted() {
     let cfg = SimConfig::new(24.0 * 3600.0);
     let faults = fault_fixture();
     for policy in POLICY_NAMES {
-        for shards in [1_usize, 4] {
-            let batch = batch_fingerprint(policy, &jobs, &faults, &cfg, shards);
-            let online = server_fingerprint(policy, &jobs, &faults, &cfg, shards, false);
-            assert_eq!(
-                online, batch,
-                "online {policy} (shards={shards}, faulted) diverged from batch"
-            );
-        }
+        let batch = batch_fingerprint(policy, &jobs, &faults, &cfg);
+        let online = server_fingerprint(policy, &jobs, &faults, &cfg, false);
+        assert_eq!(
+            online, batch,
+            "online {policy} (faulted) diverged from batch"
+        );
     }
 }
 
@@ -201,8 +185,8 @@ fn interleaved_queries_do_not_perturb_the_run() {
     let cfg = SimConfig::new(24.0 * 3600.0);
     let faults = fault_fixture();
     for policy in ["fcfs", "arena"] {
-        let batch = batch_fingerprint(policy, &jobs, &faults, &cfg, 2);
-        let online = server_fingerprint(policy, &jobs, &faults, &cfg, 2, true);
+        let batch = batch_fingerprint(policy, &jobs, &faults, &cfg);
+        let online = server_fingerprint(policy, &jobs, &faults, &cfg, true);
         assert_eq!(online, batch, "queries perturbed the {policy} run");
     }
 }
@@ -214,8 +198,8 @@ fn horizon_cutoff_matches_batch() {
     let jobs = mixed_trace(8, 60.0);
     let cfg = SimConfig::new(2_500.0);
     for policy in POLICY_NAMES {
-        let batch = batch_fingerprint(policy, &jobs, &[], &cfg, 2);
-        let online = server_fingerprint(policy, &jobs, &[], &cfg, 2, false);
+        let batch = batch_fingerprint(policy, &jobs, &[], &cfg);
+        let online = server_fingerprint(policy, &jobs, &[], &cfg, false);
         assert_eq!(online, batch, "horizon cutoff diverged for {policy}");
     }
 }
@@ -227,9 +211,9 @@ fn rejected_input_leaves_the_run_untouched() {
     // bytes as the clean stream: reject-and-continue, never corrupt.
     let jobs = mixed_trace(10, 130.0);
     let cfg = SimConfig::new(24.0 * 3600.0);
-    let batch = batch_fingerprint("arena", &jobs, &[], &cfg, 2);
+    let batch = batch_fingerprint("arena", &jobs, &[], &cfg);
 
-    let server = Server::start(server_config("arena", &cfg, 2)).expect("server start");
+    let server = Server::start(server_config("arena", &cfg)).expect("server start");
     let handle = server.handle();
     for (i, line) in command_stream(&jobs, &[]).iter().enumerate() {
         assert!(handle.handle_line(line).contains("\"ok\":true"));
@@ -269,7 +253,7 @@ fn cancel_drops_a_running_job() {
     // state accounts for it.
     let jobs = mixed_trace(6, 120.0);
     let cfg = SimConfig::new(24.0 * 3600.0);
-    let server = Server::start(server_config("fcfs", &cfg, 2)).expect("server start");
+    let server = Server::start(server_config("fcfs", &cfg)).expect("server start");
     let handle = server.handle();
     for job in &jobs {
         assert!(handle
@@ -308,7 +292,7 @@ fn cancel_drops_a_running_job() {
 fn decision_log_query_returns_the_full_jsonl() {
     let jobs = mixed_trace(8, 100.0);
     let cfg = SimConfig::new(24.0 * 3600.0);
-    let server = Server::start(server_config("fcfs", &cfg, 1)).expect("server start");
+    let server = Server::start(server_config("fcfs", &cfg)).expect("server start");
     let handle = server.handle();
     for job in &jobs {
         assert!(handle

@@ -60,20 +60,15 @@ fn batch_fingerprint(
     jobs: &[JobSpec],
     faults: &[FaultEvent],
     cfg: &SimConfig,
-    shards: usize,
 ) -> String {
     let cluster = arena::cluster::presets::physical_testbed();
     let mut p = policy_by_name(policy, 1).expect("known policy");
     let service = PlanService::new(&cluster, CostParams::default(), 17);
     let obs = Obs::enabled();
-    let plan = ShardPlan::per_pool(&cluster)
-        .with_shards(shards)
-        .with_workers(WorkerPool::new(1));
     fingerprint(
         Run::new(&cluster, p.as_mut(), &service, cfg)
             .faults(faults)
             .obs(&obs)
-            .plan(&plan)
             .batch(jobs),
     )
 }
@@ -112,7 +107,6 @@ fn config(policy: &str, cfg: &SimConfig) -> ServerConfig {
         arena::cluster::presets::physical_testbed(),
         cfg.clone(),
     )
-    .with_shards(2)
 }
 
 #[test]
@@ -124,7 +118,7 @@ fn restart_from_event_log_reproduces_batch_fingerprint() {
         24.0 * 3600.0,
     );
     let cfg = SimConfig::new(24.0 * 3600.0);
-    let batch = batch_fingerprint("arena", &jobs, &faults, &cfg, 2);
+    let batch = batch_fingerprint("arena", &jobs, &faults, &cfg);
     let stream = command_stream(&jobs, &faults);
     let split = stream.len() / 2;
     let log_path = scratch("restart");
@@ -232,6 +226,56 @@ fn replay_tolerates_a_truncated_trailing_line() {
     assert!(outcome.state.drained);
     assert_eq!(outcome.state.submitted, jobs.len());
     let _ = std::fs::remove_file(&log_path);
+}
+
+#[test]
+fn replay_skips_a_non_utf8_line() {
+    // A torn write can leave bytes that are not UTF-8. Replay skips that
+    // line like any other unparseable one and keeps every accepted
+    // command around it.
+    let jobs = mixed_trace(2, 150.0);
+    let cfg = SimConfig::new(24.0 * 3600.0);
+    let log_path = scratch("non-utf8");
+    let mut bytes = submit_line(&jobs[0]).into_bytes();
+    bytes.extend_from_slice(b"\n\xff\xfe garbage\n");
+    bytes.extend_from_slice(submit_line(&jobs[1]).as_bytes());
+    bytes.push(b'\n');
+    std::fs::write(&log_path, bytes).expect("write log");
+
+    let mut sc = config("fcfs", &cfg);
+    sc.resume = Some(log_path.clone());
+    let server = Server::start(sc).expect("resume start");
+    let handle = server.handle();
+    let status = handle.handle_line("{\"cmd\":\"query\",\"what\":\"status\"}");
+    assert!(status.contains("\"submitted\":2"), "{status}");
+    let drain = "{\"cmd\":\"drain\"}";
+    assert!(handle.handle_line(drain).contains("\"drained\":true"));
+    let outcome = server.join();
+    let _ = std::fs::remove_file(&log_path);
+    assert_eq!(outcome.state.finished, 2);
+    let want = vec![
+        submit_line(&jobs[0]),
+        submit_line(&jobs[1]),
+        drain.to_string(),
+    ];
+    assert_eq!(outcome.event_log, want, "garbage reached the new event log");
+}
+
+#[test]
+fn unreadable_resume_log_fails_start() {
+    // Only a missing resume log counts as empty; one that exists but
+    // cannot be read (here: a directory) refuses to start rather than
+    // silently dropping every accepted command.
+    let cfg = SimConfig::new(24.0 * 3600.0);
+    let mut sc = config("fcfs", &cfg);
+    sc.resume = Some(std::env::temp_dir());
+    let err = Server::start(sc).err().expect("start must fail");
+    assert!(err.contains("resume log"), "{err}");
+    let mut sc = config("fcfs", &cfg);
+    sc.resume = Some(scratch("missing"));
+    let server = Server::start(sc).expect("a missing resume log is empty");
+    assert_eq!(server.handle().hub().load().state.submitted, 0);
+    let _ = server.join();
 }
 
 #[test]
@@ -358,7 +402,7 @@ fn refused_submits_stay_out_of_the_event_log() {
     let first = fingerprint(first.result.expect("drained"));
     assert_eq!(fingerprint(resumed.result.expect("drained")), first);
     assert_eq!(
-        batch_fingerprint("fcfs", &[valid], &[], &cfg, 2),
+        batch_fingerprint("fcfs", &[valid], &[], &cfg),
         first,
         "served run diverged from batch"
     );

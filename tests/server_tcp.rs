@@ -42,14 +42,11 @@ fn mixed_trace(n: u64, gap_s: f64) -> Vec<JobSpec> {
 }
 
 fn server(policy: &str, cfg: &SimConfig) -> Server {
-    Server::start(
-        ServerConfig::new(
-            policy,
-            arena::cluster::presets::physical_testbed(),
-            cfg.clone(),
-        )
-        .with_shards(1),
-    )
+    Server::start(ServerConfig::new(
+        policy,
+        arena::cluster::presets::physical_testbed(),
+        cfg.clone(),
+    ))
     .expect("server start")
 }
 
@@ -57,12 +54,7 @@ fn batch(policy: &str, jobs: &[JobSpec], cfg: &SimConfig) -> SimResult {
     let cluster = arena::cluster::presets::physical_testbed();
     let mut p = policy_by_name(policy, 1).expect("known policy");
     let service = PlanService::new(&cluster, CostParams::default(), 17);
-    let plan = ShardPlan::per_pool(&cluster)
-        .with_shards(1)
-        .with_workers(WorkerPool::new(1));
-    Run::new(&cluster, p.as_mut(), &service, cfg)
-        .plan(&plan)
-        .batch(jobs)
+    Run::new(&cluster, p.as_mut(), &service, cfg).batch(jobs)
 }
 
 /// A numeric field of a `query jobs` entry; `null` reads as `None`.

@@ -2,8 +2,8 @@
 //! (`Run::stream` — pull-based arrivals, record-fold engine, reclaimed
 //! job slots) must schedule *byte-identically* to a batch run
 //! (`Run::batch`) that materialises the whole trace. These tests pin the
-//! identity across every comparison policy, shard counts 1 and 4, and
-//! faulted/unfaulted schedules, plus the memory-budget contract: cache
+//! identity across every comparison policy and faulted/unfaulted
+//! schedules, plus the memory-budget contract: cache
 //! eviction under an arbitrarily tiny `set_mem_budget` is semantically
 //! invisible — it forces recomputation, never a different answer.
 //!
@@ -73,24 +73,17 @@ fn fault_schedule() -> Vec<FaultEvent> {
     ]
 }
 
-/// Runs one (policy, shard count, fault schedule) scenario both ways
-/// and asserts the streaming summary reproduces the resident run.
-fn assert_stream_matches_batch(
-    policy_name: &str,
-    shards: usize,
-    jobs: &[JobSpec],
-    faults: &[FaultEvent],
-) {
+/// Runs one (policy, fault schedule) scenario both ways and asserts
+/// the streaming summary reproduces the resident run.
+fn assert_stream_matches_batch(policy_name: &str, jobs: &[JobSpec], faults: &[FaultEvent]) {
     let cluster = arena::cluster::presets::physical_testbed();
     let cfg = SimConfig::new(48.0 * 3600.0);
-    let plan = ShardPlan::per_pool(&cluster).with_shards(shards);
 
     let batch = {
         let service = PlanService::new(&cluster, CostParams::default(), 17);
         let mut policy = policy_by_name(policy_name, 1).expect("known policy");
         Run::new(&cluster, policy.as_mut(), &service, &cfg)
             .faults(faults)
-            .plan(&plan)
             .batch(jobs)
     };
     let stream = {
@@ -98,15 +91,11 @@ fn assert_stream_matches_batch(
         let mut policy = policy_by_name(policy_name, 1).expect("known policy");
         Run::new(&cluster, policy.as_mut(), &service, &cfg)
             .faults(faults)
-            .plan(&plan)
             .stream(&mut VecSource::new(jobs.to_vec()))
             .expect("in-memory source cannot fail")
     };
 
-    let ctx = format!(
-        "policy={policy_name} shards={shards} faults={}",
-        faults.len()
-    );
+    let ctx = format!("policy={policy_name} faults={}", faults.len());
     assert_eq!(
         stream.fingerprint,
         record_fingerprint(&batch.records),
@@ -131,15 +120,12 @@ fn assert_stream_matches_batch(
     assert!(jct_err < 1e-6, "avg JCT drifted by {jct_err} ({ctx})");
 }
 
-/// The tentpole matrix: every comparison policy, shard counts 1 and 4,
-/// fault-free.
+/// Every comparison policy, fault-free.
 #[test]
 fn streaming_identity_all_policies_unfaulted() {
     let jobs = mixed_trace(36, 200.0);
     for name in POLICY_NAMES {
-        for shards in [1_usize, 4] {
-            assert_stream_matches_batch(name, shards, &jobs, &[]);
-        }
+        assert_stream_matches_batch(name, &jobs, &[]);
     }
 }
 
@@ -150,9 +136,7 @@ fn streaming_identity_all_policies_faulted() {
     let jobs = mixed_trace(36, 200.0);
     let faults = fault_schedule();
     for name in POLICY_NAMES {
-        for shards in [1_usize, 4] {
-            assert_stream_matches_batch(name, shards, &jobs, &faults);
-        }
+        assert_stream_matches_batch(name, &jobs, &faults);
     }
 }
 
@@ -166,13 +150,11 @@ fn run_with_budget(
 ) -> (StreamSummary, u64) {
     let cluster = arena::cluster::presets::physical_testbed();
     let cfg = SimConfig::new(48.0 * 3600.0);
-    let plan = ShardPlan::per_pool(&cluster);
     let service = PlanService::new(&cluster, CostParams::default(), 17);
     service.set_mem_budget(budget);
     service.estimator().set_mem_budget(budget);
     let mut policy = policy_by_name(policy_name, 1).expect("known policy");
     let summary = Run::new(&cluster, policy.as_mut(), &service, &cfg)
-        .plan(&plan)
         .stream(&mut VecSource::new(jobs.to_vec()))
         .expect("in-memory source cannot fail");
     let evictions = service
