@@ -294,24 +294,22 @@ fn parse_metrics_dump(path: &Path) -> Result<MetricsDump, String> {
         let at = |msg: String| format!("{}:{}: {msg}", path.display(), lineno + 1);
         if let Some(rest) = line.strip_prefix('#') {
             let mut words = rest.split_whitespace();
-            match words.next() {
-                Some("TYPE") => {
-                    let name = words
-                        .next()
-                        .ok_or_else(|| at("# TYPE without a family name".to_string()))?;
-                    let kind = words
-                        .next()
-                        .ok_or_else(|| at(format!("# TYPE {name} without a kind")))?;
-                    if !matches!(kind, "counter" | "gauge" | "histogram") {
-                        return Err(at(format!("unknown family kind `{kind}`")));
-                    }
-                    if let Some(prev) = types.insert(name.to_string(), kind.to_string()) {
-                        if prev != kind {
-                            return Err(at(format!("family {name} re-typed {prev} -> {kind}")));
-                        }
+            // HELP and other comments are tolerated.
+            if words.next() == Some("TYPE") {
+                let name = words
+                    .next()
+                    .ok_or_else(|| at("# TYPE without a family name".to_string()))?;
+                let kind = words
+                    .next()
+                    .ok_or_else(|| at(format!("# TYPE {name} without a kind")))?;
+                if !matches!(kind, "counter" | "gauge" | "histogram") {
+                    return Err(at(format!("unknown family kind `{kind}`")));
+                }
+                if let Some(prev) = types.insert(name.to_string(), kind.to_string()) {
+                    if prev != kind {
+                        return Err(at(format!("family {name} re-typed {prev} -> {kind}")));
                     }
                 }
-                _ => {} // tolerate HELP and other comments
             }
             continue;
         }

@@ -16,6 +16,6 @@ pub mod plan;
 pub mod space;
 pub mod stages;
 
-pub use plan::{PipelinePlan, StageAssignment, StagePlan};
-pub use space::{assembled_plans, stage_plan_options, PlanSpace};
+pub use plan::{write_plan_label, PipelinePlan, StageAssignment, StagePlan};
+pub use space::{assembled_plans, stage_plan_options, PlanSpace, SampleWalk};
 pub use stages::{determine_stages, StagePartition};

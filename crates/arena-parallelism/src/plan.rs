@@ -1,5 +1,6 @@
 //! Hybrid parallelism plan representation.
 
+use std::fmt;
 use std::ops::Range;
 
 use serde::Serialize;
@@ -44,8 +45,35 @@ impl StagePlan {
     /// Compact label, e.g. `"D4T2"`.
     #[must_use]
     pub fn label(&self) -> String {
-        format!("D{}T{}", self.dp, self.tp)
+        self.to_string()
     }
+}
+
+impl fmt::Display for StagePlan {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "D{}T{}", self.dp, self.tp)
+    }
+}
+
+/// Writes the compact label of a plan whose stages render as `stages`,
+/// e.g. `"P2[D4T1,D1T4]"` — the format of [`PipelinePlan::label`], for
+/// writers that render stage labels ahead of time or reuse a buffer.
+///
+/// # Errors
+///
+/// Returns an error only if `out` does.
+pub fn write_plan_label<L: fmt::Display>(
+    out: &mut impl fmt::Write,
+    stages: impl ExactSizeIterator<Item = L>,
+) -> fmt::Result {
+    write!(out, "P{}[", stages.len())?;
+    for (i, stage) in stages.enumerate() {
+        if i > 0 {
+            out.write_char(',')?;
+        }
+        write!(out, "{stage}")?;
+    }
+    out.write_char(']')
 }
 
 /// One pipeline stage: a contiguous operator range, its GPU share and its
@@ -93,7 +121,13 @@ impl PipelinePlan {
     /// Micro-batches per iteration (GPipe rule: `4 × stages`).
     #[must_use]
     pub fn microbatches(&self) -> usize {
-        4 * self.num_stages()
+        Self::microbatches_for(self.num_stages())
+    }
+
+    /// Micro-batches per iteration of a plan with `stages` stages.
+    #[must_use]
+    pub fn microbatches_for(stages: usize) -> usize {
+        4 * stages
     }
 
     /// Checks that the plan is structurally valid for `graph`: stages are
@@ -117,8 +151,10 @@ impl PipelinePlan {
     /// Compact label, e.g. `"P4[D2T1,D2T1,D1T2,D1T2]"`.
     #[must_use]
     pub fn label(&self) -> String {
-        let inner: Vec<String> = self.stages.iter().map(|s| s.plan.label()).collect();
-        format!("P{}[{}]", self.num_stages(), inner.join(","))
+        let mut out = String::new();
+        write_plan_label(&mut out, self.stages.iter().map(|s| s.plan))
+            .expect("writing to a String cannot fail");
+        out
     }
 
     /// Paper-style summary when all stages share the same split, e.g.

@@ -98,26 +98,53 @@ impl PlanSpace {
     ///
     /// Panics if `idx >= len_u128()`.
     #[must_use]
-    pub fn plan_at_index(&self, mut idx: u128) -> PipelinePlan {
-        assert!(idx < self.len_u128(), "plan index out of range");
-        let digits: Vec<usize> = self
-            .options
-            .iter()
-            .map(|opts| {
-                let d = (idx % opts.len() as u128) as usize;
-                idx /= opts.len() as u128;
-                d
-            })
-            .collect();
+    pub fn plan_at_index(&self, idx: u128) -> PipelinePlan {
+        let mut digits = Vec::with_capacity(self.options.len());
+        self.digits_at_index(idx, &mut digits);
         self.plan_at(&digits)
+    }
+
+    /// Writes the per-stage option indices of the `idx`-th plan (its
+    /// mixed-radix digits) into `digits`, replacing its contents.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx >= len_u128()`.
+    pub fn digits_at_index(&self, mut idx: u128, digits: &mut Vec<usize>) {
+        assert!(idx < self.len_u128(), "plan index out of range");
+        digits.clear();
+        digits.extend(self.options.iter().map(|opts| {
+            let d = (idx % opts.len() as u128) as usize;
+            idx /= opts.len() as u128;
+            d
+        }));
     }
 
     /// An evenly strided sample of at most `cap` plans covering the space.
     pub fn sample(&self, cap: usize) -> impl Iterator<Item = PipelinePlan> + '_ {
+        let mut walk = self.sample_walk(cap);
+        std::iter::from_fn(move || walk.advance().map(|(_, digits)| self.plan_at(digits)))
+    }
+
+    /// The plans of [`sample`](Self::sample) as per-stage option indices,
+    /// without materialising them.
+    #[must_use]
+    pub fn sample_walk(&self, cap: usize) -> SampleWalk<'_> {
         let total = self.len_u128();
         let take = (cap.max(1) as u128).min(total);
         let stride = total.checked_div(take).unwrap_or(1);
-        (0..take).map(move |i| self.plan_at_index(i * stride))
+        let mut stride_digits = Vec::with_capacity(self.options.len());
+        if take > 1 {
+            self.digits_at_index(stride, &mut stride_digits);
+        }
+        SampleWalk {
+            options: &self.options,
+            stride,
+            stride_digits,
+            digits: Vec::new(),
+            index: 0,
+            left: take,
+        }
     }
 
     /// Whether the space is empty (never true for a valid partition).
@@ -149,6 +176,49 @@ impl PlanSpace {
             })
             .collect();
         PipelinePlan { stages }
+    }
+}
+
+/// The plans an evenly strided sample visits, in order, as per-stage
+/// option indices (see [`PlanSpace::sample_walk`]).
+///
+/// Each step adds the stride's mixed-radix digits to the previous plan's
+/// with carry, which is exact below the space size, so no step divides.
+#[derive(Debug)]
+pub struct SampleWalk<'a> {
+    options: &'a [Vec<StagePlan>],
+    stride: u128,
+    stride_digits: Vec<usize>,
+    digits: Vec<usize>,
+    index: u128,
+    left: u128,
+}
+
+impl SampleWalk<'_> {
+    /// The next sampled plan: its index in the space and its per-stage
+    /// option indices (stage 0 first).
+    pub fn advance(&mut self) -> Option<(u128, &[usize])> {
+        if self.left == 0 {
+            return None;
+        }
+        if self.digits.is_empty() {
+            self.digits.resize(self.options.len(), 0);
+        } else {
+            self.index += self.stride;
+            let mut carry = 0;
+            for ((digit, &step), opts) in self
+                .digits
+                .iter_mut()
+                .zip(&self.stride_digits)
+                .zip(self.options)
+            {
+                let sum = *digit + step + carry;
+                carry = usize::from(sum >= opts.len());
+                *digit = sum - carry * opts.len();
+            }
+        }
+        self.left -= 1;
+        Some((self.index, &self.digits))
     }
 }
 
@@ -314,6 +384,28 @@ mod tests {
         let labels: std::collections::HashSet<String> =
             sampled.iter().map(PipelinePlan::label).collect();
         assert_eq!(labels.len(), 5);
+    }
+
+    #[test]
+    fn sample_walk_matches_strided_indices() {
+        for gpus in [&[2, 4, 2][..], &[8, 8, 8, 4], &[3, 6], &[1], &[4; 9]] {
+            let space = PlanSpace::new(partition(gpus));
+            let total = space.len_u128();
+            for cap in [1, 2, 5, 7, 192, usize::MAX] {
+                let take = (cap as u128).min(total);
+                let stride = total / take;
+                let mut walk = space.sample_walk(cap);
+                let mut seen = 0;
+                while let Some((idx, digits)) = walk.advance() {
+                    assert_eq!(idx, seen * stride);
+                    let mut expected = Vec::new();
+                    space.digits_at_index(idx, &mut expected);
+                    assert_eq!(digits, &expected[..], "{gpus:?} cap {cap} sample {seen}");
+                    seen += 1;
+                }
+                assert_eq!(seen, take);
+            }
+        }
     }
 
     #[test]

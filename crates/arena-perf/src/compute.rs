@@ -25,6 +25,25 @@ pub fn stage_compute_time(
     tp: usize,
     gpu: &GpuSpec,
 ) -> f64 {
+    let [t] = stage_compute_times::<1>(p, graph, range, mb_samples, tp, gpu);
+    t
+}
+
+/// [`stage_compute_time`] at micro-batch sizes `mb_samples`,
+/// `mb_samples / 2`, … (`N` halvings) in one walk over the operators.
+/// Halving is exact in binary floating point, so each operator's term at
+/// `mb_samples / 2^k` is its term at `mb_samples` times `2^-k`, bit for
+/// bit, and each total sums the same terms in the same order as a
+/// separate call.
+#[must_use]
+pub(crate) fn stage_compute_times<const N: usize>(
+    p: &CostParams,
+    graph: &ModelGraph,
+    range: Range<usize>,
+    mb_samples: f64,
+    tp: usize,
+    gpu: &GpuSpec,
+) -> [f64; N] {
     let arch_eff = match gpu.arch {
         GpuArch::Ampere => 1.0,
         GpuArch::Volta => p.volta_eff,
@@ -36,13 +55,17 @@ pub fn stage_compute_time(
     let bwd = 1.0 + p.bwd_ratio;
     let tpf = tp as f64;
     let peak = gpu.peak_flops();
-    let mut total = 0.0;
+    let halvings: [f64; N] = std::array::from_fn(|k| 1.0 / (1_u64 << k) as f64);
+    let mut totals = [0.0; N];
     for op in &graph.ops[range] {
         let work = bwd * op.flops_fwd * mb_samples / tpf;
         let eff = p.eff_for(op.kind) * arch_eff / frag;
-        total += work / (peak * eff) + p.launch_overhead_s;
+        let term = work / (peak * eff);
+        for (total, h) in totals.iter_mut().zip(halvings) {
+            *total += term * h + p.launch_overhead_s;
+        }
     }
-    total
+    totals
 }
 
 #[cfg(test)]
@@ -93,6 +116,26 @@ mod tests {
         let t = stage_compute_time(&p, &g, 0..g.len(), 1e-9, 1, &GpuSpec::A100);
         let floor = g.len() as f64 * p.launch_overhead_s;
         assert!((t - floor) / floor < 0.01);
+    }
+
+    #[test]
+    fn halved_walk_matches_separate_calls() {
+        let p = CostParams::default();
+        let g = bert();
+        for (mb, tp) in [(8.0, 1), (3.0, 2), (256.0 / 12.0, 4)] {
+            let batched = stage_compute_times::<5>(&p, &g, 2..g.len(), mb, tp, &GpuSpec::V100);
+            for (k, t) in batched.iter().enumerate() {
+                let single = stage_compute_time(
+                    &p,
+                    &g,
+                    2..g.len(),
+                    mb / (1 << k) as f64,
+                    tp,
+                    &GpuSpec::V100,
+                );
+                assert_eq!(t.to_bits(), single.to_bits(), "mb {mb} tp {tp} step {k}");
+            }
+        }
     }
 
     #[test]

@@ -28,6 +28,9 @@
 //! * [`oracle`] — the [`oracle::GroundTruth`] facade
 //!   combining all of the above; "running" or "directly profiling" a plan
 //!   goes through it.
+//! * [`sampled`] — [`sampled::SampledSearch`], which measures many plans
+//!   of one plan space from a per-partition stage-cost table, bit for bit
+//!   as the facade would.
 //!
 //! The model's constants ([`params::CostParams`]) were chosen so the
 //! qualitative landscape matches the paper's observations: data
@@ -43,6 +46,7 @@ pub mod noise;
 pub mod oracle;
 pub mod params;
 pub mod pipeline;
+pub mod sampled;
 pub mod target;
 
 pub use meter::ProfilingMeter;
@@ -50,4 +54,5 @@ pub use noise::NoiseModel;
 pub use oracle::GroundTruth;
 pub use params::CostParams;
 pub use pipeline::{Infeasible, PerfModel, PlanPerf, StageCost};
+pub use sampled::{Measured, SampledSearch};
 pub use target::HwTarget;

@@ -3,8 +3,10 @@
 use std::ops::Range;
 
 use arena_model::ModelGraph;
+use arena_parallelism::StagePlan;
 
 use crate::params::CostParams;
+use crate::pipeline::OpSums;
 
 /// Per-GPU memory (bytes) of one pipeline stage.
 ///
@@ -67,25 +69,40 @@ pub fn stage_memory_parts_dp(
     tp: usize,
     microbatches: usize,
 ) -> (f64, f64) {
-    let tpf = tp as f64;
-    let ops = &graph.ops[range.clone()];
-    let param_bytes: f64 = ops.iter().map(arena_model::Operator::param_bytes).sum();
+    let sums = OpSums::new(&graph.ops[range.clone()]);
+    let plan = StagePlan { dp, tp };
+    stage_memory_parts_from(p, graph, range.start, &sums, mb_samples, plan, microbatches)
+}
+
+/// [`stage_memory_parts_dp`] of the stage whose operators start at
+/// `start` and sum to `sums`, split `plan`.
+pub(crate) fn stage_memory_parts_from(
+    p: &CostParams,
+    graph: &ModelGraph,
+    start: usize,
+    sums: &OpSums,
+    mb_samples: f64,
+    plan: StagePlan,
+    microbatches: usize,
+) -> (f64, f64) {
+    let tpf = plan.tp as f64;
+    let param_bytes = sums.param_bytes;
     // Of the 8x FP16-weight-bytes of training state, weights + FP16 grads
     // are 2x and the optimizer state is the remaining 6x.
     let static_bytes = if p.zero1 {
         let weights_grads = 2.0 * param_bytes / tpf;
-        let optimizer = (p.state_bytes_per_param_byte - 2.0) * param_bytes / (tpf * dp as f64);
+        let optimizer = (p.state_bytes_per_param_byte - 2.0) * param_bytes / (tpf * plan.dp as f64);
         weights_grads + optimizer
     } else {
         p.state_bytes_per_param_byte * param_bytes / tpf
     };
 
-    let live_acts: f64 = ops.iter().map(|o| o.act_bytes).sum::<f64>() * mb_samples;
-    let input_bytes = if range.start == 0 {
+    let live_acts = sums.act_bytes * mb_samples;
+    let input_bytes = if start == 0 {
         // Raw input data is negligible next to hidden activations.
         0.0
     } else {
-        graph.ops[range.start - 1].out_bytes * mb_samples
+        graph.ops[start - 1].out_bytes * mb_samples
     };
     let buffered = microbatches as f64 * input_bytes;
 

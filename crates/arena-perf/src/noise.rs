@@ -1,5 +1,6 @@
 //! Deterministic measurement noise.
 
+use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
 /// Multiplicative, deterministic measurement noise.
@@ -39,14 +40,54 @@ impl NoiseModel {
     /// can never be negative.
     #[must_use]
     pub fn factor(&self, key: &str) -> f64 {
+        self.prefixed("").finish(key)
+    }
+
+    /// The factors of keys that start with `prefix`, with the prefix
+    /// hashed once: `prefixed(p).factor(rest) == factor(p + rest)`.
+    #[must_use]
+    pub(crate) fn prefixed(&self, prefix: &str) -> PrefixedNoise {
+        let hashers = std::array::from_fn(|salt| {
+            let mut h = DefaultHasher::new();
+            // The stream `(seed, salt, key).hash(h)` feeds the hasher,
+            // cut after the key's first `prefix.len()` bytes: a `str`
+            // hashes as its bytes then a 0xff terminator.
+            (self.seed, salt as u64).hash(&mut h);
+            h.write(prefix.as_bytes());
+            h
+        });
+        PrefixedNoise {
+            sigma: self.sigma,
+            hashers,
+        }
+    }
+}
+
+/// [`NoiseModel`] factors of keys sharing a prefix (see
+/// [`NoiseModel::prefixed`]).
+#[derive(Debug, Clone)]
+pub(crate) struct PrefixedNoise {
+    sigma: f64,
+    /// One hasher per salt, each having absorbed `(seed, salt)` and the
+    /// prefix.
+    hashers: [DefaultHasher; 4],
+}
+
+impl PrefixedNoise {
+    /// The factor of the key `prefix + rest`.
+    #[must_use]
+    pub(crate) fn factor(&self, rest: &str) -> f64 {
+        self.clone().finish(rest)
+    }
+
+    fn finish(self, rest: &str) -> f64 {
         if self.sigma == 0.0 {
             return 1.0;
         }
         // Sum of four uniforms approximates a Gaussian (Irwin–Hall).
         let mut z = 0.0;
-        for salt in 0..4_u64 {
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            (self.seed, salt, key).hash(&mut h);
+        for mut h in self.hashers {
+            rest.hash(&mut h);
             let u = (h.finish() >> 11) as f64 / (1_u64 << 53) as f64; // [0, 1)
             z += u - 0.5;
         }
@@ -72,6 +113,29 @@ mod tests {
         let a = NoiseModel::new(0.05, 1);
         let b = NoiseModel::new(0.05, 2);
         assert_ne!(a.factor("k"), b.factor("k"));
+    }
+
+    /// The factor as one hash of `(seed, salt, key)` per salt.
+    fn whole_key_factor(sigma: f64, seed: u64, key: &str) -> f64 {
+        let mut z = 0.0;
+        for salt in 0..4_u64 {
+            let mut h = DefaultHasher::new();
+            (seed, salt, key).hash(&mut h);
+            z += (h.finish() >> 11) as f64 / (1_u64 << 53) as f64 - 0.5;
+        }
+        (1.0 + sigma * z * 3.0_f64.sqrt()).clamp(1.0 - 3.0 * sigma, 1.0 + 3.0 * sigma)
+    }
+
+    #[test]
+    fn prefixed_factors_match_whole_keys() {
+        let n = NoiseModel::new(0.05, 42);
+        let key = "BERT-1.3B|256|P2[D4T1,D2T2]|A100|4";
+        let whole = whole_key_factor(0.05, 42, key);
+        assert_eq!(n.factor(key).to_bits(), whole.to_bits());
+        for cut in 0..=key.len() {
+            let (prefix, rest) = key.split_at(cut);
+            assert_eq!(n.prefixed(prefix).factor(rest).to_bits(), whole.to_bits());
+        }
     }
 
     #[test]

@@ -1,14 +1,16 @@
 //! The ground-truth facade: "running" and "profiling" plans.
 
+use std::fmt::Display;
 use std::sync::Arc;
 
 use arena_model::ModelGraph;
-use arena_parallelism::{PipelinePlan, PlanSpace};
+use arena_parallelism::{write_plan_label, PipelinePlan, PlanSpace};
 
 use crate::meter::ProfilingMeter;
-use crate::noise::NoiseModel;
+use crate::noise::{NoiseModel, PrefixedNoise};
 use crate::params::CostParams;
 use crate::pipeline::{Infeasible, PerfModel, PlanPerf};
+use crate::sampled::SampledSearch;
 use crate::target::HwTarget;
 
 /// Ground-truth performance: the analytical model plus deterministic
@@ -71,20 +73,21 @@ impl GroundTruth {
         &self.model.params
     }
 
-    fn noise_key(
+    /// The measurement noise of plans of `graph` at `global_batch` on
+    /// `hw`.
+    pub(crate) fn plan_noise(
+        &self,
         graph: &ModelGraph,
         global_batch: usize,
-        plan: &PipelinePlan,
         hw: &HwTarget,
-    ) -> String {
-        format!(
-            "{}|{}|{}|{}|{}",
-            graph.name,
-            global_batch,
-            plan.label(),
-            hw.name(),
-            hw.packed_gpn
-        )
+    ) -> PlanNoise {
+        PlanNoise {
+            noise: self
+                .noise
+                .prefixed(&format!("{}|{}|", graph.name, global_batch)),
+            rest: String::new(),
+            suffix: format!("|{}|{}", hw.name(), hw.packed_gpn),
+        }
     }
 
     /// Measures a plan as the hardware would: analytical cost perturbed by
@@ -100,13 +103,8 @@ impl GroundTruth {
         plan: &PipelinePlan,
         hw: &HwTarget,
     ) -> Result<PlanPerf, Infeasible> {
-        let mut perf = self.model.evaluate(graph, global_batch, plan, hw)?;
-        let f = self
-            .noise
-            .factor(&Self::noise_key(graph, global_batch, plan, hw));
-        perf.iter_time_s *= f;
-        perf.throughput_sps /= f;
-        Ok(perf)
+        let perf = self.model.evaluate(graph, global_batch, plan, hw)?;
+        Ok(self.perturb_plan(graph, global_batch, plan, hw, perf))
     }
 
     /// Measures a plan at a fixed micro-batch count (no gradient
@@ -123,13 +121,42 @@ impl GroundTruth {
         hw: &HwTarget,
         b: usize,
     ) -> Result<PlanPerf, Infeasible> {
-        let mut perf = self.model.evaluate_at(graph, global_batch, plan, hw, b)?;
-        let f = self
-            .noise
-            .factor(&Self::noise_key(graph, global_batch, plan, hw));
-        perf.iter_time_s *= f;
-        perf.throughput_sps /= f;
-        Ok(perf)
+        let perf = self.model.evaluate_at(graph, global_batch, plan, hw, b)?;
+        Ok(self.perturb_plan(graph, global_batch, plan, hw, perf))
+    }
+
+    fn perturb_plan(
+        &self,
+        graph: &ModelGraph,
+        global_batch: usize,
+        plan: &PipelinePlan,
+        hw: &HwTarget,
+        mut perf: PlanPerf,
+    ) -> PlanPerf {
+        self.plan_noise(graph, global_batch, hw).perturb(
+            plan.stages.iter().map(|s| s.plan),
+            &mut perf.iter_time_s,
+            &mut perf.throughput_sps,
+        );
+        perf
+    }
+
+    /// Wall-clock of one direct-profiling trial: compile + warm-up +
+    /// measured iterations at `iter_time_s`, or the compilation alone
+    /// when the plan proved infeasible (`None`).
+    #[must_use]
+    pub fn trial_wall_s(&self, iter_time_s: Option<f64>) -> f64 {
+        let p = self.params();
+        match iter_time_s {
+            Some(t) => p.direct_profile_setup_s + p.direct_profile_iters * t,
+            None => p.direct_profile_setup_s,
+        }
+    }
+
+    /// Charges one direct-profiling trial on `gpus` GPUs to the meter
+    /// (see [`trial_wall_s`](Self::trial_wall_s)).
+    pub(crate) fn charge_trial(&self, iter_time_s: Option<f64>, gpus: usize) {
+        self.meter.charge(self.trial_wall_s(iter_time_s), gpus);
     }
 
     /// Directly profiles a plan on its full allocation (Alpa-style trial),
@@ -148,19 +175,9 @@ impl GroundTruth {
         plan: &PipelinePlan,
         hw: &HwTarget,
     ) -> Result<PlanPerf, Infeasible> {
-        let p = self.params();
-        let gpus = plan.total_gpus();
-        match self.measure(graph, global_batch, plan, hw) {
-            Ok(perf) => {
-                let wall = p.direct_profile_setup_s + p.direct_profile_iters * perf.iter_time_s;
-                self.meter.charge(wall, gpus);
-                Ok(perf)
-            }
-            Err(e) => {
-                self.meter.charge(p.direct_profile_setup_s, gpus);
-                Err(e)
-            }
-        }
+        let perf = self.measure(graph, global_batch, plan, hw);
+        self.charge_trial(perf.as_ref().ok().map(|p| p.iter_time_s), plan.total_gpus());
+        perf
     }
 
     /// Full adaptive-parallelism exploration: directly profiles every plan
@@ -175,18 +192,7 @@ impl GroundTruth {
         space: &PlanSpace,
         hw: &HwTarget,
     ) -> Option<(PipelinePlan, PlanPerf)> {
-        let mut best: Option<(PipelinePlan, PlanPerf)> = None;
-        for plan in space.iter() {
-            if let Ok(perf) = self.profile_direct(graph, global_batch, &plan, hw) {
-                let better = best
-                    .as_ref()
-                    .is_none_or(|(_, b)| perf.throughput_sps > b.throughput_sps);
-                if better {
-                    best = Some((plan, perf));
-                }
-            }
-        }
-        best
+        SampledSearch::new(self, graph, global_batch, space, hw).profile_best(usize::MAX)
     }
 
     /// The best plan in `space` by *true* performance, without charging
@@ -200,18 +206,39 @@ impl GroundTruth {
         space: &PlanSpace,
         hw: &HwTarget,
     ) -> Option<(PipelinePlan, PlanPerf)> {
-        let mut best: Option<(PipelinePlan, PlanPerf)> = None;
-        for plan in space.iter() {
-            if let Ok(perf) = self.measure(graph, global_batch, &plan, hw) {
-                let better = best
-                    .as_ref()
-                    .is_none_or(|(_, b)| perf.throughput_sps > b.throughput_sps);
-                if better {
-                    best = Some((plan, perf));
-                }
-            }
-        }
-        best
+        SampledSearch::new(self, graph, global_batch, space, hw).best_silent(usize::MAX)
+    }
+}
+
+/// The measurement noise of plans of one model and batch on one hardware
+/// target.
+///
+/// A measurement's noise key is
+/// `"{model}|{batch}|{plan label}|{gpu}|{packed_gpn}"`. The
+/// `"{model}|{batch}|"` prefix is hashed once; the rest is rendered into
+/// one reused buffer.
+#[derive(Debug)]
+pub(crate) struct PlanNoise {
+    noise: PrefixedNoise,
+    rest: String,
+    suffix: String,
+}
+
+impl PlanNoise {
+    /// Perturbs a noise-free `(iter_time_s, throughput_sps)` of the plan
+    /// whose stages render as `stages` by its noise factor.
+    pub(crate) fn perturb<L: Display>(
+        &mut self,
+        stages: impl ExactSizeIterator<Item = L>,
+        iter_time_s: &mut f64,
+        throughput_sps: &mut f64,
+    ) {
+        self.rest.clear();
+        write_plan_label(&mut self.rest, stages).expect("writing to a String cannot fail");
+        self.rest.push_str(&self.suffix);
+        let f = self.noise.factor(&self.rest);
+        *iter_time_s *= f;
+        *throughput_sps /= f;
     }
 }
 

@@ -1,13 +1,13 @@
 //! End-to-end plan evaluation: the GPipe composition of Fig. 10.
 
-use arena_model::ModelGraph;
+use arena_model::{ModelGraph, Operator};
 use arena_parallelism::{PipelinePlan, StageAssignment};
 
 use crate::collective;
-use crate::compute::stage_compute_time;
-use crate::memory::stage_memory_parts_dp;
+use crate::compute::stage_compute_times;
+use crate::memory::stage_memory_parts_from;
 use crate::params::CostParams;
-use crate::target::HwTarget;
+use crate::target::{Channel, HwTarget};
 
 /// Why a plan cannot run on the given hardware.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,7 +57,7 @@ impl std::fmt::Display for Infeasible {
 impl std::error::Error for Infeasible {}
 
 /// Cost breakdown of one pipeline stage.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StageCost {
     /// Micro-batch size in samples on one replica.
     pub mb_samples: f64,
@@ -153,7 +153,8 @@ impl PerfModel {
     }
 
     /// [`stage_cost`](Self::stage_cost) at an explicit micro-batch count
-    /// `b` (gradient accumulation raises `b` above the GPipe default).
+    /// `b` (gradient accumulation raises `b` above the GPipe default):
+    /// the stage-local part plus the inbound boundary term.
     ///
     /// # Errors
     ///
@@ -168,81 +169,112 @@ impl PerfModel {
         hw: &HwTarget,
         b: usize,
     ) -> Result<StageCost, Infeasible> {
+        let st = &plan.stages[idx];
+        let sums = OpSums::new(&graph.ops[st.op_range.clone()]);
+        let [local] = self.stage_local_costs(graph, global_batch, idx, st, &sums, hw, b);
+        let mut cost = local?;
+        if idx > 0 {
+            let same_layout = plan.stages[idx - 1].plan == st.plan && st.plan.tp == 1;
+            let ch = hw.channel_for(plan.total_gpus());
+            cost.boundary_in_s =
+                self.boundary_in_s(graph, global_batch, st.op_range.start, b, ch, same_layout);
+        }
+        Ok(cost)
+    }
+
+    /// Everything in a stage's cost that depends on the stage alone: the
+    /// [`StageCost`]s of stage `idx`, assigned `st` (whose operators sum to
+    /// `sums`), at `b`, `2b`, … (`N` doublings) micro-batches, with
+    /// `boundary_in_s` left at zero. `idx` only labels errors.
+    #[allow(clippy::too_many_arguments)] // Two callers: `stage_cost_at` and the sampled-search table.
+    pub(crate) fn stage_local_costs<const N: usize>(
+        &self,
+        graph: &ModelGraph,
+        global_batch: usize,
+        idx: usize,
+        st: &StageAssignment,
+        sums: &OpSums,
+        hw: &HwTarget,
+        b: usize,
+    ) -> [Result<StageCost, Infeasible>; N] {
         let p = &self.params;
-        let st: &StageAssignment = &plan.stages[idx];
         let (dp, tp) = (st.plan.dp, st.plan.tp);
-        let mb = global_batch as f64 / (b * dp) as f64;
-        if mb < 1.0 {
-            return Err(Infeasible::MicrobatchTooSmall { stage: idx, dp });
+        let mb_at = |b: usize| global_batch as f64 / (b * dp) as f64;
+        let starved = || Err(Infeasible::MicrobatchTooSmall { stage: idx, dp });
+        // More micro-batches only shrink each one.
+        if mb_at(b) < 1.0 {
+            return std::array::from_fn(|_| starved());
         }
-
         let gpu = &hw.node.gpu;
-        let compute_s = stage_compute_time(p, graph, st.op_range.clone(), mb, tp, gpu);
-
-        let ops = &graph.ops[st.op_range.clone()];
-        // One pass over the stage's operators for every per-op
-        // reduction. Each accumulator still sums its own terms in the
-        // same left-to-right op order as the separate passes did, so
-        // the totals are bitwise unchanged.
-        let mut tp_bytes_raw = 0.0_f64;
-        let mut dispatch_bytes_raw = 0.0_f64;
-        let mut param_bytes = 0.0_f64;
-        for o in ops {
-            tp_bytes_raw += o.tp_comm_bytes;
-            dispatch_bytes_raw += o.dispatch_bytes;
-            param_bytes += o.param_bytes();
-        }
-        // Forward + backward activation collectives for tensor sharding.
-        let tp_payload = tp_bytes_raw * mb * 2.0;
-        let tp_comm_s = collective::allreduce(tp_payload, tp, hw.channel_for(tp));
-
+        let compute = stage_compute_times::<N>(p, graph, st.op_range.clone(), mb_at(b), tp, gpu);
+        let tp_channel = hw.channel_for(tp);
         // Expert dispatch spans the whole stage group (GShard shards
         // experts across every device of the stage).
         let group = st.gpus();
-        let dispatch_payload = dispatch_bytes_raw * mb * 2.0;
-        let dispatch_s = collective::alltoall(dispatch_payload, group, hw.channel_for(group));
-
-        // Activation transfer from the previous stage: the full global
-        // micro-batch crosses, resharded when layouts differ.
-        let boundary_in_s = if idx == 0 {
-            0.0
-        } else {
-            let prev = &plan.stages[idx - 1];
-            let bytes = graph.ops[st.op_range.start - 1].out_bytes * global_batch as f64 / b as f64;
-            let ch = hw.channel_for(plan.total_gpus());
-            let factor = if prev.plan == st.plan && tp == 1 {
-                1.0
-            } else {
-                p.reshard_factor
-            };
-            collective::p2p(bytes * factor, ch)
-        };
-
+        let group_channel = hw.channel_for(group);
         // Gradient all-reduce across replicas of this stage's TP shards.
-        let grad_bytes = param_bytes / tp as f64;
-        let dp_sync_s = collective::allreduce(grad_bytes, dp, hw.channel_for(group));
-
-        let (fixed_mem, scalable_mem) =
-            stage_memory_parts_dp(p, graph, st.op_range.clone(), mb, dp, tp, b);
-        let mem_bytes = fixed_mem + scalable_mem;
+        let grad_bytes = sums.param_bytes / tp as f64;
+        let dp_sync_s = collective::allreduce(grad_bytes, dp, group_channel);
         let budget = gpu.mem_bytes() as f64 * p.usable_mem_frac;
-        if mem_bytes > budget {
-            return Err(Infeasible::OutOfMemory {
-                stage: idx,
-                needed: mem_bytes,
-                budget,
-            });
-        }
+        std::array::from_fn(|k| {
+            let b = b << k;
+            let mb = mb_at(b);
+            if mb < 1.0 {
+                return starved();
+            }
+            let compute_s = compute[k];
 
-        Ok(StageCost {
-            mb_samples: mb,
-            compute_s,
-            tp_comm_s,
-            dispatch_s,
-            boundary_in_s,
-            dp_sync_s,
-            mem_bytes,
+            // Forward + backward activation collectives for tensor sharding.
+            let tp_payload = sums.tp_comm_bytes * mb * 2.0;
+            let tp_comm_s = collective::allreduce(tp_payload, tp, tp_channel);
+
+            let dispatch_payload = sums.dispatch_bytes * mb * 2.0;
+            let dispatch_s = collective::alltoall(dispatch_payload, group, group_channel);
+
+            let (fixed_mem, scalable_mem) =
+                stage_memory_parts_from(p, graph, st.op_range.start, sums, mb, st.plan, b);
+            let mem_bytes = fixed_mem + scalable_mem;
+            if mem_bytes > budget {
+                return Err(Infeasible::OutOfMemory {
+                    stage: idx,
+                    needed: mem_bytes,
+                    budget,
+                });
+            }
+
+            Ok(StageCost {
+                mb_samples: mb,
+                compute_s,
+                tp_comm_s,
+                dispatch_s,
+                boundary_in_s: 0.0,
+                dp_sync_s,
+                mem_bytes,
+            })
         })
+    }
+
+    /// The activation transfer into a non-first stage whose first
+    /// operator is `start`, at `b` micro-batches: the full global
+    /// micro-batch crosses `ch` (the whole plan's channel), resharded
+    /// unless both sides of the cut are data-parallel with the same
+    /// split (`same_layout`).
+    pub(crate) fn boundary_in_s(
+        &self,
+        graph: &ModelGraph,
+        global_batch: usize,
+        start: usize,
+        b: usize,
+        ch: Channel,
+        same_layout: bool,
+    ) -> f64 {
+        let bytes = graph.ops[start - 1].out_bytes * global_batch as f64 / b as f64;
+        let factor = if same_layout {
+            1.0
+        } else {
+            self.params.reshard_factor
+        };
+        collective::p2p(bytes * factor, ch)
     }
 
     /// Evaluates a full plan on a hardware target (Fig. 10 composition).
@@ -282,32 +314,11 @@ impl PerfModel {
         if !plan.is_valid_for(graph) {
             return Err(Infeasible::InvalidPlan);
         }
-        // Gradient accumulation: try doubled micro-batch counts (which
-        // shrink per-micro-batch memory and the pipeline bubble, at the
-        // cost of launch overhead and boundary-link saturation) and keep
-        // the fastest feasible variant. Batch starvation only worsens
-        // with more micro-batches, so it ends the escalation.
-        let mut best: Option<PlanPerf> = None;
-        let mut last = Infeasible::InvalidPlan;
-        for factor in [1_usize, 2, 4, 8, 16] {
-            let b = plan.microbatches() * factor;
-            match self.evaluate_at(graph, global_batch, plan, hw, b) {
-                Ok(perf) => {
-                    if best
-                        .as_ref()
-                        .is_none_or(|p| perf.iter_time_s < p.iter_time_s)
-                    {
-                        best = Some(perf);
-                    }
-                }
-                Err(e @ Infeasible::MicrobatchTooSmall { .. }) => {
-                    last = if factor == 1 { e } else { last };
-                    break;
-                }
-                Err(e) => last = e,
-            }
-        }
-        best.ok_or(last)
+        escalate(
+            plan.microbatches(),
+            |_, b| self.evaluate_at(graph, global_batch, plan, hw, b),
+            |perf| perf.iter_time_s,
+        )
     }
 
     /// [`evaluate`](Self::evaluate) at a fixed micro-batch count.
@@ -328,29 +339,150 @@ impl PerfModel {
         for idx in 0..plan.num_stages() {
             stages.push(self.stage_cost_at(graph, global_batch, plan, idx, hw, b)?);
         }
+        let mut comp = Composition::default();
+        for st in &stages {
+            comp.push(st);
+        }
+        Ok(comp.perf(&self.params, global_batch, b, stages))
+    }
+}
 
-        let fill: f64 = stages.iter().map(StageCost::latency_s).sum();
-        let (bottleneck, steady) = stages
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (i, s.steady_s()))
-            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
-            .expect("plan has at least one stage");
-        let sync = stages.iter().map(|s| s.dp_sync_s).fold(0.0_f64, f64::max)
-            * (1.0 - self.params.dp_overlap);
+/// The Fig. 10 composition of one plan's stage costs, folded in stage
+/// order.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Composition {
+    stages: usize,
+    /// Sum of the stages' latencies: the first micro-batch's traversal.
+    fill_s: f64,
+    /// The slowest steady-state occupancy (the last of equals).
+    steady_s: f64,
+    bottleneck: usize,
+    /// The slowest data-parallel gradient synchronisation.
+    sync_s: f64,
+    max_mem_bytes: f64,
+}
 
-        let iter_time_s = fill + (b as f64 - 1.0) * steady + sync;
-        let max_mem_bytes = stages.iter().map(|s| s.mem_bytes).fold(0.0, f64::max);
+impl Composition {
+    /// Folds in the next stage.
+    pub(crate) fn push(&mut self, st: &StageCost) {
+        self.fill_s += st.latency_s();
+        let steady = st.steady_s();
+        if self.stages == 0
+            || steady
+                .partial_cmp(&self.steady_s)
+                .expect("stage costs are never NaN")
+                .is_ge()
+        {
+            self.steady_s = steady;
+            self.bottleneck = self.stages;
+        }
+        self.sync_s = self.sync_s.max(st.dp_sync_s);
+        self.max_mem_bytes = self.max_mem_bytes.max(st.mem_bytes);
+        self.stages += 1;
+    }
 
-        Ok(PlanPerf {
+    /// The plan's performance at `b` micro-batches, with breakdown
+    /// `stages`. An iteration is the fill, `B − 1` rounds of the slowest
+    /// stage (boundary communication overlaps in steady state), and the
+    /// non-overlapped part of the slowest gradient synchronisation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no stage was pushed.
+    pub(crate) fn perf(
+        &self,
+        params: &CostParams,
+        global_batch: usize,
+        b: usize,
+        stages: Vec<StageCost>,
+    ) -> PlanPerf {
+        assert!(self.stages > 0, "plan has at least one stage");
+        let sync = self.sync_s * (1.0 - params.dp_overlap);
+        let iter_time_s = self.fill_s + (b as f64 - 1.0) * self.steady_s + sync;
+        PlanPerf {
             iter_time_s,
             throughput_sps: global_batch as f64 / iter_time_s,
-            bottleneck,
-            max_mem_bytes,
+            bottleneck: self.bottleneck,
+            max_mem_bytes: self.max_mem_bytes,
             microbatches: b,
             stages,
-        })
+        }
     }
+}
+
+/// Sums over one stage's operators, which neither the stage's split nor
+/// the micro-batch count changes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct OpSums {
+    /// Tensor-parallel activation bytes per sample.
+    pub tp_comm_bytes: f64,
+    /// Expert-dispatch bytes per sample.
+    pub dispatch_bytes: f64,
+    /// FP16 weight bytes.
+    pub param_bytes: f64,
+    /// Live activation bytes per sample.
+    pub act_bytes: f64,
+}
+
+impl OpSums {
+    /// Sums `ops` left to right, each total in its own accumulator.
+    pub(crate) fn new(ops: &[Operator]) -> Self {
+        let mut sums = OpSums {
+            tp_comm_bytes: 0.0,
+            dispatch_bytes: 0.0,
+            param_bytes: 0.0,
+            act_bytes: 0.0,
+        };
+        for o in ops {
+            sums.tp_comm_bytes += o.tp_comm_bytes;
+            sums.dispatch_bytes += o.dispatch_bytes;
+            sums.param_bytes += o.param_bytes();
+            sums.act_bytes += o.act_bytes;
+        }
+        sums
+    }
+}
+
+/// Micro-batch counts [`PerfModel::evaluate`] tries: the GPipe default
+/// and four doublings.
+pub(crate) const ACCUMULATION_STEPS: usize = 5;
+
+/// The gradient-accumulation escalation of [`PerfModel::evaluate`] over
+/// any evaluator `at(step, b)` of one micro-batch count: tries
+/// `b = microbatches × 2^step` for each of the [`ACCUMULATION_STEPS`] in
+/// order (doubling shrinks per-micro-batch memory and the pipeline
+/// bubble, at the cost of launch overhead and boundary-link saturation)
+/// and keeps the first fastest feasible result by `iter_time`. Batch
+/// starvation only worsens with more micro-batches, so it ends the
+/// escalation; with no feasible count the error is the last one seen
+/// (starvation only if it came first).
+pub(crate) fn escalate<T>(
+    microbatches: usize,
+    mut at: impl FnMut(usize, usize) -> Result<T, Infeasible>,
+    iter_time: impl Fn(&T) -> f64,
+) -> Result<T, Infeasible> {
+    let mut best: Option<T> = None;
+    let mut last = Infeasible::InvalidPlan;
+    for step in 0..ACCUMULATION_STEPS {
+        match at(step, microbatches << step) {
+            Ok(perf) => {
+                if best
+                    .as_ref()
+                    .is_none_or(|p| iter_time(&perf) < iter_time(p))
+                {
+                    best = Some(perf);
+                }
+            }
+            Err(e @ Infeasible::MicrobatchTooSmall { .. }) => {
+                if step == 0 {
+                    last = e;
+                }
+                break;
+            }
+            Err(e) => last = e,
+        }
+    }
+    best.ok_or(last)
 }
 
 #[cfg(test)]

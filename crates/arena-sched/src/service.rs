@@ -34,7 +34,7 @@ use arena_cluster::{Cluster, GpuTypeId, NodeSpec};
 use arena_estimator::{best_estimate, Cell, CellEstimate, CellEstimator};
 use arena_model::{ModelConfig, ModelGraph};
 use arena_parallelism::{PipelinePlan, PlanSpace, StageAssignment, StagePlan};
-use arena_perf::{CostParams, GroundTruth, HwTarget};
+use arena_perf::{CostParams, GroundTruth, HwTarget, SampledSearch};
 use arena_runtime::{BudgetedMap, MemSection, MemSize};
 use arena_trace::JobSpec;
 use arena_tuner::tune_in_space;
@@ -283,32 +283,29 @@ impl PlanService {
         }
         let graph = self.graph(model);
         let hw = self.hw(pool);
-        let p = self.gt.params();
         let mut wall = 0.0;
-        let mut best: Option<(PipelinePlan, f64)> = None;
+        // The fastest plan so far (the first of equals wins), labelled
+        // once per stage count that improved it.
+        let mut best: Option<(String, f64)> = None;
         for stages in Self::stage_counts(&graph, gpus) {
             let Some(cell) = Cell::new(&graph, gpus, stages) else {
                 continue;
             };
             let space = PlanSpace::new(cell.partition);
-            for plan in space.sample(EXPLORE_SAMPLE_CAP) {
-                match self.gt.measure(&graph, model.global_batch, &plan, &hw) {
-                    Ok(perf) => {
-                        wall +=
-                            p.direct_profile_setup_s + p.direct_profile_iters * perf.iter_time_s;
-                        if best.as_ref().is_none_or(|&(_, t)| perf.iter_time_s < t) {
-                            best = Some((plan, perf.iter_time_s));
-                        }
-                    }
-                    Err(_) => wall += p.direct_profile_setup_s,
-                }
+            let search = SampledSearch::new(&self.gt, &graph, model.global_batch, &space, &hw);
+            let bound = best.as_ref().map(|&(_, t)| t);
+            let fastest = search.fastest(EXPLORE_SAMPLE_CAP, bound, |t| {
+                wall += self.gt.trial_wall_s(t);
+            });
+            if let Some((idx, t)) = fastest {
+                best = Some((space.plan_at_index(idx).short_label(), t));
             }
         }
-        let result = best.map(|(plan, iter_time_s)| RunPlan {
+        let result = best.map(|(plan_label, iter_time_s)| RunPlan {
             iter_time_s,
             throughput_sps: model.global_batch as f64 / iter_time_s,
             acquire_wall_s: wall.min(EXPLORE_WALL_CAP_S),
-            plan_label: plan.short_label(),
+            plan_label,
         });
         self.adaptive.write().insert(key, result.clone());
         result

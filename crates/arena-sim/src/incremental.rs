@@ -173,6 +173,16 @@ pub enum InputError {
     ZeroIterations,
     /// The job's global batch is empty.
     ZeroBatch,
+    /// The input is timestamped at or past the horizon, where the engine
+    /// stops: it could never take effect.
+    PastHorizon {
+        /// The engine's horizon.
+        horizon_s: f64,
+        /// The offending timestamp.
+        got_s: f64,
+    },
+    /// The job's deadline is negative or not finite.
+    InvalidDeadline(f64),
 }
 
 impl std::fmt::Display for InputError {
@@ -207,6 +217,13 @@ impl std::fmt::Display for InputError {
             ),
             InputError::ZeroIterations => write!(f, "job has zero iterations"),
             InputError::ZeroBatch => write!(f, "job has a zero global batch"),
+            InputError::PastHorizon { horizon_s, got_s } => {
+                write!(
+                    f,
+                    "input at {got_s}s is at or past the horizon {horizon_s}s"
+                )
+            }
+            InputError::InvalidDeadline(d) => write!(f, "invalid deadline {d}s"),
         }
     }
 }
@@ -477,6 +494,8 @@ struct EngineTelemetry {
     stage_prepare: Histogram,
     stage_schedule: Histogram,
     stage_commit: Histogram,
+    /// The round-boundary throughput sample (burst step 6).
+    stage_sample: Histogram,
     /// Actions emitted per scheduling pass.
     actions_per_pass: Histogram,
     /// Queue / running lengths at each dispatch.
@@ -505,6 +524,7 @@ impl EngineTelemetry {
             stage_prepare: reg.histogram("sim.shard.prepare"),
             stage_schedule: reg.histogram("sim.schedule"),
             stage_commit: reg.histogram("sim.commit"),
+            stage_sample: reg.histogram("sim.sample"),
             actions_per_pass: reg.histogram("sim.actions_per_pass"),
             queue_depth: reg.gauge("sim.queue_depth"),
             running_jobs: reg.gauge("sim.running_jobs"),
@@ -763,18 +783,22 @@ impl<'a> Engine<'a> {
     ///
     /// # Errors
     ///
-    /// Rejects closed input, non-finite/unsorted/past timestamps,
-    /// duplicate job ids, model sizes outside the family's Table-2 list
-    /// (the only sizes the model builders accept), pools the cluster
-    /// does not have, GPU requests of zero or above the pool's GPU count
-    /// (failed nodes included, so a repair can always satisfy the job),
-    /// zero iterations and a zero global batch.
+    /// Rejects closed input, non-finite/unsorted/past timestamps and
+    /// timestamps at or past the horizon, negative or non-finite
+    /// deadlines, duplicate job ids, model sizes outside the family's
+    /// Table-2 list (the only sizes the model builders accept), pools the
+    /// cluster does not have, GPU requests of zero or above the pool's
+    /// GPU count (failed nodes included, so a repair can always satisfy
+    /// the job), zero iterations and a zero global batch.
     pub fn check_submit(&self, spec: &JobSpec) -> Result<(), InputError> {
         if !self.input_open {
             return Err(InputError::InputClosed);
         }
-        if !spec.submit_s.is_finite() {
-            return Err(InputError::NonFiniteTime(spec.submit_s));
+        self.check_time(spec.submit_s)?;
+        if let Some(d) = spec.deadline_s {
+            if !d.is_finite() || d < 0.0 {
+                return Err(InputError::InvalidDeadline(d));
+            }
         }
         if spec.submit_s < self.last_submit_s {
             return Err(InputError::UnsortedSubmission {
@@ -822,15 +846,14 @@ impl<'a> Engine<'a> {
     ///
     /// # Errors
     ///
-    /// Rejects closed input, non-finite/unsorted/past timestamps and
-    /// pool/node coordinates the cluster does not have.
+    /// Rejects closed input, non-finite/unsorted/past timestamps,
+    /// timestamps at or past the horizon and pool/node coordinates the
+    /// cluster does not have.
     pub fn inject_fault(&mut self, fault: FaultEvent) -> Result<(), InputError> {
         if !self.input_open {
             return Err(InputError::InputClosed);
         }
-        if !fault.time_s.is_finite() {
-            return Err(InputError::NonFiniteTime(fault.time_s));
-        }
+        self.check_time(fault.time_s)?;
         if fault.time_s < self.last_fault_s {
             return Err(InputError::UnsortedFault {
                 last_s: self.last_fault_s,
@@ -852,6 +875,22 @@ impl<'a> Engine<'a> {
             });
         }
         self.push_fault_unchecked(fault);
+        Ok(())
+    }
+
+    /// Refuses an input timestamp that is not finite or lies at or past
+    /// the horizon. Accepting either would raise the input's watermark
+    /// past every timestamp the engine can still run.
+    fn check_time(&self, t: f64) -> Result<(), InputError> {
+        if !t.is_finite() {
+            return Err(InputError::NonFiniteTime(t));
+        }
+        if t >= self.cfg.horizon_s {
+            return Err(InputError::PastHorizon {
+                horizon_s: self.cfg.horizon_s,
+                got_s: t,
+            });
+        }
         Ok(())
     }
 
@@ -1517,6 +1556,12 @@ impl<'a> Engine<'a> {
         // sums fold the running jobs in ascending index, the reference
         // loop's accumulation order.
         if matches!(event, Some(SchedEvent::Round)) {
+            let _sample = stage(
+                self.tele.as_ref(),
+                &self.obs,
+                |tele| &tele.stage_sample,
+                "sim.sample",
+            );
             let running = || {
                 self.index
                     .active

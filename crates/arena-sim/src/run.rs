@@ -519,6 +519,53 @@ mod tests {
     }
 
     #[test]
+    fn admission_refuses_inputs_at_or_past_the_horizon() {
+        use crate::incremental::InputError;
+        let cluster = presets::physical_testbed();
+        let service = PlanService::new(&cluster, CostParams::default(), 11);
+        let cfg = SimConfig::new(1000.0);
+        let mut policy = FcfsPolicy::new();
+        let mut engine = Engine::new(
+            &cluster,
+            &mut policy,
+            &service,
+            &cfg,
+            &Obs::disabled(),
+            &ShardPlan,
+        );
+        let job = |id: u64, submit_s: f64, deadline_s: Option<f64>| JobSpec {
+            id,
+            submit_s,
+            deadline_s,
+            ..tiny_trace().remove(0)
+        };
+        let past = |got_s| InputError::PastHorizon {
+            horizon_s: 1000.0,
+            got_s,
+        };
+        assert_eq!(engine.check_submit(&job(0, 999.0, None)), Ok(()));
+        for t in [1000.0, 1e300] {
+            assert_eq!(engine.submit(job(0, t, None)), Err(past(t)));
+        }
+        for d in [-5.0, f64::INFINITY, f64::NAN] {
+            let refused = engine.submit(job(0, 0.0, Some(d)));
+            assert!(
+                matches!(refused, Err(InputError::InvalidDeadline(got)) if got.to_bits() == d.to_bits()),
+                "deadline {d}: {refused:?}"
+            );
+        }
+        let fault = |time_s| FaultEvent {
+            time_s,
+            ..pool0_outage(0.0, 1.0, 1).remove(0)
+        };
+        assert_eq!(engine.inject_fault(fault(1000.0)), Err(past(1000.0)));
+        // Refused inputs moved no watermark: valid input still lands.
+        assert_eq!(engine.inject_fault(fault(500.0)), Ok(()));
+        assert_eq!(engine.submit(job(0, 10.0, Some(0.0))), Ok(()));
+        assert_eq!(engine.submit(job(1, 999.0, None)), Ok(()));
+    }
+
+    #[test]
     fn telemetry_plane_is_invisible_in_output() {
         use arena_obs::MetricsRegistry;
         use std::sync::Arc;
@@ -547,6 +594,7 @@ mod tests {
             "sim.shard.prepare",
             "sim.schedule",
             "sim.commit",
+            "sim.sample",
         ] {
             assert!(hists[stage].count > 0, "{stage} empty");
         }

@@ -16,7 +16,7 @@
 use arena_estimator::{Cell, CellEstimate, Favor};
 use arena_model::ModelGraph;
 use arena_parallelism::{stage_plan_options, PipelinePlan, PlanSpace, StagePlan};
-use arena_perf::{GroundTruth, HwTarget, PlanPerf};
+use arena_perf::{GroundTruth, HwTarget, PlanPerf, SampledSearch};
 
 /// Outcome of one tuning run.
 #[derive(Debug, Clone)]
@@ -91,19 +91,8 @@ pub fn tune_in_space(
     let before_gpu_s = gt.meter().gpu_seconds();
     let before_trials = gt.meter().trials();
 
-    let mut best: Option<(PipelinePlan, PlanPerf)> = None;
-    for plan in space.sample(cap) {
-        if let Ok(perf) = gt.profile_direct(graph, global_batch, &plan, hw) {
-            let better = best
-                .as_ref()
-                .is_none_or(|(_, b)| perf.throughput_sps > b.throughput_sps);
-            if better {
-                best = Some((plan, perf));
-            }
-        }
-    }
-
-    best.map(|(plan, perf)| TuneResult {
+    let (plan, perf) = SampledSearch::new(gt, graph, global_batch, space, hw).profile_best(cap)?;
+    Some(TuneResult {
         plan,
         perf,
         trials: gt.meter().trials() - before_trials,

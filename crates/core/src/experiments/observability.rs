@@ -471,7 +471,7 @@ mod tests {
         assert!(run.perfetto_json.contains("\"traceEvents\":["));
         assert!(run.perfetto_json.trim_end().ends_with('}'));
         assert!(!run.utilization_jsonl.is_empty());
-        let table = timeline_summary_table(&[run.summary.clone()]);
+        let table = timeline_summary_table(std::slice::from_ref(&run.summary));
         assert_eq!(table.num_rows(), 1);
         assert!(table.render().contains("FCFS"));
         // Round-trips through JSON for arena-analyze.

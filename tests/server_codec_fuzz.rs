@@ -2,7 +2,8 @@
 //!
 //! The daemon's contract for adversarial input is **reject-and-continue**:
 //! truncated lines, unknown commands/fields, out-of-order timestamps,
-//! duplicate job ids, bad node coordinates, jobs no pool can run —
+//! duplicate job ids, bad node coordinates, jobs no pool can run, input
+//! at or past the horizon, negative deadlines —
 //! every malformed or invalid line yields exactly one `ok:false`
 //! response, never a panic, and never corrupts engine state. After any garbage barrage the daemon
 //! still accepts clean input, drains, and its final state balances.
@@ -39,6 +40,15 @@ fn server() -> Server {
         SimConfig::new(2_000_000.0),
     ))
     .expect("server start")
+}
+
+/// A timestamp at or past the server's 2,000,000 s horizon.
+fn past_horizon(a: u64, b: u64) -> f64 {
+    if a.is_multiple_of(2) {
+        1e300
+    } else {
+        2_000_000.0 + b as f64
+    }
 }
 
 /// Deterministically maps a fuzz tuple to one adversarial input line.
@@ -91,6 +101,20 @@ fn adversarial_line(kind: usize, a: u64, b: u64) -> String {
             }
             submit_line(&spec)
         }
+        // Well-formed input the engine can never run: a submit at or
+        // past the horizon, a negative deadline, a fault at or past the
+        // horizon. Accepting a timestamp past the horizon would raise
+        // the watermark past the clean jobs submitted after the soup.
+        13 => submit_line(&job(20_000 + a, past_horizon(a, b))),
+        14 => {
+            let mut spec = job(30_000 + a, (b % 10_000) as f64);
+            spec.deadline_s = Some(-1.0 - b as f64);
+            submit_line(&spec)
+        }
+        15 => format!(
+            "{{\"cmd\":\"fault\",\"time_s\":{},\"pool\":0,\"node\":0,\"kind\":\"failure\"}}",
+            past_horizon(a, b)
+        ),
         _ => "   ".to_string(),
     }
 }
@@ -102,7 +126,7 @@ proptest! {
     /// no panic, and the daemon still runs a clean trace to completion.
     #[test]
     fn adversarial_streams_reject_and_continue(
-        soup in proptest::collection::vec((0_usize..14, 0_u64..1000, 0_u64..100_000), 1..60)
+        soup in proptest::collection::vec((0_usize..17, 0_u64..1000, 0_u64..100_000), 1..60)
     ) {
         let server = server();
         let handle = server.handle();
@@ -118,7 +142,7 @@ proptest! {
                 "response missing ok: {}", response
             );
             // Definitely-bad categories must be rejected.
-            if matches!(kind, 1 | 2 | 3 | 5 | 6 | 7 | 9 | 10 | 11 | 12 | 13) {
+            if matches!(kind, 1 | 2 | 3 | 5 | 6 | 7 | 9 | 10 | 11 | 12 | 13 | 14 | 15 | 16) {
                 prop_assert!(
                     response.contains("\"ok\":false"),
                     "bad line accepted: {} -> {}", line, response
@@ -150,7 +174,7 @@ proptest! {
     /// yields exactly one response line per input line.
     #[test]
     fn stdin_transport_is_line_accurate(
-        soup in proptest::collection::vec((0_usize..14, 0_u64..1000, 0_u64..100_000), 1..40)
+        soup in proptest::collection::vec((0_usize..17, 0_u64..1000, 0_u64..100_000), 1..40)
     ) {
         let server = server();
         let handle = server.handle();
