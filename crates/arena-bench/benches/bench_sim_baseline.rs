@@ -1,21 +1,80 @@
-//! Custom-harness baseline bench: machine-readable timings for the hot
-//! paths of the stack — Cell estimation (cold and warm cache), Arena
-//! scheduling decisions under load (memoized vs sequential baseline, and
-//! a 500-job round at worker-pool sizes 1/4/8), and a full 500-job
-//! simulation — written to `BENCH_sim.json` at the workspace root for CI
-//! trend tracking via `arena-analyze bench-check`.
+//! The one bench binary: machine-readable timings for every layer of the
+//! stack, written to `BENCH_sim.json` at the workspace root for
+//! `arena-analyze bench-check`. Each entry name starts with its layer:
+//!
+//! * `stream/` — fleet-scale streaming, stamped with peak RSS;
+//! * `perf/`, `parallelism/` — the cost model and stage partitioning;
+//! * `estimator/`, `tuner/`, `plans/` — Cell estimation, pruned tuning
+//!   and cold plan exploration;
+//! * `sched/<policy>/` — one decision pass of each of the five policies
+//!   on a loaded cluster, Arena across Algorithm 1's search depths (the
+//!   Fig. 21(a) axis);
+//! * `sim/` — whole simulations;
+//! * `engine/` — the engine's stages, read from the registry of the
+//!   telemetry-on runs of the loaded fixture;
+//! * `ratio/` — A/B ratios timed as interleaved pairs in this process;
+//!   `ratio/telemetry_on_off` is the always-on telemetry gate.
 //!
 //! Run with `cargo bench -p arena-bench --bench bench_sim_baseline`.
-//! `BENCH_SMOKE=1` drops every loop to a single iteration (the CI mode:
-//! proves the paths run, not how fast).
+//! `BENCH_SMOKE=1` drops every loop to a single iteration and the
+//! telemetry ratio to one unbounded pair (the CI mode: proves the paths
+//! run, not how fast). Both modes run the same fixtures and write the
+//! same entry names, so a smoke file compares against the committed one
+//! name by name.
 
+use std::collections::BTreeMap;
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::Instant;
 
+use arena::cluster::{presets, PoolStats};
+use arena::estimator::CommTables;
+use arena::parallelism::determine_stages;
+use arena::perf::noise::NoiseModel;
+use arena::perf::PerfModel;
 use arena::prelude::*;
-use arena::sched::{JobView, Obs, PlacementView, SchedEvent, SchedView};
+use arena::sched::{JobView, PlacementView, SchedEvent, SchedView, POLICY_NAMES};
 use arena::trace::TakeSource;
-use arena_bench::{git_rev, time_loop, vm_hwm_bytes, write_bench_report, BenchEntry, BenchReport};
+use arena::tuner::{tune_full, tune_pruned};
+use arena_bench::{
+    git_rev, time_loop, vm_hwm_bytes, write_bench_report, BenchEntry, BenchReport, RatioEntry,
+};
+
+/// The telemetry plane's always-on claim: the loaded run with a live
+/// registry attached may take at most 5% longer than without.
+const TELEMETRY_BOUND: f64 = 1.05;
+
+/// Off/on pairs behind `ratio/telemetry_on_off` in a full run.
+const TELEMETRY_PAIRS: usize = 20;
+
+/// The engine's per-burst stages, by entry suffix and histogram name.
+/// Together they must cover at least [`MIN_STAGE_COVERAGE`] of
+/// `sim.stage.burst_seconds`.
+const ENGINE_STAGES: [(&str, &str); 7] = [
+    ("advance", "sim.advance"),
+    ("arrive", "sim.arrive"),
+    ("merge", "sim.shard.merge"),
+    ("prepare", "sim.shard.prepare"),
+    ("schedule", "sim.schedule"),
+    ("commit", "sim.commit"),
+    ("sample", "sim.sample"),
+];
+
+const BURST: &str = "sim.stage.burst_seconds";
+
+const MIN_STAGE_COVERAGE: f64 = 0.9;
+
+fn iters(smoke: bool, full: usize) -> usize {
+    if smoke {
+        1
+    } else {
+        full
+    }
+}
+
+fn a100_node() -> HwTarget {
+    HwTarget::new(NodeSpec::with_default_links(GpuSpec::A100, 4))
+}
 
 fn make_jobs(n: u64, base_gpus: usize, submit_gap_s: f64, num_pools: usize) -> Vec<JobSpec> {
     (0..n)
@@ -45,29 +104,236 @@ fn queued_views(specs: &[JobSpec]) -> Vec<JobView> {
     specs
         .iter()
         .map(|s| JobView {
-            spec: std::sync::Arc::new(s.clone()),
+            spec: Arc::new(s.clone()),
             remaining_iters: s.iterations as f64,
             placement: None,
         })
         .collect()
 }
 
-fn bench_estimate(smoke: bool) -> Vec<BenchEntry> {
-    let cluster = arena::cluster::presets::physical_testbed();
-    let hw = arena::perf::HwTarget::new(cluster.spec(GpuTypeId(0)));
+/// Times `f` against a fresh (cold) plan service per iteration. The
+/// services are built before and dropped after the timed loop.
+fn time_cold<F: FnMut(&PlanService)>(
+    name: &str,
+    iters: usize,
+    cluster: &Cluster,
+    mut f: F,
+) -> BenchEntry {
+    let mut fresh: Vec<PlanService> = (0..iters)
+        .map(|_| PlanService::new(cluster, CostParams::default(), 51))
+        .collect();
+    let mut spent = Vec::with_capacity(iters);
+    let entry = time_loop(name, iters, || {
+        let service = fresh.pop().expect("one service per iteration");
+        f(&service);
+        spent.push(service);
+    });
+    drop(spent);
+    entry
+}
+
+/// The fleet-scale streaming pair: an open-ended synthetic PAI-load
+/// trace on a 2,048-GPU cluster pumped straight from the generator into
+/// the record-folding engine — no materialised trace, no per-job record
+/// vector, terminal jobs reclaimed as they drain. Two consecutive runs
+/// in this process, 100k jobs then 1M, each entry stamped with the
+/// process peak RSS (`VmHWM`). The watermark is
+/// monotone over the process lifetime, so the big run's peak staying
+/// within 1.2x the small run's pins the memory model: resident state
+/// follows the *live* job count, not the trace length. Must run before
+/// every other bench so the watermark reflects the streaming runs and
+/// not an earlier fixture's transient. `ARENA_MEM_BUDGET_BYTES`, when
+/// set, additionally caps the plan/estimator caches (the CI fleet-scale
+/// job runs this bench under a budget).
+fn bench_stream_fleet() -> Vec<BenchEntry> {
+    let cluster = presets::tiny_a100(256, 8);
+    // Open-ended trace: the duration never binds; TakeSource cuts the
+    // arrival stream at an exact job count instead.
+    let trace_cfg = TraceConfig::new(TraceKind::PaiLow, 4.0e9, cluster.total_gpus(), vec![40.0]);
+    // Both sizes sit past the allocator's warmup plateau (~50k jobs on
+    // this fixture) so the flatness gate measures the steady state, not
+    // malloc arena growth.
+    let (small, big) = (100_000_u64, 1_000_000_u64);
+    let mut entries = Vec::new();
+    let mut peaks = Vec::new();
+    for n in [small, big] {
+        let service = PlanService::new(&cluster, CostParams::default(), 51);
+        if let Some(budget) = service.apply_env_budget() {
+            println!("stream_fleet: cache budget {budget} bytes (ARENA_MEM_BUDGET_BYTES)");
+        }
+        let cfg = SimConfig::new(4.1e9);
+        let mut policy = FcfsPolicy::new();
+        let mut source = TakeSource::new(GenSource::new(&trace_cfg), n);
+        let t0 = Instant::now();
+        let summary = Run::new(&cluster, &mut policy, &service, &cfg)
+            .stream(&mut source)
+            .expect("generator-backed source cannot fail");
+        let wall = t0.elapsed().as_secs_f64();
+        assert_eq!(summary.jobs.jobs, n, "generator ran dry before the cap");
+        let peak = vm_hwm_bytes();
+        println!(
+            "stream/fleet_{n}: {n} jobs in {wall:.2}s ({:.0} jobs/s), \
+             peak RSS {} MiB, peak live jobs {}, fingerprint {:016x}",
+            n as f64 / wall,
+            peak.unwrap_or(0) >> 20,
+            summary.peak_live_jobs,
+            summary.fingerprint,
+        );
+        entries.push(BenchEntry {
+            peak_rss_bytes: peak,
+            ..BenchEntry::from_samples(&format!("stream/fleet_{n}_fcfs"), &[wall])
+        });
+        peaks.push(peak);
+        black_box(summary);
+    }
+    // The flatness gate itself: the larger trace may not move the
+    // high-water mark by more than 20%.
+    if let [Some(first), Some(second)] = peaks[..] {
+        assert!(
+            second as f64 <= 1.2 * first as f64,
+            "streaming peak RSS grew with trace length: {small} jobs -> {first} B, \
+             {big} jobs -> {second} B"
+        );
+    }
+    entries
+}
+
+/// The analytical cost model (plan evaluation, and the noisy
+/// ground-truth measurement built on it) and stage partitioning.
+fn bench_perf_and_parallelism(smoke: bool) -> Vec<BenchEntry> {
+    let model = PerfModel::new(CostParams::default());
+    let gt = GroundTruth::new(CostParams::default(), 51);
+    let hw = a100_node();
+    let n = iters(smoke, 2000);
+    let mut out = Vec::new();
+    for (name, fam, size, gpus, stages) in [
+        ("bert1.3_4g_1s", ModelFamily::Bert, 1.3, 4, 1),
+        ("bert2.6_8g_4s", ModelFamily::Bert, 2.6, 8, 4),
+        ("moe10_16g_8s", ModelFamily::Moe, 10.0, 16, 8),
+    ] {
+        let graph = ModelConfig::new(fam, size, 256).build();
+        let plan = PlanSpace::new(determine_stages(&graph, gpus, stages).expect("feasible"))
+            .iter()
+            .next()
+            .expect("non-empty plan space");
+        out.push(time_loop(&format!("perf/evaluate/{name}"), n, || {
+            let _ = black_box(model.evaluate(&graph, 256, black_box(&plan), &hw));
+        }));
+        if name == "bert2.6_8g_4s" {
+            out.push(time_loop("perf/measure", n, || {
+                let _ = black_box(gt.measure(&graph, 256, black_box(&plan), &hw));
+            }));
+        }
+    }
+    let n = iters(smoke, 200);
+    for (name, fam, size) in [
+        ("wres2", ModelFamily::WideResNet, 2.0),
+        ("bert6.7", ModelFamily::Bert, 6.7),
+        ("moe27", ModelFamily::Moe, 27.0),
+    ] {
+        let graph = ModelConfig::new(fam, size, 256).build();
+        out.push(time_loop(
+            &format!("parallelism/determine_stages/{name}"),
+            n,
+            || {
+                black_box(determine_stages(black_box(&graph), 16, 4));
+            },
+        ));
+    }
+    out
+}
+
+/// The agile Cell estimator (Fig. 12's machinery): plan assembly with
+/// warm profiles (`estimate_uncached`, the SoA gate's entry), the
+/// estimate-cache hit path, a cold estimator per call, and offline
+/// communication-table construction.
+fn bench_estimator(smoke: bool) -> Vec<BenchEntry> {
+    let cluster = presets::physical_testbed();
+    let hw = HwTarget::new(cluster.spec(GpuTypeId(0)));
     let est = CellEstimator::new(CostParams::default(), 51);
     let g = ModelConfig::new(ModelFamily::Bert, 1.3, 256).build();
     let cell = Cell::new(&g, 8, 4).expect("feasible cell");
     // Warm profile/table caches so the loop measures plan assembly.
     let _ = est.estimate(&g, 256, &cell, &hw);
-    let iters = if smoke { 1 } else { 200 };
-    vec![
-        time_loop("estimator/estimate_uncached", iters, || {
+    let n = iters(smoke, 200);
+    let mut out = vec![
+        time_loop("estimator/estimate_uncached", n, || {
             black_box(est.estimate_bypassing_cache(black_box(&g), 256, black_box(&cell), &hw));
         }),
         // The estimate cache's hit path: a prehashed struct-key lookup.
-        time_loop("estimator/estimate_warm", iters, || {
+        time_loop("estimator/estimate_warm", n, || {
             black_box(est.estimate(black_box(&g), 256, black_box(&cell), &hw));
+        }),
+    ];
+    let hw = a100_node();
+    let n = iters(smoke, 30);
+    for (name, fam, size, gpus, stages) in [
+        ("bert1.3_8g_4s", ModelFamily::Bert, 1.3, 8, 4),
+        ("moe2.4_16g_8s", ModelFamily::Moe, 2.4, 16, 8),
+        ("wres2_8g_2s", ModelFamily::WideResNet, 2.0, 8, 2),
+    ] {
+        let graph = ModelConfig::new(fam, size, 256).build();
+        let cell = Cell::new(&graph, gpus, stages).expect("feasible cell");
+        out.push(time_loop(
+            &format!("estimator/estimate_cold/{name}"),
+            n,
+            || {
+                // Fresh estimator: pays profiling, table build and assembly.
+                let est = CellEstimator::new(CostParams::default(), 3);
+                black_box(est.estimate(&graph, 256, black_box(&cell), &hw));
+            },
+        ));
+    }
+    let noise = NoiseModel::new(0.02, 1);
+    out.push(time_loop("estimator/comm_tables_build_64", n, || {
+        black_box(CommTables::build(&hw, 64, &noise));
+    }));
+    out
+}
+
+/// Cell-guided pruned tuning against the unpruned search (Fig. 13's
+/// machinery), each on a fresh ground truth.
+fn bench_tuner(smoke: bool) -> Vec<BenchEntry> {
+    let hw = a100_node();
+    let graph = ModelConfig::new(ModelFamily::Bert, 2.6, 512).build();
+    let cell = Cell::new(&graph, 16, 4).expect("feasible cell");
+    let estimate = CellEstimator::new(CostParams::default(), 9)
+        .estimate(&graph, 512, &cell, &hw)
+        .expect("cell estimates");
+    let n = iters(smoke, 20);
+    vec![
+        time_loop("tuner/full_16g_4s", n, || {
+            let gt = GroundTruth::new(CostParams::default(), 9);
+            black_box(tune_full(&gt, &graph, 512, black_box(&cell), &hw));
+        }),
+        time_loop("tuner/pruned_16g_4s", n, || {
+            let gt = GroundTruth::new(CostParams::default(), 9);
+            black_box(tune_pruned(
+                &gt,
+                &graph,
+                512,
+                black_box(&cell),
+                &estimate,
+                &hw,
+            ));
+        }),
+    ]
+}
+
+/// Cold plan exploration on the Table-1 cluster: one adaptive-parallelism
+/// search, and the ideal throughput every policy normalises by (an
+/// adaptive search per pool at the requested and doubled GPU count).
+fn bench_plans(smoke: bool) -> Vec<BenchEntry> {
+    let cluster = presets::table1_simulated();
+    let model = ModelConfig::new(ModelFamily::Bert, 1.3, 256);
+    let spec = make_jobs(1, 8, 0.0, 1).remove(0);
+    let n = iters(smoke, 20);
+    vec![
+        time_cold("plans/adaptive_run_cold", n, &cluster, |s| {
+            black_box(s.adaptive_run(&model, 8, GpuTypeId(0)));
+        }),
+        time_cold("plans/ideal_sps_cold", n, &cluster, |s| {
+            black_box(s.ideal_sps(&spec));
         }),
     ]
 }
@@ -75,22 +341,22 @@ fn bench_estimate(smoke: bool) -> Vec<BenchEntry> {
 /// The loaded-round fixture: 6 running jobs holding most of the testbed,
 /// 8 queued.
 struct LoadedRound {
-    cluster: arena::cluster::Cluster,
     service: PlanService,
     running: Vec<JobView>,
     queued: Vec<JobView>,
+    pools: Vec<PoolStats>,
 }
 
 impl LoadedRound {
     fn new() -> Self {
-        let cluster = arena::cluster::presets::physical_testbed();
+        let cluster = presets::physical_testbed();
         let service = PlanService::new(&cluster, CostParams::default(), 51);
         let specs = make_jobs(14, 8, 0.0, 2);
         let running: Vec<JobView> = specs[..6]
             .iter()
             .enumerate()
             .map(|(i, s)| JobView {
-                spec: std::sync::Arc::new(s.clone()),
+                spec: Arc::new(s.clone()),
                 remaining_iters: 300.0,
                 placement: Some(PlacementView {
                     pool: GpuTypeId(i % 2),
@@ -101,102 +367,95 @@ impl LoadedRound {
             })
             .collect();
         let queued = queued_views(&specs[6..]);
+        let mut pools = cluster.pool_stats();
+        pools[0].free_gpus = 8;
+        pools[1].free_gpus = 8;
         LoadedRound {
-            cluster,
             service,
             running,
             queued,
+            pools,
         }
     }
 
-    fn pools(&self) -> Vec<arena::cluster::PoolStats> {
-        let mut pools = self.cluster.pool_stats();
-        pools[0].free_gpus = 8;
-        pools[1].free_gpus = 8;
-        pools
-    }
-
-    fn view<'a>(&'a self, pools: &'a [arena::cluster::PoolStats]) -> SchedView<'a> {
+    fn view(&self) -> SchedView<'_> {
         SchedView {
             now_s: 0.0,
             queued: &self.queued,
             running: &self.running,
-            pools,
+            pools: &self.pools,
             service: &self.service,
             obs: Obs::disabled(),
         }
     }
+
+    /// One warm-up pass (the service and the policy's memo warm, as in
+    /// a long-running scheduler), then `iters` timed passes.
+    fn time(&self, name: &str, iters: usize, policy: &mut dyn Policy) -> BenchEntry {
+        let _ = policy.schedule(SchedEvent::Round, &self.view());
+        time_loop(name, iters, || {
+            black_box(policy.schedule(SchedEvent::Round, &self.view()));
+        })
+    }
 }
 
-/// The memoized decision loop (candidate memo on, the shipping default)
-/// against the sequential re-enumeration baseline (`_seq`, memo off) —
-/// the pair `bench-check` holds the ≥2× speedup claim against.
-fn bench_arena_schedule(smoke: bool) -> Vec<BenchEntry> {
+/// One decision pass of every policy on the loaded round: the four
+/// baselines, Arena at search depths 1–5 (Fig. 21(a)), and Arena at the
+/// default depth without its candidate memo — the pair the in-process
+/// ≥2× memo assert holds.
+fn bench_decisions(smoke: bool) -> Vec<BenchEntry> {
     let fixture = LoadedRound::new();
-    let pools = fixture.pools();
-    let iters = if smoke { 1 } else { 50 };
-
-    let mut policy = ArenaPolicy::new();
-    let _ = policy.schedule(SchedEvent::Round, &fixture.view(&pools)); // warm
-    let loaded = time_loop("sched/arena_decision_loaded", iters, || {
-        black_box(policy.schedule(SchedEvent::Round, &fixture.view(&pools)));
-    });
-
-    let mut seq = ArenaPolicy::new().without_candidate_memo();
-    let _ = seq.schedule(SchedEvent::Round, &fixture.view(&pools)); // warm
-    let loaded_seq = time_loop("sched/arena_decision_loaded_seq", iters, || {
-        black_box(seq.schedule(SchedEvent::Round, &fixture.view(&pools)));
-    });
-    vec![loaded, loaded_seq]
-}
-
-/// One scheduling round over a 500-job queue on the 4-pool simulated
-/// cluster, cold (fresh service + policy per iteration) at worker-pool
-/// sizes 1/4/8, plus the warm-estimate variant.
-fn bench_arena_500(smoke: bool) -> Vec<BenchEntry> {
-    let cluster = arena::cluster::presets::table1_simulated();
-    let n = if smoke { 40 } else { 500 };
-    let queued = queued_views(&make_jobs(n, 8, 0.0, 4));
-    let pools = cluster.pool_stats();
-    let iters = if smoke { 1 } else { 5 };
-    let mut entries = Vec::new();
-    for workers in [1_usize, 4, 8] {
-        entries.push(time_loop(
-            &format!("sched/arena_decision_{n}_cold_w{workers}"),
-            iters,
-            || {
-                let service = PlanService::new(&cluster, CostParams::default(), 51);
-                let mut policy = ArenaPolicy::new().with_worker_threads(workers);
-                let view = SchedView {
-                    now_s: 0.0,
-                    queued: &queued,
-                    running: &[],
-                    pools: &pools,
-                    service: &service,
-                    obs: Obs::disabled(),
-                };
-                black_box(policy.schedule(SchedEvent::Round, &view));
-            },
+    let n = iters(smoke, 50);
+    let baselines: [(&str, Box<dyn Policy>); 4] = [
+        ("fcfs", Box::new(FcfsPolicy::new())),
+        ("gandiva", Box::new(GandivaPolicy::new())),
+        ("gavel", Box::new(GavelPolicy::new())),
+        ("elasticflow", Box::new(ElasticFlowPolicy::loosened())),
+    ];
+    let mut out: Vec<BenchEntry> = baselines
+        .into_iter()
+        .map(|(slug, mut policy)| {
+            fixture.time(&format!("sched/{slug}/decision_loaded"), n, policy.as_mut())
+        })
+        .collect();
+    for depth in 1..=5 {
+        out.push(fixture.time(
+            &format!("sched/arena/depth_{depth}"),
+            n,
+            &mut ArenaPolicy::new().with_search_depth(depth),
         ));
     }
-    // Warm: shared pre-warmed service, fresh policy per iteration — the
-    // cost of a round when only the candidate memo is cold.
-    let service = PlanService::new(&cluster, CostParams::default(), 51);
-    let _ = ArenaPolicy::new().schedule(SchedEvent::Round, &round_view(&queued, &pools, &service));
-    entries.push(time_loop(
-        &format!("sched/arena_decision_{n}_warm"),
-        iters,
-        || {
-            let mut policy = ArenaPolicy::new();
-            black_box(policy.schedule(SchedEvent::Round, &round_view(&queued, &pools, &service)));
-        },
+    out.push(fixture.time(
+        "sched/arena/depth_3_no_memo",
+        n,
+        &mut ArenaPolicy::new().without_candidate_memo(),
     ));
-    entries
+    out
+}
+
+/// One Arena round over a 500-job queue on the 4-pool simulated
+/// cluster: cold (fresh service and policy per iteration) and warm
+/// (pre-warmed service, fresh policy: only the candidate memo is cold).
+fn bench_arena_round(smoke: bool) -> Vec<BenchEntry> {
+    let cluster = presets::table1_simulated();
+    let queued = queued_views(&make_jobs(500, 8, 0.0, 4));
+    let pools = cluster.pool_stats();
+    let k = iters(smoke, 5);
+    let cold = time_cold("sched/arena/round_500_cold", k, &cluster, |s| {
+        black_box(ArenaPolicy::new().schedule(SchedEvent::Round, &round_view(&queued, &pools, s)));
+    });
+    let service = PlanService::new(&cluster, CostParams::default(), 51);
+    let warm_view = round_view(&queued, &pools, &service);
+    let _ = ArenaPolicy::new().schedule(SchedEvent::Round, &warm_view);
+    let warm = time_loop("sched/arena/round_500_warm", k, || {
+        black_box(ArenaPolicy::new().schedule(SchedEvent::Round, &warm_view));
+    });
+    vec![cold, warm]
 }
 
 fn round_view<'a>(
     queued: &'a [JobView],
-    pools: &'a [arena::cluster::PoolStats],
+    pools: &'a [PoolStats],
     service: &'a PlanService,
 ) -> SchedView<'a> {
     SchedView {
@@ -210,114 +469,44 @@ fn round_view<'a>(
 }
 
 fn bench_simulate_500(smoke: bool) -> BenchEntry {
-    let cluster = arena::cluster::presets::physical_testbed();
+    let cluster = presets::physical_testbed();
     let service = PlanService::new(&cluster, CostParams::default(), 51);
-    let n = if smoke { 60 } else { 500 };
-    let jobs = make_jobs(n, 4, 120.0, 2);
+    let jobs = make_jobs(500, 4, 120.0, 2);
     let cfg = SimConfig::new(14.0 * 24.0 * 3600.0);
     // Warm the plan caches once.
     let _ = Run::new(&cluster, &mut ArenaPolicy::new(), &service, &cfg).batch(&jobs);
-    let iters = if smoke { 1 } else { 5 };
-    time_loop(&format!("sim/simulate_{n}_jobs_arena"), iters, || {
+    time_loop("sim/simulate_500_jobs_arena", iters(smoke, 5), || {
         let mut p = ArenaPolicy::new();
         black_box(Run::new(&cluster, &mut p, &service, &cfg).batch(black_box(&jobs)));
     })
 }
 
-/// The loaded engine round: a 5000-job trace under a generated
-/// node-failure schedule, replayed with FCFS so the event loop — not the
-/// policy — dominates. This is the bench the CI speedup gate holds the
-/// event-indexed core's ≥3x claim against (`BENCH_sim_pre_event_core.json`
-/// records the pre-change engine on the same fixture).
-fn bench_simulate_loaded(smoke: bool) -> BenchEntry {
-    let cluster = arena::cluster::presets::physical_testbed();
-    let service = PlanService::new(&cluster, CostParams::default(), 51);
-    let n = if smoke { 200 } else { 5000 };
-    let jobs = make_jobs(n, 4, 30.0, 2);
-    let fault_span_s = n as f64 * 30.0 * 1.4;
-    let faults = arena::trace::generate_faults(
-        &arena::trace::FaultConfig::with_mtbf(60_000.0),
-        &[16, 16],
-        fault_span_s,
-    );
-    let cfg = SimConfig::new(30.0 * 24.0 * 3600.0);
-    let run = |p: &mut FcfsPolicy| {
-        Run::new(&cluster, p, &service, &cfg)
-            .faults(&faults)
-            .batch(black_box(&jobs))
+/// One full testbed replay of a 2-hour Philly-heavy trace per policy
+/// (the engine behind Figs. 14–21), on warm plan caches.
+fn bench_replay(smoke: bool) -> Vec<BenchEntry> {
+    let cluster = presets::physical_testbed();
+    let trace = TraceConfig::new(TraceKind::PhillyHeavy, 2.0 * 3600.0, 64, vec![48.0, 24.0]);
+    let jobs = generate(&trace);
+    let service = PlanService::new(&cluster, CostParams::default(), 77);
+    let cfg = SimConfig::new(24.0 * 3600.0);
+    let _ = Run::new(&cluster, &mut ArenaPolicy::new(), &service, &cfg).batch(&jobs);
+    let make = |slug: &str| -> Box<dyn Policy> {
+        match slug {
+            "fcfs" => Box::new(FcfsPolicy::new()),
+            "elasticflow" => Box::new(ElasticFlowPolicy::loosened()),
+            "arena" => Box::new(ArenaPolicy::new()),
+            _ => Box::new(ArenaSolverPolicy::new()),
+        }
     };
-    // Warm the plan caches once.
-    let _ = run(&mut FcfsPolicy::new());
-    let iters = if smoke { 1 } else { 3 };
-    time_loop(
-        &format!("sim/simulate_{n}_jobs_faulted_fcfs"),
-        iters,
-        || {
-            black_box(run(&mut FcfsPolicy::new()));
-        },
-    )
-}
-
-/// The loaded engine round once with `Obs::disabled()` and once with
-/// the live plane attached (`Obs::metrics_only` + a `MetricsRegistry`):
-/// every burst timed, event-loop gauges stored, event counters bumped,
-/// estimator ratios refreshed, stage spans recorded into lock-free
-/// histograms. The pair is the overhead gate — telemetry-on must stay
-/// within 5% of telemetry-off, enforced in CI by `arena-analyze bench-check
-/// BENCH_sim_telemetry_off.json <committed BENCH_sim.json> --threshold
-/// 0.05` (the `_off` file freezes the off mean under the telemetry
-/// entry's name; both entries land in `BENCH_sim.json` too).
-fn bench_simulate_loaded_telemetry(smoke: bool) -> (Vec<BenchEntry>, BenchEntry) {
-    let cluster = arena::cluster::presets::physical_testbed();
-    let service = PlanService::new(&cluster, CostParams::default(), 51);
-    let n = if smoke { 200 } else { 5000 };
-    let jobs = make_jobs(n, 4, 30.0, 2);
-    let fault_span_s = n as f64 * 30.0 * 1.4;
-    let faults = arena::trace::generate_faults(
-        &arena::trace::FaultConfig::with_mtbf(60_000.0),
-        &[16, 16],
-        fault_span_s,
-    );
-    let cfg = SimConfig::new(30.0 * 24.0 * 3600.0);
-    let run = |p: &mut FcfsPolicy, obs: &Obs| {
-        Run::new(&cluster, p, &service, &cfg)
-            .faults(&faults)
-            .obs(obs)
-            .batch(black_box(&jobs))
-    };
-    // Warm the plan caches once.
-    let _ = run(&mut FcfsPolicy::new(), &Obs::disabled());
-    // More iterations than the other loaded benches: the overhead gate
-    // compares these two means at a 5% threshold, well inside this
-    // host's run-to-run noise at 3 iterations.
-    let iters = if smoke { 1 } else { 8 };
-    let off = time_loop(
-        &format!("sim/simulate_{n}_jobs_faulted_fcfs_telemetry_off"),
-        iters,
-        || {
-            black_box(run(&mut FcfsPolicy::new(), &Obs::disabled()));
-        },
-    );
-    let registry = std::sync::Arc::new(MetricsRegistry::new(256));
-    let obs = Obs::metrics_only(std::sync::Arc::clone(&registry));
-    let name_on = format!("sim/simulate_{n}_jobs_faulted_fcfs_telemetry");
-    let on = time_loop(&name_on, iters, || {
-        black_box(run(&mut FcfsPolicy::new(), &obs));
-    });
-    // The run must actually have fed the plane, or the gate is a no-op.
-    assert!(
-        registry
-            .counters_snapshot()
-            .get("sim.event.arrival")
-            .copied()
-            >= Some(n),
-        "telemetry bench ran without populating the registry"
-    );
-    // The off mean under the on entry's name: the frozen left-hand side
-    // of the CI overhead gate.
-    let mut gate = off.clone();
-    gate.name = name_on;
-    (vec![off, on], gate)
+    ["fcfs", "elasticflow", "arena", "arena_solver"]
+        .into_iter()
+        .map(|slug| {
+            time_loop(&format!("sim/replay_2h/{slug}"), iters(smoke, 5), || {
+                let mut p = make(slug);
+                black_box(Run::new(&cluster, p.as_mut(), &service, &cfg).batch(black_box(&jobs)));
+            })
+        })
+        .collect()
 }
 
 /// A class-diverse burst for the multi-pool bench: families,
@@ -353,110 +542,194 @@ fn multipool_burst(n: u64, num_pools: usize) -> Vec<JobSpec> {
 
 /// The loaded multi-pool run: a deep, class-diverse Arena-scheduled
 /// burst over the 4-pool simulated cluster, cold (fresh `PlanService`
-/// per iteration, like the cold decision-round benches), so cold
-/// candidate estimation and per-round decision cost dominate.
+/// per iteration), so cold candidate estimation and per-round decision
+/// cost dominate. After the timed loop, one untimed run with a registry
+/// attached reports how much of its burst wall-clock the engine stages
+/// cover.
 fn bench_simulate_multipool(smoke: bool) -> BenchEntry {
-    let cluster = arena::cluster::presets::table1_simulated();
-    let n = if smoke { 60 } else { 600 };
-    let jobs = multipool_burst(n, 4);
+    let cluster = presets::table1_simulated();
+    let jobs = multipool_burst(600, 4);
     // A few loaded rounds: the burst keeps the queue deep for the whole
     // horizon.
     let cfg = SimConfig::new(2.0 * 3600.0);
-    let iters = if smoke { 1 } else { 5 };
-    time_loop("sim/simulate_multipool_arena_serial", iters, || {
-        let service = PlanService::new(&cluster, CostParams::default(), 51);
+    let run = |service: &PlanService, obs: &Obs| {
         let mut p = ArenaPolicy::new();
-        black_box(Run::new(&cluster, &mut p, &service, &cfg).batch(black_box(&jobs)));
-    })
+        black_box(
+            Run::new(&cluster, &mut p, service, &cfg)
+                .obs(obs)
+                .batch(black_box(&jobs)),
+        );
+    };
+    let entry = time_cold(
+        "sim/simulate_multipool_arena",
+        iters(smoke, 5),
+        &cluster,
+        |s| {
+            run(s, &Obs::disabled());
+        },
+    );
+    let registry = Arc::new(MetricsRegistry::new(256));
+    let service = PlanService::new(&cluster, CostParams::default(), 51);
+    run(&service, &Obs::metrics_only(Arc::clone(&registry)));
+    let (stages, burst) = stage_seconds(&BTreeMap::new(), &hist_sums(&registry));
+    check_coverage("sim/simulate_multipool_arena", &stages, burst, smoke);
+    entry
 }
 
-/// The fleet-scale streaming pair: an open-ended synthetic PAI-load
-/// trace on a 2,048-GPU cluster pumped straight from the generator into
-/// the record-folding engine — no materialised trace, no per-job record
-/// vector, terminal jobs reclaimed as they drain. Two consecutive runs
-/// in this process, 100k jobs then 1M (50k/100k in smoke mode), each
-/// entry stamped with the process peak RSS (`VmHWM`). The watermark is
-/// monotone over the process lifetime, so the big run's peak staying
-/// within 1.2x the small run's pins the memory model: resident state
-/// follows the *live* job count, not the trace length. Must run before
-/// every other bench so the watermark reflects the streaming runs and
-/// not an earlier fixture's transient. `ARENA_MEM_BUDGET_BYTES`, when
-/// set, additionally caps the plan/estimator caches (the CI fleet-scale
-/// job runs this bench under a budget).
-fn bench_stream_fleet(smoke: bool) -> Vec<BenchEntry> {
-    let cluster = arena::cluster::presets::tiny_a100(256, 8);
-    // Open-ended trace: the duration never binds; TakeSource cuts the
-    // arrival stream at an exact job count instead.
-    let trace_cfg = TraceConfig::new(TraceKind::PaiLow, 4.0e9, cluster.total_gpus(), vec![40.0]);
-    // The smoke sizes both sit past the allocator's warmup plateau
-    // (~50k jobs on this fixture) so the flatness gate measures the
-    // steady state, not malloc arena growth.
-    let (small, big) = if smoke {
-        (50_000_u64, 100_000_u64)
-    } else {
-        (100_000, 1_000_000)
-    };
-    let mut entries = Vec::new();
-    let mut peaks = Vec::new();
-    for n in [small, big] {
-        let service = PlanService::new(&cluster, CostParams::default(), 51);
-        if let Some(budget) = service.apply_env_budget() {
-            println!("stream_fleet: cache budget {budget} bytes (ARENA_MEM_BUDGET_BYTES)");
-        }
-        let cfg = SimConfig::new(4.1e9);
-        let mut policy = FcfsPolicy::new();
-        let mut source = TakeSource::new(GenSource::new(&trace_cfg), n);
+/// Every histogram's running sum, seconds.
+fn hist_sums(registry: &MetricsRegistry) -> BTreeMap<String, f64> {
+    registry
+        .histograms_snapshot()
+        .into_iter()
+        .map(|(name, h)| (name, h.sum))
+        .collect()
+}
+
+/// Per-stage seconds and burst seconds recorded between two
+/// [`hist_sums`] snapshots.
+fn stage_seconds(before: &BTreeMap<String, f64>, after: &BTreeMap<String, f64>) -> (Vec<f64>, f64) {
+    let sum = |snap: &BTreeMap<String, f64>, name: &str| snap.get(name).copied().unwrap_or(0.0);
+    let delta = |name: &str| sum(after, name) - sum(before, name);
+    let stages = ENGINE_STAGES.iter().map(|&(_, name)| delta(name)).collect();
+    (stages, delta(BURST))
+}
+
+/// Prints each stage's share of burst wall-clock and, in a full run,
+/// asserts that the stages together cover at least
+/// [`MIN_STAGE_COVERAGE`] of it.
+fn check_coverage(fixture: &str, stages: &[f64], burst_s: f64, smoke: bool) {
+    let covered = stages.iter().sum::<f64>() / burst_s;
+    let shares: Vec<String> = ENGINE_STAGES
+        .iter()
+        .zip(stages)
+        .map(|(&(stage, _), s)| format!("{stage} {:.1}%", 100.0 * s / burst_s))
+        .collect();
+    println!(
+        "{fixture}: engine stages cover {:.1}% of {burst_s:.3}s burst ({})",
+        100.0 * covered,
+        shares.join(", ")
+    );
+    assert!(
+        smoke || covered >= MIN_STAGE_COVERAGE,
+        "{fixture}: engine stages cover only {:.1}% of burst wall-clock (need {:.0}%)",
+        100.0 * covered,
+        100.0 * MIN_STAGE_COVERAGE
+    );
+}
+
+/// The loaded engine fixture: a 5000-job trace under a generated
+/// node-failure schedule, replayed with FCFS so the event loop — not the
+/// policy — dominates. Timed as interleaved pairs, one run with
+/// `Obs::disabled()` and one with the live plane attached
+/// (`Obs::metrics_only` + a `MetricsRegistry`), alternating which side
+/// runs first. The off runs are `sim/simulate_5000_jobs_faulted_fcfs`,
+/// the entry the event-core gate holds against
+/// `BENCH_sim_pre_event_core.json`; the per-pair on/off ratios are
+/// `ratio/telemetry_on_off`, gated at [`TELEMETRY_BOUND`]; the on runs'
+/// registry yields the `engine/<stage>` entries.
+fn bench_simulate_loaded(smoke: bool) -> (Vec<BenchEntry>, RatioEntry) {
+    let cluster = presets::physical_testbed();
+    let service = PlanService::new(&cluster, CostParams::default(), 51);
+    let n = 5000;
+    let jobs = make_jobs(n, 4, 30.0, 2);
+    let fault_span_s = n as f64 * 30.0 * 1.4;
+    let faults = arena::trace::generate_faults(
+        &arena::trace::FaultConfig::with_mtbf(60_000.0),
+        &[16, 16],
+        fault_span_s,
+    );
+    let cfg = SimConfig::new(30.0 * 24.0 * 3600.0);
+    let run = |obs: &Obs| {
         let t0 = Instant::now();
-        let summary = Run::new(&cluster, &mut policy, &service, &cfg)
-            .stream(&mut source)
-            .expect("generator-backed source cannot fail");
-        let wall = t0.elapsed().as_secs_f64();
-        assert_eq!(summary.jobs.jobs, n, "generator ran dry before the cap");
-        let peak = vm_hwm_bytes();
+        black_box(
+            Run::new(&cluster, &mut FcfsPolicy::new(), &service, &cfg)
+                .faults(&faults)
+                .obs(obs)
+                .batch(black_box(&jobs)),
+        );
+        t0.elapsed().as_secs_f64()
+    };
+    // Warm the plan caches once.
+    let _ = run(&Obs::disabled());
+    let registry = Arc::new(MetricsRegistry::new(256));
+    let on_obs = Obs::metrics_only(Arc::clone(&registry));
+    let pairs = iters(smoke, TELEMETRY_PAIRS);
+    let (mut off, mut on, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    let mut per_stage = vec![Vec::new(); ENGINE_STAGES.len()];
+    let mut burst = Vec::new();
+    for i in 0..pairs {
+        let before = hist_sums(&registry);
+        let (off_s, on_s) = if i % 2 == 0 {
+            let off_s = run(&Obs::disabled());
+            (off_s, run(&on_obs))
+        } else {
+            let on_s = run(&on_obs);
+            (run(&Obs::disabled()), on_s)
+        };
+        let (stages, burst_s) = stage_seconds(&before, &hist_sums(&registry));
+        for (samples, s) in per_stage.iter_mut().zip(stages) {
+            samples.push(s);
+        }
+        burst.push(burst_s);
         println!(
-            "sim/stream_fleet_{n}: {n} jobs in {wall:.2}s ({:.0} jobs/s), \
-             peak RSS {} MiB, peak live jobs {}, fingerprint {:016x}",
-            n as f64 / wall,
-            peak.unwrap_or(0) >> 20,
-            summary.peak_live_jobs,
-            summary.fingerprint,
+            "telemetry pair {i}: off {off_s:.4}s on {on_s:.4}s ratio {:.4}",
+            on_s / off_s
         );
-        entries.push(BenchEntry {
-            name: format!("sim/stream_fleet_{n}_fcfs"),
-            iters: 1,
-            mean_s: wall,
-            min_s: wall,
-            max_s: wall,
-            peak_rss_bytes: peak,
-            allocs_per_iter: None,
-        });
-        peaks.push(peak);
-        black_box(summary);
+        off.push(off_s);
+        on.push(on_s);
+        ratios.push(on_s / off_s);
     }
-    // The flatness gate itself: the larger trace may not move the
-    // high-water mark by more than 20%.
-    if let [Some(first), Some(second)] = peaks[..] {
-        assert!(
-            second as f64 <= 1.2 * first as f64,
-            "streaming peak RSS grew with trace length: {small} jobs -> {first} B, \
-             {big} jobs -> {second} B"
-        );
+    // The runs must actually have fed the plane, or the gate is a no-op.
+    assert!(
+        registry
+            .counters_snapshot()
+            .get("sim.event.arrival")
+            .copied()
+            >= Some(n),
+        "telemetry runs did not populate the registry"
+    );
+    let totals: Vec<f64> = per_stage.iter().map(|s| s.iter().sum()).collect();
+    let name = "sim/simulate_5000_jobs_faulted_fcfs";
+    check_coverage(name, &totals, burst.iter().sum(), smoke);
+
+    let mut entries = vec![
+        BenchEntry::from_samples(name, &off),
+        BenchEntry::from_samples(&format!("{name}_telemetry"), &on),
+        BenchEntry::from_samples("engine/burst", &burst),
+    ];
+    for (&(stage, _), samples) in ENGINE_STAGES.iter().zip(&per_stage) {
+        entries.push(BenchEntry::from_samples(
+            &format!("engine/{stage}"),
+            samples,
+        ));
     }
-    entries
+    let ratio = RatioEntry::from_pairs(
+        "ratio/telemetry_on_off",
+        &ratios,
+        (!smoke).then_some(TELEMETRY_BOUND),
+    );
+    println!(
+        "{}: median {:.4} (quartiles {:.4}-{:.4}) over {} pairs",
+        ratio.name, ratio.median, ratio.q1, ratio.q3, ratio.pairs
+    );
+    (entries, ratio)
 }
 
 fn main() {
     let smoke = std::env::var("BENCH_SMOKE").is_ok();
     let mut benches = Vec::new();
     // First, before any other fixture touches the high-water mark.
-    benches.extend(bench_stream_fleet(smoke));
-    benches.extend(bench_estimate(smoke));
-    benches.extend(bench_arena_schedule(smoke));
-    benches.extend(bench_arena_500(smoke));
+    benches.extend(bench_stream_fleet());
+    benches.extend(bench_perf_and_parallelism(smoke));
+    benches.extend(bench_estimator(smoke));
+    benches.extend(bench_tuner(smoke));
+    benches.extend(bench_plans(smoke));
+    benches.extend(bench_decisions(smoke));
+    benches.extend(bench_arena_round(smoke));
     benches.push(bench_simulate_500(smoke));
-    benches.push(bench_simulate_loaded(smoke));
-    let (telemetry, telemetry_gate) = bench_simulate_loaded_telemetry(smoke);
-    benches.extend(telemetry);
+    benches.extend(bench_replay(smoke));
+    let (loaded, telemetry) = bench_simulate_loaded(smoke);
+    benches.extend(loaded);
     benches.push(bench_simulate_multipool(smoke));
 
     if !smoke {
@@ -464,11 +737,10 @@ fn main() {
             benches
                 .iter()
                 .find(|b| b.name == name)
-                .map(|b| b.mean_s)
-                .unwrap_or(f64::NAN)
+                .map_or(f64::NAN, |b| b.mean_s)
         };
-        let fast = mean("sched/arena_decision_loaded");
-        let seq = mean("sched/arena_decision_loaded_seq");
+        let fast = mean("sched/arena/depth_3");
+        let seq = mean("sched/arena/depth_3_no_memo");
         assert!(
             fast * 2.0 <= seq,
             "memoized decision loop must be ≥2× the sequential baseline \
@@ -479,48 +751,9 @@ fn main() {
     let report = BenchReport {
         smoke,
         git_rev: git_rev(),
-        policies: vec!["Arena".to_string()],
+        policies: POLICY_NAMES.iter().map(|p| (*p).to_string()).collect(),
         benches,
+        ratios: vec![telemetry],
     };
     write_bench_report("BENCH_sim.json", &report).expect("write BENCH_sim.json");
-    // The telemetry-off reference for the CI overhead gate. Smoke runs
-    // must not clobber the committed full-scale numbers.
-    if !smoke {
-        let gate = BenchReport {
-            smoke,
-            git_rev: git_rev(),
-            policies: vec!["Arena".to_string()],
-            benches: vec![telemetry_gate],
-        };
-        write_bench_report("BENCH_sim_telemetry_off.json", &gate)
-            .expect("write BENCH_sim_telemetry_off.json");
-        // The one-worker reference for the fan-out-granularity gate:
-        // the cold 500-job decision round at w4/w8 must not be slower
-        // than at w1 (chunked fan-out makes extra workers at worst
-        // free). Refreshed from this same run so both sides come off
-        // the same machine under the same load; bench-check pairs
-        // entries by name, so the w1 entry is renamed to the w4 and w8
-        // entry names.
-        let w1 = report
-            .benches
-            .iter()
-            .find(|b| b.name == "sched/arena_decision_500_cold_w1")
-            .expect("w1 cold decision entry present in full runs");
-        let w1_gate = BenchReport {
-            smoke,
-            git_rev: git_rev(),
-            policies: vec!["Arena".to_string()],
-            benches: vec![
-                BenchEntry {
-                    name: "sched/arena_decision_500_cold_w4".to_string(),
-                    ..w1.clone()
-                },
-                BenchEntry {
-                    name: "sched/arena_decision_500_cold_w8".to_string(),
-                    ..w1.clone()
-                },
-            ],
-        };
-        write_bench_report("BENCH_sim_w1.json", &w1_gate).expect("write BENCH_sim_w1.json");
-    }
 }

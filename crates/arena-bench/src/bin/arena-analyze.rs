@@ -19,7 +19,12 @@
 //!   threshold (default 0.20 = +20%). The `smoke:true` single-iteration
 //!   format is accepted on either side. With `--rss-threshold` it also
 //!   gates `peak_rss_bytes` on entries where both sides record it
-//!   (e.g. the streaming fleet benches), at its own fraction.
+//!   (e.g. the streaming fleet benches), at its own fraction. A pair
+//!   ratio the old file names (`ratios`, e.g. `ratio/telemetry_on_off`)
+//!   fails when the new file's median exceeds the bound recorded with
+//!   it; a ratio recorded without a bound (a smoke run) is reported, not
+//!   gated. A flag without a finite numeric value, or a file naming one
+//!   entry twice, exits 2.
 //! * `metrics` parses a Prometheus-style exposition dump as scraped
 //!   from the daemon's `query metrics` (the `metrics` string of the
 //!   response, or the raw response line itself) and summarizes it; with
@@ -42,15 +47,20 @@ fn main() -> ExitCode {
             diff(Path::new(&args[1]), Path::new(&args[2]), top)
         }
         Some("bench-check") if args.len() >= 3 => {
-            let threshold =
-                flag_value(&args, "--threshold").map_or(0.20, |v| v.parse().unwrap_or(0.20));
-            let rss_threshold = flag_value(&args, "--rss-threshold").and_then(|v| v.parse().ok());
-            bench_check(
-                Path::new(&args[1]),
-                Path::new(&args[2]),
-                threshold,
-                rss_threshold,
-            )
+            let flags = fraction_flag(&args, "--threshold")
+                .and_then(|t| Ok((t, fraction_flag(&args, "--rss-threshold")?)));
+            match flags {
+                Ok((threshold, rss_threshold)) => bench_check(
+                    Path::new(&args[1]),
+                    Path::new(&args[2]),
+                    threshold.unwrap_or(0.20),
+                    rss_threshold,
+                ),
+                Err(e) => {
+                    eprintln!("bench-check: {e}");
+                    ExitCode::from(2)
+                }
+            }
         }
         Some("metrics") if args.len() >= 2 => {
             let prefix = flag_value(&args, "--prefix").unwrap_or("").to_string();
@@ -84,6 +94,22 @@ fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
         .position(|a| a == name)
         .and_then(|i| args.get(i + 1))
         .map(String::as_str)
+}
+
+/// A gate fraction flag: `None` when absent. A flag without a value, or
+/// with one that is not a finite number (`10%`, `nan`), is an error —
+/// falling back to a default would silently weaken the gate.
+fn fraction_flag(args: &[String], name: &str) -> Result<Option<f64>, String> {
+    if !args.iter().any(|a| a == name) {
+        return Ok(None);
+    }
+    let value = flag_value(args, name).ok_or_else(|| format!("{name} needs a value"))?;
+    match value.parse::<f64>() {
+        Ok(x) if x.is_finite() => Ok(Some(x)),
+        _ => Err(format!(
+            "{name} `{value}` is not a finite number (e.g. 0.05)"
+        )),
+    }
 }
 
 /// Loads every `timeline_*.summary.json` under `dir`, sorted by file
@@ -203,30 +229,57 @@ fn diff(dir_a: &Path, dir_b: &Path, top: usize) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// One bench entry pulled out of a `BENCH_sim.json` file.
-struct BenchLine {
-    iters: u64,
-    mean_s: f64,
-    peak_rss_bytes: Option<f64>,
+/// One entry pulled out of a `BENCH_sim.json` file.
+enum BenchLine {
+    /// A timed loop (`benches`).
+    Timing {
+        iters: u64,
+        mean_s: f64,
+        peak_rss_bytes: Option<f64>,
+    },
+    /// An in-process pair ratio (`ratios`).
+    Ratio {
+        pairs: u64,
+        median: f64,
+        q1: f64,
+        q3: f64,
+        bound: Option<f64>,
+    },
 }
 
-/// Parses a `BENCH_sim.json` file tolerantly: `git_rev` / `policies`
-/// stamps and the `smoke` flag are all optional.
-fn load_bench(path: &Path) -> Result<(bool, BTreeMap<String, BenchLine>), String> {
+/// A parsed `BENCH_sim.json`: the smoke flag and every entry by name.
+struct BenchFile {
+    smoke: bool,
+    entries: BTreeMap<String, BenchLine>,
+}
+
+fn load_bench(path: &Path) -> Result<BenchFile, String> {
     let body =
         std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-    let v: serde::Value =
-        serde_json::from_str(&body).map_err(|e| format!("parse {}: {e}", path.display()))?;
+    parse_bench(&body).map_err(|e| format!("{}: {e}", path.display()))
+}
+
+/// Parses a `BENCH_sim.json` body tolerantly: `git_rev` / `policies`
+/// stamps, the `smoke` flag and the `ratios` array are all optional. An
+/// entry name that appears twice is an error: keeping either copy would
+/// silently decide which one is gated.
+fn parse_bench(body: &str) -> Result<BenchFile, String> {
+    let v: serde::Value = serde_json::from_str(body).map_err(|e| format!("parse: {e}"))?;
     let smoke = matches!(v.get("smoke"), Some(serde::Value::Bool(true)));
     let benches = v
         .get("benches")
         .and_then(serde::Value::as_array)
-        .ok_or_else(|| format!("{}: no `benches` array", path.display()))?;
-    let mut out = BTreeMap::new();
-    for b in benches {
+        .ok_or("no `benches` array")?;
+    let ratios = v.get("ratios").and_then(serde::Value::as_array);
+    let mut entries = BTreeMap::new();
+    let tagged = benches
+        .iter()
+        .map(|b| (false, b))
+        .chain(ratios.into_iter().flatten().map(|r| (true, r)));
+    for (is_ratio, b) in tagged {
         let name = match b.get("name") {
             Some(serde::Value::Str(s)) => s.clone(),
-            _ => return Err(format!("{}: bench entry without a name", path.display())),
+            _ => return Err("entry without a name".to_string()),
         };
         let num = |field: &str| -> Option<f64> {
             match b.get(field) {
@@ -236,19 +289,27 @@ fn load_bench(path: &Path) -> Result<(bool, BTreeMap<String, BenchLine>), String
                 _ => None,
             }
         };
-        let mean_s = num("mean_s").ok_or_else(|| format!("{name}: missing mean_s"))?;
-        let iters = num("iters").map_or(1, |x| x as u64);
-        let peak_rss_bytes = num("peak_rss_bytes");
-        out.insert(
-            name,
-            BenchLine {
-                iters,
-                mean_s,
-                peak_rss_bytes,
-            },
-        );
+        let need = |field: &str| num(field).ok_or_else(|| format!("{name}: missing {field}"));
+        let line = if is_ratio {
+            BenchLine::Ratio {
+                pairs: need("pairs")? as u64,
+                median: need("median")?,
+                q1: need("q1")?,
+                q3: need("q3")?,
+                bound: num("bound"),
+            }
+        } else {
+            BenchLine::Timing {
+                iters: num("iters").map_or(1, |x| x as u64),
+                mean_s: need("mean_s")?,
+                peak_rss_bytes: num("peak_rss_bytes"),
+            }
+        };
+        if entries.insert(name.clone(), line).is_some() {
+            return Err(format!("entry {name} appears twice"));
+        }
     }
-    Ok((smoke, out))
+    Ok(BenchFile { smoke, entries })
 }
 
 /// One parsed exposition dump: declared metric families and every
@@ -443,14 +504,14 @@ fn metrics_diff(path_a: &Path, path_b: &Path, prefix: &str) -> ExitCode {
 }
 
 fn bench_check(old: &Path, new: &Path, threshold: f64, rss_threshold: Option<f64>) -> ExitCode {
-    let ((old_smoke, old_b), (new_smoke, new_b)) = match (load_bench(old), load_bench(new)) {
+    let (old_b, new_b) = match (load_bench(old), load_bench(new)) {
         (Ok(a), Ok(b)) => (a, b),
         (Err(e), _) | (_, Err(e)) => {
             eprintln!("bench-check: {e}");
             return ExitCode::from(2);
         }
     };
-    if old_smoke || new_smoke {
+    if old_b.smoke || new_b.smoke {
         eprintln!(
             "bench-check: comparing smoke-mode timings (single iteration); \
              expect noise"
@@ -463,62 +524,253 @@ fn bench_check(old: &Path, new: &Path, threshold: f64, rss_threshold: Option<f64
             new.display(),
             threshold * 100.0
         ),
-        &["bench", "old mean s", "new mean s", "ratio", "verdict"],
+        &["bench", "old", "new", "ratio", "verdict"],
     );
-    let mut failures = 0;
-    for (name, o) in &old_b {
-        let Some(n) = new_b.get(name) else {
-            t.row(vec![
-                name.clone(),
-                format!("{:.6}", o.mean_s),
-                "-".into(),
-                "-".into(),
-                "MISSING".into(),
-            ]);
-            failures += 1;
-            continue;
-        };
-        let ratio = if o.mean_s > 0.0 {
-            n.mean_s / o.mean_s
-        } else {
-            f64::INFINITY
-        };
-        let regressed = ratio > 1.0 + threshold;
-        if regressed {
-            failures += 1;
-        }
-        // The RSS gate only engages when asked for and when both sides
-        // recorded a watermark — absent entries are not a regression.
-        let rss_regressed = match (rss_threshold, o.peak_rss_bytes, n.peak_rss_bytes) {
-            (Some(frac), Some(old_rss), Some(new_rss)) if old_rss > 0.0 => {
-                new_rss > old_rss * (1.0 + frac)
-            }
-            _ => false,
-        };
-        if rss_regressed {
-            failures += 1;
-        }
-        t.row(vec![
-            format!("{name} ({}x/{}x)", o.iters, n.iters),
-            format!("{:.6}", o.mean_s),
-            format!("{:.6}", n.mean_s),
-            format!("{ratio:.3}"),
-            match (regressed, rss_regressed) {
-                (true, _) => "REGRESSED".to_string(),
-                (false, true) => format!(
-                    "RSS-REGRESSED ({:.0} -> {:.0} MiB)",
-                    o.peak_rss_bytes.unwrap_or(0.0) / (1024.0 * 1024.0),
-                    n.peak_rss_bytes.unwrap_or(0.0) / (1024.0 * 1024.0)
-                ),
-                (false, false) => "ok".to_string(),
-            },
-        ]);
+    let (rows, failures) = compare_benches(&old_b, &new_b, threshold, rss_threshold);
+    for row in rows {
+        t.row(row);
     }
     println!("{}", t.render());
     if failures > 0 {
-        eprintln!("bench-check: {failures} bench(es) regressed past the threshold");
+        eprintln!("bench-check: {failures} gate(s) failed");
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+/// Compares every entry the old file names against the new file: one
+/// table row per entry, plus the number of failed gates.
+fn compare_benches(
+    old: &BenchFile,
+    new: &BenchFile,
+    threshold: f64,
+    rss_threshold: Option<f64>,
+) -> (Vec<Vec<String>>, usize) {
+    let mut rows = Vec::new();
+    let mut failures = 0;
+    for (name, o) in &old.entries {
+        let (label, old_v, new_v, ratio, verdict, failed) = match (o, new.entries.get(name)) {
+            (
+                BenchLine::Timing {
+                    iters: oi,
+                    mean_s: om,
+                    peak_rss_bytes: orss,
+                },
+                Some(BenchLine::Timing {
+                    iters: ni,
+                    mean_s: nm,
+                    peak_rss_bytes: nrss,
+                }),
+            ) => {
+                let ratio = if *om > 0.0 { nm / om } else { f64::INFINITY };
+                let regressed = ratio > 1.0 + threshold;
+                // The RSS gate only engages when asked for and when both
+                // sides recorded a watermark — absent entries are not a
+                // regression.
+                let rss_regressed = match (rss_threshold, orss, nrss) {
+                    (Some(frac), Some(o), Some(n)) if *o > 0.0 => *n > o * (1.0 + frac),
+                    _ => false,
+                };
+                let verdict = match (regressed, rss_regressed) {
+                    (true, _) => "REGRESSED".to_string(),
+                    (false, true) => format!(
+                        "RSS-REGRESSED ({:.0} -> {:.0} MiB)",
+                        orss.unwrap_or(0.0) / (1024.0 * 1024.0),
+                        nrss.unwrap_or(0.0) / (1024.0 * 1024.0)
+                    ),
+                    (false, false) => "ok".to_string(),
+                };
+                (
+                    format!("{name} ({oi}x/{ni}x)"),
+                    format!("{om:.6}"),
+                    format!("{nm:.6}"),
+                    format!("{ratio:.3}"),
+                    verdict,
+                    usize::from(regressed) + usize::from(rss_regressed),
+                )
+            }
+            (
+                BenchLine::Ratio { median: om, .. },
+                Some(BenchLine::Ratio {
+                    pairs,
+                    median,
+                    q1,
+                    q3,
+                    bound,
+                }),
+            ) => {
+                let over = bound.is_some_and(|b| *median > b);
+                let verdict = match bound {
+                    None => "recorded".to_string(),
+                    Some(b) if over => format!("OVER BOUND {b}"),
+                    Some(b) => format!("ok (<= {b})"),
+                };
+                (
+                    format!("{name} ({pairs} pairs)"),
+                    format!("{om:.4}"),
+                    format!("{median:.4} ({q1:.4}-{q3:.4})"),
+                    "-".to_string(),
+                    verdict,
+                    usize::from(over),
+                )
+            }
+            (_, found) => (
+                name.clone(),
+                "-".to_string(),
+                "-".to_string(),
+                "-".to_string(),
+                if found.is_some() {
+                    "KIND-CHANGED"
+                } else {
+                    "MISSING"
+                }
+                .to_string(),
+                1,
+            ),
+        };
+        failures += failed;
+        rows.push(vec![label, old_v, new_v, ratio, verdict]);
+    }
+    (rows, failures)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_string).collect()
+    }
+
+    /// A committed baseline at the workspace root.
+    fn committed(file: &str) -> BenchFile {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../..")
+            .join(file);
+        load_bench(&path).expect("committed baseline parses")
+    }
+
+    fn scaled(mut file: BenchFile, name: &str, f: impl Fn(&mut BenchLine)) -> BenchFile {
+        f(file.entries.get_mut(name).expect("entry present"));
+        file
+    }
+
+    fn failures(old: &BenchFile, new: &BenchFile, threshold: f64, rss: Option<f64>) -> usize {
+        compare_benches(old, new, threshold, rss).1
+    }
+
+    #[test]
+    fn malformed_flag_values_are_refused() {
+        let a = args("bench-check a.json b.json --threshold 10% --rss-threshold 0.25");
+        assert!(fraction_flag(&a, "--threshold").is_err());
+        assert_eq!(fraction_flag(&a, "--rss-threshold"), Ok(Some(0.25)));
+        let a = args("bench-check a.json b.json --rss-threshold 25%");
+        assert!(fraction_flag(&a, "--rss-threshold").is_err());
+        assert_eq!(fraction_flag(&a, "--threshold"), Ok(None));
+        let a = args("bench-check a.json b.json --threshold");
+        assert!(fraction_flag(&a, "--threshold").is_err());
+        let a = args("bench-check a.json b.json --threshold nan");
+        assert!(fraction_flag(&a, "--threshold").is_err());
+        let a = args("bench-check a.json b.json --threshold -0.6667");
+        assert_eq!(fraction_flag(&a, "--threshold"), Ok(Some(-0.6667)));
+    }
+
+    #[test]
+    fn duplicate_entry_names_are_refused() {
+        let body = r#"{"benches": [
+            {"name": "x/y", "iters": 1, "mean_s": 1.0},
+            {"name": "x/y", "iters": 1, "mean_s": 2.0}]}"#;
+        assert!(parse_bench(body).is_err());
+        let body = r#"{"benches": [{"name": "x/y", "iters": 1, "mean_s": 1.0}],
+            "ratios": [{"name": "x/y", "pairs": 1, "median": 1.0, "q1": 1.0, "q3": 1.0}]}"#;
+        assert!(parse_bench(body).is_err());
+    }
+
+    #[test]
+    fn an_inflated_mean_fails_the_regression_gate() {
+        let old = committed("BENCH_sim.json");
+        let name = old.entries.keys().next().expect("an entry").clone();
+        let new = scaled(committed("BENCH_sim.json"), &name, |b| {
+            if let BenchLine::Timing { mean_s, .. } = b {
+                *mean_s *= 1.5;
+            }
+        });
+        // Counted against the unmodified file, so a committed ratio's own
+        // verdict cannot move the count.
+        assert_eq!(
+            failures(&old, &new, 0.20, None),
+            failures(&old, &old, 0.20, None) + 1
+        );
+    }
+
+    #[test]
+    fn a_lost_soa_speedup_fails_its_gate() {
+        let frozen = committed("BENCH_sim_pre_soa.json");
+        let new = scaled(
+            committed("BENCH_sim.json"),
+            "estimator/estimate_uncached",
+            |b| {
+                if let BenchLine::Timing { mean_s, .. } = b {
+                    *mean_s *= 10.0;
+                }
+            },
+        );
+        assert_eq!(failures(&frozen, &new, -0.5, None), 1);
+    }
+
+    #[test]
+    fn a_doubled_peak_rss_fails_the_rss_gate() {
+        let old = committed("BENCH_sim.json");
+        let mut new = committed("BENCH_sim.json");
+        let mut doubled = 0;
+        for b in new.entries.values_mut() {
+            if let BenchLine::Timing {
+                peak_rss_bytes: Some(rss),
+                ..
+            } = b
+            {
+                *rss *= 2.0;
+                doubled += 1;
+            }
+        }
+        assert!(doubled > 0, "no entry records peak RSS");
+        // Wall-clock disabled (+1000%): only the RSS verdicts move.
+        let base = failures(&old, &old, 10.0, Some(0.25));
+        assert_eq!(failures(&old, &new, 10.0, Some(0.25)), base + doubled);
+        assert_eq!(failures(&old, &new, 10.0, None), base);
+    }
+
+    fn ratio_file(median: f64, bound: Option<f64>) -> BenchFile {
+        let bound = bound.map_or(String::new(), |b| format!(r#", "bound": {b}"#));
+        parse_bench(&format!(
+            r#"{{"benches": [], "ratios": [{{"name": "ratio/telemetry_on_off",
+                "pairs": 10, "median": {median}, "q1": 1.0, "q3": 1.1{bound}}}]}}"#
+        ))
+        .expect("ratio file parses")
+    }
+
+    #[test]
+    fn a_ratio_over_its_bound_fails() {
+        let within = ratio_file(1.04, Some(1.05));
+        assert_eq!(failures(&within, &within, 0.20, None), 0);
+        let over = ratio_file(1.06, Some(1.05));
+        assert_eq!(failures(&over, &over, 0.20, None), 1);
+        assert_eq!(failures(&within, &over, 0.20, None), 1);
+        // A ratio the old file names must be present in the new one.
+        let empty = parse_bench(r#"{"benches": []}"#).expect("parses");
+        assert_eq!(failures(&within, &empty, 0.20, None), 1);
+    }
+
+    #[test]
+    fn a_smoke_ratio_without_a_bound_passes() {
+        let smoke = ratio_file(1.9, None);
+        assert_eq!(failures(&smoke, &smoke, 0.20, None), 0);
+        // Also against a bounded committed ratio: a smoke run's one
+        // pair is noise, not a verdict.
+        assert_eq!(
+            failures(&ratio_file(1.02, Some(1.05)), &smoke, 0.20, None),
+            0
+        );
     }
 }

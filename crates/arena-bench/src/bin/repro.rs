@@ -78,7 +78,7 @@ fn main() {
 ///
 /// Flags: `--stdin` | `--addr H:P` (default `127.0.0.1:7700`),
 /// `--policy NAME` (default `arena`), `--cluster table1|testbed|tiny`,
-/// `--workers N`, `--seed N`, `--horizon-s F`,
+/// `--seed N`, `--horizon-s F`,
 /// `--event-log P`, `--decision-log P`, `--resume P`,
 /// `--flight-log P` (auto-dump the telemetry flight recorder on faults
 /// and shutdown), `--flight-cap N` (recorder capacity, default 256).
@@ -87,7 +87,6 @@ fn serve(args: &[String]) {
     let mut addr = "127.0.0.1:7700".to_string();
     let mut cfg_policy = "arena".to_string();
     let mut cluster_name = "testbed".to_string();
-    let mut workers = 1usize;
     let mut seed = 17u64;
     let mut horizon_s = 2_592_000.0f64; // 30 days
     let mut event_log = None;
@@ -107,7 +106,6 @@ fn serve(args: &[String]) {
             "--addr" => addr = val(),
             "--policy" => cfg_policy = val(),
             "--cluster" => cluster_name = val(),
-            "--workers" => workers = val().parse().expect("--workers N"),
             "--seed" => seed = val().parse().expect("--seed N"),
             "--horizon-s" => horizon_s = val().parse().expect("--horizon-s F"),
             "--event-log" => event_log = Some(val().into()),
@@ -125,7 +123,6 @@ fn serve(args: &[String]) {
         other => panic!("unknown cluster preset '{other}'"),
     };
     let mut cfg = ServerConfig::new(&cfg_policy, cluster, SimConfig::new(horizon_s));
-    cfg.worker_threads = workers;
     cfg.seed = seed;
     cfg.event_log = event_log;
     cfg.decision_log = decision_log;

@@ -3,10 +3,13 @@
 //! * The `repro` binary (`cargo run --release -p arena-bench --bin repro`)
 //!   regenerates every table and figure of the paper; see
 //!   `repro --help`.
-//! * The Criterion benches (`cargo bench`) measure the wall-clock of the
-//!   reproduction's own machinery: the analytical performance model, the
-//!   agile estimator, the Cell-guided tuner and scheduling decisions at
-//!   various search depths (the Fig. 21(a) axis).
+//! * The one bench binary (`cargo bench -p arena-bench --bench
+//!   bench_sim_baseline`) times every layer of the stack under
+//!   layer-prefixed names — the cost model, stage partitioning, Cell
+//!   estimation, tuning, each policy's decision pass (Arena across the
+//!   Fig. 21(a) search depths), the engine and its stages, fleet
+//!   streaming — and writes them to `BENCH_sim.json` for
+//!   `arena-analyze bench-check`.
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -15,7 +18,7 @@ use std::time::Instant;
 /// consumed by `arena-analyze bench-check`.
 #[derive(Debug, Clone)]
 pub struct BenchEntry {
-    /// Stable bench name, e.g. `sched/arena_decision_loaded`.
+    /// Stable bench name, e.g. `sched/arena/depth_3`.
     pub name: String,
     /// Timed iterations.
     pub iters: usize,
@@ -57,6 +60,63 @@ impl serde::Serialize for BenchEntry {
     }
 }
 
+impl BenchEntry {
+    /// The aggregate of per-iteration wall times, seconds.
+    #[must_use]
+    pub fn from_samples(name: &str, samples: &[f64]) -> Self {
+        BenchEntry {
+            name: name.to_string(),
+            iters: samples.len(),
+            mean_s: samples.iter().sum::<f64>() / samples.len().max(1) as f64,
+            min_s: samples.iter().copied().fold(f64::INFINITY, f64::min),
+            max_s: samples.iter().copied().fold(0.0, f64::max),
+            peak_rss_bytes: None,
+            allocs_per_iter: None,
+        }
+    }
+}
+
+/// One A/B ratio measured as interleaved pairs inside one process, so
+/// host drift between two blocks of runs cancels out of every pair.
+#[derive(Debug, Clone, serde::Serialize)]
+pub struct RatioEntry {
+    /// Stable ratio name, e.g. `ratio/telemetry_on_off`.
+    pub name: String,
+    /// Number of A/B pairs.
+    pub pairs: usize,
+    /// Median of the per-pair B/A ratios.
+    pub median: f64,
+    /// Lower quartile of the per-pair ratios.
+    pub q1: f64,
+    /// Upper quartile of the per-pair ratios.
+    pub q3: f64,
+    /// `bench-check` fails when `median` exceeds this; `None` records
+    /// the ratio without gating it (smoke runs).
+    pub bound: Option<f64>,
+}
+
+impl RatioEntry {
+    /// Summarises per-pair ratios (linear-interpolated quartiles).
+    #[must_use]
+    pub fn from_pairs(name: &str, ratios: &[f64], bound: Option<f64>) -> Self {
+        let mut sorted = ratios.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let q = |f: f64| {
+            let at = (sorted.len().saturating_sub(1)) as f64 * f;
+            let (lo, hi) = (at.floor() as usize, at.ceil() as usize);
+            sorted[lo] + (sorted[hi] - sorted[lo]) * (at - lo as f64)
+        };
+        RatioEntry {
+            name: name.to_string(),
+            pairs: ratios.len(),
+            median: q(0.5),
+            q1: q(0.25),
+            q3: q(0.75),
+            bound,
+        }
+    }
+}
+
 /// A full bench run in the `BENCH_*` schema.
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct BenchReport {
@@ -70,6 +130,8 @@ pub struct BenchReport {
     pub policies: Vec<String>,
     /// The timed entries.
     pub benches: Vec<BenchEntry>,
+    /// The in-process pair ratios.
+    pub ratios: Vec<RatioEntry>,
 }
 
 /// The current git revision, if the bench runs inside a checkout.
@@ -150,17 +212,10 @@ pub fn time_loop<F: FnMut()>(name: &str, iters: usize, mut f: F) -> BenchEntry {
         f();
         samples.push(t0.elapsed().as_secs_f64());
     }
-    let allocs_per_iter =
-        allocs_before.and_then(|a0| Some(alloc_count()?.saturating_sub(a0) / iters.max(1) as u64));
-    let sum: f64 = samples.iter().sum();
     let entry = BenchEntry {
-        name: name.to_string(),
-        iters,
-        mean_s: sum / iters as f64,
-        min_s: samples.iter().copied().fold(f64::INFINITY, f64::min),
-        max_s: samples.iter().copied().fold(0.0, f64::max),
-        peak_rss_bytes: None,
-        allocs_per_iter,
+        allocs_per_iter: allocs_before
+            .and_then(|a0| Some(alloc_count()?.saturating_sub(a0) / iters.max(1) as u64)),
+        ..BenchEntry::from_samples(name, &samples)
     };
     println!(
         "{name}: {iters} iters, mean {:.6}s, min {:.6}s",
@@ -273,9 +328,12 @@ mod tests {
                 peak_rss_bytes: None,
                 allocs_per_iter: None,
             }],
+            ratios: vec![super::RatioEntry::from_pairs("ratio/x", &[1.0, 1.2], None)],
         };
         let json = serde_json::to_string(&report).unwrap();
-        for key in ["smoke", "git_rev", "policies", "benches", "mean_s"] {
+        for key in [
+            "smoke", "git_rev", "policies", "benches", "mean_s", "ratios", "median",
+        ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
         // RSS and alloc counts are opt-in: absent entries keep the
@@ -288,6 +346,17 @@ mod tests {
         let json = serde_json::to_string(&with_rss).unwrap();
         assert!(json.contains("\"peak_rss_bytes\":1048576"));
         assert!(json.contains("\"allocs_per_iter\":3"));
+    }
+
+    #[test]
+    fn ratio_quartiles_interpolate() {
+        let r = super::RatioEntry::from_pairs("ratio/x", &[1.3, 1.0, 1.1, 1.2], Some(1.05));
+        assert_eq!(r.pairs, 4);
+        assert!((r.median - 1.15).abs() < 1e-12);
+        assert!((r.q1 - 1.075).abs() < 1e-12);
+        assert!((r.q3 - 1.225).abs() < 1e-12);
+        let one = super::RatioEntry::from_pairs("ratio/x", &[0.9], None);
+        assert_eq!((one.q1, one.median, one.q3), (0.9, 0.9, 0.9));
     }
 
     #[test]

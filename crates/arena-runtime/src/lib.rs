@@ -1,9 +1,9 @@
 //! A zero-dependency deterministic worker pool.
 //!
-//! The scheduling hot path fans work out over OS threads (Cell
-//! estimation across a candidate grid, whole policies in the `repro`
-//! driver) while every observable output stays **byte-identical** to the
-//! sequential run. The pool guarantees this by construction:
+//! The `repro` experiments fan independent simulations (whole policy
+//! runs) out over OS threads while every observable output stays
+//! **byte-identical** to the sequential run. The pool guarantees this by
+//! construction:
 //!
 //! * Tasks are identified by their submission index. Workers pull
 //!   indices from a shared atomic counter, so *which* thread runs a task
@@ -70,8 +70,7 @@ impl WorkerPool {
         )
     }
 
-    /// Reads `ARENA_WORKER_THREADS`, falling back to `default`. Use for
-    /// inner-loop fan-out where parallelism should be opt-in.
+    /// Reads `ARENA_WORKER_THREADS`, falling back to `default`.
     #[must_use]
     pub fn from_env_or(default: usize) -> Self {
         let threads = std::env::var(WORKER_THREADS_ENV)
@@ -91,7 +90,7 @@ impl WorkerPool {
     /// configured thread count capped at the machine's available
     /// parallelism. Spawning beyond the core count buys nothing and
     /// costs a thread spawn/join per excess worker, so fan-out
-    /// decisions (inline vs. spawn, chunk sizing) should consult this
+    /// decisions (inline vs. spawn) should consult this
     /// rather than [`WorkerPool::threads`]. Results are still
     /// byte-identical either way — only wall-clock changes.
     #[must_use]
@@ -118,54 +117,6 @@ impl WorkerPool {
         F: Fn(usize, &T) -> R + Sync,
     {
         self.map_indices(items.len(), |i| f(i, &items[i]))
-    }
-
-    /// Applies `f` to every item in fixed-size chunks, returning results
-    /// in item order.
-    ///
-    /// Workers claim whole chunks of `chunk` consecutive indices from
-    /// the shared counter instead of single indices, so per-task
-    /// queue/merge overhead is amortised over the chunk — the right
-    /// granularity when each item is cheap (e.g. one cached-or-small
-    /// estimate). The merge is still by ascending chunk index, so the
-    /// output order (and any order-dependent fold over it) is identical
-    /// to [`WorkerPool::map`] at every pool size and chunk size.
-    pub fn map_chunked<T, R, F>(&self, items: &[T], chunk: usize, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        let n = items.len();
-        let chunk = chunk.max(1);
-        if self.effective_threads() <= 1 || n <= chunk {
-            return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
-        }
-        let num_chunks = n.div_ceil(chunk);
-        let next = AtomicUsize::new(0);
-        let collected: Mutex<Vec<(usize, Vec<R>)>> = Mutex::new(Vec::with_capacity(num_chunks));
-        std::thread::scope(|s| {
-            for _ in 0..self.effective_threads().min(num_chunks) {
-                s.spawn(|| {
-                    let mut local: Vec<(usize, Vec<R>)> = Vec::new();
-                    loop {
-                        let c = next.fetch_add(1, Ordering::Relaxed);
-                        if c >= num_chunks {
-                            break;
-                        }
-                        let start = c * chunk;
-                        let end = (start + chunk).min(n);
-                        let rs: Vec<R> = (start..end).map(|i| f(i, &items[i])).collect();
-                        local.push((c, rs));
-                    }
-                    collected.lock().expect("worker result lock").extend(local);
-                });
-            }
-        });
-        let mut results = collected.into_inner().expect("worker result lock");
-        results.sort_by_key(|&(c, _)| c);
-        debug_assert_eq!(results.iter().map(|(_, v)| v.len()).sum::<usize>(), n);
-        results.into_iter().flat_map(|(_, rs)| rs).collect()
     }
 
     /// Runs `f(0..n)`, returning results in index order.
@@ -243,34 +194,6 @@ mod tests {
             let par = WorkerPool::new(threads).map(&items, |i, &x| i * 1000 + x * 3);
             assert_eq!(par, seq, "pool size {threads} reordered results");
         }
-    }
-
-    #[test]
-    fn map_chunked_matches_map_across_pool_and_chunk_sizes() {
-        let items: Vec<usize> = (0..257).collect();
-        let seq: Vec<usize> = WorkerPool::new(1).map(&items, |i, &x| i * 1000 + x * 3);
-        for threads in [1, 2, 4, 8] {
-            for chunk in [1, 3, 4, 64, 300] {
-                let got =
-                    WorkerPool::new(threads).map_chunked(&items, chunk, |i, &x| i * 1000 + x * 3);
-                assert_eq!(
-                    got, seq,
-                    "threads {threads} chunk {chunk} reordered results"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn map_chunked_handles_edge_sizes() {
-        let pool = WorkerPool::new(4);
-        assert_eq!(
-            pool.map_chunked(&[], 4, |i, _: &usize| i),
-            Vec::<usize>::new()
-        );
-        assert_eq!(pool.map_chunked(&[9], 4, |_, &x| x + 1), vec![10]);
-        // chunk 0 clamps to 1 rather than dividing by zero.
-        assert_eq!(pool.map_chunked(&[1, 2, 3], 0, |_, &x| x), vec![1, 2, 3]);
     }
 
     #[test]

@@ -1,16 +1,14 @@
 //! The Arena (Crius) Cell-based scheduler: Algorithm 1.
 
 use std::cell::RefCell;
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use arena_cluster::{GpuTypeId, PoolStats};
 use arena_obs::Decision;
-use arena_runtime::WorkerPool;
 
 pub use crate::memo::CandidateMemoStats;
 use crate::memo::{CandidateMemo, JobClassKey};
-use crate::policy::{Action, JobView, PlanMode, Policy, SchedEvent, SchedView, ShardQueue};
+use crate::policy::{Action, JobView, PlanMode, Policy, SchedEvent, SchedView};
 
 /// Which Arena variant runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,11 +64,6 @@ pub struct ArenaPolicy {
     pub opportunistic: bool,
     /// Queue discipline.
     pub queue_order: QueueOrder,
-    /// Pool fanning Cell estimation out across the candidate grid.
-    /// Results merge in grid order, so any pool size produces the same
-    /// schedule; defaults to sequential unless `ARENA_WORKER_THREADS`
-    /// asks for more.
-    workers: WorkerPool,
     /// Ranked-candidate memo (see [`crate::memo`]); flushed whenever the
     /// per-pool free/failed/total signature moves.
     memo: RefCell<CandidateMemo>,
@@ -78,8 +71,7 @@ pub struct ArenaPolicy {
     /// Optional bound on each ranked candidate list (`None` = full grid).
     /// Lists are truncated to the top-`K` *after* ranking, so only the
     /// lowest-scored tail — the placements Arena would try last — is
-    /// dropped; both the lazy path and the candidate prefetch apply the same
-    /// cut, so the two paths stay bitwise identical.
+    /// dropped.
     candidate_cap: Option<usize>,
     /// How many candidate lists the cap actually truncated (provenance;
     /// stays 0 while the cap never binds).
@@ -101,26 +93,11 @@ impl ArenaPolicy {
             search_depth: 3,
             opportunistic: true,
             queue_order: QueueOrder::Arrival,
-            workers: WorkerPool::from_env_or(1),
             memo: RefCell::new(CandidateMemo::default()),
             use_memo: true,
             candidate_cap: None,
             capped_lists: std::cell::Cell::new(0),
         }
-    }
-
-    /// Sets the worker-thread count for candidate estimation (1 =
-    /// sequential). The schedule is byte-identical at any count.
-    #[must_use]
-    pub fn with_worker_threads(self, threads: usize) -> Self {
-        self.with_worker_pool(WorkerPool::new(threads))
-    }
-
-    /// Supplies the worker pool for candidate estimation.
-    #[must_use]
-    pub fn with_worker_pool(mut self, pool: WorkerPool) -> Self {
-        self.workers = pool;
-        self
     }
 
     /// Disables the candidate memo (every list is re-enumerated) — the
@@ -247,8 +224,23 @@ impl ArenaPolicy {
                 return cached.to_vec();
             }
         }
-        let grid = self.grid(view, job);
-        let mut out = estimate_and_rank(&grid, &job.spec, view.pools, view.service, &self.workers);
+        let ideal = view.service.ideal_sps(&job.spec);
+        let model = &job.spec.model;
+        let mut out: Vec<Candidate> = self
+            .grid(view, job)
+            .into_iter()
+            .filter_map(|(pool, gpus)| {
+                view.service
+                    .cell_choice(model, gpus, pool)
+                    .map(|c| Candidate {
+                        pool,
+                        gpus,
+                        score: c.throughput_sps / ideal,
+                        iter_time_s: c.iter_time_s,
+                    })
+            })
+            .collect();
+        rank_candidates(&mut out, view.pools);
         self.apply_candidate_cap(&mut out, &view.obs);
         if self.use_memo {
             self.memo.borrow_mut().put(key, Arc::new(out.clone()));
@@ -307,17 +299,6 @@ const MOVE_PENALTY: f64 = 0.15;
 /// active while some capacity is actually down.
 const FAILED_POOL_PENALTY: f64 = 0.25;
 
-/// Minimum number of missing candidate classes before the candidate
-/// prefetch fans estimation out to the worker pool; smaller batches are
-/// estimated inline, below the cost of spawning the workers.
-const PREFETCH_SPAWN_CUTOFF: usize = 8;
-
-/// Grid entries claimed per worker task when warming cold cell choices:
-/// each entry is one `estimate_batch` over a few-cell ladder (~tens of
-/// microseconds), so chunking amortises the spawn/queue/merge overhead
-/// that made per-entry fan-out slower than the sequential loop.
-const ESTIMATE_CHUNK: usize = 4;
-
 /// Descending-sort key: NaN (an upstream estimation bug, not a valid
 /// score) ranks *below* every real score instead of panicking the
 /// comparator or floating to the top.
@@ -327,51 +308,6 @@ fn score_key(s: f64) -> f64 {
     } else {
         s
     }
-}
-
-/// Estimates and ranks one precomputed candidate grid — the shared core
-/// of the lazy lookup and the candidate prefetch. A pure function of the
-/// grid, the job's class, the pool state, and the estimation service, so
-/// both callers compute bitwise the same list. `workers` fans the
-/// estimation grid out; the result vector keeps grid order, so ranking
-/// sees the same input (and stable-sort tie order) at every pool size.
-fn estimate_and_rank(
-    grid: &[(GpuTypeId, usize)],
-    spec: &arena_trace::JobSpec,
-    pools: &[PoolStats],
-    service: &crate::service::PlanService,
-    workers: &WorkerPool,
-) -> Vec<Candidate> {
-    let ideal = service.ideal_sps(spec);
-    let model = &spec.model;
-    // Warm-then-read: fan out only the entries whose cell choice is not
-    // yet memoised, in chunks, then read every entry inline in grid
-    // order. Every cached value is a pure function of its key, so
-    // warming in any thread order (or losing a warmed entry to
-    // eviction and recomputing it) yields bitwise the same reads.
-    let cold: Vec<(GpuTypeId, usize)> = grid
-        .iter()
-        .filter(|&&(pool, gpus)| service.cell_choice_cached(model, gpus, pool).is_none())
-        .copied()
-        .collect();
-    if cold.len() > ESTIMATE_CHUNK {
-        workers.map_chunked(&cold, ESTIMATE_CHUNK, |_, &(pool, gpus)| {
-            let _ = service.cell_choice(model, gpus, pool);
-        });
-    }
-    let mut out: Vec<Candidate> = grid
-        .iter()
-        .filter_map(|&(pool, gpus)| {
-            service.cell_choice(model, gpus, pool).map(|c| Candidate {
-                pool,
-                gpus,
-                score: c.throughput_sps / ideal,
-                iter_time_s: c.iter_time_s,
-            })
-        })
-        .collect();
-    rank_candidates(&mut out, pools);
-    out
 }
 
 /// Ranks candidates best-score-first against the given pool state.
@@ -849,78 +785,6 @@ impl Policy for ArenaPolicy {
 
         actions
     }
-
-    /// Candidate prefetch: warms the memo with every queued job
-    /// class missing from it, computing the lists concurrently across
-    /// classes on the worker pool. A candidate list is a pure function of
-    /// (job class, pool state, service), so the subsequent scheduling
-    /// pass reads bitwise the same lists it would have enumerated lazily —
-    /// only the hit/miss split of the memo stats moves, and those are not
-    /// part of any observable schedule output.
-    fn prepare_shards(&mut self, shards: &[ShardQueue<'_>], view: &SchedView<'_>) {
-        if !self.use_memo || self.workers.threads() <= 1 {
-            return;
-        }
-        // Same signature revalidation the scheduling pass will perform,
-        // so prefetched entries survive into it.
-        let flushed = self.memo.borrow_mut().begin_pass(view.pools);
-        if !flushed && !self.memo.borrow().is_empty() {
-            // Quiet round: the memo survived revalidation, so only
-            // classes that arrived since the last pass can be missing —
-            // a handful at most, cheaper to fill lazily in the
-            // scheduling pass than to rescan the whole queue here.
-            return;
-        }
-        // Grids are enumerated serially (cheap); only the estimation is
-        // fanned out. The task closure must not capture `self` — the
-        // memo's `RefCell` keeps the policy `!Sync`.
-        type MissingClass = (
-            JobClassKey,
-            Vec<(GpuTypeId, usize)>,
-            Arc<arena_trace::JobSpec>,
-        );
-        let mut missing: Vec<MissingClass> = Vec::new();
-        let mut seen: HashSet<JobClassKey> = HashSet::new();
-        {
-            let memo = self.memo.borrow();
-            for sq in shards {
-                for job in sq.queued {
-                    let key = JobClassKey::of(&job.spec);
-                    if memo.contains(&key) || !seen.insert(key) {
-                        continue;
-                    }
-                    missing.push((key, self.grid(view, job), job.spec.clone()));
-                }
-            }
-        }
-        if missing.is_empty() {
-            return;
-        }
-        // Parallelism is across classes here, so each class's grid is
-        // estimated inline rather than nesting a second fan-out. A
-        // handful of stragglers (quiet rounds where one new class
-        // arrived) is cheaper to estimate in place than to spawn for;
-        // either path fills the memo with bitwise the same lists.
-        let inline = WorkerPool::sequential();
-        let (pools, service) = (view.pools, view.service);
-        let computed = if missing.len() < PREFETCH_SPAWN_CUTOFF {
-            missing
-                .iter()
-                .map(|(_, grid, spec)| estimate_and_rank(grid, spec, pools, service, &inline))
-                .collect()
-        } else {
-            self.workers.map(&missing, |_, (_, grid, spec)| {
-                estimate_and_rank(grid, spec, pools, service, &inline)
-            })
-        };
-        let mut memo = self.memo.borrow_mut();
-        for ((key, ..), mut cands) in missing.into_iter().zip(computed) {
-            // The prefetch caches exactly what the lazy path would have:
-            // the cap is applied before the list enters the memo.
-            self.apply_candidate_cap(&mut cands, &view.obs);
-            memo.put(key, Arc::new(cands));
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1217,23 +1081,15 @@ mod tests {
     }
 
     #[test]
-    fn memo_and_pool_sizes_leave_schedule_unchanged() {
+    fn memo_leaves_schedule_unchanged() {
         let f = Fixture::new();
         let queued: Vec<JobView> = (0..6).map(|i| job(i, 1.3, 8, (i % 2) as usize)).collect();
         let pools = f.cluster.pool_stats();
         let reference = ArenaPolicy::new()
             .without_candidate_memo()
             .schedule(SchedEvent::Round, &f.view(&queued, &[], &pools));
-        for mut policy in [
-            ArenaPolicy::new(),
-            ArenaPolicy::new().with_worker_threads(4),
-            ArenaPolicy::new()
-                .with_worker_threads(8)
-                .without_candidate_memo(),
-        ] {
-            let actions = policy.schedule(SchedEvent::Round, &f.view(&queued, &[], &pools));
-            assert_eq!(actions, reference);
-        }
+        let actions = ArenaPolicy::new().schedule(SchedEvent::Round, &f.view(&queued, &[], &pools));
+        assert_eq!(actions, reference);
     }
 
     #[test]

@@ -50,20 +50,18 @@ pub const POLICY_NAMES: [&str; 5] = ["fcfs", "gandiva", "gavel", "elasticflow", 
 /// Policy selection at startup: maps a lowercase policy name to a boxed
 /// instance, constructed exactly as the comparison experiments construct
 /// it (notably `ElasticFlowPolicy::loosened()` for `elasticflow`).
-/// Returns `None` for unknown names. `worker_threads` pins the Arena
-/// policy's internal worker pool — pass 1 for deterministic services and
-/// suites that must not read `ARENA_WORKER_THREADS` from the ambient
-/// environment.
+/// Returns `None` for unknown names. The second argument is ignored: it
+/// sized Arena's removed in-decision worker pool and stays only because
+/// the end-to-end benchmark (`e2ebench/`) passes it; it goes with the
+/// next change to that benchmark.
 #[must_use]
-pub fn policy_by_name(name: &str, worker_threads: usize) -> Option<Box<dyn Policy>> {
+pub fn policy_by_name(name: &str, _worker_threads: usize) -> Option<Box<dyn Policy>> {
     match name {
         "fcfs" => Some(Box::new(FcfsPolicy::new())),
         "gandiva" => Some(Box::new(GandivaPolicy::new())),
         "gavel" => Some(Box::new(GavelPolicy::new())),
         "elasticflow" => Some(Box::new(ElasticFlowPolicy::loosened())),
-        "arena" => Some(Box::new(
-            ArenaPolicy::new().with_worker_threads(worker_threads),
-        )),
+        "arena" => Some(Box::new(ArenaPolicy::new())),
         _ => None,
     }
 }

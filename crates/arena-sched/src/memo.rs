@@ -121,10 +121,8 @@ impl CandidateMemo {
     }
 
     /// Revalidates the memo against the pool state a scheduling pass
-    /// sees, flushing every entry when the signature moved. Returns
-    /// whether the pass started cold (first pass or flush) — callers use
-    /// it to decide whether a prefetch sweep is worth the scan.
-    pub(crate) fn begin_pass(&mut self, pools: &[PoolStats]) -> bool {
+    /// sees, flushing every entry when the signature moved.
+    pub(crate) fn begin_pass(&mut self, pools: &[PoolStats]) {
         let sig = pool_signature(pools);
         if self.pool_sig != Some(sig) {
             if self.pool_sig.is_some() && !self.entries.is_empty() {
@@ -134,7 +132,7 @@ impl CandidateMemo {
             self.order.clear();
             self.pool_sig = Some(sig);
             self.pass += 1;
-            return true;
+            return;
         }
         self.pass += 1;
         if let Some(max_age) = self.max_age_passes {
@@ -154,12 +152,16 @@ impl CandidateMemo {
             });
             self.stats.aged_out += (before - entries.len()) as u64;
         }
-        false
     }
 
-    /// Whether the memo holds no candidate lists.
-    pub(crate) fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+
+    #[cfg(test)]
+    fn contains(&self, key: &JobClassKey) -> bool {
+        self.entries.contains_key(key)
     }
 
     pub(crate) fn get(&mut self, key: &JobClassKey) -> Option<Arc<Vec<Candidate>>> {
@@ -174,13 +176,6 @@ impl CandidateMemo {
                 None
             }
         }
-    }
-
-    /// Whether `key` is cached, without touching the hit/miss counters —
-    /// for the prefetch pre-pass, which must leave the stats to the real
-    /// scheduling lookups.
-    pub(crate) fn contains(&self, key: &JobClassKey) -> bool {
-        self.entries.contains_key(key)
     }
 
     pub(crate) fn put(&mut self, key: JobClassKey, value: Arc<Vec<Candidate>>) {

@@ -162,9 +162,9 @@ pub enum Action {
 /// The queue as handed to [`Policy::prepare_shards`] by the simulation
 /// engine before a scheduling pass: always one entry, shard 0, holding
 /// the whole queue. The type and its `shard` field outlive the removed
-/// executor shards only because the end-to-end benchmark (`e2ebench/`)
-/// implements `prepare_shards` against them; both go with the next
-/// change to that benchmark.
+/// executor shards and in-decision worker fan-out only because the
+/// end-to-end benchmark (`e2ebench/`) implements `prepare_shards`
+/// against them; both go with the next change to that benchmark.
 #[derive(Debug)]
 pub struct ShardQueue<'a> {
     /// Always 0.
@@ -190,14 +190,9 @@ pub trait Policy: Send {
     fn schedule(&mut self, event: SchedEvent, view: &SchedView<'_>) -> Vec<Action>;
 
     /// Pre-pass hook of the simulation engine, called once before every
-    /// [`Policy::schedule`] with the whole queue as the single shard 0
-    /// (the slice signature is kept for the benchmark; see
-    /// [`ShardQueue`]).
-    ///
-    /// Implementations may warm caches concurrently (candidate
-    /// prefetching), but MUST NOT change any observable scheduling
-    /// output: the subsequent `schedule` call has to return exactly what
-    /// it would have returned without the pre-pass. The default is a
-    /// no-op.
+    /// [`Policy::schedule`] with the whole queue as the single shard 0.
+    /// No policy here overrides the default no-op; the hook is kept for
+    /// the benchmark (see [`ShardQueue`]). An override MUST NOT change
+    /// any observable scheduling output.
     fn prepare_shards(&mut self, _shards: &[ShardQueue<'_>], _view: &SchedView<'_>) {}
 }

@@ -423,21 +423,6 @@ impl PlanService {
         best
     }
 
-    /// Cache-probe variant of [`PlanService::cell_choice`]: returns the
-    /// memoised choice if present, without computing anything on a miss.
-    /// The decision loop uses this to split a candidate grid into warm
-    /// entries (read inline) and cold entries (fanned out in chunks).
-    #[must_use]
-    pub fn cell_choice_cached(
-        &self,
-        model: &ModelConfig,
-        gpus: usize,
-        pool: GpuTypeId,
-    ) -> Option<Option<CellChoice>> {
-        let key = Self::key(model, gpus, pool);
-        self.cells.read().get(&key).cloned()
-    }
-
     /// Arena's run path: take the chosen Cell, tune it with the pruned
     /// search, and return the measured plan plus the tuning wall-clock.
     #[must_use]
@@ -526,8 +511,8 @@ mod tests {
     use arena_cluster::presets;
     use arena_model::zoo::ModelFamily;
 
-    /// The parallel candidate fan-out shares one `&PlanService` across
-    /// worker threads.
+    /// Every cache sits behind a lock, so one `&PlanService` may be
+    /// shared across threads.
     #[test]
     fn plan_service_is_sync() {
         fn assert_sync<T: Sync>() {}

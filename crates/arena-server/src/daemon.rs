@@ -76,8 +76,6 @@ pub struct ServerConfig {
     pub cluster: Cluster,
     /// Simulation constants (round interval, overheads, horizon).
     pub sim: SimConfig,
-    /// Worker threads for the policy's parallel candidate estimation.
-    pub worker_threads: usize,
     /// Plan-service RNG seed.
     pub seed: u64,
     /// Clock mode.
@@ -110,7 +108,6 @@ impl ServerConfig {
             policy: policy.to_string(),
             cluster,
             sim,
-            worker_threads: 1,
             seed: 17,
             clock: ClockMode::Virtual,
             event_log: None,
@@ -379,7 +376,7 @@ impl Server {
     /// `publish_every` is zero, the resume log exists but cannot be read
     /// or the event log cannot be opened.
     pub fn start(cfg: ServerConfig) -> Result<Server, String> {
-        if policy_by_name(&cfg.policy, cfg.worker_threads).is_none() {
+        if policy_by_name(&cfg.policy, 1).is_none() {
             return Err(format!(
                 "unknown policy `{}` (expected one of {:?})",
                 cfg.policy,
@@ -554,8 +551,7 @@ fn daemon_main(
     metrics: Arc<MetricsRegistry>,
     ready: &Sender<()>,
 ) -> ServerOutcome {
-    let mut policy =
-        policy_by_name(&cfg.policy, cfg.worker_threads).expect("policy validated in Server::start");
+    let mut policy = policy_by_name(&cfg.policy, 1).expect("policy validated in Server::start");
     let service = PlanService::new(&cfg.cluster, CostParams::default(), cfg.seed);
     let obs = Obs::enabled().with_metrics(Arc::clone(&metrics));
     let mut engine = Engine::new(

@@ -484,16 +484,21 @@ struct EngineTelemetry {
     est_table_ratio: Gauge,
     /// Cumulative wall-clock spent computing fresh estimates, seconds.
     est_seconds: Gauge,
-    /// Per-stage decision-loop latency, same names the span plane uses
-    /// so exposition and trace reports agree. Held as resolved handles:
+    /// Per-stage burst latency, same names the span plane uses so
+    /// exposition and trace reports agree. Held as resolved handles:
     /// the per-event path must never pay a name-routed lookup. The view
-    /// build keeps its `sim.shard.merge` name and the prepare pass its
+    /// build (which also releases the previous pass's views) keeps its
+    /// `sim.shard.merge` name and the prepare pass its
     /// `sim.shard.prepare` name because the end-to-end benchmark
     /// (`e2ebench/`) reads them.
     stage_merge: Histogram,
     stage_prepare: Histogram,
     stage_schedule: Histogram,
     stage_commit: Histogram,
+    /// The advance walk plus starts and completions (burst steps 1–2).
+    stage_advance: Histogram,
+    /// Arrivals (burst step 3).
+    stage_arrive: Histogram,
     /// The round-boundary throughput sample (burst step 6).
     stage_sample: Histogram,
     /// Actions emitted per scheduling pass.
@@ -524,6 +529,8 @@ impl EngineTelemetry {
             stage_prepare: reg.histogram("sim.shard.prepare"),
             stage_schedule: reg.histogram("sim.schedule"),
             stage_commit: reg.histogram("sim.commit"),
+            stage_advance: reg.histogram("sim.advance"),
+            stage_arrive: reg.histogram("sim.arrive"),
             stage_sample: reg.histogram("sim.sample"),
             actions_per_pass: reg.histogram("sim.actions_per_pass"),
             queue_depth: reg.gauge("sim.queue_depth"),
@@ -632,6 +639,11 @@ pub struct Engine<'a> {
     // Scratch for the burst walks that edit the active set they walk:
     // a copy of it in ascending index order.
     order: Vec<usize>,
+    // The policy's queued and running views, refilled every pass (see
+    // `fill_views`); kept between passes so the release of the previous
+    // pass's views falls inside the view-build stage.
+    view_queued: Vec<JobView>,
+    view_running: Vec<JobView>,
     interner: Interner,
     acquired: HashSet<(u32, usize, usize, usize)>,
     t: f64,
@@ -695,6 +707,8 @@ impl<'a> Engine<'a> {
             seen_ids: HashSet::new(),
             index: EventIndex::default(),
             order: Vec::new(),
+            view_queued: Vec::new(),
+            view_running: Vec::new(),
             interner: Interner::new(),
             acquired: HashSet::new(),
             t: 0.0,
@@ -1311,6 +1325,12 @@ impl<'a> Engine<'a> {
         // Every walk visits the active set in ascending index (submission)
         // order, the reference loop's job order for `flog`, cluster
         // releases and obs events.
+        let advance = stage(
+            self.tele.as_ref(),
+            &self.obs,
+            |tele| &tele.stage_advance,
+            "sim.advance",
+        );
 
         // Advance running jobs to `te`. Lazy on two axes, both exact:
         // only Running members of the active set step (everything else
@@ -1408,6 +1428,7 @@ impl<'a> Engine<'a> {
                 }
             }
         }
+        drop(advance);
 
         // 2b. Fault events due now. Each gets its own scheduling pass so
         // the policy can react to every transition individually.
@@ -1501,6 +1522,12 @@ impl<'a> Engine<'a> {
         self.order = order;
 
         // 3. Arrivals due now.
+        let arrive = stage(
+            self.tele.as_ref(),
+            &self.obs,
+            |tele| &tele.stage_arrive,
+            "sim.arrive",
+        );
         while self
             .pending_jobs
             .front()
@@ -1540,6 +1567,7 @@ impl<'a> Engine<'a> {
             self.obs.job_event(t, id, JobEventKind::Submit);
             event = Some(SchedEvent::Arrival(id));
         }
+        drop(arrive);
 
         // 4. Round tick.
         if self.next_round <= t + EPS {
@@ -1602,6 +1630,8 @@ impl<'a> Engine<'a> {
     fn dispatch(&mut self, ev: SchedEvent) {
         let t = self.t;
         let service = self.service;
+        let mut queued = std::mem::take(&mut self.view_queued);
+        let mut running = std::mem::take(&mut self.view_running);
         let actions = {
             debug_assert!(
                 self.index
@@ -1614,7 +1644,7 @@ impl<'a> Engine<'a> {
                 self.index.active.iter().all(|&i| self.sjobs[i].active()),
                 "active index holds an inactive job"
             );
-            let (queued, running) = self.views();
+            self.fill_views(&mut queued, &mut running);
             let pools = self.cluster.pool_stats();
             if self.obs.is_enabled() {
                 self.obs.context(t, self.policy.name(), ev.label());
@@ -1685,6 +1715,8 @@ impl<'a> Engine<'a> {
             }
             actions
         };
+        self.view_queued = queued;
+        self.view_running = running;
         {
             // Commit stage: action execution against the cluster books.
             let obs = self.obs.clone();
@@ -1718,18 +1750,23 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// The policy's queued and running views, each in ascending index
-    /// (submission) order, timed as `sim.shard.merge` (see
-    /// [`EngineTelemetry`] for why the name stays).
-    fn views(&self) -> (Vec<JobView>, Vec<JobView>) {
+    /// Refills the policy's queued and running views, each in ascending
+    /// index (submission) order, timed as `sim.shard.merge` (see
+    /// [`EngineTelemetry`] for why the name stays). Clearing releases
+    /// the previous pass's views inside the stage.
+    fn fill_views(&self, queued: &mut Vec<JobView>, running: &mut Vec<JobView>) {
         let _build = stage(
             self.tele.as_ref(),
             &self.obs,
             |tele| &tele.stage_merge,
             "sim.shard.merge",
         );
-        let views = |set: &BTreeSet<usize>| set.iter().map(|&i| job_view(&self.sjobs[i])).collect();
-        (views(&self.index.queued), views(&self.index.active))
+        let fill = |out: &mut Vec<JobView>, set: &BTreeSet<usize>| {
+            out.clear();
+            out.extend(set.iter().map(|&i| job_view(&self.sjobs[i])));
+        };
+        fill(queued, &self.index.queued);
+        fill(running, &self.index.active);
     }
 
     /// Executes scheduling actions in the policy's emission order.

@@ -595,6 +595,8 @@ mod tests {
             "sim.schedule",
             "sim.commit",
             "sim.sample",
+            "sim.advance",
+            "sim.arrive",
         ] {
             assert!(hists[stage].count > 0, "{stage} empty");
         }

@@ -1,11 +1,11 @@
-//! Determinism contracts for the parallel scheduling hot path.
+//! Determinism contracts for the scheduling hot path.
 //!
 //! The worker pool, the sharded estimator cache and the candidate memo
 //! are pure performance features: none of them may change a single byte
 //! of scheduler output. These tests pin that down:
 //!
-//! 1. **Pool-size invariance** — a traced Arena run is byte-identical at
-//!    worker-pool sizes 1 and 8 (decision log, job records, timelines,
+//! 1. **Ignored worker argument** — `policy_by_name("arena", n)` builds
+//!    the same policy at any `n` (decision log, job records, timelines,
 //!    metrics; only the wall-clock decision timer is exempt).
 //! 2. **Memo invariance** — the candidate memo's cold and warm paths
 //!    produce identical schedules.
@@ -16,7 +16,7 @@
 
 use arena::experiments::run_policies_parallel;
 use arena::prelude::*;
-use arena::sched::{JobView, SchedEvent, SchedView};
+use arena::sched::{policy_by_name, JobView, SchedEvent, SchedView};
 
 fn steady_trace(n: u64) -> Vec<JobSpec> {
     (0..n)
@@ -57,36 +57,36 @@ fn fingerprint(mut r: SimResult) -> String {
     )
 }
 
-fn traced_arena_run(policy: ArenaPolicy) -> SimResult {
+fn traced_arena_run(policy: &mut dyn Policy) -> SimResult {
     let cluster = arena::cluster::presets::physical_testbed();
     let service = PlanService::new(&cluster, CostParams::default(), 33);
     let cfg = SimConfig::new(24.0 * 3600.0);
     let obs = Obs::enabled();
-    let mut policy = policy;
-    Run::new(&cluster, &mut policy, &service, &cfg)
+    Run::new(&cluster, policy, &service, &cfg)
         .obs(&obs)
         .batch(&steady_trace(16))
 }
 
+/// `policy_by_name`'s second argument once sized Arena's in-decision
+/// worker pool; it is ignored now and must stay so until it is removed.
 #[test]
-fn worker_pool_sizes_produce_byte_identical_runs() {
-    let sequential = fingerprint(traced_arena_run(ArenaPolicy::new().with_worker_threads(1)));
-    for threads in [4_usize, 8] {
-        let parallel = fingerprint(traced_arena_run(
-            ArenaPolicy::new().with_worker_threads(threads),
-        ));
-        assert_eq!(
-            sequential, parallel,
-            "worker pool size {threads} changed scheduler output"
-        );
-    }
+fn policy_by_name_ignores_the_worker_argument() {
+    let run = |workers: usize| {
+        let mut policy = policy_by_name("arena", workers).expect("arena is a policy name");
+        fingerprint(traced_arena_run(policy.as_mut()))
+    };
+    assert_eq!(
+        run(1),
+        run(8),
+        "the worker argument changed scheduler output"
+    );
 }
 
 #[test]
 fn memo_cold_and_warm_paths_are_identical() {
-    let memoized = fingerprint(traced_arena_run(ArenaPolicy::new()));
+    let memoized = fingerprint(traced_arena_run(&mut ArenaPolicy::new()));
     let unmemoized = fingerprint(traced_arena_run(
-        ArenaPolicy::new().without_candidate_memo(),
+        &mut ArenaPolicy::new().without_candidate_memo(),
     ));
     assert_eq!(
         memoized, unmemoized,

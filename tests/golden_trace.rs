@@ -43,17 +43,13 @@ fn small_trace(n: u64) -> Vec<JobSpec> {
         .collect()
 }
 
-/// The comparison set with execution knobs pinned: `ArenaPolicy::new()`
-/// reads `ARENA_WORKER_THREADS` from the environment, and golden
-/// snapshots must not depend on what the test runner happens to have
-/// exported, so the worker count is fixed to 1 here.
 fn policy_set() -> Vec<Box<dyn Policy>> {
     vec![
         Box::new(FcfsPolicy::new()),
         Box::new(GandivaPolicy::new()),
         Box::new(GavelPolicy::new()),
         Box::new(ElasticFlowPolicy::loosened()),
-        Box::new(ArenaPolicy::new().with_worker_threads(1)),
+        Box::new(ArenaPolicy::new()),
     ]
 }
 
@@ -249,7 +245,7 @@ fn every_place_and_drop_action_has_exactly_one_decision() {
 #[test]
 fn decision_log_exports_one_json_object_per_decision() {
     let obs = Obs::enabled();
-    let r = run_traced(&mut ArenaPolicy::new().with_worker_threads(1), &obs);
+    let r = run_traced(&mut ArenaPolicy::new(), &obs);
     let jsonl = r.trace.decisions_jsonl();
     let lines: Vec<&str> = jsonl.lines().collect();
     assert_eq!(lines.len(), r.trace.decisions.len());

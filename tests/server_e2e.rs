@@ -10,10 +10,6 @@
 //! pin that contract for all five policies, with and without fault
 //! injection — extending the engine equivalence guarantee across the
 //! batch/online boundary.
-//!
-//! Every execution knob is pinned explicitly (policies built by name
-//! with one worker thread), so an ambient `ARENA_WORKER_THREADS` cannot
-//! skew the comparison.
 
 use arena::prelude::*;
 use arena::sched::{policy_by_name, POLICY_NAMES};
