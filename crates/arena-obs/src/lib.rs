@@ -10,18 +10,25 @@
 //!   action (and per engine-side eviction/requeue), carrying the chosen
 //!   pool/GPU count, the candidate score and a static reason string.
 //! * **Counters** ([`Obs::incr`]) — monotonically increasing event tallies.
-//! * **Gauges** ([`Obs::gauge`]) — `(sim-time, value)` samples of a level,
-//!   e.g. queue depth at every scheduling pass.
+//! * **Gauges** ([`Obs::gauge`]) — the current value of a level, e.g.
+//!   queue depth at the latest scheduling pass.
 //! * **Spans** ([`Obs::span`]) and **histograms** ([`Obs::observe`]) —
-//!   wall-clock timers and value distributions.
+//!   wall-clock timers and value distributions in log2 buckets.
+//!
+//! Decisions and the job-lifecycle [`Timeline`] form the trace a run
+//! returns as a [`TraceReport`]. The other three primitives live only in
+//! the handle's [`MetricsRegistry`], one store with one meaning per
+//! series: [`Obs::enabled`] records the trace plus a registry of its
+//! own, and [`Obs::metrics_only`] records into a shared registry without
+//! the trace.
 //!
 //! The handle is cheap to clone and defaults to [`Obs::disabled`], in
 //! which every recording call is a no-op returning immediately: the
 //! instrumented code paths compute nothing extra, so a disabled run is
 //! bitwise identical to an uninstrumented one. Everything except span
 //! wall-times is **deterministic**: two runs of the same simulation
-//! produce the same decision log, counters and gauges, which is what the
-//! golden-trace test harness snapshots.
+//! produce the same decision log, timeline and counters; the
+//! golden-trace test harness snapshots the first two.
 //!
 //! # Example
 //!
@@ -35,7 +42,8 @@
 //! let report = obs.report();
 //! assert_eq!(report.decisions.len(), 1);
 //! assert_eq!(report.decisions[0].policy, "Arena");
-//! assert_eq!(report.counters["sched.pass"], 1);
+//! let registry = obs.metrics().expect("a traced handle carries a registry");
+//! assert_eq!(registry.counter("sched.pass").get(), 1);
 //! ```
 
 use std::collections::{BTreeMap, HashMap};
@@ -318,17 +326,6 @@ pub(crate) fn trim_f64(v: f64) -> String {
     format!("{v}")
 }
 
-/// Aggregated wall-clock of one span name.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct SpanStats {
-    /// Completed spans.
-    pub count: u64,
-    /// Total wall-clock, seconds.
-    pub total_s: f64,
-    /// Longest single span, seconds.
-    pub max_s: f64,
-}
-
 /// Summary of one histogram: moments plus percentile summaries, so
 /// reports render distributions without dumping raw samples.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -341,11 +338,13 @@ pub struct HistStats {
     pub min: f64,
     /// Largest value.
     pub max: f64,
-    /// Median (nearest-rank percentile over all recorded samples).
+    /// Median: the upper bound of the log2 bucket holding the
+    /// nearest-rank sample, clamped into `[min, max]` (see
+    /// [`HistSnapshot::quantile`]).
     pub p50: f64,
-    /// 95th percentile.
+    /// 95th percentile, as a bucket bound like `p50`.
     pub p95: f64,
-    /// 99th percentile.
+    /// 99th percentile, as a bucket bound like `p50`.
     pub p99: f64,
 }
 
@@ -359,34 +358,6 @@ impl HistStats {
             self.sum / self.count as f64
         }
     }
-
-    /// Summarises raw samples (nearest-rank percentiles; samples need
-    /// not be sorted). Non-finite samples are discarded before
-    /// summarising — a NaN smuggled in by a degenerate shard merge must
-    /// never surface as a NaN percentile in exposition output — so
-    /// `count` reflects finite samples only. An empty (or all-NaN)
-    /// slice summarises to the all-zero default.
-    #[must_use]
-    pub fn from_samples(samples: &[f64]) -> Self {
-        let mut sorted: Vec<f64> = samples.iter().copied().filter(|v| v.is_finite()).collect();
-        if sorted.is_empty() {
-            return HistStats::default();
-        }
-        sorted.sort_by(f64::total_cmp);
-        let pct = |p: f64| {
-            let rank = (p * sorted.len() as f64).ceil() as usize;
-            sorted[rank.clamp(1, sorted.len()) - 1]
-        };
-        HistStats {
-            count: sorted.len() as u64,
-            sum: sorted.iter().sum(),
-            min: sorted[0],
-            max: sorted[sorted.len() - 1],
-            p50: pct(0.50),
-            p95: pct(0.95),
-            p99: pct(0.99),
-        }
-    }
 }
 
 #[derive(Debug, Default)]
@@ -397,11 +368,6 @@ struct Inner {
     trigger: String,
     seq: u64,
     decisions: Vec<Decision>,
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, Vec<(f64, f64)>>,
-    // Raw samples; summarised (with percentiles) at report time.
-    histograms: BTreeMap<String, Vec<f64>>,
-    spans: BTreeMap<String, SpanStats>,
     timeline: Timeline,
     // Flight-recorder ids for the current context, refreshed by
     // `context` only when the policy/trigger string actually changes.
@@ -414,12 +380,12 @@ struct Inner {
 
 /// The observability handle.
 ///
-/// Cheap to clone (two `Option<Arc>`s); [`Obs::disabled`] carries no
-/// state at all and makes every recording method a no-op. A handle may
-/// additionally carry a [`MetricsRegistry`]: counters, gauges and
-/// histogram observations then take the lock-free registry path
-/// instead of the trace mutex, and recorded decisions are mirrored
-/// into the registry's flight recorder.
+/// Cheap to clone (two `Option<Arc>`s) and in one of three modes:
+/// [`Obs::disabled`] carries no state at all and makes every recording
+/// method a no-op; [`Obs::metrics_only`] records counters, gauges,
+/// histograms and spans into a [`MetricsRegistry`]; [`Obs::enabled`]
+/// also keeps the trace (decisions and the timeline) and mirrors each
+/// recorded decision into the registry's flight recorder.
 #[derive(Debug, Clone, Default)]
 pub struct Obs {
     inner: Option<Arc<Mutex<Inner>>>,
@@ -436,12 +402,13 @@ impl Obs {
         }
     }
 
-    /// A recording handle with empty state.
+    /// A recording handle with an empty trace and a fresh registry of
+    /// its own ([`Obs::with_metrics`] swaps in a shared one).
     #[must_use]
     pub fn enabled() -> Self {
         Obs {
             inner: Some(Arc::new(Mutex::new(Inner::default()))),
-            metrics: None,
+            metrics: Some(Arc::new(MetricsRegistry::default())),
         }
     }
 
@@ -458,14 +425,16 @@ impl Obs {
         }
     }
 
-    /// Attaches a live metrics registry to this handle (builder style).
+    /// Records into `registry` instead of the handle's own (builder
+    /// style: call it before anything is recorded).
     #[must_use]
     pub fn with_metrics(mut self, registry: Arc<MetricsRegistry>) -> Self {
         self.metrics = Some(registry);
         self
     }
 
-    /// The attached metrics registry, if any.
+    /// The registry holding this handle's counters, gauges, histograms
+    /// and spans; `None` only for a disabled handle.
     #[must_use]
     pub fn metrics(&self) -> Option<&Arc<MetricsRegistry>> {
         self.metrics.as_ref()
@@ -507,10 +476,10 @@ impl Obs {
     }
 
     /// Records a decision, stamping seq/time/policy/trigger from the
-    /// current context. With a registry attached the stamped decision
-    /// is also mirrored into the flight recorder — an id-encoded ring
-    /// write with no extra lock (interning a first-seen reason is the
-    /// only cold exception).
+    /// current context, and mirrors the stamped decision into the
+    /// registry's flight recorder — an id-encoded ring write with no
+    /// extra lock (interning a first-seen reason is the only cold
+    /// exception).
     pub fn decision(&self, mut d: Decision) {
         if let Some(mut g) = self.lock() {
             d.seq = g.seq;
@@ -548,92 +517,26 @@ impl Obs {
         })
     }
 
-    /// A point-in-time clone of every counter. Cheap relative to
-    /// [`Obs::report`] (no decision/gauge/histogram copies), so a
-    /// serving layer can poll it per query.
-    #[must_use]
-    pub fn counters_snapshot(&self) -> BTreeMap<String, u64> {
-        let mut out = self
-            .lock()
-            .map_or_else(BTreeMap::new, |g| g.counters.clone());
-        if let Some(reg) = &self.metrics {
-            out.extend(reg.counters_snapshot());
-        }
-        out
-    }
-
-    /// Renders the counters in Prometheus-style exposition format, one
-    /// `# TYPE` header + sample per counter, names sanitised to
-    /// `[a-z0-9_]` (dots and dashes become underscores). Deterministic:
-    /// counters render in sorted-name order.
-    #[must_use]
-    pub fn counters_text(&self) -> String {
-        let mut out = String::new();
-        for (name, value) in self.counters_snapshot() {
-            let sanitised: String = name
-                .chars()
-                .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-                .collect();
-            out.push_str(&format!(
-                "# TYPE {sanitised} counter\n{sanitised} {value}\n"
-            ));
-        }
-        out
-    }
-
-    /// Increments a counter. With a registry attached this is the
-    /// lock-free fast path (an RCU map load plus one `fetch_add`); the
-    /// final values surface identically through [`Obs::report`] and
-    /// [`Obs::counters_snapshot`], so callers migrate without output
-    /// changes.
+    /// Increments a registry counter: the lock-free fast path (an RCU
+    /// map load plus one `fetch_add`).
     pub fn incr(&self, name: &str, by: u64) {
         if let Some(reg) = &self.metrics {
             reg.incr(name, by);
-            return;
-        }
-        if let Some(mut g) = self.lock() {
-            match g.counters.get_mut(name) {
-                Some(v) => *v += by,
-                None => {
-                    g.counters.insert(name.to_string(), by);
-                }
-            }
         }
     }
 
-    /// Records one `(time, value)` sample of a gauge. With a registry
-    /// attached the gauge is a lock-free last-value cell instead (live
-    /// levels for `query metrics`; the registry plane does not keep the
-    /// full time series).
-    pub fn gauge(&self, name: &str, time_s: f64, value: f64) {
+    /// Sets a registry gauge to its current value (last write wins).
+    pub fn gauge(&self, name: &str, value: f64) {
         if let Some(reg) = &self.metrics {
             reg.set_gauge(name, value);
-            return;
-        }
-        if let Some(mut g) = self.lock() {
-            match g.gauges.get_mut(name) {
-                Some(v) => v.push((time_s, value)),
-                None => {
-                    g.gauges.insert(name.to_string(), vec![(time_s, value)]);
-                }
-            }
         }
     }
 
-    /// Records a value into a histogram. With a registry attached the
-    /// sample lands in the lock-free log2-bucket histogram (report
-    /// percentiles become ≤2x bucket approximations instead of exact
-    /// sample ranks).
+    /// Records a value into a registry histogram (log2 buckets, so
+    /// percentiles are bucket bounds; see [`HistStats`]).
     pub fn observe(&self, name: &str, value: f64) {
         if let Some(reg) = &self.metrics {
             reg.observe(name, value);
-            return;
-        }
-        if let Some(mut g) = self.lock() {
-            g.histograms
-                .entry(name.to_string())
-                .or_default()
-                .push(value);
         }
     }
 
@@ -696,82 +599,48 @@ impl Obs {
         }
     }
 
-    /// Starts a wall-clock span; the guard records on drop. Disabled
-    /// handles never read the clock.
+    /// Starts a wall-clock span; the guard records its elapsed seconds
+    /// into the registry histogram `name` on drop. Disabled handles
+    /// never read the clock.
     #[must_use]
     pub fn span(&self, name: &'static str) -> Span<'_> {
         Span {
-            obs: (self.inner.is_some() || self.metrics.is_some()).then(|| (self, Instant::now())),
+            started: self.metrics.as_deref().map(|reg| (reg, Instant::now())),
             name,
         }
     }
 
-    /// Snapshots everything recorded so far into a [`TraceReport`].
-    /// Registry-backed counters and histograms are merged in, so a
-    /// registry-attached run reports the same counter totals an
-    /// unattached one would.
+    /// Snapshots the trace recorded so far (decisions and timeline)
+    /// into a [`TraceReport`]; empty for a handle without a trace.
     #[must_use]
     pub fn report(&self) -> TraceReport {
-        let mut report = self
-            .lock()
+        self.lock()
             .map_or_else(TraceReport::default, |g| TraceReport {
                 decisions: g.decisions.clone(),
-                counters: g.counters.clone(),
-                gauges: g.gauges.clone(),
-                histograms: g
-                    .histograms
-                    .iter()
-                    .map(|(k, v)| (k.clone(), HistStats::from_samples(v)))
-                    .collect(),
-                spans: g.spans.clone(),
                 timeline: g.timeline.clone(),
-            });
-        if let Some(reg) = &self.metrics {
-            report.counters.extend(reg.counters_snapshot());
-            report.histograms.extend(reg.histograms_snapshot());
-        }
-        report
+            })
     }
 }
 
 /// RAII wall-clock span; records its elapsed time on drop.
 pub struct Span<'a> {
-    obs: Option<(&'a Obs, Instant)>,
+    started: Option<(&'a MetricsRegistry, Instant)>,
     name: &'static str,
 }
 
 impl Drop for Span<'_> {
     fn drop(&mut self) {
-        if let Some((obs, start)) = self.obs.take() {
-            let dt = start.elapsed().as_secs_f64();
-            if let Some(mut g) = obs.lock() {
-                let s = g.spans.entry(self.name.to_string()).or_default();
-                s.count += 1;
-                s.total_s += dt;
-                s.max_s = s.max_s.max(dt);
-            }
-            // Live plane: the same stage timing as a mergeable
-            // histogram, readable while the run is still going.
-            if let Some(reg) = &obs.metrics {
-                reg.observe(self.name, dt);
-            }
+        if let Some((reg, start)) = self.started.take() {
+            reg.observe(self.name, start.elapsed().as_secs_f64());
         }
     }
 }
 
-/// Everything one traced run recorded, returned alongside the metrics.
+/// The trace one run recorded, returned alongside the metrics.
 #[derive(Debug, Clone, Default)]
 pub struct TraceReport {
     /// The full decision log, in recording order.
     pub decisions: Vec<Decision>,
-    /// Final counter values.
-    pub counters: BTreeMap<String, u64>,
-    /// Gauge sample series.
-    pub gauges: BTreeMap<String, Vec<(f64, f64)>>,
-    /// Histogram summaries (with p50/p95/p99 percentiles).
-    pub histograms: BTreeMap<String, HistStats>,
-    /// Span wall-clock summaries (the only non-deterministic content).
-    pub spans: BTreeMap<String, SpanStats>,
     /// Job-lifecycle timeline and GPU allocation events.
     pub timeline: Timeline,
 }
@@ -780,33 +649,7 @@ impl TraceReport {
     /// Whether nothing was recorded (the disabled-run report).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.decisions.is_empty()
-            && self.counters.is_empty()
-            && self.gauges.is_empty()
-            && self.histograms.is_empty()
-            && self.spans.is_empty()
-            && self.timeline.is_empty()
-    }
-
-    /// Renders histogram summaries as deterministic percentile lines
-    /// (`name count mean p50 p95 p99 max`), one per histogram, instead
-    /// of a raw sample dump.
-    #[must_use]
-    pub fn histogram_lines(&self) -> String {
-        let mut out = String::new();
-        for (name, h) in &self.histograms {
-            let _ = writeln!(
-                out,
-                "{name} count={} mean={:.6} p50={:.6} p95={:.6} p99={:.6} max={:.6}",
-                h.count,
-                h.mean(),
-                h.p50,
-                h.p95,
-                h.p99,
-                h.max
-            );
-        }
-        out
+        self.decisions.is_empty() && self.timeline.is_empty()
     }
 
     /// Decision counts per `kind/reason` key, sorted by key.
@@ -831,8 +674,8 @@ impl TraceReport {
     }
 
     /// Deterministic snapshot text for the golden-trace harness: decision
-    /// counts per `kind/reason`, then the first and last `edge` decisions
-    /// in compact form. Span wall-times are deliberately excluded.
+    /// counts per `kind/reason`, the first and last `edge` decisions in
+    /// compact form, then the timeline's time-in-state footer.
     #[must_use]
     pub fn golden_summary(&self, edge: usize) -> String {
         let mut out = String::new();
@@ -867,10 +710,11 @@ mod tests {
     fn disabled_is_inert() {
         let obs = Obs::disabled();
         assert!(!obs.is_enabled());
+        assert!(obs.metrics().is_none());
         obs.context(1.0, "p", "round");
         obs.decision(Decision::place(1, 0, 4));
         obs.incr("c", 3);
-        obs.gauge("g", 0.0, 1.0);
+        obs.gauge("g", 1.0);
         obs.observe("h", 2.0);
         obs.timeline_nodes(&[(0, 0, 8)]);
         obs.job_event(0.0, 1, JobEventKind::Submit);
@@ -914,102 +758,50 @@ mod tests {
         let obs = Obs::enabled();
         obs.incr("a", 1);
         obs.incr("a", 2);
-        obs.gauge("q", 0.0, 3.0);
-        obs.gauge("q", 1.0, 4.0);
+        obs.gauge("q", 3.0);
+        obs.gauge("q", 4.0);
         obs.observe("h", 1.0);
         obs.observe("h", 5.0);
-        let r = obs.report();
-        assert_eq!(r.counters["a"], 3);
-        assert_eq!(r.gauges["q"], vec![(0.0, 3.0), (1.0, 4.0)]);
-        let h = r.histograms["h"];
+        let reg = obs.metrics().expect("an enabled handle carries a registry");
+        assert_eq!(reg.counter("a").get(), 3);
+        assert_eq!(reg.gauge("q").get(), 4.0);
+        let h = reg.histograms_snapshot()["h"];
         assert_eq!(h.count, 2);
         assert_eq!(h.min, 1.0);
         assert_eq!(h.max, 5.0);
         assert_eq!(h.mean(), 3.0);
+        // None of it lands in the trace.
+        assert!(obs.report().is_empty());
     }
 
     #[test]
-    fn histogram_percentiles_nearest_rank() {
-        let obs = Obs::enabled();
-        for v in 1..=100 {
-            obs.observe("h", f64::from(v));
-        }
-        let h = obs.report().histograms["h"];
-        assert_eq!(h.p50, 50.0);
-        assert_eq!(h.p95, 95.0);
-        assert_eq!(h.p99, 99.0);
-        assert_eq!(h.min, 1.0);
-        assert_eq!(h.max, 100.0);
-        // Single sample: every percentile is that sample.
-        let one = HistStats::from_samples(&[7.0]);
-        assert_eq!((one.p50, one.p95, one.p99), (7.0, 7.0, 7.0));
-        assert_eq!(one.count, 1);
-        assert_eq!((one.min, one.max, one.sum), (7.0, 7.0, 7.0));
-        assert_eq!(HistStats::from_samples(&[]), HistStats::default());
-        let lines = obs.report().histogram_lines();
-        assert!(lines.contains("h count=100"));
-        assert!(lines.contains("p95=95.000000"));
-    }
-
-    #[test]
-    fn from_samples_discards_non_finite() {
-        // NaN anywhere in the input must never reach a percentile: a
-        // shard-merged histogram with one degenerate sample would
-        // otherwise poison the whole exposition line.
-        let h = HistStats::from_samples(&[3.0, f64::NAN, 1.0, f64::INFINITY, 2.0]);
-        assert_eq!(h.count, 3);
-        assert_eq!((h.min, h.max, h.sum), (1.0, 3.0, 6.0));
-        for v in [h.p50, h.p95, h.p99, h.mean()] {
-            assert!(v.is_finite(), "non-finite summary field");
-        }
-        assert_eq!(h.p99, 3.0);
-        // All-NaN input collapses to the empty default, not NaN stats.
-        let all_nan = HistStats::from_samples(&[f64::NAN, f64::NAN]);
-        assert_eq!(all_nan, HistStats::default());
-        assert_eq!(all_nan.mean(), 0.0);
-        // -inf sorts first under total_cmp; it must be dropped too.
-        let neg = HistStats::from_samples(&[f64::NEG_INFINITY, 5.0]);
-        assert_eq!((neg.count, neg.min, neg.p50), (1, 5.0, 5.0));
-    }
-
-    #[test]
-    fn registry_backed_handle_matches_trace_counters() {
-        // The same instrumentation calls against a registry-backed
-        // handle surface identical counter totals in the report.
-        let plain = Obs::enabled();
+    fn flight_recorder_and_metrics_only_mode() {
+        // A shared registry swapped in by `with_metrics` takes the
+        // handle's counters and mirrors its decisions into the flight
+        // recorder with full stamps.
         let reg = Arc::new(MetricsRegistry::new(8));
-        let fast = Obs::enabled().with_metrics(Arc::clone(&reg));
-        for obs in [&plain, &fast] {
-            obs.incr("sim.event.arrival", 2);
-            obs.incr("sim.event.arrival", 1);
-            obs.incr("sched.pass", 1);
-            obs.observe("lat", 0.5);
-            obs.gauge("depth", 0.0, 4.0);
-        }
-        assert_eq!(plain.report().counters, fast.report().counters);
-        assert_eq!(plain.counters_snapshot(), fast.counters_snapshot());
-        assert_eq!(fast.report().histograms["lat"].count, 1);
+        let obs = Obs::enabled().with_metrics(Arc::clone(&reg));
+        obs.incr("sched.pass", 1);
+        obs.gauge("depth", 4.0);
         assert_eq!(reg.counter("sched.pass").get(), 1);
         assert_eq!(reg.gauge("depth").get(), 4.0);
-        // Decisions mirror into the flight recorder with full stamps.
-        fast.context(9.0, "Arena", "round");
-        fast.decision(Decision::place(3, 0, 4).with_score(0.5).why("best-cell"));
+        obs.context(9.0, "Arena", "round");
+        obs.decision(Decision::place(3, 0, 4).with_score(0.5).why("best-cell"));
         let ring = reg.flight().recent(10);
         assert_eq!(ring.len(), 1);
-        assert_eq!(fast.report().decisions, ring);
-        assert_eq!(fast.report().decisions_jsonl(), reg.flight().dump_jsonl(10));
+        assert_eq!(obs.report().decisions, ring);
+        assert_eq!(obs.report().decisions_jsonl(), reg.flight().dump_jsonl(10));
         // Metrics-only mode records no decisions but keeps counters.
         let lite = Obs::metrics_only(Arc::new(MetricsRegistry::new(8)));
         assert!(!lite.is_enabled());
         lite.decision(Decision::drop(1).why("r"));
         lite.incr("c", 5);
         assert_eq!(lite.decision_count(), 0);
-        assert_eq!(lite.counters_snapshot()["c"], 5);
+        let lite_reg = lite.metrics().expect("metrics-only handle");
+        assert_eq!(lite_reg.counters_snapshot()["c"], 5);
+        assert_eq!(lite_reg.flight().total(), 0);
         drop(lite.span("stage"));
-        assert_eq!(
-            lite.metrics().unwrap().histograms_snapshot()["stage"].count,
-            1
-        );
+        assert_eq!(lite_reg.histograms_snapshot()["stage"].count, 1);
     }
 
     #[test]
@@ -1062,11 +854,11 @@ mod tests {
         {
             let _g = obs.span("work");
         }
-        let r = obs.report();
-        let s = r.spans["work"];
+        let reg = obs.metrics().expect("an enabled handle carries a registry");
+        let s = reg.histograms_snapshot()["work"];
         assert_eq!(s.count, 2);
-        assert!(s.total_s >= 0.0);
-        assert!(s.max_s <= s.total_s + 1e-12);
+        assert!(s.sum >= 0.0);
+        assert!(s.max <= s.sum + 1e-12);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Lock-free live telemetry: the metrics registry and the flight
 //! recorder behind `arena-server`'s `query metrics` / `watch` / `dump`.
 //!
-//! The original [`Obs`](crate::Obs) primitives aggregate under one
-//! `Mutex` and only surface at end-of-run `TraceReport` time — fine for
-//! batch simulation, unacceptable inside a resident daemon's decision
-//! loop. This module adds an **always-on, lock-free plane**:
+//! The registry is the only store of [`Obs`](crate::Obs)'s counters,
+//! gauges, histograms and spans; the trace keeps just decisions and the
+//! timeline. Everything here is readable mid-run from any thread
+//! without touching the decision loop:
 //!
 //! * [`Counter`] / [`Gauge`] — one cache-line-padded `AtomicU64` each,
 //!   so two hot counters never false-share.
@@ -813,8 +813,8 @@ pub fn publish_mem_sections(reg: &MetricsRegistry, sections: &[arena_runtime::Me
 }
 
 /// Builds a registry key with Prometheus label syntax:
-/// `labeled("sim.shard.heap_depth", &[("shard", "3")])` →
-/// `sim.shard.heap_depth{shard="3"}`.
+/// `labeled("mem.bytes", &[("section", "plans.graphs")])` →
+/// `mem.bytes{section="plans.graphs"}`.
 #[must_use]
 pub fn labeled(base: &str, labels: &[(&str, &str)]) -> String {
     if labels.is_empty() {
@@ -834,8 +834,8 @@ pub fn labeled(base: &str, labels: &[(&str, &str)]) -> String {
 }
 
 /// Splits a registry key into (sanitised base, label part). The base
-/// sanitises to `[A-Za-z0-9_]` exactly like the legacy counter
-/// exposition; labels pass through verbatim.
+/// sanitises to `[A-Za-z0-9_]` (dots and dashes become underscores);
+/// labels pass through verbatim.
 fn split_labels(key: &str) -> (String, String) {
     let (base, labels) = match key.find('{') {
         Some(i) => (&key[..i], key[i..].to_string()),

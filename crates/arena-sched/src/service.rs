@@ -389,11 +389,11 @@ impl PlanService {
     /// Arena's scheduling-time estimate: the best Cell (over stage counts)
     /// for `gpus` GPUs of `pool`, priced by the agile estimator.
     ///
-    /// The whole candidate ladder is priced in one [`estimate_batch`]
-    /// call (shared comm tables, shared scratch arena), and the winner
-    /// picked by [`best_estimate`] — same strict-`>` first-wins tie
-    /// rule as the old per-cell loop, with NaN throughputs never
-    /// selectable.
+    /// The whole candidate ladder is priced in one
+    /// [`estimate_batch`](CellEstimator::estimate_batch) call (shared
+    /// comm tables, shared scratch arena), and the winner picked by
+    /// [`best_estimate`] — same strict-`>` first-wins tie rule as the
+    /// old per-cell loop, with NaN throughputs never selectable.
     #[must_use]
     pub fn cell_choice(
         &self,

@@ -3,7 +3,7 @@
 //! use to reach it.
 //!
 //! Ownership layout: the policy, plan service, observability handle and
-//! engine all live on the daemon thread's stack — [`daemon_main`] builds
+//! engine all live on the daemon thread's stack — `daemon_main` builds
 //! them in order and the engine borrows the policy and service for its
 //! whole life, so no self-referential struct is ever needed. Everything
 //! outside the daemon talks to it through a [`ServerHandle`]:
@@ -14,7 +14,8 @@
 //!   recovery) and followed by a fresh snapshot publication.
 //! * **Queries** never touch the channel: [`ServerHandle::handle_line`]
 //!   answers them from the latest [`ServerSnapshot`] via the RCU hub,
-//!   so reads stay wait-free while the decision loop is busy.
+//!   and `metrics` from the live registry, so reads stay wait-free
+//!   while the decision loop is busy.
 //!
 //! Determinism: applying a `submit` first advances the engine to just
 //! *before* the command's timestamp (`advance_before` stops at the
@@ -28,7 +29,6 @@
 //! `tests/server_e2e.rs`. A refused command changes nothing, the clock
 //! included, so the event log of accepted commands replays it exactly.
 
-use std::collections::BTreeMap;
 use std::fs::OpenOptions;
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpStream};
@@ -284,16 +284,9 @@ impl ServerHandle {
         let _ = emit(&self.handle_line(line));
     }
 
-    /// Answers one read-only query: `metrics` from the live registry,
-    /// everything else from the latest snapshot.
+    /// Answers one read-only query (see [`answer_query`]).
     fn answer(&self, q: &Query) -> String {
-        match q {
-            Query::Metrics => ok_line(vec![(
-                "metrics".to_string(),
-                Value::Str(self.metrics.expose()),
-            )]),
-            other => answer_query(other, &self.hub.load()),
-        }
+        answer_query(q, &self.hub.load(), &self.metrics)
     }
 
     fn respond(&self, trimmed: &str) -> String {
@@ -396,7 +389,6 @@ impl Server {
             seq: 0,
             policy: cfg.policy.clone(),
             state: empty_state(),
-            counters: BTreeMap::new(),
             decisions: Vec::new(),
         }));
         let shutdown = Arc::new(Shutdown::default());
@@ -567,24 +559,30 @@ fn daemon_main(
     let mut seq: u64 = 0;
 
     // Recovery: replay the prior run's accepted command stream. A torn
-    // write can leave a truncated or non-UTF-8 line; skip anything
-    // unparseable and keep replaying.
+    // write can leave a truncated or non-UTF-8 line; skip it, and any
+    // unparseable, non-mutating or refused line, and keep replaying.
+    // Every skipped line except a blank one counts, and the counter is
+    // registered at 0 so every scrape carries it.
+    let skipped = metrics.counter("server.resume.skipped");
     for line in resume.split(|&b| b == b'\n') {
         let Ok(line) = std::str::from_utf8(line) else {
+            skipped.incr(1);
             continue;
         };
         let trimmed = line.trim();
         if trimmed.is_empty() {
             continue;
         }
-        let Ok(cmd) = parse_command(trimmed) else {
-            continue;
+        let replayed = match parse_command(trimmed) {
+            Ok(cmd) if cmd.is_mutating() => {
+                apply(&mut engine, &cfg, &cmd, hub, &mut mirror, &obs, &mut seq).is_ok()
+            }
+            _ => false,
         };
-        if !cmd.is_mutating() {
-            continue;
-        }
-        if apply(&mut engine, &cfg, &cmd, hub, &mut mirror, &obs, &mut seq).is_ok() {
+        if replayed {
             log.record_replayed(trimmed);
+        } else {
+            skipped.incr(1);
         }
     }
 
@@ -773,7 +771,6 @@ fn publish(
         seq,
         policy: policy.to_string(),
         state: engine.state(),
-        counters: obs.counters_snapshot(),
         decisions: mirror.chunks.clone(),
     });
     // RCU snapshot publish latency (mirror refresh + state copy + swap).

@@ -9,8 +9,8 @@
 //! after every applied command the daemon publishes an immutable
 //! [`ServerSnapshot`] through an RCU cell
 //! ([`arena_runtime::RcuCell`]), and query threads answer
-//! status/queue/job/cluster/decision-log/metrics requests from the
-//! latest snapshot wait-free.
+//! status/queue/job/cluster/decision-log requests from the latest
+//! snapshot wait-free (and `metrics` from the live registry).
 //!
 //! The daemon also carries an always-on **telemetry plane**
 //! (DESIGN.md §14): a lock-free [`arena_obs::MetricsRegistry`] records

@@ -6,17 +6,18 @@
 //! the current snapshot wait-free and answer from it — a reader never
 //! takes a lock the decision loop contends on, and a snapshot never
 //! changes after publication, so every answer is internally consistent
-//! (all counts taken between the same two bursts).
+//! (all counts taken between the same two bursts). `metrics` is the one
+//! query answered from the live [`MetricsRegistry`] instead: its series
+//! are atomics, readable at any moment without a snapshot.
 //!
 //! The decision log is mirrored as a vector of immutable chunks
 //! (`Arc<Vec<Decision>>`): each publish appends at most one new chunk
 //! and shallow-clones the chunk list, so publish cost is proportional
 //! to *new* decisions, not run length.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use arena_obs::Decision;
+use arena_obs::{Decision, MetricsRegistry};
 use arena_runtime::RcuCell;
 use arena_sim::{EngineState, JobPhase};
 use serde::{Serialize, Value};
@@ -32,8 +33,6 @@ pub struct ServerSnapshot {
     pub policy: String,
     /// Engine state between two bursts.
     pub state: EngineState,
-    /// Counter values at publication time.
-    pub counters: BTreeMap<String, u64>,
     /// Decision log as immutable chunks, in record order.
     pub decisions: Vec<Arc<Vec<Decision>>>,
 }
@@ -59,23 +58,6 @@ impl ServerSnapshot {
                 }
             }
             base = end;
-        }
-        out
-    }
-
-    /// Prometheus-style exposition text for the counters (mirrors
-    /// `Obs::counters_text`, but rendered from the frozen snapshot).
-    #[must_use]
-    pub fn metrics_text(&self) -> String {
-        let mut out = String::new();
-        for (name, value) in &self.counters {
-            let sanitised: String = name
-                .chars()
-                .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-                .collect();
-            out.push_str(&format!(
-                "# TYPE {sanitised} counter\n{sanitised} {value}\n"
-            ));
         }
         out
     }
@@ -114,10 +96,11 @@ impl SnapshotHub {
     }
 }
 
-/// Answers a read-only query from a snapshot. Always returns a complete
-/// response line (`ok:true` or `ok:false`).
+/// Answers a read-only query: `metrics` from the live registry,
+/// everything else from a snapshot. Always returns a complete response
+/// line (`ok:true` or `ok:false`).
 #[must_use]
-pub fn answer_query(q: &Query, snap: &ServerSnapshot) -> String {
+pub fn answer_query(q: &Query, snap: &ServerSnapshot, metrics: &MetricsRegistry) -> String {
     match q {
         Query::Status => ok_line(vec![
             ("seq".to_string(), Value::U64(snap.seq)),
@@ -182,10 +165,7 @@ pub fn answer_query(q: &Query, snap: &ServerSnapshot) -> String {
                 Value::Str(snap.decisions_jsonl_from(*from)),
             ),
         ]),
-        Query::Metrics => ok_line(vec![(
-            "metrics".to_string(),
-            Value::Str(snap.metrics_text()),
-        )]),
+        Query::Metrics => ok_line(vec![("metrics".to_string(), Value::Str(metrics.expose()))]),
     }
 }
 
@@ -215,7 +195,6 @@ mod tests {
             seq,
             policy: "fcfs".to_string(),
             state: empty_state(),
-            counters: BTreeMap::new(),
             decisions: Vec::new(),
         }
     }
@@ -261,10 +240,11 @@ mod tests {
 
     #[test]
     fn status_answer_is_ok_json() {
-        let line = answer_query(&Query::Status, &snap(7));
+        let metrics = MetricsRegistry::new(4);
+        let line = answer_query(&Query::Status, &snap(7), &metrics);
         assert!(line.contains("\"ok\":true"));
         assert!(line.contains("\"seq\":7"));
-        let missing = answer_query(&Query::Job(42), &snap(7));
+        let missing = answer_query(&Query::Job(42), &snap(7), &metrics);
         assert!(missing.contains("\"ok\":false"));
     }
 }

@@ -43,8 +43,7 @@ use arena_cluster::{Allocation, Cluster, GpuTypeId};
 use arena_estimator::Interner;
 use arena_model::zoo::ModelFamily;
 use arena_obs::{
-    Counter, Decision, Gauge, Histogram, JobEventKind, MetricsRegistry, Obs, Span, StopCause,
-    TraceReport,
+    Counter, Decision, Gauge, Histogram, JobEventKind, MetricsRegistry, Obs, StopCause, TraceReport,
 };
 use arena_sched::PlanService;
 use arena_sched::{
@@ -106,8 +105,10 @@ pub struct SimResult {
     pub raw_timeline: Vec<(f64, f64)>,
     /// Aggregated metrics.
     pub metrics: Metrics,
-    /// Everything the observability layer recorded. Empty unless the run
-    /// recorded into an enabled [`Obs`] (see [`crate::Run::obs`]).
+    /// The decision log and timeline the run recorded. Empty unless the
+    /// run recorded into an enabled [`Obs`] (see [`crate::Run::obs`]);
+    /// counters, gauges, histograms and spans are in that handle's
+    /// registry ([`Obs::metrics`]).
     pub trace: TraceReport,
 }
 
@@ -466,7 +467,8 @@ impl EventIndex {
 pub(crate) const EPS: f64 = 1e-6;
 
 /// Pre-registered live-telemetry handles for the decision loop
-/// (DESIGN.md §14). Present only when the engine's [`Obs`] carries a
+/// (DESIGN.md §14). Present whenever the engine's [`Obs`] records
+/// anything, since every recording handle carries a
 /// [`MetricsRegistry`]; every update is a handful of relaxed atomic
 /// ops, so the plane stays on even inside the hot path.
 struct EngineTelemetry {
@@ -484,9 +486,8 @@ struct EngineTelemetry {
     est_table_ratio: Gauge,
     /// Cumulative wall-clock spent computing fresh estimates, seconds.
     est_seconds: Gauge,
-    /// Per-stage burst latency, same names the span plane uses so
-    /// exposition and trace reports agree. Held as resolved handles:
-    /// the per-event path must never pay a name-routed lookup. The view
+    /// Per-stage burst latency. Held as resolved handles: the
+    /// per-event path must never pay a name-routed lookup. The view
     /// build (which also releases the previous pass's views) keeps its
     /// `sim.shard.merge` name and the prepare pass its
     /// `sim.shard.prepare` name because the end-to-end benchmark
@@ -506,7 +507,7 @@ struct EngineTelemetry {
     /// Queue / running lengths at each dispatch.
     queue_depth: Gauge,
     running_jobs: Gauge,
-    /// One counter per static event label (see [`event_counter_name`]).
+    /// One counter per scheduling event kind.
     ev_arrival: Counter,
     ev_departure: Counter,
     ev_round: Counter,
@@ -543,15 +544,14 @@ impl EngineTelemetry {
         }
     }
 
-    /// The pre-resolved counter for a static event label, if any.
-    fn event_counter(&self, label: &str) -> Option<&Counter> {
-        match label {
-            "arrival" => Some(&self.ev_arrival),
-            "departure" => Some(&self.ev_departure),
-            "round" => Some(&self.ev_round),
-            "node-failure" => Some(&self.ev_failure),
-            "node-repair" => Some(&self.ev_repair),
-            _ => None,
+    /// The pre-resolved counter of `sim.event.<label>` for an event.
+    fn event_counter(&self, ev: SchedEvent) -> &Counter {
+        match ev {
+            SchedEvent::Arrival(_) => &self.ev_arrival,
+            SchedEvent::Departure(_) => &self.ev_departure,
+            SchedEvent::Round => &self.ev_round,
+            SchedEvent::NodeFailure { .. } => &self.ev_failure,
+            SchedEvent::NodeRepair { .. } => &self.ev_repair,
         }
     }
 
@@ -575,36 +575,14 @@ impl EngineTelemetry {
     }
 }
 
-/// Static counter name for a scheduling event label — same strings the
-/// trace plane always used, minus the per-event `format!` allocation.
-/// `None` for labels this table has never seen (callers fall back to
-/// formatting, preserving the historical counter name exactly).
-fn event_counter_name(label: &str) -> Option<&'static str> {
-    match label {
-        "arrival" => Some("sim.event.arrival"),
-        "departure" => Some("sim.event.departure"),
-        "round" => Some("sim.event.round"),
-        "node-failure" => Some("sim.event.node-failure"),
-        "node-repair" => Some("sim.event.node-repair"),
-        _ => None,
-    }
-}
+/// RAII stage timer for the decision loop: on drop the stage's
+/// wall-clock lands in a pre-resolved registry histogram (a few relaxed
+/// atomic ops, no name lookup).
+struct StageGuard(Histogram, std::time::Instant);
 
-/// RAII stage timer for the decision loop. With live telemetry the
-/// latency lands in a pre-resolved registry histogram (two relaxed
-/// atomic adds, no name lookup); otherwise it falls back to the legacy
-/// span plane, which is bitwise-identical to the pre-telemetry build.
-enum StageGuard<'a> {
-    /// Held only for its `Drop`: the span records itself when released.
-    Span(#[allow(dead_code)] Span<'a>),
-    Direct(Histogram, std::time::Instant),
-}
-
-impl Drop for StageGuard<'_> {
+impl Drop for StageGuard {
     fn drop(&mut self) {
-        if let StageGuard::Direct(hist, started) = self {
-            hist.observe(started.elapsed().as_secs_f64());
-        }
+        self.0.observe(self.1.elapsed().as_secs_f64());
     }
 }
 
@@ -651,7 +629,6 @@ pub struct Engine<'a> {
     next_round: f64,
     timeline: Vec<(f64, f64)>,
     raw_timeline: Vec<(f64, f64)>,
-    decisions: Vec<f64>,
     pending_jobs: VecDeque<JobSpec>,
     pending_faults: VecDeque<FaultEvent>,
     last_submit_s: f64,
@@ -716,7 +693,6 @@ impl<'a> Engine<'a> {
             next_round: cfg.round_interval_s,
             timeline: Vec::new(),
             raw_timeline: Vec::new(),
-            decisions: Vec::new(),
             pending_jobs: VecDeque::new(),
             pending_faults: VecDeque::new(),
             last_submit_s: f64::NEG_INFINITY,
@@ -1149,7 +1125,7 @@ impl<'a> Engine<'a> {
             &records,
             &self.timeline,
             &self.raw_timeline,
-            &self.decisions,
+            &self.decision_stats,
             &self.flog,
         );
         if self.obs.is_enabled() {
@@ -1325,12 +1301,7 @@ impl<'a> Engine<'a> {
         // Every walk visits the active set in ascending index (submission)
         // order, the reference loop's job order for `flog`, cluster
         // releases and obs events.
-        let advance = stage(
-            self.tele.as_ref(),
-            &self.obs,
-            |tele| &tele.stage_advance,
-            "sim.advance",
-        );
+        let advance = stage(self.tele.as_ref(), |tele| &tele.stage_advance);
 
         // Advance running jobs to `te`. Lazy on two axes, both exact:
         // only Running members of the active set step (everything else
@@ -1522,12 +1493,7 @@ impl<'a> Engine<'a> {
         self.order = order;
 
         // 3. Arrivals due now.
-        let arrive = stage(
-            self.tele.as_ref(),
-            &self.obs,
-            |tele| &tele.stage_arrive,
-            "sim.arrive",
-        );
+        let arrive = stage(self.tele.as_ref(), |tele| &tele.stage_arrive);
         while self
             .pending_jobs
             .front()
@@ -1584,12 +1550,7 @@ impl<'a> Engine<'a> {
         // sums fold the running jobs in ascending index, the reference
         // loop's accumulation order.
         if matches!(event, Some(SchedEvent::Round)) {
-            let _sample = stage(
-                self.tele.as_ref(),
-                &self.obs,
-                |tele| &tele.stage_sample,
-                "sim.sample",
-            );
+            let _sample = stage(self.tele.as_ref(), |tele| &tele.stage_sample);
             let running = || {
                 self.index
                     .active
@@ -1650,21 +1611,9 @@ impl<'a> Engine<'a> {
                 self.obs.context(t, self.policy.name(), ev.label());
             }
             if let Some(tele) = &self.tele {
-                // Registry fast path: pre-resolved handles, no name
-                // routing. `tele` is Some exactly when metrics are on.
-                match tele.event_counter(ev.label()) {
-                    Some(c) => c.incr(1),
-                    None => self.obs.incr(&format!("sim.event.{}", ev.label()), 1),
-                }
+                tele.event_counter(ev).incr(1);
                 tele.queue_depth.set(queued.len() as f64);
                 tele.running_jobs.set(running.len() as f64);
-            } else if self.obs.is_enabled() {
-                match event_counter_name(ev.label()) {
-                    Some(name) => self.obs.incr(name, 1),
-                    None => self.obs.incr(&format!("sim.event.{}", ev.label()), 1),
-                }
-                self.obs.gauge("sim.queue_depth", t, queued.len() as f64);
-                self.obs.gauge("sim.running_jobs", t, running.len() as f64);
             }
             let view = SchedView {
                 now_s: t,
@@ -1678,40 +1627,22 @@ impl<'a> Engine<'a> {
             // not change what `schedule` returns. The whole queue, in
             // arrival order, is lent as shard 0.
             {
-                let _prepare = stage(
-                    self.tele.as_ref(),
-                    &self.obs,
-                    |tele| &tele.stage_prepare,
-                    "sim.shard.prepare",
-                );
+                let _prepare = stage(self.tele.as_ref(), |tele| &tele.stage_prepare);
                 let whole = [ShardQueue {
                     shard: 0,
                     queued: &queued,
                 }];
                 self.policy.prepare_shards(&whole, &view);
             }
+            // The decision-latency clock doubles as the `sim.schedule`
+            // stage timer.
             let started = std::time::Instant::now();
-            let actions = if self.tele.is_some() {
-                // Registry path reuses the decision-latency clock below
-                // instead of opening a span (one Instant pair saved).
-                self.policy.schedule(ev, &view)
-            } else {
-                let _span = self.obs.span("sim.schedule");
-                self.policy.schedule(ev, &view)
-            };
+            let actions = self.policy.schedule(ev, &view);
             let decision_s = started.elapsed().as_secs_f64();
             self.decision_stats.observe(decision_s);
-            if !self.fold_records {
-                // The per-decision vector only feeds `finish`'s mean;
-                // fold mode keeps the running stats instead.
-                self.decisions.push(decision_s);
-            }
             if let Some(tele) = &self.tele {
                 tele.stage_schedule.observe(decision_s);
                 tele.actions_per_pass.observe(actions.len() as f64);
-            } else {
-                self.obs
-                    .observe("sim.actions_per_pass", actions.len() as f64);
             }
             actions
         };
@@ -1719,13 +1650,7 @@ impl<'a> Engine<'a> {
         self.view_running = running;
         {
             // Commit stage: action execution against the cluster books.
-            let obs = self.obs.clone();
-            let _commit = stage(
-                self.tele.as_ref(),
-                &obs,
-                |tele| &tele.stage_commit,
-                "sim.commit",
-            );
+            let _commit = stage(self.tele.as_ref(), |tele| &tele.stage_commit);
             self.execute(&actions);
         }
         if let Some(tele) = &self.tele {
@@ -1755,12 +1680,7 @@ impl<'a> Engine<'a> {
     /// [`EngineTelemetry`] for why the name stays). Clearing releases
     /// the previous pass's views inside the stage.
     fn fill_views(&self, queued: &mut Vec<JobView>, running: &mut Vec<JobView>) {
-        let _build = stage(
-            self.tele.as_ref(),
-            &self.obs,
-            |tele| &tele.stage_merge,
-            "sim.shard.merge",
-        );
+        let _build = stage(self.tele.as_ref(), |tele| &tele.stage_merge);
         let fill = |out: &mut Vec<JobView>, set: &BTreeSet<usize>| {
             out.clear();
             out.extend(set.iter().map(|&i| job_view(&self.sjobs[i])));
@@ -1928,18 +1848,13 @@ impl<'a> Engine<'a> {
     }
 }
 
-/// The stage timer for one decision-loop stage: a registry histogram
-/// when live telemetry is attached, else the span plane.
-fn stage<'a>(
+/// The stage timer for one decision-loop stage; `None` (nothing timed)
+/// when the engine records no telemetry.
+fn stage(
     tele: Option<&EngineTelemetry>,
-    obs: &'a Obs,
     hist: fn(&EngineTelemetry) -> &Histogram,
-    span: &'static str,
-) -> StageGuard<'a> {
-    match tele {
-        Some(tele) => StageGuard::Direct(hist(tele).clone(), std::time::Instant::now()),
-        None => StageGuard::Span(obs.span(span)),
-    }
+) -> Option<StageGuard> {
+    tele.map(|tele| StageGuard(hist(tele).clone(), std::time::Instant::now()))
 }
 
 /// The policy's view of one job.

@@ -20,7 +20,7 @@
 //!
 //! One event loop, [`Engine`], runs everything: whole-trace batch and
 //! streaming runs through the [`Run`] builder, and the resident daemon
-//! one command at a time. [`reference`] keeps the pre-index loop as the
+//! one command at a time. [`reference`](mod@reference) keeps the pre-index loop as the
 //! equivalence oracle the engine is held to byte for byte.
 
 mod heap;

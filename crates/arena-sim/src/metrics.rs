@@ -222,8 +222,8 @@ fn ratio(sum: f64, count: u64) -> f64 {
 }
 
 /// Streaming fold of per-decision scheduler latencies: count, total and
-/// max are all the batch engine's `Vec<f64>` ever feeds into
-/// [`aggregate`] (which takes its mean), kept without the vector.
+/// max, which is all [`aggregate`] needs for its mean. Every engine
+/// mode (and the reference loop) folds into one of these.
 #[derive(Debug, Clone, Copy, Default, Serialize)]
 pub struct DecisionStats {
     /// Scheduling passes observed.
@@ -325,7 +325,7 @@ pub fn aggregate(
     records: &[JobRecord],
     timeline: &[(f64, f64)],
     raw_timeline: &[(f64, f64)],
-    decision_times: &[f64],
+    decisions: &DecisionStats,
     faults: &FaultLog,
 ) -> Metrics {
     let mut jcts: Vec<f64> = records.iter().filter_map(JobRecord::jct_s).collect();
@@ -384,7 +384,7 @@ pub fn aggregate(
         } else {
             1.0
         },
-        avg_decision_s: mean(decision_times),
+        avg_decision_s: decisions.mean_s(),
         goodput_sps: if faults.elapsed_s > 0.0 {
             (faults.samples_processed - faults.samples_lost).max(0.0) / faults.elapsed_s
         } else {
@@ -455,11 +455,14 @@ mod tests {
             },
         ];
         let timeline = vec![(0.0, 2.0), (50.0, 4.0), (100.0, 0.0)];
+        let mut decisions = DecisionStats::default();
+        decisions.observe(0.1);
+        decisions.observe(0.3);
         let m = aggregate(
             &records,
             &timeline,
             &timeline,
-            &[0.1, 0.3],
+            &decisions,
             &FaultLog::default(),
         );
         assert_eq!(m.finished, 2);
@@ -479,14 +482,20 @@ mod tests {
         a.deadline_met = Some(true);
         let mut b = rec(2, 0.0, Some(1.0), Some(10.0));
         b.deadline_met = Some(false);
-        let m = aggregate(&[a, b], &[], &[], &[], &FaultLog::default());
+        let m = aggregate(
+            &[a, b],
+            &[],
+            &[],
+            &DecisionStats::default(),
+            &FaultLog::default(),
+        );
         assert_eq!(m.deadline_satisfaction, 0.5);
         // No deadline jobs: vacuously satisfied.
         let m2 = aggregate(
             &[rec(1, 0.0, None, None)],
             &[],
             &[],
-            &[],
+            &DecisionStats::default(),
             &FaultLog::default(),
         );
         assert_eq!(m2.deadline_satisfaction, 1.0);
@@ -502,7 +511,7 @@ mod tests {
             elapsed_s: 100.0,
             gpu_capacity_s: 0.0,
         };
-        let m = aggregate(&[], &[], &[], &[], &faults);
+        let m = aggregate(&[], &[], &[], &DecisionStats::default(), &faults);
         assert!((m.goodput_sps - 7.5).abs() < 1e-12);
         assert!((m.work_lost_frac - 0.25).abs() < 1e-12);
         assert_eq!(m.failure_evictions, 3);
@@ -522,12 +531,18 @@ mod tests {
             gpu_capacity_s: 1600.0,
             ..FaultLog::default()
         };
-        let m = aggregate(&[a, b], &[], &[], &[], &faults);
+        let m = aggregate(&[a, b], &[], &[], &DecisionStats::default(), &faults);
         assert_eq!(m.productive_gpu_s, 400.0);
         assert_eq!(m.allocated_gpu_s, 500.0);
         assert!((m.cluster_util_frac - 0.25).abs() < 1e-12);
         // Without a capacity denominator the fraction stays at zero.
-        let m0 = aggregate(&[], &[], &[], &[], &FaultLog::default());
+        let m0 = aggregate(
+            &[],
+            &[],
+            &[],
+            &DecisionStats::default(),
+            &FaultLog::default(),
+        );
         assert_eq!(m0.cluster_util_frac, 0.0);
     }
 
@@ -576,7 +591,13 @@ mod tests {
         for r in &records {
             folded.fold(r);
         }
-        let m = aggregate(&records, &[], &[], &[], &FaultLog::default());
+        let m = aggregate(
+            &records,
+            &[],
+            &[],
+            &DecisionStats::default(),
+            &FaultLog::default(),
+        );
         assert_eq!(folded.jobs as usize, records.len());
         assert_eq!(folded.finished as usize, m.finished);
         assert_eq!(folded.dropped as usize, m.dropped);
@@ -609,7 +630,7 @@ mod tests {
             elapsed_s: 50.0,
             ..FaultLog::default()
         };
-        let m = aggregate(&[], &[], &[], &[], &faults);
+        let m = aggregate(&[], &[], &[], &DecisionStats::default(), &faults);
         assert!((m.goodput_sps - 10.0).abs() < 1e-12);
         assert_eq!(m.work_lost_frac, 0.0);
         assert_eq!(m.failure_evictions, 0);

@@ -22,7 +22,7 @@ use arena_sched::{Action, JobView, PlacementView, PlanMode, Policy, SchedEvent, 
 use arena_trace::{FaultEvent, FaultKind, JobSpec};
 
 use crate::incremental::{SimConfig, SimResult};
-use crate::metrics::{aggregate, FaultLog, JobRecord};
+use crate::metrics::{aggregate, DecisionStats, FaultLog, JobRecord};
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum JState {
@@ -142,7 +142,7 @@ pub fn simulate_with_faults_traced(
     let mut next_round = cfg.round_interval_s;
     let mut timeline: Vec<(f64, f64)> = Vec::new();
     let mut raw_timeline: Vec<(f64, f64)> = Vec::new();
-    let mut decisions: Vec<f64> = Vec::new();
+    let mut decisions = DecisionStats::default();
 
     loop {
         // Next event candidates: a full scan over the job table.
@@ -440,7 +440,7 @@ fn dispatch(
     cfg: &SimConfig,
     t: f64,
     acquired: &mut std::collections::HashSet<(String, usize, usize, usize)>,
-    decisions: &mut Vec<f64>,
+    decisions: &mut DecisionStats,
     obs: &Obs,
 ) {
     let actions = {
@@ -454,8 +454,8 @@ fn dispatch(
         if obs.is_enabled() {
             obs.context(t, policy.name(), ev.label());
             obs.incr(&format!("sim.event.{}", ev.label()), 1);
-            obs.gauge("sim.queue_depth", t, queued.len() as f64);
-            obs.gauge("sim.running_jobs", t, running.len() as f64);
+            obs.gauge("sim.queue_depth", queued.len() as f64);
+            obs.gauge("sim.running_jobs", running.len() as f64);
         }
         let view = SchedView {
             now_s: t,
@@ -470,7 +470,7 @@ fn dispatch(
             let _span = obs.span("sim.schedule");
             policy.schedule(ev, &view)
         };
-        decisions.push(started.elapsed().as_secs_f64());
+        decisions.observe(started.elapsed().as_secs_f64());
         obs.observe("sim.actions_per_pass", actions.len() as f64);
         actions
     };

@@ -82,9 +82,10 @@ impl<'a> Run<'a> {
         self
     }
 
-    /// Records decision provenance, spans, counters, gauges and the job
-    /// timeline into `obs`; a batch run returns them in
-    /// [`SimResult::trace`]. Engine-side provenance — node-failure
+    /// Records decision provenance and the job timeline into `obs`,
+    /// which a batch run returns in [`SimResult::trace`], and spans,
+    /// counters, gauges and histograms into its registry
+    /// ([`Obs::metrics`]). Engine-side provenance — node-failure
     /// evictions, capacity races, infeasible placements — is recorded as
     /// [`arena_obs::DecisionKind::Requeue`] decisions so it never mixes
     /// with the policies' own records. `Obs::disabled()`, the default,

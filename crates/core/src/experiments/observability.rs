@@ -92,6 +92,9 @@ pub fn conformance_workload(quick: bool) -> Vec<TraceRun> {
             .obs(&obs)
             .batch(&jobs);
         let t = &r.trace;
+        let registry = obs.metrics().expect("an enabled handle carries a registry");
+        let counters = registry.counters_snapshot();
+        let counter = |name: &str| counters.get(name).copied().unwrap_or(0);
         let kind_count = |k: DecisionKind| t.decisions.iter().filter(|d| d.kind == k).count();
         let summary = TraceSummary {
             policy: r.policy.clone(),
@@ -102,17 +105,12 @@ pub fn conformance_workload(quick: bool) -> Vec<TraceRun> {
             drops: kind_count(DecisionKind::Drop),
             requeues: kind_count(DecisionKind::Requeue),
             distinct_reasons: t.decision_counts().len(),
-            sched_passes: t.spans.get("sim.schedule").map_or(0, |s| s.count),
-            estimate_hits: t
-                .counters
-                .get("estimator.estimate.hits")
-                .copied()
-                .unwrap_or(0),
-            estimate_misses: t
-                .counters
-                .get("estimator.estimate.misses")
-                .copied()
-                .unwrap_or(0),
+            sched_passes: registry
+                .histograms_snapshot()
+                .get("sim.schedule")
+                .map_or(0, |h| h.count),
+            estimate_hits: counter("estimator.estimate.hits"),
+            estimate_misses: counter("estimator.estimate.misses"),
             reason_counts: t.decision_counts(),
         };
         TraceRun {

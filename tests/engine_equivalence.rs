@@ -9,8 +9,8 @@
 //! every traced job event. These tests hold the two loops together:
 //!
 //! 1. across all five comparison policies, unfaulted and faulted, with
-//!    observability enabled (so the traced event stream is compared
-//!    too), and
+//!    observability enabled (so the traced event stream and the
+//!    handle's registry counters are compared too), and
 //! 2. under proptest-generated arrival/fault schedules, where any heap
 //!    desync — a stale entry surviving a generation bump, a missed
 //!    refresh after an advance — would surface as a divergent timeline.
@@ -44,13 +44,27 @@ fn mixed_trace(n: u64, gap_s: f64) -> Vec<JobSpec> {
         .collect()
 }
 
-/// Everything observable about a run except wall-clock decision timing:
-/// metrics, per-job records, both throughput timelines, the decision
-/// log, and the traced job-event timeline.
-fn fingerprint(mut r: SimResult) -> String {
+/// Everything observable about a run except wall-clock timing: metrics,
+/// per-job records, both throughput timelines, the decision log, the
+/// traced job-event timeline and, from the handle's registry, every
+/// nonzero counter and the sample counts of the per-pass histograms.
+fn fingerprint(mut r: SimResult, obs: &Obs) -> String {
     r.metrics.avg_decision_s = 0.0;
+    let (counters, per_pass) = obs.metrics().map_or_else(Default::default, |reg| {
+        let counters: Vec<(String, u64)> = reg
+            .counters_snapshot()
+            .into_iter()
+            .filter(|&(_, v)| v > 0)
+            .collect();
+        let hists = reg.histograms_snapshot();
+        let count = |name: &str| hists.get(name).map_or(0, |h| h.count);
+        (
+            counters,
+            [count("sim.schedule"), count("sim.actions_per_pass")],
+        )
+    });
     format!(
-        "policy={}\nmetrics={}\nrecords={:?}\ntimeline={:?}\nraw={:?}\ndecisions=\n{}\nevents={:?}\nnodes={:?}",
+        "policy={}\nmetrics={}\nrecords={:?}\ntimeline={:?}\nraw={:?}\ndecisions=\n{}\nevents={:?}\nnodes={:?}\ncounters={:?}\nper_pass={:?}",
         r.policy,
         serde_json::to_string(&r.metrics).expect("metrics serialise"),
         r.records,
@@ -59,6 +73,8 @@ fn fingerprint(mut r: SimResult) -> String {
         r.trace.decisions_jsonl(),
         r.trace.timeline.events,
         r.trace.timeline.nodes,
+        counters,
+        per_pass,
     )
 }
 
@@ -92,7 +108,7 @@ fn assert_equivalent(jobs: &[JobSpec], faults: &[FaultEvent], cfg: &SimConfig, t
                         &obs,
                     )
                 };
-                fingerprint(r)
+                fingerprint(r, &obs)
             })
             .collect()
     };
@@ -163,7 +179,7 @@ proptest! {
             } else {
                 reference::simulate_with_faults(&cluster, &jobs, &mut policy, &service, &cfg, &faults)
             };
-            fingerprint(r)
+            fingerprint(r, &Obs::disabled())
         };
         prop_assert_eq!(run(true), run(false));
     }

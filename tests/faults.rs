@@ -307,15 +307,9 @@ fn fault_evictions_carry_decision_provenance() {
     // The engine's fault counters line up with the schedule. (Repairs
     // are scheduled after the failures; the loop may legitimately end —
     // all jobs terminal — before processing them all.)
-    assert_eq!(r.trace.counters.get("sim.fault.failure"), Some(&16));
-    assert!(
-        r.trace
-            .counters
-            .get("sim.fault.repair")
-            .copied()
-            .unwrap_or(0)
-            <= 16
-    );
+    let counters = obs.metrics().expect("registry").counters_snapshot();
+    assert_eq!(counters.get("sim.fault.failure"), Some(&16));
+    assert!(counters.get("sim.fault.repair").copied().unwrap_or(0) <= 16);
     // Requeue provenance is engine-only: it never pollutes the policy's
     // place/drop decision stream.
     assert!(r

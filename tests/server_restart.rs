@@ -14,7 +14,7 @@ use arena::prelude::*;
 use arena::sched::policy_by_name;
 use arena::trace::FaultEvent;
 use arena_server::protocol::{fault_line, submit_line};
-use arena_server::{Server, ServerConfig};
+use arena_server::{Server, ServerConfig, ServerHandle};
 
 fn mixed_trace(n: u64, gap_s: f64) -> Vec<JobSpec> {
     (0..n)
@@ -101,6 +101,21 @@ fn scratch(tag: &str) -> PathBuf {
     ))
 }
 
+/// `server.resume.skipped` as a `query metrics` scrape reports it. The
+/// daemon registers the counter at 0, so a scrape without it fails.
+fn resume_skipped(handle: &ServerHandle) -> u64 {
+    let scrape = handle.handle_line("{\"cmd\":\"query\",\"what\":\"metrics\"}");
+    let v: serde::Value = serde_json::from_str(&scrape).expect("scrape parses");
+    let Some(serde::Value::Str(text)) = v.get("metrics") else {
+        panic!("scrape carries no metrics text: {scrape}");
+    };
+    text.lines()
+        .find_map(|l| l.strip_prefix("server_resume_skipped "))
+        .unwrap_or_else(|| panic!("scrape lacks server_resume_skipped:\n{text}"))
+        .parse()
+        .expect("counter value")
+}
+
 fn config(policy: &str, cfg: &SimConfig) -> ServerConfig {
     ServerConfig::new(
         policy,
@@ -159,7 +174,8 @@ fn restart_from_event_log_reproduces_batch_fingerprint() {
         sc.event_log = Some(log_path.clone());
         let server = Server::start(sc).expect("server B start");
         let handle = server.handle();
-        // Replay restored the clock and state.
+        // Replay restored the clock and state, skipping nothing.
+        assert_eq!(resume_skipped(&handle), 0);
         let snap = handle.hub().load();
         assert_eq!(
             snap.state.submitted,
@@ -223,6 +239,7 @@ fn replay_tolerates_a_truncated_trailing_line() {
         jobs.len() - 1,
         "truncated line was not skipped"
     );
+    assert_eq!(resume_skipped(&handle), 1);
     // The daemon keeps accepting input after a lossy recovery.
     assert!(handle
         .handle_line(&submit_line(&jobs[jobs.len() - 1]))
@@ -239,13 +256,21 @@ fn replay_tolerates_a_truncated_trailing_line() {
 #[test]
 fn replay_skips_a_non_utf8_line() {
     // A torn write can leave bytes that are not UTF-8. Replay skips that
-    // line like any other unparseable one and keeps every accepted
-    // command around it.
+    // line like any other unparseable one, and a submit the daemon
+    // refuses, keeps every accepted command around them and counts both
+    // skips.
     let jobs = mixed_trace(2, 150.0);
     let cfg = SimConfig::new(24.0 * 3600.0);
     let log_path = scratch("non-utf8");
+    let refused = JobSpec {
+        id: 7,
+        requested_gpus: 100_000,
+        ..jobs[1].clone()
+    };
     let mut bytes = submit_line(&jobs[0]).into_bytes();
     bytes.extend_from_slice(b"\n\xff\xfe garbage\n");
+    bytes.extend_from_slice(submit_line(&refused).as_bytes());
+    bytes.push(b'\n');
     bytes.extend_from_slice(submit_line(&jobs[1]).as_bytes());
     bytes.push(b'\n');
     std::fs::write(&log_path, bytes).expect("write log");
@@ -256,6 +281,7 @@ fn replay_skips_a_non_utf8_line() {
     let handle = server.handle();
     let status = handle.handle_line("{\"cmd\":\"query\",\"what\":\"status\"}");
     assert!(status.contains("\"submitted\":2"), "{status}");
+    assert_eq!(resume_skipped(&handle), 2);
     let drain = "{\"cmd\":\"drain\"}";
     assert!(handle.handle_line(drain).contains("\"drained\":true"));
     let outcome = server.join();
