@@ -16,10 +16,11 @@ use arena_model::ModelGraph;
 use arena_parallelism::{PipelinePlan, StageAssignment, StagePlan};
 use arena_perf::noise::NoiseModel;
 use arena_perf::{CostParams, HwTarget, ProfilingMeter};
-use arena_runtime::{MemSection, MemSize};
+use arena_runtime::{BudgetedMap, MemSection};
+use parking_lot::RwLock;
 
 use crate::cell::{Cell, Favor};
-use crate::keys::{CellKey, Interner, ShardedMap, TableKey};
+use crate::keys::{CellKey, Interner, TableKey};
 use crate::profile::{profile_cell, CellProfiles, SoaProfiles};
 use crate::tables::{CollectiveKind, CommTables};
 
@@ -93,8 +94,8 @@ struct AssemblyScratch {
 }
 
 thread_local! {
-    /// One scratch arena per thread: the worker-pool fan-out assembles
-    /// distinct Cells concurrently without sharing (or locking) buffers.
+    /// One scratch arena per thread, so the assembly needs neither a
+    /// lock nor a fresh buffer even when two threads share an estimator.
     static SCRATCH: RefCell<AssemblyScratch> = RefCell::new(AssemblyScratch::default());
 }
 
@@ -153,11 +154,15 @@ impl CacheStats {
 /// a cache of runtime stage profiles (a job is profiled once per GPU type,
 /// §6.1), and a [`ProfilingMeter`] charged for every profile it takes.
 ///
-/// All caches are keyed by precomputed-hash struct keys over interned
-/// model/hardware ids and sharded N-way, so concurrent lookups from a
-/// parallel candidate fan-out never contend on one lock or re-hash
-/// strings. Every cached value is a deterministic function of its key
-/// (noise is keyed, not drawn), so concurrent writers are idempotent.
+/// Each cache is one [`BudgetedMap`] behind one `RwLock`, keyed by small
+/// struct keys over interned model/hardware ids. A lookup takes the read
+/// lock, a miss computes outside any lock and then inserts under the
+/// write lock, as the plan service's memo maps do. Every estimator
+/// belongs to one plan service, and each service is driven by a single
+/// thread (the daemon thread, one run, or one experiment task), so the
+/// locks are uncontended. Every cached value is a deterministic function
+/// of its key (noise is keyed, not drawn), so eviction and a repeated
+/// computation can only cost time, never change a result.
 pub struct CellEstimator {
     params: CostParams,
     noise: NoiseModel,
@@ -165,15 +170,15 @@ pub struct CellEstimator {
     meter: Arc<ProfilingMeter>,
     stats: CacheStats,
     interner: Interner,
-    tables: ShardedMap<TableKey, Arc<CommTables>>,
-    profiles: ShardedMap<CellKey, Arc<CellProfiles>>,
-    estimates: ShardedMap<CellKey, Option<CellEstimate>>,
+    tables: RwLock<BudgetedMap<TableKey, Arc<CommTables>>>,
+    profiles: RwLock<BudgetedMap<CellKey, Arc<CellProfiles>>>,
+    estimates: RwLock<BudgetedMap<CellKey, Option<CellEstimate>>>,
 }
 
 impl std::fmt::Debug for CellEstimator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CellEstimator")
-            .field("profiled_cells", &self.profiles.len())
+            .field("profiled_cells", &self.profiles.read().len())
             .field("gpu_seconds", &self.meter.gpu_seconds())
             .finish()
     }
@@ -192,9 +197,9 @@ impl CellEstimator {
             meter: Arc::new(ProfilingMeter::new()),
             stats: CacheStats::default(),
             interner: Interner::new(),
-            tables: ShardedMap::new(),
-            profiles: ShardedMap::new(),
-            estimates: ShardedMap::new(),
+            tables: RwLock::new(BudgetedMap::new(None)),
+            profiles: RwLock::new(BudgetedMap::new(None)),
+            estimates: RwLock::new(BudgetedMap::new(None)),
         }
     }
 
@@ -222,52 +227,20 @@ impl CellEstimator {
     /// all budgets. Eviction never changes estimation results — every
     /// cached value is a pure function of its key — only hit rates.
     pub fn set_mem_budget(&self, total: Option<usize>) {
-        self.tables.set_budget(total.map(|t| t / 4));
-        self.profiles.set_budget(total.map(|t| t / 2));
-        self.estimates.set_budget(total.map(|t| t / 4));
+        self.tables.write().set_budget(total.map(|t| t / 4));
+        self.profiles.write().set_budget(total.map(|t| t / 2));
+        self.estimates.write().set_budget(total.map(|t| t / 4));
     }
 
     /// The estimator's memory ledger: accounted bytes, entries, budget
-    /// and evictions per cache. Reads only lock-free mirrors (plus one
-    /// shard lock per cache for the budget figure).
+    /// and evictions per cache.
     #[must_use]
     pub fn mem_report(&self) -> Vec<MemSection> {
-        let section = |name: &str, bytes: usize, entries: usize, budget, evictions| MemSection {
-            name: name.to_string(),
-            bytes,
-            entries,
-            budget_bytes: budget,
-            evictions,
-        };
         vec![
-            section(
-                "estimator.tables",
-                self.tables.bytes(),
-                self.tables.len(),
-                self.tables.budget(),
-                self.tables.evictions(),
-            ),
-            section(
-                "estimator.profiles",
-                self.profiles.bytes(),
-                self.profiles.len(),
-                self.profiles.budget(),
-                self.profiles.evictions(),
-            ),
-            section(
-                "estimator.estimates",
-                self.estimates.bytes(),
-                self.estimates.len(),
-                self.estimates.budget(),
-                self.estimates.evictions(),
-            ),
+            self.tables.read().section("estimator.tables"),
+            self.profiles.read().section("estimator.profiles"),
+            self.estimates.read().section("estimator.estimates"),
         ]
-    }
-
-    /// Accounted cache bytes across all three caches (lock-free).
-    #[must_use]
-    pub fn mem_bytes_total(&self) -> usize {
-        self.tables.bytes() + self.profiles.bytes() + self.estimates.bytes()
     }
 
     /// The interned struct key identifying one `(model, batch, cell, hw)`
@@ -279,42 +252,30 @@ impl CellEstimator {
         cell: &Cell,
         hw: &HwTarget,
     ) -> CellKey {
-        CellKey::new(
-            self.interner.intern(&graph.name),
-            global_batch,
-            cell.num_gpus,
-            cell.num_stages,
-            self.interner.intern(hw.name()),
-            hw.packed_gpn,
-        )
+        CellKey {
+            model: self.interner.intern(&graph.name),
+            batch: global_batch,
+            gpus: cell.num_gpus,
+            stages: cell.num_stages,
+            hw: self.interner.intern(hw.name()),
+            gpn: hw.packed_gpn,
+        }
     }
 
     fn tables_for(&self, hw: &HwTarget, max_group: usize) -> Arc<CommTables> {
-        let key = TableKey::new(self.interner.intern(hw.name()), hw.packed_gpn);
-        let shard = self.tables.shard(key.hash_value());
-        if let Some(t) = shard.read().get(&key) {
-            if t.max_group() >= max_group {
-                self.stats.table_hits.fetch_add(1, Ordering::Relaxed);
-                return t.clone();
-            }
-        }
-        // Build outside any lock — the table is a pure function of the
-        // key and seed, so a racing duplicate build is identical and
-        // harmless, and no shard lock is ever held across a build. The
-        // insert re-checks so the loser of a race adopts the winner's
-        // copy; sequentially, misses equal builds exactly.
-        let built = Arc::new(CommTables::build(hw, max_group.max(64), &self.table_noise));
-        let mut w = shard.write();
-        if let Some(t) = w.get(&key) {
+        let key = TableKey {
+            hw: self.interner.intern(hw.name()),
+            gpn: hw.packed_gpn,
+        };
+        if let Some(t) = self.tables.read().get(&key) {
             if t.max_group() >= max_group {
                 self.stats.table_hits.fetch_add(1, Ordering::Relaxed);
                 return t.clone();
             }
         }
         self.stats.table_misses.fetch_add(1, Ordering::Relaxed);
-        let delta = w.insert(key, built.clone(), built.mem_bytes());
-        drop(w);
-        self.tables.apply(delta);
+        let built = Arc::new(CommTables::build(hw, max_group.max(64), &self.table_noise));
+        self.tables.write().insert(key, built.clone());
         built
     }
 
@@ -326,17 +287,11 @@ impl CellEstimator {
         hw: &HwTarget,
     ) -> Arc<CellProfiles> {
         let key = self.cell_key(graph, global_batch, cell, hw);
-        let shard = self.profiles.shard(key.hash_value());
-        if let Some(p) = shard.read().get(&key) {
+        if let Some(p) = self.profiles.read().get(&key) {
             self.stats.profile_hits.fetch_add(1, Ordering::Relaxed);
             return p.clone();
         }
-        // Profile outside any lock — the profile is a pure function of
-        // the key and seed, so a racing duplicate is identical and
-        // harmless, and concurrent fan-outs over *distinct* cells (the
-        // scheduler's case) never serialize on a shared shard. The insert
-        // re-checks so the loser of a same-key race adopts the winner's
-        // copy; sequentially, misses equal profiler runs exactly.
+        self.stats.profile_misses.fetch_add(1, Ordering::Relaxed);
         let prof = Arc::new(profile_cell(
             &self.params,
             &self.noise,
@@ -346,15 +301,7 @@ impl CellEstimator {
             cell,
             hw,
         ));
-        let mut w = shard.write();
-        if let Some(p) = w.get(&key) {
-            self.stats.profile_hits.fetch_add(1, Ordering::Relaxed);
-            return p.clone();
-        }
-        self.stats.profile_misses.fetch_add(1, Ordering::Relaxed);
-        let delta = w.insert(key, prof.clone(), prof.mem_bytes());
-        drop(w);
-        self.profiles.apply(delta);
+        self.profiles.write().insert(key, prof.clone());
         prof
     }
 
@@ -391,23 +338,30 @@ impl CellEstimator {
         hw: &HwTarget,
     ) -> Option<CellEstimate> {
         let key = self.cell_key(graph, global_batch, cell, hw);
-        if let Some(e) = self.estimates.get(&key, key.hash_value()) {
+        self.estimate_cached(key, || {
+            self.estimate_uncached(graph, global_batch, cell, hw)
+        })
+    }
+
+    /// The estimate cached under `key`, or `compute`'s result, timed and
+    /// inserted. Each call counts exactly one estimate hit or miss.
+    fn estimate_cached(
+        &self,
+        key: CellKey,
+        compute: impl FnOnce() -> Option<CellEstimate>,
+    ) -> Option<CellEstimate> {
+        if let Some(e) = self.estimates.read().get(&key) {
             self.stats.estimate_hits.fetch_add(1, Ordering::Relaxed);
-            return e;
+            return e.clone();
         }
-        // Assembly runs outside any lock: a parallel fan-out estimates
-        // *distinct* cells, so duplicated work on a racing key is rare,
-        // and every writer computes the same deterministic value. Each
-        // call still counts exactly one of hit/miss.
         self.stats.estimate_misses.fetch_add(1, Ordering::Relaxed);
         let started = std::time::Instant::now();
-        let est = self.estimate_uncached(graph, global_batch, cell, hw);
+        let est = compute();
         self.stats.estimate_ns.fetch_add(
             u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
             Ordering::Relaxed,
         );
-        self.estimates
-            .insert(key, key.hash_value(), est.clone(), est.mem_bytes());
+        self.estimates.write().insert(key, est.clone());
         est
     }
 
@@ -488,20 +442,9 @@ impl CellEstimator {
             .iter()
             .map(|cell| {
                 let key = self.cell_key(graph, global_batch, cell, hw);
-                if let Some(e) = self.estimates.get(&key, key.hash_value()) {
-                    self.stats.estimate_hits.fetch_add(1, Ordering::Relaxed);
-                    return e;
-                }
-                self.stats.estimate_misses.fetch_add(1, Ordering::Relaxed);
-                let started = std::time::Instant::now();
-                let est = self.estimate_with_tables(&tables, graph, global_batch, cell, hw);
-                self.stats.estimate_ns.fetch_add(
-                    u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                    Ordering::Relaxed,
-                );
-                self.estimates
-                    .insert(key, key.hash_value(), est.clone(), est.mem_bytes());
-                est
+                self.estimate_cached(key, || {
+                    self.estimate_with_tables(&tables, graph, global_batch, cell, hw)
+                })
             })
             .collect()
     }
@@ -1069,10 +1012,6 @@ mod tests {
             assert_eq!(s.budget_bytes, None);
             assert_eq!(s.evictions, 0);
         }
-        assert_eq!(
-            est.mem_bytes_total(),
-            report.iter().map(|s| s.bytes).sum::<usize>()
-        );
     }
 
     #[test]
@@ -1113,11 +1052,16 @@ mod tests {
             evicted_something |= est.mem_report().iter().any(|s| s.evictions > 0);
         }
         assert!(evicted_something, "1 KiB budget must evict");
-        // The ledger stays near the (per-shard) budget envelope rather
-        // than growing with the workload.
+        // Every cache is budgeted, so the ledger stays near the budget
+        // rather than growing with the workload.
         for s in est.mem_report() {
             assert!(s.budget_bytes.is_some());
         }
+        // Each reports exactly its share of the total: tables ¼,
+        // profiles ½, estimates ¼.
+        est.set_mem_budget(Some(1000));
+        let budgets: Vec<Option<usize>> = est.mem_report().iter().map(|s| s.budget_bytes).collect();
+        assert_eq!(budgets, [Some(250), Some(500), Some(250)]);
     }
 
     proptest::proptest! {

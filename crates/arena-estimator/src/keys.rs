@@ -1,35 +1,15 @@
-//! Precomputed-hash cache keys and sharded maps for the estimator.
+//! Cache keys for the estimator.
 //!
-//! The estimator's caches sit on the scheduler's hot path: a loaded
-//! round prices thousands of `(job, allocation, stages)` candidates, and
-//! the parallel candidate fan-out hits the caches from several threads
-//! at once. Three ingredients keep lookups cheap and contention-free:
-//!
-//! * **Interned identifiers** — model and hardware names become dense
-//!   `u32` ids once, so keys never allocate or compare strings.
-//! * **Precomputed hashes** — every key carries an FNV-mixed `u64`
-//!   computed at construction; `Hash` just emits it and the maps use an
-//!   identity hasher, so probing never re-hashes fields.
-//! * **Sharding** — each map is split into [`SHARDS`] sub-maps behind
-//!   independent `RwLock`s, selected by the key hash's top bits (the
-//!   bottom bits index hash buckets *within* a shard), so concurrent
-//!   readers of different keys never touch the same lock.
+//! Model and hardware names become dense `u32` ids once, through the
+//! [`Interner`], so the estimator's cache keys are small `Copy` structs
+//! that never allocate or compare strings. The caches themselves are
+//! [`arena_runtime::BudgetedMap`]s; the keys only add a [`MemSize`]
+//! estimate so the maps can account their bytes.
 
-use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::collections::HashMap;
 
+use arena_runtime::MemSize;
 use parking_lot::RwLock;
-
-/// Shard count for the sharded maps (a power of two).
-pub(crate) const SHARDS: usize = 16;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn mix(h: u64, v: u64) -> u64 {
-    (h ^ v).wrapping_mul(FNV_PRIME)
-}
 
 /// Interns strings to dense `u32` ids. Lookup of a known string takes a
 /// read lock only.
@@ -64,286 +44,33 @@ impl Interner {
 /// of both the stage-profile and the estimate cache (their inputs are
 /// identical). `Cell` identity reduces to `(num_gpus, num_stages)`
 /// because stage partitioning is a pure function of those and the graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct CellKey {
-    model: u32,
-    batch: usize,
-    gpus: usize,
-    stages: usize,
-    hw: u32,
-    gpn: usize,
-    hash: u64,
+    pub(crate) model: u32,
+    pub(crate) batch: usize,
+    pub(crate) gpus: usize,
+    pub(crate) stages: usize,
+    pub(crate) hw: u32,
+    pub(crate) gpn: usize,
 }
 
-impl CellKey {
-    pub(crate) fn new(
-        model: u32,
-        batch: usize,
-        gpus: usize,
-        stages: usize,
-        hw: u32,
-        gpn: usize,
-    ) -> Self {
-        let mut h = FNV_OFFSET;
-        for v in [
-            u64::from(model),
-            batch as u64,
-            gpus as u64,
-            stages as u64,
-            u64::from(hw),
-            gpn as u64,
-        ] {
-            h = mix(h, v);
-        }
-        CellKey {
-            model,
-            batch,
-            gpus,
-            stages,
-            hw,
-            gpn,
-            hash: h,
-        }
-    }
-
-    pub(crate) fn hash_value(&self) -> u64 {
-        self.hash
-    }
-}
-
-impl Hash for CellKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.hash);
+impl MemSize for CellKey {
+    fn mem_bytes(&self) -> usize {
+        std::mem::size_of::<Self>()
     }
 }
 
 /// Identity of a communication-table build: hardware class and packed
 /// GPUs-per-node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct TableKey {
-    hw: u32,
-    gpn: usize,
-    hash: u64,
+    pub(crate) hw: u32,
+    pub(crate) gpn: usize,
 }
 
-impl TableKey {
-    pub(crate) fn new(hw: u32, gpn: usize) -> Self {
-        let hash = mix(mix(FNV_OFFSET, u64::from(hw)), gpn as u64);
-        TableKey { hw, gpn, hash }
-    }
-
-    pub(crate) fn hash_value(&self) -> u64 {
-        self.hash
-    }
-}
-
-impl Hash for TableKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.hash);
-    }
-}
-
-/// Pass-through hasher for keys that carry a precomputed hash.
-#[derive(Debug, Default)]
-pub(crate) struct IdentityHasher(u64);
-
-impl Hasher for IdentityHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("prehashed keys emit a single u64");
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.0 = v;
-    }
-}
-
-/// A `HashMap` keyed by prehashed keys, probing on the stored hash.
-pub(crate) type PrehashedMap<K, V> = HashMap<K, V, BuildHasherDefault<IdentityHasher>>;
-
-/// Fixed per-entry overhead charged on top of the caller-supplied value
-/// cost: hash slot, stored cost and order-clock entry.
-const ENTRY_OVERHEAD: usize = 48;
-
-/// Byte-delta and eviction count produced by one budgeted insert; the
-/// owning [`ShardedMap`] folds it into its lock-free totals.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct ShardDelta {
-    bytes_added: usize,
-    bytes_removed: usize,
-    evicted: u64,
-}
-
-/// One shard's state: the prehashed map (values stored with their byte
-/// cost), an insertion-order eviction clock and this shard's slice of
-/// the byte budget. Everything lives under one `RwLock`, so the clock
-/// order — and therefore eviction — is the lock-serialised insertion
-/// order, never hash order.
-pub(crate) struct ShardState<K, V> {
-    map: PrehashedMap<K, (V, usize)>,
-    order: VecDeque<K>,
-    bytes: usize,
-    budget: Option<usize>,
-    evictions: u64,
-}
-
-impl<K: Copy + Eq + Hash, V: Clone> ShardState<K, V> {
-    fn new() -> Self {
-        ShardState {
-            map: PrehashedMap::default(),
-            order: VecDeque::new(),
-            bytes: 0,
-            budget: None,
-            evictions: 0,
-        }
-    }
-
-    pub(crate) fn get(&self, key: &K) -> Option<&V> {
-        self.map.get(key).map(|(v, _)| v)
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Inserts `value` at `cost` bytes, then evicts oldest-first until
-    /// back under this shard's budget. The just-inserted key survives
-    /// its own sweep so an oversized entry still caches once.
-    pub(crate) fn insert(&mut self, key: K, value: V, cost: usize) -> ShardDelta {
-        let cost = cost + ENTRY_OVERHEAD;
-        let mut delta = ShardDelta::default();
-        if let Some((_, old_cost)) = self.map.insert(key, (value, cost)) {
-            delta.bytes_removed += old_cost;
-        } else {
-            self.order.push_back(key);
-        }
-        delta.bytes_added += cost;
-        self.bytes = self.bytes + cost - delta.bytes_removed;
-        if let Some(budget) = self.budget {
-            while self.bytes > budget && self.order.len() > 1 {
-                let oldest = self.order.pop_front().expect("non-empty clock");
-                if oldest == key {
-                    self.order.push_back(oldest);
-                    if self.order.len() == 1 {
-                        break;
-                    }
-                    continue;
-                }
-                let (_, c) = self.map.remove(&oldest).expect("clock tracks live keys");
-                self.bytes -= c;
-                self.evictions += 1;
-                delta.bytes_removed += c;
-                delta.evicted += 1;
-            }
-        }
-        delta
-    }
-
-    fn set_budget(&mut self, budget: Option<usize>) -> ShardDelta {
-        self.budget = budget;
-        let mut delta = ShardDelta::default();
-        if let Some(b) = budget {
-            while self.bytes > b && self.order.len() > 1 {
-                let oldest = self.order.pop_front().expect("non-empty clock");
-                let (_, c) = self.map.remove(&oldest).expect("clock tracks live keys");
-                self.bytes -= c;
-                self.evictions += 1;
-                delta.bytes_removed += c;
-                delta.evicted += 1;
-            }
-        }
-        delta
-    }
-}
-
-/// An N-way sharded map: the key hash's **top** bits select the shard
-/// (each behind its own `RwLock`), leaving the bottom bits — which the
-/// inner map's buckets use — uncorrelated with shard choice.
-///
-/// Each shard carries `budget / SHARDS` bytes of any configured budget
-/// and evicts oldest-first within the shard. Totals are mirrored into
-/// relaxed atomics so memory gauges read them without touching any
-/// shard lock.
-pub(crate) struct ShardedMap<K, V> {
-    shards: Vec<RwLock<ShardState<K, V>>>,
-    total_bytes: AtomicUsize,
-    total_evictions: AtomicU64,
-}
-
-impl<K: Copy + Eq + Hash, V: Clone> ShardedMap<K, V> {
-    pub(crate) fn new() -> Self {
-        ShardedMap {
-            shards: (0..SHARDS)
-                .map(|_| RwLock::new(ShardState::new()))
-                .collect(),
-            total_bytes: AtomicUsize::new(0),
-            total_evictions: AtomicU64::new(0),
-        }
-    }
-
-    /// The shard lock a hash maps to; callers do hit/miss accounting
-    /// under it.
-    pub(crate) fn shard(&self, hash: u64) -> &RwLock<ShardState<K, V>> {
-        let idx = (hash >> (64 - SHARDS.trailing_zeros())) as usize;
-        &self.shards[idx]
-    }
-
-    /// Folds one insert's byte/eviction delta into the lock-free
-    /// totals. Callers inserting through a directly-held shard lock
-    /// must call this after releasing it.
-    pub(crate) fn apply(&self, delta: ShardDelta) {
-        self.total_bytes
-            .fetch_add(delta.bytes_added, Ordering::Relaxed);
-        self.total_bytes
-            .fetch_sub(delta.bytes_removed, Ordering::Relaxed);
-        self.total_evictions
-            .fetch_add(delta.evicted, Ordering::Relaxed);
-    }
-
-    /// Clones the value under `key`, if present (read lock only).
-    pub(crate) fn get(&self, key: &K, hash: u64) -> Option<V> {
-        self.shard(hash).read().get(key).cloned()
-    }
-
-    /// Inserts at `cost` accounted bytes (last writer wins — all
-    /// writers of a key compute the same deterministic value), evicting
-    /// within the shard if a budget is set.
-    pub(crate) fn insert(&self, key: K, hash: u64, value: V, cost: usize) {
-        let delta = self.shard(hash).write().insert(key, value, cost);
-        self.apply(delta);
-    }
-
-    /// Splits `total` bytes evenly across shards (`None` = unlimited)
-    /// and sweeps immediately.
-    pub(crate) fn set_budget(&self, total: Option<usize>) {
-        let per_shard = total.map(|t| t / SHARDS);
-        for s in &self.shards {
-            let delta = s.write().set_budget(per_shard);
-            self.apply(delta);
-        }
-    }
-
-    /// Total entries across shards.
-    pub(crate) fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
-    }
-
-    /// Accounted bytes, from the lock-free mirror.
-    pub(crate) fn bytes(&self) -> usize {
-        self.total_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Entries evicted since creation, from the lock-free mirror.
-    pub(crate) fn evictions(&self) -> u64 {
-        self.total_evictions.load(Ordering::Relaxed)
-    }
-
-    /// The per-shard budget scaled back to a map-wide figure, if set.
-    pub(crate) fn budget(&self) -> Option<usize> {
-        self.shards[0].read().budget.map(|b| b * SHARDS)
+impl MemSize for TableKey {
+    fn mem_bytes(&self) -> usize {
+        std::mem::size_of::<Self>()
     }
 }
 
@@ -363,79 +90,25 @@ mod tests {
 
     #[test]
     fn distinct_fields_give_distinct_keys() {
-        let base = CellKey::new(0, 256, 8, 4, 0, 4);
+        let key = |model, batch, gpus, stages, hw, gpn| CellKey {
+            model,
+            batch,
+            gpus,
+            stages,
+            hw,
+            gpn,
+        };
+        let base = key(0, 256, 8, 4, 0, 4);
         for other in [
-            CellKey::new(1, 256, 8, 4, 0, 4),
-            CellKey::new(0, 512, 8, 4, 0, 4),
-            CellKey::new(0, 256, 4, 4, 0, 4),
-            CellKey::new(0, 256, 8, 2, 0, 4),
-            CellKey::new(0, 256, 8, 4, 1, 4),
-            CellKey::new(0, 256, 8, 4, 0, 2),
+            key(1, 256, 8, 4, 0, 4),
+            key(0, 512, 8, 4, 0, 4),
+            key(0, 256, 4, 4, 0, 4),
+            key(0, 256, 8, 2, 0, 4),
+            key(0, 256, 8, 4, 1, 4),
+            key(0, 256, 8, 4, 0, 2),
         ] {
             assert_ne!(base, other);
         }
-        assert_eq!(base, CellKey::new(0, 256, 8, 4, 0, 4));
-    }
-
-    #[test]
-    fn sharded_map_round_trips_and_spreads() {
-        let m: ShardedMap<CellKey, usize> = ShardedMap::new();
-        let keys: Vec<CellKey> = (0..200)
-            .map(|i| CellKey::new(i % 5, 256, 1 << (i % 6), 1 << (i % 3), i % 3, 4))
-            .collect();
-        for (n, k) in keys.iter().enumerate() {
-            m.insert(*k, k.hash_value(), n, 8);
-        }
-        let distinct: std::collections::HashSet<CellKey> = keys.iter().copied().collect();
-        assert_eq!(m.len(), distinct.len());
-        // Hashes must actually spread across shards.
-        let used: std::collections::HashSet<usize> = keys
-            .iter()
-            .map(|k| (k.hash_value() >> (64 - SHARDS.trailing_zeros())) as usize)
-            .collect();
-        assert!(used.len() > SHARDS / 2, "only {} shards used", used.len());
-        for (n, k) in keys.iter().enumerate().rev() {
-            // Last writer wins per key; the final loop wrote the highest n.
-            let got = m.get(k, k.hash_value()).unwrap();
-            let last = keys.iter().rposition(|k2| k2 == k).unwrap();
-            assert_eq!(got, last, "key {n} resolved wrong slot");
-        }
-        // Byte accounting tracks inserts (cost + fixed overhead each).
-        assert_eq!(m.bytes(), distinct.len() * (8 + ENTRY_OVERHEAD));
-        assert_eq!(m.evictions(), 0);
-        assert_eq!(m.budget(), None);
-    }
-
-    #[test]
-    fn sharded_map_budget_evicts_oldest_within_shard() {
-        let m: ShardedMap<TableKey, u64> = ShardedMap::new();
-        // All keys land in whatever shard their hash picks; give each
-        // shard room for about two entries.
-        let per = 64 + ENTRY_OVERHEAD;
-        m.set_budget(Some(2 * per * SHARDS));
-        let keys: Vec<TableKey> = (0..64).map(|i| TableKey::new(i, 4)).collect();
-        for (n, k) in keys.iter().enumerate() {
-            m.insert(*k, k.hash_value(), n as u64, 64);
-        }
-        assert!(m.len() < 64, "budget must shed entries");
-        assert!(m.evictions() > 0);
-        assert!(
-            m.bytes() <= 2 * per * SHARDS + per,
-            "bytes stay near budget"
-        );
-        // Survivors read back their last-written values.
-        for (n, k) in keys.iter().enumerate() {
-            if let Some(v) = m.get(k, k.hash_value()) {
-                assert_eq!(v, n as u64);
-            }
-        }
-        // Lifting the budget stops eviction.
-        m.set_budget(None);
-        let before = m.evictions();
-        for k in &keys {
-            m.insert(*k, k.hash_value(), 0, 64);
-        }
-        assert_eq!(m.len(), 64);
-        assert_eq!(m.evictions(), before);
+        assert_eq!(base, key(0, 256, 8, 4, 0, 4));
     }
 }

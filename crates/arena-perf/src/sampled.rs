@@ -171,25 +171,35 @@ impl<'a> SampledSearch<'a> {
     /// first of equals wins), with its full measurement. Charges nothing.
     #[must_use]
     pub(crate) fn best_silent(&self, cap: usize) -> Option<(PipelinePlan, PlanPerf)> {
-        self.best(cap, false)
+        self.best(cap, false, |_| {})
     }
 
     /// The sample of `space.sample(cap)` with the highest throughput (the
     /// first of equals wins), with its full measurement, by Alpa-style
     /// direct profiling: every sample is charged to the meter as one
     /// trial, in sample order, as [`GroundTruth::profile_direct`] charges
-    /// it.
-    #[must_use]
-    pub fn profile_best(&self, cap: usize) -> Option<(PipelinePlan, PlanPerf)> {
-        self.best(cap, true)
+    /// it. `trial` sees every sample's iteration time (`None` when
+    /// infeasible) in sample order, as [`Self::fastest`]'s does.
+    pub fn profile_best(
+        &self,
+        cap: usize,
+        trial: impl FnMut(Option<f64>),
+    ) -> Option<(PipelinePlan, PlanPerf)> {
+        self.best(cap, true, trial)
     }
 
-    fn best(&self, cap: usize, charge: bool) -> Option<(PipelinePlan, PlanPerf)> {
+    fn best(
+        &self,
+        cap: usize,
+        charge: bool,
+        mut trial: impl FnMut(Option<f64>),
+    ) -> Option<(PipelinePlan, PlanPerf)> {
         let mut best: Option<(u128, Measured)> = None;
         for (idx, r) in self.samples(cap) {
             if charge {
-                self.gt
-                    .charge_trial(r.as_ref().ok().map(|m| m.iter_time_s), self.gpus);
+                let t = r.as_ref().ok().map(|m| m.iter_time_s);
+                self.gt.charge_trial(t, self.gpus);
+                trial(t);
             }
             if let Ok(m) = r {
                 if best.is_none_or(|(_, b)| m.throughput_sps > b.throughput_sps) {

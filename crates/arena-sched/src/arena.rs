@@ -68,14 +68,6 @@ pub struct ArenaPolicy {
     /// per-pool free/failed/total signature moves.
     memo: RefCell<CandidateMemo>,
     use_memo: bool,
-    /// Optional bound on each ranked candidate list (`None` = full grid).
-    /// Lists are truncated to the top-`K` *after* ranking, so only the
-    /// lowest-scored tail — the placements Arena would try last — is
-    /// dropped.
-    candidate_cap: Option<usize>,
-    /// How many candidate lists the cap actually truncated (provenance;
-    /// stays 0 while the cap never binds).
-    capped_lists: std::cell::Cell<u64>,
 }
 
 impl ArenaPolicy {
@@ -95,8 +87,6 @@ impl ArenaPolicy {
             queue_order: QueueOrder::Arrival,
             memo: RefCell::new(CandidateMemo::default()),
             use_memo: true,
-            candidate_cap: None,
-            capped_lists: std::cell::Cell::new(0),
         }
     }
 
@@ -112,53 +102,6 @@ impl ArenaPolicy {
     #[must_use]
     pub fn candidate_memo_stats(&self) -> CandidateMemoStats {
         self.memo.borrow().stats()
-    }
-
-    /// Bounds every ranked candidate list to its top-`cap` entries. The
-    /// cut happens after ranking, so only the worst-scored tail goes;
-    /// with the default (unbounded) the schedule is exactly the full-grid
-    /// one. Each truncation is counted (see [`Self::capped_lists`]) and,
-    /// when observability is on, surfaced as the
-    /// `sched.candidates.capped` counter.
-    #[must_use]
-    pub fn with_candidate_cap(mut self, cap: usize) -> Self {
-        self.candidate_cap = Some(cap.max(1));
-        self
-    }
-
-    /// Bounds the candidate memo to `entries` cached classes
-    /// (oldest-inserted evicted first). Off by default.
-    #[must_use]
-    pub fn with_memo_capacity(self, entries: usize) -> Self {
-        self.memo.borrow_mut().set_cap(Some(entries));
-        self
-    }
-
-    /// Ages memo entries out after `passes` revalidations without a hit.
-    /// Off by default.
-    #[must_use]
-    pub fn with_memo_max_age(self, passes: u64) -> Self {
-        self.memo.borrow_mut().set_max_age(Some(passes));
-        self
-    }
-
-    /// How many candidate lists the candidate cap actually truncated.
-    #[must_use]
-    pub fn capped_lists(&self) -> u64 {
-        self.capped_lists.get()
-    }
-
-    /// Applies the candidate cap to one ranked list, counting the
-    /// truncation (and emitting the provenance counter) only when the
-    /// cap actually binds.
-    fn apply_candidate_cap(&self, out: &mut Vec<Candidate>, obs: &arena_obs::Obs) {
-        if let Some(cap) = self.candidate_cap {
-            if out.len() > cap {
-                out.truncate(cap);
-                self.capped_lists.set(self.capped_lists.get() + 1);
-                obs.incr("sched.candidates.capped", 1);
-            }
-        }
     }
 
     /// Overrides the search depth (Fig. 21).
@@ -241,7 +184,6 @@ impl ArenaPolicy {
             })
             .collect();
         rank_candidates(&mut out, view.pools);
-        self.apply_candidate_cap(&mut out, &view.obs);
         if self.use_memo {
             self.memo.borrow_mut().put(key, Arc::new(out.clone()));
         }
@@ -1118,59 +1060,6 @@ mod tests {
         let s3 = policy.candidate_memo_stats();
         assert_eq!(s3.invalidations, 1);
         assert!(s3.misses > s2.misses);
-    }
-
-    #[test]
-    fn candidate_cap_only_trims_the_ranked_tail() {
-        let f = Fixture::new();
-        let queued: Vec<JobView> = (0..4).map(|i| job(i, 1.3, 8, (i % 2) as usize)).collect();
-        let pools = f.cluster.pool_stats();
-        let reference = ArenaPolicy::new()
-            .without_candidate_memo()
-            .schedule(SchedEvent::Round, &f.view(&queued, &[], &pools));
-
-        // A cap wider than any grid never binds: no truncations, no
-        // provenance counter, identical schedule.
-        let mut roomy = ArenaPolicy::new().with_candidate_cap(64);
-        assert_eq!(
-            roomy.schedule(SchedEvent::Round, &f.view(&queued, &[], &pools)),
-            reference
-        );
-        assert_eq!(roomy.capped_lists(), 0);
-
-        // cap = 1 keeps only each list's best-ranked candidate. The head
-        // of the ranking is untouched, so the first job still lands on
-        // the same cell; later jobs lose their fallback candidates (the
-        // cap genuinely binds — that is its point) and the provenance
-        // counter fires.
-        let mut tight = ArenaPolicy::new().with_candidate_cap(1);
-        let actions = tight.schedule(SchedEvent::Round, &f.view(&queued, &[], &pools));
-        assert!(tight.capped_lists() > 0, "cap of 1 never bound");
-        assert_eq!(
-            actions.first(),
-            reference.first(),
-            "top-ranked placement must survive the cap"
-        );
-    }
-
-    #[test]
-    fn memo_limits_leave_schedule_unchanged() {
-        let f = Fixture::new();
-        let queued: Vec<JobView> = (0..6).map(|i| job(i, 1.3, 8, (i % 2) as usize)).collect();
-        let pools = f.cluster.pool_stats();
-        let reference = ArenaPolicy::new()
-            .without_candidate_memo()
-            .schedule(SchedEvent::Round, &f.view(&queued, &[], &pools));
-        // An adversarially tiny memo (one entry, one-pass age) evicts on
-        // nearly every lookup yet must reproduce the reference schedule:
-        // eviction only moves the hit/miss split.
-        let mut tiny = ArenaPolicy::new()
-            .with_memo_capacity(1)
-            .with_memo_max_age(1);
-        let actions = tiny.schedule(SchedEvent::Round, &f.view(&queued, &[], &pools));
-        assert_eq!(actions, reference);
-        let s = tiny.candidate_memo_stats();
-        assert!(s.evictions > 0, "one-entry memo never evicted: {s:?}");
     }
 
     #[test]

@@ -11,17 +11,12 @@
 //! repeated same-class jobs inside one pass) skip re-enumeration
 //! entirely.
 //!
-//! At fleet scale the quiet-round case is the dangerous one: a memo that
-//! only ever flushes on capacity changes grows with the number of
-//! distinct job classes seen, which an adversarial trace can make
-//! unbounded. The memo therefore supports an optional *entry cap*
-//! (oldest-inserted entry evicted first — an insertion-order clock, never
-//! hash order, so eviction is deterministic) and an optional *age-out*
-//! (entries not touched for `max_age_passes` revalidations are dropped at
-//! the start of a pass). Both default to off; eviction moves only the
-//! hit/miss split, never which list a lookup ultimately sees.
+//! Unlike the plan and estimator caches, which are byte-budgeted
+//! `BudgetedMap`s, the memo has no budget and no entry cap: it holds at
+//! most one list per job class seen since the last capacity change, and
+//! the next allocation, release or fault empties it.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use arena_cluster::PoolStats;
@@ -82,10 +77,6 @@ pub struct CandidateMemoStats {
     pub misses: u64,
     /// Whole-memo flushes triggered by a pool-signature change.
     pub invalidations: u64,
-    /// Entries evicted to stay under the entry cap (oldest first).
-    pub evictions: u64,
-    /// Entries dropped by the age-out sweep (untouched too long).
-    pub aged_out: u64,
 }
 
 /// Per-policy memo of ranked candidate lists. Not shared across threads:
@@ -93,33 +84,11 @@ pub struct CandidateMemoStats {
 #[derive(Debug, Default)]
 pub(crate) struct CandidateMemo {
     pool_sig: Option<u64>,
-    /// Values carry the pass number of their last hit (for age-out).
-    entries: HashMap<JobClassKey, (Arc<Vec<Candidate>>, u64)>,
-    /// Insertion-order clock: the deterministic eviction order. Re-puts
-    /// of a live key keep its clock position.
-    order: VecDeque<JobClassKey>,
-    /// Revalidation counter; advances once per `begin_pass`.
-    pass: u64,
-    /// Maximum live entries (`None` = unbounded, the default).
-    cap: Option<usize>,
-    /// Maximum passes an entry may go without a hit (`None` = forever).
-    max_age_passes: Option<u64>,
+    entries: HashMap<JobClassKey, Arc<Vec<Candidate>>>,
     stats: CandidateMemoStats,
 }
 
 impl CandidateMemo {
-    /// Bounds the memo to `cap` entries; the oldest-inserted entry is
-    /// evicted first when a put would exceed it.
-    pub(crate) fn set_cap(&mut self, cap: Option<usize>) {
-        self.cap = cap;
-        self.enforce_cap(None);
-    }
-
-    /// Drops entries that go `passes` revalidations without a hit.
-    pub(crate) fn set_max_age(&mut self, passes: Option<u64>) {
-        self.max_age_passes = passes;
-    }
-
     /// Revalidates the memo against the pool state a scheduling pass
     /// sees, flushing every entry when the signature moved.
     pub(crate) fn begin_pass(&mut self, pools: &[PoolStats]) {
@@ -129,79 +98,22 @@ impl CandidateMemo {
                 self.stats.invalidations += 1;
             }
             self.entries.clear();
-            self.order.clear();
             self.pool_sig = Some(sig);
-            self.pass += 1;
-            return;
         }
-        self.pass += 1;
-        if let Some(max_age) = self.max_age_passes {
-            let (entries, pass) = (&mut self.entries, self.pass);
-            let before = entries.len();
-            // Sweeping the insertion-order clock (not the hash map) keeps
-            // the survivor order — and therefore later evictions —
-            // deterministic.
-            self.order.retain(|k| {
-                let stale = entries
-                    .get(k)
-                    .is_some_and(|(_, last)| pass.saturating_sub(*last) > max_age);
-                if stale {
-                    entries.remove(k);
-                }
-                !stale
-            });
-            self.stats.aged_out += (before - entries.len()) as u64;
-        }
-    }
-
-    #[cfg(test)]
-    fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    #[cfg(test)]
-    fn contains(&self, key: &JobClassKey) -> bool {
-        self.entries.contains_key(key)
     }
 
     pub(crate) fn get(&mut self, key: &JobClassKey) -> Option<Arc<Vec<Candidate>>> {
-        match self.entries.get_mut(key) {
-            Some((v, last)) => {
-                *last = self.pass;
-                self.stats.hits += 1;
-                Some(v.clone())
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
+        let hit = self.entries.get(key).cloned();
+        if hit.is_some() {
+            self.stats.hits += 1;
+        } else {
+            self.stats.misses += 1;
         }
+        hit
     }
 
     pub(crate) fn put(&mut self, key: JobClassKey, value: Arc<Vec<Candidate>>) {
-        if self.entries.insert(key, (value, self.pass)).is_none() {
-            self.order.push_back(key);
-        }
-        self.enforce_cap(Some(&key));
-    }
-
-    /// Evicts oldest-inserted entries until the cap holds. The key just
-    /// inserted (if any) is exempt from its own sweep, so even a put that
-    /// alone exceeds the cap still caches once.
-    fn enforce_cap(&mut self, just_inserted: Option<&JobClassKey>) {
-        let Some(cap) = self.cap else { return };
-        while self.entries.len() > cap.max(1) {
-            let Some(oldest) = self.order.pop_front() else {
-                break;
-            };
-            if Some(&oldest) == just_inserted {
-                self.order.push_back(oldest);
-                continue;
-            }
-            if self.entries.remove(&oldest).is_some() {
-                self.stats.evictions += 1;
-            }
-        }
+        self.entries.insert(key, value);
     }
 
     pub(crate) fn stats(&self) -> CandidateMemoStats {
@@ -292,74 +204,5 @@ mod tests {
         assert!(memo.get(&key).is_none());
         let s = memo.stats();
         assert_eq!((s.hits, s.misses, s.invalidations), (2, 2, 1));
-        assert_eq!((s.evictions, s.aged_out), (0, 0));
-    }
-
-    fn class(gpus: usize) -> JobClassKey {
-        let mut sp = spec(gpus as u64);
-        sp.requested_gpus = gpus;
-        JobClassKey::of(&sp)
-    }
-
-    #[test]
-    fn entry_cap_evicts_oldest_inserted_first() {
-        let mut memo = CandidateMemo::default();
-        memo.set_cap(Some(2));
-        memo.begin_pass(&pools());
-        for g in [1, 2, 4] {
-            memo.put(class(g), Arc::new(Vec::new()));
-        }
-        // Oldest (gpus=1) evicted; the two newest survive.
-        assert!(!memo.contains(&class(1)));
-        assert!(memo.contains(&class(2)) && memo.contains(&class(4)));
-        assert_eq!(memo.stats().evictions, 1);
-        // Re-putting a live key keeps its clock position: 2 is still the
-        // oldest and goes next.
-        memo.put(class(2), Arc::new(Vec::new()));
-        memo.put(class(8), Arc::new(Vec::new()));
-        assert!(!memo.contains(&class(2)));
-        assert!(memo.contains(&class(4)) && memo.contains(&class(8)));
-        assert_eq!(memo.stats().evictions, 2);
-    }
-
-    #[test]
-    fn age_out_drops_untouched_entries_on_quiet_passes() {
-        let mut memo = CandidateMemo::default();
-        memo.set_max_age(Some(2));
-        let p = pools();
-        memo.begin_pass(&p);
-        memo.put(class(1), Arc::new(Vec::new()));
-        memo.put(class(2), Arc::new(Vec::new()));
-        // Keep class(1) warm across quiet passes; class(2) goes cold.
-        for _ in 0..3 {
-            memo.begin_pass(&p);
-            assert!(memo.get(&class(1)).is_some());
-        }
-        assert!(memo.contains(&class(1)));
-        assert!(!memo.contains(&class(2)));
-        assert_eq!(memo.stats().aged_out, 1);
-        // A signature change still flushes everything without counting
-        // age-outs.
-        let mut moved = pools();
-        moved[0].free_gpus -= 1;
-        memo.begin_pass(&moved);
-        assert!(memo.is_empty());
-        assert_eq!(memo.stats().aged_out, 1);
-    }
-
-    #[test]
-    fn defaults_are_unbounded() {
-        let mut memo = CandidateMemo::default();
-        let p = pools();
-        memo.begin_pass(&p);
-        for g in 0..64 {
-            memo.put(class(g + 1), Arc::new(Vec::new()));
-        }
-        for _ in 0..100 {
-            memo.begin_pass(&p);
-        }
-        let s = memo.stats();
-        assert_eq!(memo.entries.len(), 64);
-        assert_eq!((s.evictions, s.aged_out), (0, 0));
     }
 }

@@ -191,17 +191,6 @@ impl PlanService {
         out
     }
 
-    /// Accounted plan-database bytes (excludes the graph cache).
-    #[must_use]
-    pub fn mem_bytes_total(&self) -> usize {
-        self.adaptive.read().bytes()
-            + self.dp.read().bytes()
-            + self.pure_dp.read().bytes()
-            + self.cells.read().bytes()
-            + self.arena_runs.read().bytes()
-            + self.ideal.read().bytes()
-    }
-
     /// The ground truth backing this service.
     #[must_use]
     pub fn ground_truth(&self) -> &GroundTruth {
@@ -425,6 +414,10 @@ impl PlanService {
 
     /// Arena's run path: take the chosen Cell, tune it with the pruned
     /// search, and return the measured plan plus the tuning wall-clock.
+    /// That wall-clock is summed from the tuning's own trials, so the
+    /// result is a pure function of the key: what the service tuned
+    /// before, or whether an evicted entry is being tuned again, cannot
+    /// change it.
     #[must_use]
     pub fn arena_run(&self, model: &ModelConfig, gpus: usize, pool: GpuTypeId) -> Option<RunPlan> {
         let key = Self::key(model, gpus, pool);
@@ -450,7 +443,6 @@ impl PlanService {
             self.estimator
                 .estimate(&graph, model.global_batch, &cell, &hw)?;
         let space = arena_tuner::pruned_space(&cell, &estimate.favors);
-        let before_wall = self.gt.meter().wall_seconds();
         let tuned = tune_in_space(
             &self.gt,
             &graph,
@@ -459,11 +451,10 @@ impl PlanService {
             &hw,
             arena_tuner::DEFAULT_TUNE_CAP,
         )?;
-        let tune_wall = self.gt.meter().wall_seconds() - before_wall;
         Some(RunPlan {
             iter_time_s: tuned.perf.iter_time_s,
             throughput_sps: tuned.perf.throughput_sps,
-            acquire_wall_s: tune_wall.min(EXPLORE_WALL_CAP_S),
+            acquire_wall_s: tuned.wall_seconds.min(EXPLORE_WALL_CAP_S),
             plan_label: tuned.plan.short_label(),
         })
     }
@@ -561,6 +552,29 @@ mod tests {
         // And the tuned plan is close to the adaptive optimum.
         let ratio = arena.throughput_sps / adaptive.throughput_sps;
         assert!(ratio > 0.85, "tuned plan only {ratio} of optimal");
+    }
+
+    #[test]
+    fn arena_run_is_independent_of_earlier_tunings() {
+        // The tuning wall is summed from the tuning's own trials, so a
+        // key tunes to the same bits on a fresh service and on one whose
+        // meter already holds another tuning's charges.
+        let cluster = presets::physical_testbed();
+        let bits = |r: RunPlan| {
+            (
+                r.iter_time_s.to_bits(),
+                r.throughput_sps.to_bits(),
+                r.acquire_wall_s.to_bits(),
+                r.plan_label,
+            )
+        };
+        let fresh = PlanService::new(&cluster, CostParams::default(), 17);
+        let want = fresh.arena_run(&bert13(), 8, GpuTypeId(0)).map(bits);
+        assert!(want.is_some());
+        let warmed = PlanService::new(&cluster, CostParams::default(), 17);
+        let moe = ModelConfig::new(ModelFamily::Moe, 1.3, 256);
+        assert!(warmed.arena_run(&moe, 4, GpuTypeId(0)).is_some());
+        assert_eq!(warmed.arena_run(&bert13(), 8, GpuTypeId(0)).map(bits), want);
     }
 
     #[test]

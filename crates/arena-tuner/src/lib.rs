@@ -11,7 +11,9 @@
 //!
 //! Both the pruned and the unpruned search charge the ground-truth
 //! profiling meter, so the tuning-time reductions of Fig. 13(b) fall out
-//! of the accounting.
+//! of the accounting. A [`TuneResult`] sums its cost from its own trials
+//! rather than from the shared meter, so it is a pure function of the
+//! search, whatever the meter holds already.
 
 use arena_estimator::{Cell, CellEstimate, Favor};
 use arena_model::ModelGraph;
@@ -27,8 +29,11 @@ pub struct TuneResult {
     pub perf: PlanPerf,
     /// Plans directly profiled during the search.
     pub trials: u64,
-    /// GPU-seconds this search charged to the profiling meter.
+    /// GPU-seconds this search charged to the profiling meter, summed
+    /// trial by trial in sample order.
     pub gpu_seconds: f64,
+    /// Wall-clock seconds of this search's trials, summed the same way.
+    pub wall_seconds: f64,
 }
 
 /// Builds the pruned exploration space for a Cell given its per-stage
@@ -88,15 +93,21 @@ pub fn tune_in_space(
     hw: &HwTarget,
     cap: usize,
 ) -> Option<TuneResult> {
-    let before_gpu_s = gt.meter().gpu_seconds();
-    let before_trials = gt.meter().trials();
-
-    let (plan, perf) = SampledSearch::new(gt, graph, global_batch, space, hw).profile_best(cap)?;
+    let gpus = space.plan_at_index(0).total_gpus() as f64;
+    let (mut trials, mut gpu_seconds, mut wall_seconds) = (0, 0.0, 0.0);
+    let search = SampledSearch::new(gt, graph, global_batch, space, hw);
+    let (plan, perf) = search.profile_best(cap, |t| {
+        let wall = gt.trial_wall_s(t);
+        trials += 1;
+        gpu_seconds += wall * gpus;
+        wall_seconds += wall;
+    })?;
     Some(TuneResult {
         plan,
         perf,
-        trials: gt.meter().trials() - before_trials,
-        gpu_seconds: gt.meter().gpu_seconds() - before_gpu_s,
+        trials,
+        gpu_seconds,
+        wall_seconds,
     })
 }
 

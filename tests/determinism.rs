@@ -1,8 +1,8 @@
 //! Determinism contracts for the scheduling hot path.
 //!
-//! The worker pool, the sharded estimator cache and the candidate memo
-//! are pure performance features: none of them may change a single byte
-//! of scheduler output. These tests pin that down:
+//! The worker pool, the estimator's caches and the candidate memo are
+//! pure performance features: none of them may change a single byte of
+//! scheduler output. These tests pin that down:
 //!
 //! 1. **Ignored worker argument** — `policy_by_name("arena", n)` builds
 //!    the same policy at any `n` (decision log, job records, timelines,

@@ -339,11 +339,15 @@ fn compare_runs(cluster: &Cluster) {
                             .estimator()
                             .estimate(&graph, model.global_batch, &cell, &hw)?;
                     let space = pruned_space(&cell, &estimate.favors);
-                    let before = reference.meter().wall_seconds();
                     let plans = space.sample(DEFAULT_TUNE_CAP);
                     let (plan, perf) =
                         reference_best(&reference, &graph, model.global_batch, plans, &hw, true)?;
-                    let wall = reference.meter().wall_seconds() - before;
+                    // The tuning's own trials, summed in sample order
+                    // from zero.
+                    let wall = space.sample(DEFAULT_TUNE_CAP).fold(0.0, |wall, plan| {
+                        let t = reference.measure(&graph, model.global_batch, &plan, &hw);
+                        wall + reference.trial_wall_s(t.ok().map(|p| p.iter_time_s))
+                    });
                     Some((plan, perf, wall))
                 });
                 match (got, want) {

@@ -166,18 +166,49 @@ fn run_with_budget(
     (summary, evictions)
 }
 
+/// Nine Arena jobs that repeat two tuning keys between others: under a
+/// tiny budget their tunings are evicted and run again after other keys
+/// have charged the profiling meter, which must not change the result.
+fn retuning_trace() -> Vec<JobSpec> {
+    [
+        (ModelFamily::Bert, 1.3, 8, 0),
+        (ModelFamily::Moe, 1.3, 4, 1),
+        (ModelFamily::Bert, 1.3, 8, 0),
+        (ModelFamily::WideResNet, 1.0, 2, 0),
+        (ModelFamily::Moe, 0.69, 4, 1),
+        (ModelFamily::Bert, 1.3, 8, 0),
+        (ModelFamily::Bert, 0.76, 2, 1),
+        (ModelFamily::Moe, 1.3, 4, 1),
+        (ModelFamily::WideResNet, 0.5, 4, 0),
+    ]
+    .into_iter()
+    .zip(0_u64..)
+    .map(|((fam, size, gpus, pool), id)| JobSpec {
+        id,
+        name: format!("j{id}"),
+        submit_s: 100.0 * id as f64,
+        model: ModelConfig::new(fam, size, 256),
+        iterations: 2000,
+        requested_gpus: gpus,
+        requested_pool: pool,
+        deadline_s: None,
+    })
+    .collect()
+}
+
 /// Deterministic vacuousness guard for the property below: a byte-scale
 /// budget on a real trace must actually evict — and still reproduce the
 /// unbudgeted run exactly.
 #[test]
 fn tiny_budget_evicts_without_changing_output() {
-    let jobs = mixed_trace(24, 300.0);
-    let (free, _) = run_with_budget(&jobs, None, "arena");
-    let (tight, evictions) = run_with_budget(&jobs, Some(2048), "arena");
-    assert!(evictions > 0, "2 KiB budget never evicted: vacuous test");
-    assert_eq!(free.fingerprint, tight.fingerprint);
-    assert_eq!(free.timeline, tight.timeline);
-    assert_eq!(free.raw_timeline, tight.raw_timeline);
+    for jobs in [mixed_trace(24, 300.0), retuning_trace()] {
+        let (free, _) = run_with_budget(&jobs, None, "arena");
+        let (tight, evictions) = run_with_budget(&jobs, Some(2048), "arena");
+        assert!(evictions > 0, "2 KiB budget never evicted: vacuous test");
+        assert_eq!(free.fingerprint, tight.fingerprint);
+        assert_eq!(free.timeline, tight.timeline);
+        assert_eq!(free.raw_timeline, tight.raw_timeline);
+    }
 }
 
 proptest! {
