@@ -80,8 +80,9 @@ fn main() {
 /// `--policy NAME` (default `arena`), `--cluster table1|testbed|tiny`,
 /// `--seed N`, `--horizon-s F`,
 /// `--event-log P`, `--decision-log P`, `--resume P`,
-/// `--flight-log P` (auto-dump the telemetry flight recorder on faults
-/// and shutdown), `--flight-cap N` (recorder capacity, default 256).
+/// `--flight-log P` (rewritten with the last N decisions on faults and
+/// shutdown), `--flight-cap N` (N for `dump` and the flight log,
+/// default 256).
 fn serve(args: &[String]) {
     let mut stdin_mode = false;
     let mut addr = "127.0.0.1:7700".to_string();

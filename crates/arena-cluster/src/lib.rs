@@ -18,6 +18,8 @@
 //!
 //! The cluster presets used throughout the evaluation live in [`presets`].
 
+#![forbid(unsafe_code)]
+
 pub mod alloc;
 pub mod cluster;
 pub mod gpu;

@@ -24,6 +24,8 @@
 //! the full space — so estimation accuracy is an experimental result
 //! (Fig. 12), not an assumption.
 
+#![forbid(unsafe_code)]
+
 pub mod cell;
 pub mod estimator;
 mod keys;

@@ -21,6 +21,8 @@
 //! configuration of Table 2, with architecture hyper-parameters chosen so
 //! the realised parameter counts land near the nominal sizes.
 
+#![forbid(unsafe_code)]
+
 pub mod bert;
 pub mod graph;
 pub mod moe;

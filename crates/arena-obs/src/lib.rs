@@ -46,7 +46,9 @@
 //! assert_eq!(registry.counter("sched.pass").get(), 1);
 //! ```
 
-use std::collections::{BTreeMap, HashMap};
+#![forbid(unsafe_code)]
+
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
@@ -55,8 +57,7 @@ pub mod metrics;
 pub mod timeline;
 
 pub use metrics::{
-    labeled, publish_mem_sections, Counter, FlightRecorder, Gauge, HistSnapshot, Histogram,
-    MetricsRegistry,
+    labeled, publish_mem_sections, Counter, Gauge, HistSnapshot, Histogram, MetricsRegistry,
 };
 pub use timeline::{
     AllocEvent, JobAccount, JobEvent, JobEventKind, JobInterval, JobState, NodeSlot, StopCause,
@@ -369,13 +370,6 @@ struct Inner {
     seq: u64,
     decisions: Vec<Decision>,
     timeline: Timeline,
-    // Flight-recorder ids for the current context, refreshed by
-    // `context` only when the policy/trigger string actually changes.
-    policy_id: u16,
-    trigger_id: u16,
-    // Per-reason id cache so `decision` never takes the (cold)
-    // intern lock for a reason it has already seen.
-    reason_ids: HashMap<&'static str, u16>,
 }
 
 /// The observability handle.
@@ -384,8 +378,7 @@ struct Inner {
 /// [`Obs::disabled`] carries no state at all and makes every recording
 /// method a no-op; [`Obs::metrics_only`] records counters, gauges,
 /// histograms and spans into a [`MetricsRegistry`]; [`Obs::enabled`]
-/// also keeps the trace (decisions and the timeline) and mirrors each
-/// recorded decision into the registry's flight recorder.
+/// also keeps the trace (decisions and the timeline).
 #[derive(Debug, Clone, Default)]
 pub struct Obs {
     inner: Option<Arc<Mutex<Inner>>>,
@@ -412,7 +405,7 @@ impl Obs {
         }
     }
 
-    /// A handle that records *only* into the lock-free registry:
+    /// A handle that records *only* into the registry:
     /// counters, gauges, histograms and span timings, but no decision
     /// log, no timeline, no trace mutex. This is the "telemetry plane
     /// only" mode the overhead bench compares against
@@ -462,24 +455,15 @@ impl Obs {
             g.time_s = time_s;
             if g.policy != policy {
                 g.policy = policy.to_string();
-                if let Some(reg) = &self.metrics {
-                    g.policy_id = reg.flight().intern_policy(policy);
-                }
             }
             if g.trigger != trigger {
                 g.trigger = trigger.to_string();
-                if let Some(reg) = &self.metrics {
-                    g.trigger_id = reg.flight().intern_trigger(trigger);
-                }
             }
         }
     }
 
     /// Records a decision, stamping seq/time/policy/trigger from the
-    /// current context, and mirrors the stamped decision into the
-    /// registry's flight recorder — an id-encoded ring write with no
-    /// extra lock (interning a first-seen reason is the only cold
-    /// exception).
+    /// current context.
     pub fn decision(&self, mut d: Decision) {
         if let Some(mut g) = self.lock() {
             d.seq = g.seq;
@@ -487,18 +471,6 @@ impl Obs {
             d.time_s = g.time_s;
             d.policy.clone_from(&g.policy);
             d.trigger.clone_from(&g.trigger);
-            if let Some(reg) = &self.metrics {
-                let reason_id = match g.reason_ids.get(d.reason) {
-                    Some(&id) => id,
-                    None => {
-                        let id = reg.flight().intern_reason(d.reason);
-                        g.reason_ids.insert(d.reason, id);
-                        id
-                    }
-                };
-                reg.flight()
-                    .record(&d, g.policy_id, g.trigger_id, reason_id);
-            }
             g.decisions.push(d);
         }
     }
@@ -517,8 +489,8 @@ impl Obs {
         })
     }
 
-    /// Increments a registry counter: the lock-free fast path (an RCU
-    /// map load plus one `fetch_add`).
+    /// Increments a registry counter: a read-locked map lookup plus one
+    /// `fetch_add`.
     pub fn incr(&self, name: &str, by: u64) {
         if let Some(reg) = &self.metrics {
             reg.incr(name, by);
@@ -775,10 +747,9 @@ mod tests {
     }
 
     #[test]
-    fn flight_recorder_and_metrics_only_mode() {
+    fn shared_registry_and_metrics_only_mode() {
         // A shared registry swapped in by `with_metrics` takes the
-        // handle's counters and mirrors its decisions into the flight
-        // recorder with full stamps.
+        // handle's counters; the decisions stay in the trace.
         let reg = Arc::new(MetricsRegistry::new(8));
         let obs = Obs::enabled().with_metrics(Arc::clone(&reg));
         obs.incr("sched.pass", 1);
@@ -787,10 +758,7 @@ mod tests {
         assert_eq!(reg.gauge("depth").get(), 4.0);
         obs.context(9.0, "Arena", "round");
         obs.decision(Decision::place(3, 0, 4).with_score(0.5).why("best-cell"));
-        let ring = reg.flight().recent(10);
-        assert_eq!(ring.len(), 1);
-        assert_eq!(obs.report().decisions, ring);
-        assert_eq!(obs.report().decisions_jsonl(), reg.flight().dump_jsonl(10));
+        assert_eq!(obs.decision_count(), 1);
         // Metrics-only mode records no decisions but keeps counters.
         let lite = Obs::metrics_only(Arc::new(MetricsRegistry::new(8)));
         assert!(!lite.is_enabled());
@@ -799,7 +767,6 @@ mod tests {
         assert_eq!(lite.decision_count(), 0);
         let lite_reg = lite.metrics().expect("metrics-only handle");
         assert_eq!(lite_reg.counters_snapshot()["c"], 5);
-        assert_eq!(lite_reg.flight().total(), 0);
         drop(lite.span("stage"));
         assert_eq!(lite_reg.histograms_snapshot()["stage"].count, 1);
     }

@@ -1,5 +1,5 @@
-//! Lock-free live telemetry: the metrics registry and the flight
-//! recorder behind `arena-server`'s `query metrics` / `watch` / `dump`.
+//! Live telemetry: the metrics registry behind `arena-server`'s
+//! `query metrics` / `watch`.
 //!
 //! The registry is the only store of [`Obs`](crate::Obs)'s counters,
 //! gauges, histograms and spans; the trace keeps just decisions and the
@@ -15,27 +15,21 @@
 //!   (1 ns … ~18 s and beyond) in 64 fixed slots with ≤2x relative
 //!   error and no allocation, which is why they are used instead of
 //!   exact sample vectors.
-//! * [`FlightRecorder`] — a fixed-capacity ring of seqlock-versioned
-//!   word slots holding the last N decisions in POD form, dumped
-//!   post-mortem as JSONL byte-identical to the decision log.
-//! * [`MetricsRegistry`] — name → handle maps published through
-//!   [`RcuCell`], so `incr("name")`-style lookups are wait-free;
-//!   registration of a new name is the only operation that takes a
-//!   lock, and it happens at most once per distinct metric name.
+//! * [`MetricsRegistry`] — name → handle maps behind one
+//!   `RwLock<Arc<_>>`. A lookup holds the read lock only to clone the
+//!   `Arc`; registering a new name takes the write lock, at most once
+//!   per distinct metric name.
 //!
-//! Nothing on the record path takes a `Mutex` or allocates a `String`:
-//! counters, gauges and histogram observations are a handful of atomic
-//! ops; flight-recorder writes store pre-interned ids (interning
-//! happens on the cold context-change path).
+//! Nothing on the record path takes a lock or allocates: counters,
+//! gauges and histogram observations on a held handle are a handful of
+//! atomic ops.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, PoisonError, RwLock};
 
-use arena_runtime::RcuCell;
-
-use crate::{Decision, DecisionKind, HistStats};
+use crate::HistStats;
 
 /// Number of log2 buckets per histogram. Bucket `k` (k ≥ 1) holds
 /// values whose nanosecond tick count has bit-length `k`, i.e. ticks in
@@ -285,273 +279,9 @@ impl HistSnapshot {
     }
 }
 
-// --- flight recorder -------------------------------------------------
-
-/// Words per flight-recorder slot (one encoded [`Decision`]).
-const FLIGHT_WORDS: usize = 8;
-
-/// One ring slot: a seqlock version plus the encoded record. An odd
-/// version means a write is in progress; an even version `2 * (i + 1)`
-/// means the slot holds record number `i` completely.
-#[derive(Debug)]
-struct FlightSlot {
-    version: AtomicU64,
-    words: [AtomicU64; FLIGHT_WORDS],
-}
-
-/// Interned strings referenced by ring entries. Touched only when a
-/// *new* policy/trigger/reason first appears (cold) and at dump time.
-#[derive(Debug, Default)]
-struct FlightStrings {
-    policies: Vec<String>,
-    triggers: Vec<String>,
-    reasons: Vec<&'static str>,
-}
-
-impl FlightStrings {
-    fn intern_owned(table: &mut Vec<String>, s: &str) -> u16 {
-        if let Some(i) = table.iter().position(|t| t == s) {
-            return i as u16;
-        }
-        table.push(s.to_string());
-        (table.len() - 1) as u16
-    }
-}
-
-/// Fixed-capacity post-mortem ring holding the last N decisions in POD
-/// form. Writers store pre-interned ids with a per-slot seqlock — no
-/// `Mutex`, no allocation; readers retry torn slots and drop entries
-/// the writer lapped mid-read. Writes must be externally serialised
-/// (in practice they happen inside [`Obs::decision`](crate::Obs), which
-/// already holds the trace lock to stamp sequence numbers).
-#[derive(Debug)]
-pub struct FlightRecorder {
-    slots: Box<[FlightSlot]>,
-    /// Total records ever written.
-    head: AtomicU64,
-    strings: Mutex<FlightStrings>,
-}
-
-// Bit layout of word 3.
-const FL_HAS_POOL: u64 = 1 << 8;
-const FL_HAS_GPUS: u64 = 1 << 9;
-const FL_OPPORTUNISTIC: u64 = 1 << 10;
-const FL_HAS_SCORE: u64 = 1 << 11;
-const FL_HAS_PREV: u64 = 1 << 12;
-const FL_HAS_SHARD: u64 = 1 << 13;
-
-impl FlightRecorder {
-    /// A ring holding the most recent `capacity` decisions.
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        FlightRecorder {
-            slots: (0..capacity)
-                .map(|_| FlightSlot {
-                    version: AtomicU64::new(0),
-                    words: std::array::from_fn(|_| AtomicU64::new(0)),
-                })
-                .collect(),
-            head: AtomicU64::new(0),
-            strings: Mutex::new(FlightStrings::default()),
-        }
-    }
-
-    /// Ring capacity (max decisions retained).
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Total decisions ever recorded (not capped by capacity).
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.head.load(Ordering::Acquire)
-    }
-
-    /// Interns a policy name, returning its stable id. Cold path: the
-    /// engine calls this only when the context policy string changes.
-    #[must_use]
-    pub fn intern_policy(&self, s: &str) -> u16 {
-        let mut g = self
-            .strings
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        FlightStrings::intern_owned(&mut g.policies, s)
-    }
-
-    /// Interns a trigger label (cold path, on change only).
-    #[must_use]
-    pub fn intern_trigger(&self, s: &str) -> u16 {
-        let mut g = self
-            .strings
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        FlightStrings::intern_owned(&mut g.triggers, s)
-    }
-
-    /// Interns a static reason label (cold path, first occurrence only;
-    /// callers cache the id).
-    #[must_use]
-    pub fn intern_reason(&self, s: &'static str) -> u16 {
-        let mut g = self
-            .strings
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(i) = g.reasons.iter().position(|t| *t == s) {
-            return i as u16;
-        }
-        g.reasons.push(s);
-        (g.reasons.len() - 1) as u16
-    }
-
-    /// Records one stamped decision. Atomic stores only; see the type
-    /// docs for the single-writer requirement.
-    pub fn record(&self, d: &Decision, policy_id: u16, trigger_id: u16, reason_id: u16) {
-        let mut w3 = match d.kind {
-            DecisionKind::Place => 0_u64,
-            DecisionKind::Evict => 1,
-            DecisionKind::Drop => 2,
-            DecisionKind::Requeue => 3,
-        };
-        if d.pool.is_some() {
-            w3 |= FL_HAS_POOL;
-        }
-        if d.gpus.is_some() {
-            w3 |= FL_HAS_GPUS;
-        }
-        if d.opportunistic {
-            w3 |= FL_OPPORTUNISTIC;
-        }
-        if d.score.is_some() {
-            w3 |= FL_HAS_SCORE;
-        }
-        if d.prev_pool.is_some() && d.prev_gpus.is_some() {
-            w3 |= FL_HAS_PREV;
-        }
-        if d.shard.is_some() {
-            w3 |= FL_HAS_SHARD;
-        }
-        w3 |= u64::from(policy_id) << 16;
-        w3 |= u64::from(trigger_id) << 32;
-        w3 |= u64::from(reason_id) << 48;
-        let words: [u64; FLIGHT_WORDS] = [
-            d.seq,
-            d.time_s.to_bits(),
-            d.job,
-            w3,
-            (d.pool.unwrap_or(0) as u64) | ((d.gpus.unwrap_or(0) as u64) << 32),
-            d.score.unwrap_or(0.0).to_bits(),
-            (d.prev_pool.unwrap_or(0) as u64) | ((d.prev_gpus.unwrap_or(0) as u64) << 32),
-            u64::from(d.shard.unwrap_or(0)),
-        ];
-        let h = self.head.load(Ordering::Relaxed);
-        let slot = &self.slots[(h % self.slots.len() as u64) as usize];
-        slot.version.store(2 * h + 1, Ordering::Release);
-        for (cell, v) in slot.words.iter().zip(words.iter()) {
-            cell.store(*v, Ordering::Relaxed);
-        }
-        slot.version.store(2 * (h + 1), Ordering::Release);
-        self.head.store(h + 1, Ordering::Release);
-    }
-
-    /// The last `n` decisions, oldest first. Entries the writer lapped
-    /// or tore during the read are dropped (a quiescent ring returns
-    /// exactly the newest `min(n, total, capacity)` records).
-    #[must_use]
-    pub fn recent(&self, n: usize) -> Vec<Decision> {
-        let head = self.head.load(Ordering::Acquire);
-        let cap = self.slots.len() as u64;
-        let take = (n as u64).min(head).min(cap);
-        let strings = self
-            .strings
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let mut out = Vec::with_capacity(take as usize);
-        for i in head - take..head {
-            let slot = &self.slots[(i % cap) as usize];
-            for _attempt in 0..64 {
-                let v1 = slot.version.load(Ordering::Acquire);
-                if v1 != 2 * (i + 1) {
-                    // Mid-write or already overwritten by a newer record.
-                    if v1.is_multiple_of(2) {
-                        break;
-                    }
-                    std::hint::spin_loop();
-                    continue;
-                }
-                let words: [u64; FLIGHT_WORDS] =
-                    std::array::from_fn(|k| slot.words[k].load(Ordering::Acquire));
-                if slot.version.load(Ordering::Acquire) == v1 {
-                    out.push(Self::decode(&words, &strings));
-                    break;
-                }
-            }
-        }
-        out
-    }
-
-    /// The last `n` decisions rendered as JSONL, byte-identical to the
-    /// tail of the decision log the trace layer writes.
-    #[must_use]
-    pub fn dump_jsonl(&self, n: usize) -> String {
-        let mut out = String::new();
-        for d in self.recent(n) {
-            out.push_str(&d.to_json());
-            out.push('\n');
-        }
-        out
-    }
-
-    fn decode(words: &[u64; FLIGHT_WORDS], strings: &FlightStrings) -> Decision {
-        let w3 = words[3];
-        let kind = match w3 & 0xff {
-            0 => DecisionKind::Place,
-            1 => DecisionKind::Evict,
-            2 => DecisionKind::Drop,
-            _ => DecisionKind::Requeue,
-        };
-        let lookup_owned = |table: &Vec<String>, id: u64| -> String {
-            table
-                .get((id & 0xffff) as usize)
-                .cloned()
-                .unwrap_or_default()
-        };
-        let mut d = Decision::requeue(words[2]);
-        d.kind = kind;
-        d.seq = words[0];
-        d.time_s = f64::from_bits(words[1]);
-        d.policy = lookup_owned(&strings.policies, w3 >> 16);
-        d.trigger = lookup_owned(&strings.triggers, w3 >> 32);
-        d.reason = strings
-            .reasons
-            .get(((w3 >> 48) & 0xffff) as usize)
-            .copied()
-            .unwrap_or("");
-        if w3 & FL_HAS_POOL != 0 {
-            d.pool = Some((words[4] & 0xffff_ffff) as usize);
-        }
-        if w3 & FL_HAS_GPUS != 0 {
-            d.gpus = Some((words[4] >> 32) as usize);
-        }
-        d.opportunistic = w3 & FL_OPPORTUNISTIC != 0;
-        if w3 & FL_HAS_SCORE != 0 {
-            d.score = Some(f64::from_bits(words[5]));
-        }
-        if w3 & FL_HAS_PREV != 0 {
-            d.prev_pool = Some((words[6] & 0xffff_ffff) as usize);
-            d.prev_gpus = Some((words[6] >> 32) as usize);
-        }
-        if w3 & FL_HAS_SHARD != 0 {
-            d.shard = Some(words[7] as u32);
-        }
-        d
-    }
-}
-
 // --- registry --------------------------------------------------------
 
-/// Immutable handle map republished on every registration.
+/// The name → handle maps; registration inserts under the write lock.
 #[derive(Debug, Default, Clone)]
 struct MetricsMap {
     counters: HashMap<String, Counter>,
@@ -559,129 +289,81 @@ struct MetricsMap {
     hists: HashMap<String, Histogram>,
 }
 
-/// The lock-free metrics registry: named counters, gauges and
-/// histograms plus the flight recorder.
+/// The metrics registry: named counters, gauges and histograms.
 ///
-/// Reads and records are wait-free (an [`RcuCell`] load plus a hash
-/// lookup plus the handle's atomics). Registering a *new* name clones
-/// the map under a registration lock and republishes — at most once
-/// per distinct name over the registry's lifetime. Callers on hot
+/// Reads and records take the read lock just long enough to clone the
+/// current map's `Arc`, then do a hash lookup plus the handle's atomics.
+/// Registering a *new* name takes the write lock and inserts into the
+/// map, cloning it only if a reader still holds the old one — at most
+/// once per distinct name over the registry's lifetime. Callers on hot
 /// paths should pre-register and hold handles directly.
+#[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    map: RcuCell<MetricsMap>,
-    reg_lock: Mutex<()>,
-    flight: FlightRecorder,
-}
-
-impl std::fmt::Debug for MetricsRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MetricsRegistry")
-            .field("metrics", &self.map.load())
-            .field("flight_total", &self.flight.total())
-            .finish()
-    }
-}
-
-impl Default for MetricsRegistry {
-    fn default() -> Self {
-        Self::new(256)
-    }
+    map: RwLock<Arc<MetricsMap>>,
 }
 
 impl MetricsRegistry {
-    /// A registry whose flight recorder retains `flight_capacity`
-    /// decisions.
+    /// An empty registry. The argument is ignored: it sized a decision
+    /// ring the registry no longer keeps, and `e2ebench/` still passes
+    /// it.
     #[must_use]
-    pub fn new(flight_capacity: usize) -> Self {
-        MetricsRegistry {
-            map: RcuCell::new(Arc::new(MetricsMap::default())),
-            reg_lock: Mutex::new(()),
-            flight: FlightRecorder::new(flight_capacity),
-        }
+    pub fn new(_flight_capacity: usize) -> Self {
+        Self::default()
     }
 
-    /// The flight recorder.
-    #[must_use]
-    pub fn flight(&self) -> &FlightRecorder {
-        &self.flight
+    /// The current name map. The read guard drops before this returns,
+    /// so no caller can hold it into `register`'s write lock. Every
+    /// write is one insert, so a poisoned lock still guards a valid map.
+    fn load(&self) -> Arc<MetricsMap> {
+        Arc::clone(&self.map.read().unwrap_or_else(PoisonError::into_inner))
     }
 
-    fn register<H: Clone>(
+    /// Get-or-register `name` in the table `table` picks. Another
+    /// thread may have registered the name since the caller's read
+    /// missed; `entry` keeps the first handle either way.
+    fn register<H: Clone + Default>(
         &self,
         name: &str,
-        pick: impl Fn(&MetricsMap) -> Option<H>,
-        insert: impl Fn(&mut MetricsMap, String, H),
-        fresh: impl Fn() -> H,
+        table: fn(&mut MetricsMap) -> &mut HashMap<String, H>,
     ) -> H {
-        let _g = self
-            .reg_lock
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        // Re-check under the lock: another thread may have registered
-        // the name between our fast-path miss and here.
-        let cur = self.map.load();
-        if let Some(h) = pick(&cur) {
-            return h;
-        }
-        let handle = fresh();
-        let mut next = (*cur).clone();
-        insert(&mut next, name.to_string(), handle.clone());
-        self.map.store(Arc::new(next));
-        handle
+        let mut map = self.map.write().unwrap_or_else(PoisonError::into_inner);
+        table(Arc::make_mut(&mut map))
+            .entry(name.to_string())
+            .or_default()
+            .clone()
     }
 
     /// Get-or-register a counter handle.
     #[must_use]
     pub fn counter(&self, name: &str) -> Counter {
-        if let Some(c) = self.map.load().counters.get(name) {
+        if let Some(c) = self.load().counters.get(name) {
             return c.clone();
         }
-        self.register(
-            name,
-            |m| m.counters.get(name).cloned(),
-            |m, k, h| {
-                m.counters.insert(k, h);
-            },
-            Counter::default,
-        )
+        self.register(name, |m| &mut m.counters)
     }
 
     /// Get-or-register a gauge handle.
     #[must_use]
     pub fn gauge(&self, name: &str) -> Gauge {
-        if let Some(g) = self.map.load().gauges.get(name) {
+        if let Some(g) = self.load().gauges.get(name) {
             return g.clone();
         }
-        self.register(
-            name,
-            |m| m.gauges.get(name).cloned(),
-            |m, k, h| {
-                m.gauges.insert(k, h);
-            },
-            Gauge::default,
-        )
+        self.register(name, |m| &mut m.gauges)
     }
 
     /// Get-or-register a histogram handle.
     #[must_use]
     pub fn histogram(&self, name: &str) -> Histogram {
-        if let Some(h) = self.map.load().hists.get(name) {
+        if let Some(h) = self.load().hists.get(name) {
             return h.clone();
         }
-        self.register(
-            name,
-            |m| m.hists.get(name).cloned(),
-            |m, k, h| {
-                m.hists.insert(k, h);
-            },
-            Histogram::default,
-        )
+        self.register(name, |m| &mut m.hists)
     }
 
-    /// Name-routed counter increment: wait-free when the name is
-    /// already registered.
+    /// Name-routed counter increment: no write lock once the name is
+    /// registered.
     pub fn incr(&self, name: &str, by: u64) {
-        if let Some(c) = self.map.load().counters.get(name) {
+        if let Some(c) = self.load().counters.get(name) {
             c.incr(by);
             return;
         }
@@ -690,7 +372,7 @@ impl MetricsRegistry {
 
     /// Name-routed gauge store.
     pub fn set_gauge(&self, name: &str, value: f64) {
-        if let Some(g) = self.map.load().gauges.get(name) {
+        if let Some(g) = self.load().gauges.get(name) {
             g.set(value);
             return;
         }
@@ -699,7 +381,7 @@ impl MetricsRegistry {
 
     /// Name-routed histogram observation.
     pub fn observe(&self, name: &str, value: f64) {
-        if let Some(h) = self.map.load().hists.get(name) {
+        if let Some(h) = self.load().hists.get(name) {
             h.observe(value);
             return;
         }
@@ -709,8 +391,7 @@ impl MetricsRegistry {
     /// Point-in-time counter values, sorted by name.
     #[must_use]
     pub fn counters_snapshot(&self) -> BTreeMap<String, u64> {
-        self.map
-            .load()
+        self.load()
             .counters
             .iter()
             .map(|(k, c)| (k.clone(), c.get()))
@@ -720,8 +401,7 @@ impl MetricsRegistry {
     /// Point-in-time histogram summaries, sorted by name.
     #[must_use]
     pub fn histograms_snapshot(&self) -> BTreeMap<String, HistStats> {
-        self.map
-            .load()
+        self.load()
             .hists
             .iter()
             .map(|(k, h)| (k.clone(), h.snapshot().stats()))
@@ -735,7 +415,7 @@ impl MetricsRegistry {
     /// cumulative count, plus `+Inf`), `_sum` and `_count`.
     #[must_use]
     pub fn expose(&self) -> String {
-        let map = self.map.load();
+        let map = self.load();
         let mut out = String::new();
         let mut sorted_c: Vec<_> = map.counters.iter().collect();
         sorted_c.sort_by(|a, b| a.0.cmp(b.0));
@@ -948,55 +628,6 @@ mod tests {
             prev = ub;
         }
         assert!(bucket_upper(HIST_BUCKETS - 1).is_infinite());
-    }
-
-    #[test]
-    fn flight_recorder_roundtrips_decisions() {
-        let fr = FlightRecorder::new(8);
-        let pid = fr.intern_policy("Arena");
-        let tid = fr.intern_trigger("arrival");
-        let rid = fr.intern_reason("best-cell");
-        let mut d = Decision::place(7, 1, 8)
-            .with_score(0.93)
-            .moving_from(0, 4)
-            .why("best-cell")
-            .on_shard(2);
-        d.seq = 41;
-        d.time_s = 123.5;
-        d.policy = "Arena".to_string();
-        d.trigger = "arrival".to_string();
-        fr.record(&d, pid, tid, rid);
-        let got = fr.recent(10);
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0], d);
-        assert_eq!(fr.dump_jsonl(10), format!("{}\n", d.to_json()));
-    }
-
-    #[test]
-    fn flight_recorder_keeps_only_last_capacity() {
-        let fr = FlightRecorder::new(4);
-        let pid = fr.intern_policy("p");
-        let tid = fr.intern_trigger("round");
-        let rid = fr.intern_reason("r");
-        for i in 0..10_u64 {
-            let mut d = Decision::drop(i).why("r");
-            d.seq = i;
-            d.policy = "p".to_string();
-            d.trigger = "round".to_string();
-            fr.record(&d, pid, tid, rid);
-        }
-        assert_eq!(fr.total(), 10);
-        let got = fr.recent(100);
-        assert_eq!(got.len(), 4);
-        assert_eq!(
-            got.iter().map(|d| d.seq).collect::<Vec<_>>(),
-            vec![6, 7, 8, 9]
-        );
-        // A narrower dump returns the newest slice.
-        assert_eq!(
-            fr.recent(2).iter().map(|d| d.seq).collect::<Vec<_>>(),
-            [8, 9]
-        );
     }
 
     #[test]

@@ -12,6 +12,8 @@
 //!   combinations per stage) and of the estimator's `2^Ns` *assembled*
 //!   grid sample (DP-only / TP-only per stage, §5.1).
 
+#![forbid(unsafe_code)]
+
 pub mod plan;
 pub mod space;
 pub mod stages;

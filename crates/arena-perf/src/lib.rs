@@ -38,6 +38,8 @@
 //! parallelism is required when memory is tight but only cheap on NVLink,
 //! and pipeline parallelism wins across slow fabrics.
 
+#![forbid(unsafe_code)]
+
 pub mod collective;
 pub mod compute;
 pub mod memory;

@@ -18,13 +18,12 @@
 //! whose observable values are order-independent (e.g. deterministic
 //! keyed caches where every writer computes the same value).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod mem;
-pub mod rcu;
 
 pub use mem::{mem_budget_from_env, BudgetedMap, MemSection, MemSize, MEM_BUDGET_ENV};
-pub use rcu::RcuCell;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

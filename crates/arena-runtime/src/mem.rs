@@ -131,8 +131,8 @@ pub struct MemSection {
 }
 
 impl MemSection {
-    /// A section with no budget and no evictions — report-only
-    /// components (flight recorder, timelines) use this.
+    /// A section with no budget and no evictions, for report-only
+    /// components such as the plan service's model-graph cache.
     #[must_use]
     pub fn unbudgeted(name: &str, bytes: usize, entries: usize) -> Self {
         MemSection {

@@ -35,16 +35,6 @@ pub(crate) struct Candidate {
     iter_time_s: f64,
 }
 
-/// The Cell-based scheduler (Algorithm 1).
-///
-/// On every event it walks the queue in order; a job is placed on the
-/// Cell with the best estimated normalised throughput that fits. When
-/// nothing fits, up to `search_depth` *scaling moves* — downscaling a
-/// running job within its `{N_G/2, N_G, 2N_G}` menu or moving it to
-/// another pool — are applied greedily by least normalised-throughput
-/// loss. Departures additionally trigger upscaling of running jobs onto
-/// released resources, and opportunistic execution backfills idle GPUs
-/// behind a pending large job.
 /// How Arena orders its queue when picking the next job to place.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueueOrder {
@@ -55,6 +45,16 @@ pub enum QueueOrder {
     ShortestFirst,
 }
 
+/// The Cell-based scheduler (Algorithm 1).
+///
+/// On every event it walks the queue in order; a job is placed on the
+/// Cell with the best estimated normalised throughput that fits. When
+/// nothing fits, up to `search_depth` *scaling moves* — downscaling a
+/// running job within its `{N_G/2, N_G, 2N_G}` menu or moving it to
+/// another pool — are applied greedily by least normalised-throughput
+/// loss. Departures additionally trigger upscaling of running jobs onto
+/// released resources, and opportunistic execution backfills idle GPUs
+/// behind a pending large job.
 #[derive(Debug)]
 pub struct ArenaPolicy {
     variant: ArenaVariant,

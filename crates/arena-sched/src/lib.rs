@@ -16,6 +16,8 @@
 //! * [`solver`] — the solver-enhanced extension the paper sketches in §6:
 //!   joint assignment of all jobs by beam search.
 
+#![forbid(unsafe_code)]
+
 pub mod arena;
 pub mod elasticflow;
 pub mod fcfs;

@@ -13,9 +13,9 @@
 //!   Each accepted command is appended to the event log (replay-based
 //!   recovery) and followed by a fresh snapshot publication.
 //! * **Queries** never touch the channel: [`ServerHandle::handle_line`]
-//!   answers them from the latest [`ServerSnapshot`] via the RCU hub,
-//!   and `metrics` from the live registry, so reads stay wait-free
-//!   while the decision loop is busy.
+//!   answers them from the latest [`ServerSnapshot`] in the hub, and
+//!   `metrics` from the live registry, so reads never wait for the
+//!   decision loop.
 //!
 //! Determinism: applying a `submit` first advances the engine to just
 //! *before* the command's timestamp (`advance_before` stops at the
@@ -91,11 +91,12 @@ pub struct ServerConfig {
     pub resume: Option<PathBuf>,
     /// Publish a snapshot every this many bursts while draining.
     pub publish_every: usize,
-    /// Flight-recorder capacity: the telemetry plane retains the last
-    /// this-many decisions for `dump`.
+    /// How many of the latest decisions (at least 1) `dump`, the
+    /// flight log and [`ServerOutcome::flight_jsonl`] carry.
     pub flight_capacity: usize,
-    /// Auto-dump the flight recorder here (overwrite) after every
-    /// applied fault and at shutdown. `None` keeps dumps on demand.
+    /// Rewrite this file with the last `flight_capacity` decisions
+    /// after every applied fault and at shutdown. `None` keeps dumps
+    /// on demand.
     pub flight_log: Option<PathBuf>,
 }
 
@@ -132,9 +133,8 @@ pub struct ServerOutcome {
     pub event_log: Vec<String>,
     /// The decision log as JSON Lines.
     pub decisions_jsonl: String,
-    /// The flight recorder's final contents as JSON Lines — the last
-    /// `flight_capacity` decisions, byte-identical to the tail of
-    /// `decisions_jsonl`.
+    /// The last `flight_capacity` decisions as JSON Lines,
+    /// byte-identical to the tail of `decisions_jsonl`.
     pub flight_jsonl: String,
 }
 
@@ -199,6 +199,8 @@ pub struct ServerHandle {
     hub: Arc<SnapshotHub>,
     shutdown: Arc<Shutdown>,
     metrics: Arc<MetricsRegistry>,
+    /// `ServerConfig::flight_capacity` as clamped by `Server::start`.
+    flight_capacity: usize,
 }
 
 impl ServerHandle {
@@ -210,7 +212,7 @@ impl ServerHandle {
     }
 
     /// The live metrics registry shared with the daemon's engine —
-    /// counters, gauges, stage histograms and the flight recorder.
+    /// counters, gauges and stage histograms.
     #[must_use]
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.metrics
@@ -298,13 +300,19 @@ impl ServerHandle {
             Ok(Command::Query(q)) => self.answer(&q),
             Ok(Command::Watch { what, .. }) => with_sample(&self.answer(&what), 0),
             Ok(Command::Dump) => {
-                let flight = self.metrics.flight();
+                let snap = self.hub.load();
                 ok_line(vec![
-                    ("total".to_string(), Value::U64(flight.total())),
-                    ("capacity".to_string(), Value::U64(flight.capacity() as u64)),
+                    (
+                        "total".to_string(),
+                        Value::U64(snap.decision_count() as u64),
+                    ),
+                    (
+                        "capacity".to_string(),
+                        Value::U64(self.flight_capacity as u64),
+                    ),
                     (
                         "jsonl".to_string(),
-                        Value::Str(flight.dump_jsonl(flight.capacity())),
+                        Value::Str(snap.decisions_tail_jsonl(self.flight_capacity)),
                     ),
                 ])
             }
@@ -368,7 +376,7 @@ impl Server {
     /// Returns a message when the policy name is unknown,
     /// `publish_every` is zero, the resume log exists but cannot be read
     /// or the event log cannot be opened.
-    pub fn start(cfg: ServerConfig) -> Result<Server, String> {
+    pub fn start(mut cfg: ServerConfig) -> Result<Server, String> {
         if policy_by_name(&cfg.policy, 1).is_none() {
             return Err(format!(
                 "unknown policy `{}` (expected one of {:?})",
@@ -379,6 +387,8 @@ impl Server {
         if cfg.publish_every == 0 {
             return Err("publish_every must be at least 1".to_string());
         }
+        // `dump` and the flight log carry at least one decision.
+        cfg.flight_capacity = cfg.flight_capacity.max(1);
         let resume = match &cfg.resume {
             Some(path) => read_resume(path)?,
             None => Vec::new(),
@@ -392,12 +402,13 @@ impl Server {
             decisions: Vec::new(),
         }));
         let shutdown = Arc::new(Shutdown::default());
-        let metrics = Arc::new(MetricsRegistry::new(cfg.flight_capacity));
+        let metrics = Arc::new(MetricsRegistry::default());
         let handle = ServerHandle {
             tx,
             hub: Arc::clone(&hub),
             shutdown: Arc::clone(&shutdown),
             metrics: Arc::clone(&metrics),
+            flight_capacity: cfg.flight_capacity,
         };
         let (ready_tx, ready) = mpsc::channel();
         let daemon = std::thread::Builder::new()
@@ -606,7 +617,7 @@ fn daemon_main(
                         if faulted {
                             // Fault injection is exactly when an operator
                             // wants the recent decision tail preserved.
-                            dump_flight(cfg.flight_log.as_ref(), &metrics);
+                            dump_flight(&cfg, hub);
                         }
                         let _ = reply.send(ok_line(extra));
                     }
@@ -648,9 +659,7 @@ fn daemon_main(
     if let Some(path) = &cfg.decision_log {
         let _ = std::fs::write(path, &decisions_jsonl);
     }
-    dump_flight(cfg.flight_log.as_ref(), &metrics);
-    let flight = metrics.flight();
-    let flight_jsonl = flight.dump_jsonl(flight.capacity());
+    let flight_jsonl = dump_flight(&cfg, hub);
     ServerOutcome {
         result,
         state,
@@ -660,12 +669,14 @@ fn daemon_main(
     }
 }
 
-/// Overwrites the flight log with the recorder's current contents.
-fn dump_flight(path: Option<&PathBuf>, metrics: &MetricsRegistry) {
-    if let Some(p) = path {
-        let flight = metrics.flight();
-        let _ = std::fs::write(p, flight.dump_jsonl(flight.capacity()));
+/// The last `flight_capacity` decisions of the latest snapshot as JSON
+/// Lines, also written over the flight log when one is configured.
+fn dump_flight(cfg: &ServerConfig, hub: &SnapshotHub) -> String {
+    let tail = hub.load().decisions_tail_jsonl(cfg.flight_capacity);
+    if let Some(path) = &cfg.flight_log {
+        let _ = std::fs::write(path, &tail);
     }
+    tail
 }
 
 /// Applies one mutating command. On `Err` the engine is untouched
@@ -773,6 +784,6 @@ fn publish(
         state: engine.state(),
         decisions: mirror.chunks.clone(),
     });
-    // RCU snapshot publish latency (mirror refresh + state copy + swap).
+    // Snapshot publish latency (mirror refresh + state copy + swap).
     obs.observe("server.publish_seconds", started.elapsed().as_secs_f64());
 }

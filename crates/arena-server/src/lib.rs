@@ -5,20 +5,19 @@
 //! [`arena_sim::Engine`] *resident*: a single daemon thread owns the
 //! decision loop and applies newline-delimited JSON commands — job
 //! submissions, node-health events, cancellations, clock advances —
-//! as they arrive over TCP or stdin. Reads never wait on the writer:
-//! after every applied command the daemon publishes an immutable
-//! [`ServerSnapshot`] through an RCU cell
-//! ([`arena_runtime::RcuCell`]), and query threads answer
-//! status/queue/job/cluster/decision-log requests from the latest
-//! snapshot wait-free (and `metrics` from the live registry).
+//! as they arrive over TCP or stdin. Reads never wait for the decision
+//! loop: after every applied command the daemon publishes an immutable
+//! [`ServerSnapshot`] into the [`SnapshotHub`], and query threads
+//! answer status/queue/job/cluster/decision-log requests from the
+//! latest snapshot (and `metrics` from the live registry).
 //!
 //! The daemon also carries an always-on **telemetry plane**
-//! (DESIGN.md §14): a lock-free [`arena_obs::MetricsRegistry`] records
-//! per-stage decision-loop latencies, event-loop gauges and a
-//! flight-recorder ring of the last N decisions. `query metrics`
-//! renders a deterministic Prometheus-style scrape, `watch` streams any
-//! query on an interval, `dump` returns the flight recorder's contents,
-//! and every command may carry an `"id"` echoed on its response.
+//! (DESIGN.md §14): an [`arena_obs::MetricsRegistry`] of atomic series
+//! records per-stage decision-loop latencies and event-loop gauges.
+//! `query metrics` renders a deterministic Prometheus-style scrape,
+//! `watch` streams any query on an interval, `dump` returns the last N
+//! decisions of the published log, and every command may carry an
+//! `"id"` echoed on its response.
 //!
 //! The load-bearing property is **online/batch equivalence**: feeding
 //! a trace to the daemon one command at a time, in any interleaving
@@ -32,12 +31,13 @@
 //! Module map:
 //!
 //! * [`protocol`] — command/query grammar, parsing, response builders.
-//! * [`snapshot`] — [`ServerSnapshot`], the [`SnapshotHub`] RCU
+//! * [`snapshot`] — [`ServerSnapshot`], the [`SnapshotHub`]
 //!   publication point, and query answering.
 //! * [`daemon`] — the writer thread, event-log recovery, lifecycle.
 //! * [`net`] — TCP listener and stdin line loop.
 //! * [`client`] — a small blocking client for tests and examples.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod client;

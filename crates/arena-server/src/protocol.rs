@@ -12,7 +12,7 @@
 //! | `{"cmd":"drain"}` | close the input stream and run the decision loop to completion |
 //! | `{"cmd":"query","what":…}` | read-only query served from the latest snapshot |
 //! | `{"cmd":"watch","what":…,"interval_s":S,"count":N}` | stream query samples every `S` seconds (`count` 0 = until shutdown) |
-//! | `{"cmd":"dump"}` | flush the telemetry flight recorder as JSONL |
+//! | `{"cmd":"dump"}` | the last N decisions of the published log as JSONL |
 //! | `{"cmd":"shutdown"}` | flush logs and stop the daemon |
 //!
 //! Query `what` values: `"status"`, `"jobs"`, `"queue"`, `"cluster"`,
@@ -88,7 +88,7 @@ pub enum Command {
         /// Number of samples to emit; `0` streams until shutdown.
         count: u64,
     },
-    /// Flush the telemetry flight recorder (last N decisions) as JSONL.
+    /// The last N decisions of the published log as JSONL.
     Dump,
     /// Stop the daemon.
     Shutdown,

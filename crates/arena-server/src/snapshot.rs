@@ -1,24 +1,24 @@
-//! Immutable server snapshots and the RCU hub that publishes them.
+//! Immutable server snapshots and the hub that publishes them.
 //!
 //! The daemon thread is the single writer: after every applied command
 //! (and periodically while draining) it builds a [`ServerSnapshot`] and
 //! swaps it into the [`SnapshotHub`]. Query threads [`SnapshotHub::load`]
-//! the current snapshot wait-free and answer from it — a reader never
-//! takes a lock the decision loop contends on, and a snapshot never
-//! changes after publication, so every answer is internally consistent
-//! (all counts taken between the same two bursts). `metrics` is the one
-//! query answered from the live [`MetricsRegistry`] instead: its series
-//! are atomics, readable at any moment without a snapshot.
+//! the current snapshot and answer from it. Either side holds the hub's
+//! lock only to clone or swap an `Arc`, never while the decision loop
+//! runs, and a snapshot never changes after publication, so every
+//! answer is internally consistent (all counts taken between the same
+//! two bursts). `metrics` is the one query answered from the live
+//! [`MetricsRegistry`] instead: its series are atomics, readable at any
+//! moment without a snapshot.
 //!
 //! The decision log is mirrored as a vector of immutable chunks
 //! (`Arc<Vec<Decision>>`): each publish appends at most one new chunk
 //! and shallow-clones the chunk list, so publish cost is proportional
 //! to *new* decisions, not run length.
 
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
 use arena_obs::{Decision, MetricsRegistry};
-use arena_runtime::RcuCell;
 use arena_sim::{EngineState, JobPhase};
 use serde::{Serialize, Value};
 
@@ -61,12 +61,18 @@ impl ServerSnapshot {
         }
         out
     }
+
+    /// The last `n` decision records as JSON Lines.
+    #[must_use]
+    pub fn decisions_tail_jsonl(&self, n: usize) -> String {
+        self.decisions_jsonl_from(self.decision_count().saturating_sub(n))
+    }
 }
 
-/// Wait-free single-writer/many-reader publication point for
-/// [`ServerSnapshot`]s, built on [`RcuCell`].
+/// Single-writer/many-reader publication point for
+/// [`ServerSnapshot`]s.
 pub struct SnapshotHub {
-    cell: RcuCell<ServerSnapshot>,
+    current: RwLock<Arc<ServerSnapshot>>,
 }
 
 impl SnapshotHub {
@@ -74,25 +80,28 @@ impl SnapshotHub {
     #[must_use]
     pub fn new(initial: ServerSnapshot) -> Self {
         SnapshotHub {
-            cell: RcuCell::new(Arc::new(initial)),
+            current: RwLock::new(Arc::new(initial)),
         }
     }
 
-    /// The latest published snapshot. Wait-free; never blocks the
-    /// writer.
+    /// The latest published snapshot. Holds the read lock only to
+    /// clone the `Arc`; every write is one `Arc` swap, so a poisoned
+    /// lock still guards a valid snapshot.
     #[must_use]
     pub fn load(&self) -> Arc<ServerSnapshot> {
-        self.cell.load()
+        Arc::clone(&self.current.read().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Publishes a new snapshot. Single-writer: only the daemon thread
     /// calls this.
     pub fn publish(&self, snap: ServerSnapshot) {
-        debug_assert!(
-            snap.seq > self.cell.load().seq,
-            "snapshot seq must increase"
-        );
-        self.cell.store(Arc::new(snap));
+        let snap = Arc::new(snap);
+        let mut current = self.current.write().unwrap_or_else(PoisonError::into_inner);
+        debug_assert!(snap.seq > current.seq, "snapshot seq must increase");
+        let previous = std::mem::replace(&mut *current, snap);
+        drop(current);
+        // A snapshot no reader holds is freed here, after the lock.
+        drop(previous);
     }
 }
 
@@ -236,6 +245,8 @@ mod tests {
         assert!(tail.contains("\"seq\":4"));
         assert!(s.decisions_jsonl_from(5).is_empty());
         assert!(s.decisions_jsonl_from(99).is_empty());
+        assert_eq!(s.decisions_tail_jsonl(2), s.decisions_jsonl_from(3));
+        assert_eq!(s.decisions_tail_jsonl(99), all);
     }
 
     #[test]

@@ -476,10 +476,6 @@ struct EngineTelemetry {
     burst: Histogram,
     /// Event-heap depth after each burst.
     heap_depth: Gauge,
-    /// Queued-job count after each burst.
-    queue_len: Gauge,
-    /// Active (Starting/Running) job count after each burst.
-    active_len: Gauge,
     /// Estimator cache hit ratios, refreshed after every dispatch.
     est_hit_ratio: Gauge,
     est_profile_ratio: Gauge,
@@ -520,8 +516,6 @@ impl EngineTelemetry {
         EngineTelemetry {
             burst: reg.histogram("sim.stage.burst_seconds"),
             heap_depth: reg.gauge("sim.heap_depth"),
-            queue_len: reg.gauge("sim.queue_len"),
-            active_len: reg.gauge("sim.active_len"),
             est_hit_ratio: reg.gauge("sim.estimator.estimate_hit_ratio"),
             est_profile_ratio: reg.gauge("sim.estimator.profile_hit_ratio"),
             est_table_ratio: reg.gauge("sim.estimator.table_hit_ratio"),
@@ -1276,7 +1270,7 @@ impl<'a> Engine<'a> {
     }
 
     /// [`Engine::burst`] wrapped in live telemetry: burst wall-clock
-    /// plus heap-depth/queue-length gauges. A no-op wrapper
+    /// plus the heap-depth gauge. A no-op wrapper
     /// when no registry is attached, so a registry-less run pays nothing.
     fn burst_timed(&mut self, te: f64) {
         let timer = self
@@ -1288,8 +1282,6 @@ impl<'a> Engine<'a> {
             hist.observe(started.elapsed().as_secs_f64());
             if let Some(tele) = &self.tele {
                 tele.heap_depth.set(self.index.heap.len() as f64);
-                tele.queue_len.set(self.index.queued.len() as f64);
-                tele.active_len.set(self.index.active.len() as f64);
             }
         }
     }

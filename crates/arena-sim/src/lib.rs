@@ -23,6 +23,8 @@
 //! one command at a time. [`reference`](mod@reference) keeps the pre-index loop as the
 //! equivalence oracle the engine is held to byte for byte.
 
+#![forbid(unsafe_code)]
+
 mod heap;
 pub mod incremental;
 pub mod metrics;

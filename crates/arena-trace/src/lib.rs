@@ -10,6 +10,8 @@
 //! Fig. 15 model-size distribution, all from a seeded RNG so every
 //! experiment is exactly reproducible.
 
+#![forbid(unsafe_code)]
+
 pub mod fault;
 pub mod gen;
 pub mod io;

@@ -15,6 +15,8 @@
 //! rather than from the shared meter, so it is a pure function of the
 //! search, whatever the meter holds already.
 
+#![forbid(unsafe_code)]
+
 use arena_estimator::{Cell, CellEstimate, Favor};
 use arena_model::ModelGraph;
 use arena_parallelism::{stage_plan_options, PipelinePlan, PlanSpace, StagePlan};

@@ -39,6 +39,8 @@
 //! assert!(choice.stages >= 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use arena_cluster as cluster;
 pub use arena_estimator as estimator;
 pub use arena_model as model;

@@ -8,7 +8,8 @@
 //!    format change with `UPDATE_SNAPSHOTS=1 cargo test`.
 //! 2. **Flight recorder** — the daemon's dump is byte-identical to the
 //!    tail of the full decision log, live (`dump` command) and at
-//!    shutdown (`ServerOutcome::flight_jsonl`).
+//!    shutdown (`ServerOutcome::flight_jsonl`), and so is the
+//!    `flight_log` file it rewrites after a fault and at shutdown.
 //! 3. **Protocol** — `id` correlation echo on ok and err responses,
 //!    `watch` streaming with sample numbering, and a mid-run
 //!    `query metrics` scrape.
@@ -16,7 +17,8 @@
 use std::path::PathBuf;
 
 use arena::prelude::*;
-use arena_server::protocol::submit_line;
+use arena::trace::{FaultEvent, FaultKind};
+use arena_server::protocol::{fault_line, submit_line};
 use arena_server::{Server, ServerConfig};
 use serde::Value;
 
@@ -166,6 +168,72 @@ fn flight_dump_is_byte_identical_to_decision_tail() {
         outcome.flight_jsonl.lines().collect::<Vec<_>>(),
         out_tail,
         "outcome flight dump is not the final decision tail"
+    );
+}
+
+#[test]
+fn flight_log_auto_dumps_on_fault_and_shutdown() {
+    let path = std::env::temp_dir().join(format!(
+        "arena-flight-log-test-{}.jsonl",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    let jobs = mixed_trace(16, 120.0);
+    let mut cfg = server_config("fcfs");
+    cfg.flight_capacity = 8;
+    cfg.flight_log = Some(path.clone());
+    let server = Server::start(cfg).expect("server start");
+    let handle = server.handle();
+    let submit = |job: &JobSpec| {
+        assert!(handle
+            .handle_line(&submit_line(job))
+            .contains("\"ok\":true"));
+    };
+    jobs[..12].iter().for_each(submit);
+
+    // An accepted fault rewrites the file with the decision-log tail.
+    // It falls between the 12th and 13th arrivals, so the later submits
+    // and the drain add decisions after it.
+    let fault = FaultEvent {
+        time_s: 1400.0,
+        pool: 0,
+        node: 0,
+        kind: FaultKind::Failure,
+    };
+    assert!(handle
+        .handle_line(&fault_line(&fault))
+        .contains("\"ok\":true"));
+    let query: Value =
+        serde_json::from_str(&handle.handle_line("{\"cmd\":\"query\",\"what\":\"decisions\"}"))
+            .expect("decisions query parses");
+    let log = as_str(field(&query, "jsonl")).to_string();
+    let log_lines: Vec<&str> = log.lines().collect();
+    assert!(
+        log_lines.len() > 8,
+        "fixture too small to overflow the flight log ({} decisions)",
+        log_lines.len()
+    );
+    let dumped = std::fs::read_to_string(&path).expect("fault wrote the flight log");
+    assert_eq!(
+        dumped.lines().collect::<Vec<_>>(),
+        &log_lines[log_lines.len() - 8..],
+        "flight log after a fault is not the decision-log tail"
+    );
+
+    // Shutdown rewrites it with the final tail.
+    jobs[12..].iter().for_each(submit);
+    assert!(handle
+        .handle_line("{\"cmd\":\"drain\"}")
+        .contains("\"drained\":true"));
+    let outcome = server.join();
+    let final_lines: Vec<&str> = outcome.decisions_jsonl.lines().collect();
+    assert!(final_lines.len() > log_lines.len());
+    let dumped = std::fs::read_to_string(&path).expect("shutdown wrote the flight log");
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(
+        dumped.lines().collect::<Vec<_>>(),
+        &final_lines[final_lines.len() - 8..],
+        "flight log at shutdown is not the final decision-log tail"
     );
 }
 

@@ -1,11 +1,11 @@
 //! Concurrent snapshot readers against a draining decision loop.
 //!
-//! N query threads hammer the RCU snapshot hub while the daemon drains
+//! N query threads hammer the snapshot hub while the daemon drains
 //! a loaded trace. Every snapshot a reader observes must be internally
 //! consistent — the conservation invariants hold on each one, because a
 //! snapshot is built by the single writer between two bursts and never
 //! mutated after publication — and the sequence numbers each thread
-//! observes must be monotone (RCU readers can lag, never go back).
+//! observes must be monotone (readers can lag, never go back).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -173,7 +173,7 @@ fn readers_observe_only_consistent_monotone_snapshots() {
 
 #[test]
 fn metrics_reader_sees_monotone_live_series_during_drain() {
-    // A telemetry scraper polls the lock-free registry while the daemon
+    // A telemetry scraper polls the live registry while the daemon
     // drains a loaded trace. Each counter and each histogram's
     // count/sum are single monotone atomics, so every polled value must
     // be >= the previous poll — a decrease means the record path
@@ -276,8 +276,9 @@ fn metrics_reader_sees_monotone_live_series_during_drain() {
 
 #[test]
 fn snapshots_outlive_later_publications() {
-    // RCU semantics: a reader may hold an old snapshot arbitrarily long
-    // after newer ones are published; it must stay valid and unchanged.
+    // Published snapshots are immutable: a reader may hold an old one
+    // arbitrarily long after newer ones are published; it must stay
+    // valid and unchanged.
     let jobs = mixed_trace(6, 120.0);
     let cfg = SimConfig::new(24.0 * 3600.0);
     let server = Server::start(ServerConfig::new(
