@@ -1,7 +1,8 @@
 //! Pins the tentpole property of the data-oriented estimator: after
 //! warmup, the `2^Ns` plan-assembly loop runs entirely out of the
-//! thread-local scratch arena, so a full uncached estimate makes only
-//! the handful of allocations that build its returned `CellEstimate`.
+//! thread-local scratch arena, so a full estimate on cached tables and
+//! profiles makes only the handful of allocations that build its
+//! returned `CellEstimate`.
 //!
 //! Lives in its own test binary (not the lib's unit tests) because the
 //! counting allocator's total is process-wide: here no sibling test can
@@ -24,13 +25,13 @@ fn steady_state_assembly_loop_is_allocation_free() {
     // Warm the profile/table caches and grow the thread-local scratch
     // arena to its steady-state capacity.
     for _ in 0..3 {
-        black_box(est.estimate_bypassing_cache(&g, 256, &cell, &hw));
+        black_box(est.estimate(&g, 256, &cell, &hw));
     }
 
     let iters = 64_u64;
     let before = alloc_count().expect("alloc-count feature active");
     for _ in 0..iters {
-        black_box(est.estimate_bypassing_cache(&g, 256, &cell, &hw));
+        black_box(est.estimate(&g, 256, &cell, &hw));
     }
     let after = alloc_count().expect("alloc-count feature active");
     let per_iter = (after - before) / iters;
@@ -41,7 +42,7 @@ fn steady_state_assembly_loop_is_allocation_free() {
     // Before the rewrite this path made hundreds of allocations per call.
     assert!(
         per_iter <= 4,
-        "uncached estimate allocates {per_iter}x/iter in steady state; \
+        "estimate allocates {per_iter}x/iter in steady state; \
          the assembly loop is supposed to run out of the scratch arena"
     );
 }

@@ -48,7 +48,8 @@ impl Cell {
 
     /// Generates all Cells for a job on `num_gpus` GPUs: one per
     /// power-of-two stage count from 1 to `num_gpus` (the `log N_G`
-    /// choices of §6.1).
+    /// choices of §6.1), skipping the counts [`determine_stages`]
+    /// refuses, such as more stages than the graph has operators.
     #[must_use]
     pub fn generate(graph: &ModelGraph, num_gpus: usize) -> Vec<Cell> {
         // Stage counts are the powers of two up to `num_gpus`: exactly

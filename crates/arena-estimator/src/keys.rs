@@ -41,9 +41,9 @@ impl Interner {
 }
 
 /// Identity for a `(model, batch, cell, hardware)` combination — the key
-/// of both the stage-profile and the estimate cache (their inputs are
-/// identical). `Cell` identity reduces to `(num_gpus, num_stages)`
-/// because stage partitioning is a pure function of those and the graph.
+/// of the stage-profile cache. `Cell` identity reduces to
+/// `(num_gpus, num_stages)` because stage partitioning is a pure
+/// function of those and the graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct CellKey {
     pub(crate) model: u32,

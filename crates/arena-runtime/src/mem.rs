@@ -269,13 +269,6 @@ impl<K: Clone + Eq + Hash + MemSize, V: MemSize> BudgetedMap<K, V> {
         }
     }
 
-    /// Drops every entry (the eviction counter survives).
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.order.clear();
-        self.bytes = 0;
-    }
-
     /// This map as one ledger section.
     #[must_use]
     pub fn section(&self, name: &str) -> MemSection {

@@ -31,7 +31,7 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use arena_cluster::{Cluster, GpuTypeId, NodeSpec};
-use arena_estimator::{best_estimate, Cell, CellEstimate, CellEstimator};
+use arena_estimator::{best_estimate, Cell, CellEstimator, Favor};
 use arena_model::{ModelConfig, ModelGraph};
 use arena_parallelism::{PipelinePlan, PlanSpace, StageAssignment, StagePlan};
 use arena_perf::{CostParams, GroundTruth, HwTarget, SampledSearch};
@@ -70,6 +70,9 @@ pub struct CellChoice {
     pub iter_time_s: f64,
     /// Estimated samples per second.
     pub throughput_sps: f64,
+    /// The winning Cell's per-stage favors, which prune its tuning
+    /// (§5.2). Shared, so the copy every lookup returns never allocates.
+    pub favors: Arc<[Favor]>,
 }
 
 impl MemSize for RunPlan {
@@ -80,7 +83,7 @@ impl MemSize for RunPlan {
 
 impl MemSize for CellChoice {
     fn mem_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
+        std::mem::size_of::<Self>() + std::mem::size_of_val(&*self.favors)
     }
 }
 
@@ -209,14 +212,6 @@ impl PlanService {
         self.estimator.stats().snapshot()
     }
 
-    /// Drops every memoised Cell choice, forcing the next
-    /// [`PlanService::cell_choice`] per key back through the estimator.
-    /// The estimator's own caches are untouched, so this isolates *their*
-    /// hit rate in tests without changing any returned value.
-    pub fn clear_cell_choice_cache(&self) {
-        self.cells.write().clear();
-    }
-
     /// Number of pools the service knows.
     #[must_use]
     pub fn num_pools(&self) -> usize {
@@ -245,17 +240,6 @@ impl PlanService {
         (model.name(), model.global_batch, gpus, pool.0)
     }
 
-    /// Power-of-two stage counts worth trying for `gpus` GPUs.
-    fn stage_counts(graph: &ModelGraph, gpus: usize) -> Vec<usize> {
-        let mut out = Vec::new();
-        let mut s = 1;
-        while s <= gpus && s <= graph.len() {
-            out.push(s);
-            s *= 2;
-        }
-        out
-    }
-
     /// Full adaptive-parallelism exploration: the best plan over every
     /// stage count and `(dp, tp)` combination, plus the exploration
     /// wall-clock. This is what a baseline's job does at every (re)start.
@@ -276,10 +260,7 @@ impl PlanService {
         // The fastest plan so far (the first of equals wins), labelled
         // once per stage count that improved it.
         let mut best: Option<(String, f64)> = None;
-        for stages in Self::stage_counts(&graph, gpus) {
-            let Some(cell) = Cell::new(&graph, gpus, stages) else {
-                continue;
-            };
+        for cell in Cell::generate(&graph, gpus) {
             let space = PlanSpace::new(cell.partition);
             let search = SampledSearch::new(&self.gt, &graph, model.global_batch, &space, &hw);
             let bound = best.as_ref().map(|&(_, t)| t);
@@ -314,10 +295,7 @@ impl PlanService {
         let graph = self.graph(model);
         let hw = self.hw(pool);
         let mut best: Option<f64> = None;
-        for stages in Self::stage_counts(&graph, gpus) {
-            let Some(cell) = Cell::new(&graph, gpus, stages) else {
-                continue;
-            };
+        for cell in Cell::generate(&graph, gpus) {
             let plan = PipelinePlan {
                 stages: cell
                     .partition
@@ -378,11 +356,11 @@ impl PlanService {
     /// Arena's scheduling-time estimate: the best Cell (over stage counts)
     /// for `gpus` GPUs of `pool`, priced by the agile estimator.
     ///
-    /// The whole candidate ladder is priced in one
-    /// [`estimate_batch`](CellEstimator::estimate_batch) call (shared
-    /// comm tables, shared scratch arena), and the winner picked by
-    /// [`best_estimate`] — same strict-`>` first-wins tie rule as the
-    /// old per-cell loop, with NaN throughputs never selectable.
+    /// Every Cell of the ladder is estimated once, in stage-count order,
+    /// and the winner picked by [`best_estimate`]: the first strictly
+    /// highest throughput, with NaN throughputs never selectable. The
+    /// choice keeps the winner's favors, so tuning it
+    /// ([`PlanService::arena_run`]) needs no second estimate.
     #[must_use]
     pub fn cell_choice(
         &self,
@@ -397,23 +375,29 @@ impl PlanService {
         let graph = self.graph(model);
         let hw = self.hw(pool);
         let cells = Cell::generate(&graph, gpus);
-        let estimates = self
-            .estimator
-            .estimate_batch(&graph, model.global_batch, &cells, &hw);
+        let estimates: Vec<_> = cells
+            .iter()
+            .map(|cell| {
+                self.estimator
+                    .estimate(&graph, model.global_batch, cell, &hw)
+            })
+            .collect();
         let best = best_estimate(&estimates).map(|i| {
             let e = estimates[i].as_ref().expect("winning index is Some");
             CellChoice {
                 stages: cells[i].num_stages,
                 iter_time_s: e.iter_time_s,
                 throughput_sps: e.throughput_sps,
+                favors: e.favors.as_slice().into(),
             }
         });
         self.cells.write().insert(key, best.clone());
         best
     }
 
-    /// Arena's run path: take the chosen Cell, tune it with the pruned
-    /// search, and return the measured plan plus the tuning wall-clock.
+    /// Arena's run path: take the chosen Cell, tune it with the search
+    /// its favors prune, and return the measured plan plus the tuning
+    /// wall-clock.
     /// That wall-clock is summed from the tuning's own trials, so the
     /// result is a pure function of the key: what the service tuned
     /// before, or whether an evicted entry is being tuned again, cannot
@@ -439,10 +423,7 @@ impl PlanService {
         let graph = self.graph(model);
         let hw = self.hw(pool);
         let cell = Cell::new(&graph, gpus, choice.stages)?;
-        let estimate: CellEstimate =
-            self.estimator
-                .estimate(&graph, model.global_batch, &cell, &hw)?;
-        let space = arena_tuner::pruned_space(&cell, &estimate.favors);
+        let space = arena_tuner::pruned_space(&cell, &choice.favors);
         let tuned = tune_in_space(
             &self.gt,
             &graph,

@@ -34,7 +34,7 @@ use std::io::Write as _;
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -51,21 +51,6 @@ use crate::protocol::{
 };
 use crate::snapshot::{answer_query, ServerSnapshot, SnapshotHub};
 
-/// How the daemon maps real time onto the engine clock.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ClockMode {
-    /// The clock only moves when a command moves it (`submit`, `fault`,
-    /// `advance`, `drain`). Fully deterministic — the mode every test
-    /// uses.
-    Virtual,
-    /// The clock tracks wall time scaled by `speedup` (engine seconds
-    /// per wall second); the daemon also advances on idle ticks.
-    Wall {
-        /// Engine seconds per elapsed wall second.
-        speedup: f64,
-    },
-}
-
 /// Daemon configuration. `new` picks the defaults used by the test
 /// suites; everything is overridable by struct update.
 #[derive(Debug, Clone)]
@@ -78,8 +63,6 @@ pub struct ServerConfig {
     pub sim: SimConfig,
     /// Plan-service RNG seed.
     pub seed: u64,
-    /// Clock mode.
-    pub clock: ClockMode,
     /// Append every accepted mutating command line here (the replay
     /// log). `None` keeps the log in memory only.
     pub event_log: Option<PathBuf>,
@@ -110,7 +93,6 @@ impl ServerConfig {
             cluster,
             sim,
             seed: 17,
-            clock: ClockMode::Virtual,
             event_log: None,
             decision_log: None,
             resume: None,
@@ -601,13 +583,11 @@ fn daemon_main(
     publish(hub, &engine, &obs, &mut mirror, seq, &cfg.policy);
     let _ = ready.send(());
 
-    let origin = Instant::now();
-    loop {
-        match rx.recv_timeout(Duration::from_millis(100)) {
-            Ok(Request::Apply { cmd, line, reply }) => {
-                if let ClockMode::Wall { speedup } = cfg.clock {
-                    engine.advance_before(origin.elapsed().as_secs_f64() * speedup);
-                }
+    // Every shutdown path sends `Request::Shutdown`, and the channel
+    // disconnects once every handle is gone, so waiting needs no timeout.
+    while let Ok(request) = rx.recv() {
+        match request {
+            Request::Apply { cmd, line, reply } => {
                 match apply(&mut engine, &cfg, &cmd, hub, &mut mirror, &obs, &mut seq) {
                     Ok(extra) => {
                         let faulted = matches!(cmd, Command::Fault(_));
@@ -626,21 +606,10 @@ fn daemon_main(
                     }
                 }
             }
-            Ok(Request::Shutdown { reply }) => {
+            Request::Shutdown { reply } => {
                 let _ = reply.send(ok_line(vec![("stopping".to_string(), Value::Bool(true))]));
                 break;
             }
-            Err(RecvTimeoutError::Timeout) => {
-                if shutdown.is_requested() {
-                    break;
-                }
-                if let ClockMode::Wall { speedup } = cfg.clock {
-                    engine.advance_before(origin.elapsed().as_secs_f64() * speedup);
-                    seq += 1;
-                    publish(hub, &engine, &obs, &mut mirror, seq, &cfg.policy);
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => break,
         }
     }
     shutdown.request();

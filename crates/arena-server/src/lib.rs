@@ -47,7 +47,7 @@ pub mod protocol;
 pub mod snapshot;
 
 pub use client::Client;
-pub use daemon::{ClockMode, Server, ServerConfig, ServerHandle, ServerOutcome};
+pub use daemon::{Server, ServerConfig, ServerHandle, ServerOutcome};
 pub use net::{serve_lines, spawn_listener};
 pub use protocol::{parse_command, Command, Query};
 pub use snapshot::{answer_query, ServerSnapshot, SnapshotHub};

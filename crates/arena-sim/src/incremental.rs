@@ -477,10 +477,9 @@ struct EngineTelemetry {
     /// Event-heap depth after each burst.
     heap_depth: Gauge,
     /// Estimator cache hit ratios, refreshed after every dispatch.
-    est_hit_ratio: Gauge,
     est_profile_ratio: Gauge,
     est_table_ratio: Gauge,
-    /// Cumulative wall-clock spent computing fresh estimates, seconds.
+    /// Cumulative wall-clock spent computing estimates, seconds.
     est_seconds: Gauge,
     /// Per-stage burst latency. Held as resolved handles: the
     /// per-event path must never pay a name-routed lookup. The view
@@ -516,7 +515,6 @@ impl EngineTelemetry {
         EngineTelemetry {
             burst: reg.histogram("sim.stage.burst_seconds"),
             heap_depth: reg.gauge("sim.heap_depth"),
-            est_hit_ratio: reg.gauge("sim.estimator.estimate_hit_ratio"),
             est_profile_ratio: reg.gauge("sim.estimator.profile_hit_ratio"),
             est_table_ratio: reg.gauge("sim.estimator.table_hit_ratio"),
             est_seconds: reg.gauge("sim.estimator.estimate_seconds"),
@@ -559,8 +557,6 @@ impl EngineTelemetry {
                 hits as f64 / total as f64
             }
         };
-        self.est_hit_ratio
-            .set(ratio(est.estimate_hits, est.estimate_misses));
         self.est_profile_ratio
             .set(ratio(est.profile_hits, est.profile_misses));
         self.est_table_ratio
@@ -1124,7 +1120,6 @@ impl<'a> Engine<'a> {
         );
         if self.obs.is_enabled() {
             let est = self.service.estimator_stats();
-            self.obs.incr("estimator.estimate.hits", est.estimate_hits);
             self.obs
                 .incr("estimator.estimate.misses", est.estimate_misses);
             self.obs.incr("estimator.profile.hits", est.profile_hits);

@@ -42,10 +42,6 @@ pub struct TraceSummary {
     pub distinct_reasons: usize,
     /// Scheduling passes (completed `sim.schedule` spans).
     pub sched_passes: u64,
-    /// Estimator estimate-cache hits over the run.
-    pub estimate_hits: u64,
-    /// Estimator estimate-cache misses over the run.
-    pub estimate_misses: u64,
     /// Decision counts per `kind/reason` key.
     pub reason_counts: BTreeMap<String, usize>,
 }
@@ -63,7 +59,7 @@ pub struct TraceRun {
 ///
 /// Each policy gets a fresh [`PlanService`] built from the same seed, so
 /// all runs see identical ground truth *and* the estimator counters in
-/// each report cover exactly that run.
+/// each run's registry cover exactly that run.
 #[must_use]
 pub fn conformance_workload(quick: bool) -> Vec<TraceRun> {
     let cluster = presets::physical_testbed();
@@ -93,8 +89,6 @@ pub fn conformance_workload(quick: bool) -> Vec<TraceRun> {
             .batch(&jobs);
         let t = &r.trace;
         let registry = obs.metrics().expect("an enabled handle carries a registry");
-        let counters = registry.counters_snapshot();
-        let counter = |name: &str| counters.get(name).copied().unwrap_or(0);
         let kind_count = |k: DecisionKind| t.decisions.iter().filter(|d| d.kind == k).count();
         let summary = TraceSummary {
             policy: r.policy.clone(),
@@ -109,8 +103,6 @@ pub fn conformance_workload(quick: bool) -> Vec<TraceRun> {
                 .histograms_snapshot()
                 .get("sim.schedule")
                 .map_or(0, |h| h.count),
-            estimate_hits: counter("estimator.estimate.hits"),
-            estimate_misses: counter("estimator.estimate.misses"),
             reason_counts: t.decision_counts(),
         };
         TraceRun {
@@ -135,17 +127,10 @@ pub fn trace_table(runs: &[TraceRun]) -> Table {
             "requeue",
             "reasons",
             "passes",
-            "est hit rate",
         ],
     );
     for run in runs {
         let s = &run.summary;
-        let lookups = s.estimate_hits + s.estimate_misses;
-        let hit_rate = if lookups == 0 {
-            0.0
-        } else {
-            s.estimate_hits as f64 / lookups as f64
-        };
         t.row(vec![
             s.policy.clone(),
             s.decisions.to_string(),
@@ -156,7 +141,6 @@ pub fn trace_table(runs: &[TraceRun]) -> Table {
             s.requeues.to_string(),
             s.distinct_reasons.to_string(),
             s.sched_passes.to_string(),
-            f3(hit_rate),
         ]);
     }
     t
@@ -401,8 +385,6 @@ mod tests {
                 requeues: 0,
                 distinct_reasons: 2,
                 sched_passes: 5,
-                estimate_hits: 3,
-                estimate_misses: 1,
                 reason_counts: [
                     ("place/best-cell".to_string(), 2),
                     ("drop/x".to_string(), 1),
@@ -419,7 +401,7 @@ mod tests {
         let runs = vec![fabricated()];
         let t = trace_table(&runs);
         assert_eq!(t.num_rows(), 1);
-        assert!(t.render().contains("0.750"), "hit rate column");
+        assert!(t.render().contains("Test"), "policy column");
         let rt = reason_table(&runs[0]);
         assert_eq!(rt.num_rows(), 2);
         assert!(rt.render().contains("place/best-cell"));

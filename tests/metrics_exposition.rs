@@ -294,7 +294,7 @@ fn watch_streams_numbered_samples_and_metrics_scrape_is_well_formed() {
         // cache occupancy.
         "mem_bytes{section=\"estimator.profiles\"}",
         "mem_budget_bytes{section=\"plans.cells\"}",
-        "mem_evictions{section=\"estimator.estimates\"}",
+        "mem_evictions{section=\"estimator.tables\"}",
     ] {
         assert!(text.contains(series), "scrape missing {series}:\n{text}");
     }
