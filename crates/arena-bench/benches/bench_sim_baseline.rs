@@ -28,7 +28,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use arena::cluster::{presets, PoolStats};
-use arena::estimator::CommTables;
+use arena::estimator::{CommTables, SoaProfiles};
 use arena::parallelism::determine_stages;
 use arena::perf::noise::NoiseModel;
 use arena::perf::PerfModel;
@@ -245,24 +245,33 @@ fn bench_perf_and_parallelism(smoke: bool) -> Vec<BenchEntry> {
     out
 }
 
-/// The agile Cell estimator (Fig. 12's machinery): plan assembly with
-/// warm tables and profiles (`estimate_uncached`, the SoA gate's entry),
-/// a cold estimator per call, and offline communication-table
-/// construction.
+/// The agile Cell estimator (Fig. 12's machinery): the two steps of an
+/// estimate apart — plan assembly from a profile taken once, on warm
+/// tables (`estimate_uncached`, the SoA gate's entry), and profiling
+/// one Cell (`profile`) — then a cold estimator per call and offline
+/// communication-table construction.
 fn bench_estimator(smoke: bool) -> Vec<BenchEntry> {
     let cluster = presets::physical_testbed();
     let hw = HwTarget::new(cluster.spec(GpuTypeId(0)));
     let est = CellEstimator::new(CostParams::default(), 51);
     let g = ModelConfig::new(ModelFamily::Bert, 1.3, 256).build();
     let cell = Cell::new(&g, 8, 4).expect("feasible cell");
-    // Warm profile/table caches so the loop measures plan assembly.
-    let _ = est.estimate(&g, 256, &cell, &hw);
+    // Profile once and warm the tables, so the first loop measures the
+    // assembly step alone.
+    let mut profiles = SoaProfiles::default();
+    est.profile(&g, 256, &cell, &hw, &mut profiles);
+    let _ = est.assemble(&profiles, &g, 256, &cell, &hw);
     let n = iters(smoke, 200);
     // Named `estimate_uncached` because the frozen SoA baseline
     // (`BENCH_sim_pre_soa.json`) and CI's SoA gate are keyed on it.
-    let mut out = vec![time_loop("estimator/estimate_uncached", n, || {
-        black_box(est.estimate(black_box(&g), 256, black_box(&cell), &hw));
-    })];
+    let mut out = vec![
+        time_loop("estimator/estimate_uncached", n, || {
+            black_box(est.assemble(black_box(&profiles), &g, 256, black_box(&cell), &hw));
+        }),
+        time_loop("estimator/profile", n, || {
+            est.profile(black_box(&g), 256, black_box(&cell), &hw, &mut profiles);
+        }),
+    ];
     let hw = a100_node();
     let n = iters(smoke, 30);
     for (name, fam, size, gpus, stages) in [

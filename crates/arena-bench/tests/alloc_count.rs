@@ -1,8 +1,8 @@
 //! Pins the tentpole property of the data-oriented estimator: after
-//! warmup, the `2^Ns` plan-assembly loop runs entirely out of the
-//! thread-local scratch arena, so a full estimate on cached tables and
-//! profiles makes only the handful of allocations that build its
-//! returned `CellEstimate`.
+//! warmup, the `2^Ns` plan-assembly step (`CellEstimator::assemble`)
+//! runs entirely out of the thread-local scratch arena, so assembling a
+//! Cell from a profile taken once, on cached tables, makes only the
+//! handful of allocations that build its returned `CellEstimate`.
 //!
 //! Lives in its own test binary (not the lib's unit tests) because the
 //! counting allocator's total is process-wide: here no sibling test can
@@ -11,6 +11,7 @@
 
 #![cfg(feature = "alloc-count")]
 
+use arena::estimator::SoaProfiles;
 use arena::prelude::*;
 use arena_bench::alloc_count;
 use std::hint::black_box;
@@ -22,16 +23,18 @@ fn steady_state_assembly_loop_is_allocation_free() {
     let est = CellEstimator::new(CostParams::default(), 51);
     let g = ModelConfig::new(ModelFamily::Bert, 1.3, 256).build();
     let cell = Cell::new(&g, 8, 4).expect("feasible cell");
-    // Warm the profile/table caches and grow the thread-local scratch
-    // arena to its steady-state capacity.
+    // Profile once, then warm the table cache and grow the thread-local
+    // scratch arena to its steady-state capacity.
+    let mut profiles = SoaProfiles::default();
+    est.profile(&g, 256, &cell, &hw, &mut profiles);
     for _ in 0..3 {
-        black_box(est.estimate(&g, 256, &cell, &hw));
+        black_box(est.assemble(&profiles, &g, 256, &cell, &hw));
     }
 
     let iters = 64_u64;
     let before = alloc_count().expect("alloc-count feature active");
     for _ in 0..iters {
-        black_box(est.estimate(&g, 256, &cell, &hw));
+        black_box(est.assemble(&profiles, &g, 256, &cell, &hw));
     }
     let after = alloc_count().expect("alloc-count feature active");
     let per_iter = (after - before) / iters;
@@ -42,7 +45,7 @@ fn steady_state_assembly_loop_is_allocation_free() {
     // Before the rewrite this path made hundreds of allocations per call.
     assert!(
         per_iter <= 4,
-        "estimate allocates {per_iter}x/iter in steady state; \
+        "assemble allocates {per_iter}x/iter in steady state; \
          the assembly loop is supposed to run out of the scratch arena"
     );
 }

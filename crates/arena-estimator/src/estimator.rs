@@ -1,12 +1,14 @@
 //! The agile Cell estimator: assembly of profiled parts (§5.1, Fig. 9).
 //!
-//! The estimation pipeline is data-oriented (DESIGN.md §16): profiles are
-//! flattened into struct-of-arrays buffers, boundary transfer costs are
+//! An estimate is two steps, both exposed: [`CellEstimator::profile`]
+//! writes the Cell's stage profiles into struct-of-arrays columns, and
+//! [`CellEstimator::assemble`] prices the `2^Ns` grid from them. The
+//! assembly is data-oriented (DESIGN.md §16): boundary transfer costs are
 //! priced once per accumulation factor instead of inside every chain-DP
 //! sweep, memory-infeasible per-stage plans are pruned *before* their
-//! collectives are priced, and the whole `2^Ns` assembly runs over
-//! reusable thread-local scratch arenas — zero heap allocation per
-//! estimate after warmup, except the returned [`CellEstimate`] itself.
+//! collectives are priced, and the whole assembly runs over reusable
+//! thread-local scratch arenas — zero heap allocation per assembly after
+//! warmup, except the returned [`CellEstimate`] itself.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -20,8 +22,8 @@ use arena_runtime::{BudgetedMap, MemSection};
 use parking_lot::RwLock;
 
 use crate::cell::{Cell, Favor};
-use crate::keys::{CellKey, Interner, TableKey};
-use crate::profile::{profile_cell, CellProfiles, SoaProfiles};
+use crate::keys::{Interner, TableKey};
+use crate::profile::{profile_cell, SoaProfiles};
 use crate::tables::{CollectiveKind, CommTables};
 
 /// The estimator's verdict on one Cell.
@@ -44,14 +46,11 @@ pub struct CellEstimate {
 /// Per-(stage, mode) vectors are indexed `2 * stage + mode` (mode 0 =
 /// DP-only, 1 = TP-only); the boundary table is indexed
 /// `4 * stage + 2 * prev_mode + mode` for stages `>= 1`. Buffers are
-/// cleared — never shrunk — between estimates, so once each thread has
-/// assembled a Cell at the workload's largest stage count the whole
-/// estimate path performs no heap allocation besides the returned
-/// [`CellEstimate`].
+/// cleared — never shrunk — between assemblies, so once each thread has
+/// assembled a Cell at the workload's largest stage count the assembly
+/// performs no heap allocation besides the returned [`CellEstimate`].
 #[derive(Debug, Default)]
 struct AssemblyScratch {
-    /// Flattened profile fields, refilled once per estimate.
-    soa: SoaProfiles,
     /// Steady busy time per micro-batch (compute + TP collectives +
     /// expert dispatch). Slots of pruned modes are never read.
     busy: Vec<f64>,
@@ -82,20 +81,21 @@ struct AssemblyScratch {
 }
 
 thread_local! {
+    /// One profile buffer per thread for [`CellEstimator::estimate`].
+    static PROFILES: RefCell<SoaProfiles> = RefCell::new(SoaProfiles::default());
     /// One scratch arena per thread, so the assembly needs neither a
     /// lock nor a fresh buffer even when two threads share an estimator.
     static SCRATCH: RefCell<AssemblyScratch> = RefCell::new(AssemblyScratch::default());
 }
 
-/// Live hit/miss counters for the estimator's two caches, plus the
-/// count of estimates and the total wall-clock spent computing them.
-/// All counters are monotonic and thread-safe; reading them never
-/// perturbs estimation results.
+/// Live hit/miss counters for the estimator's table cache, plus the
+/// counts of estimates and profiles and the total wall-clock spent
+/// estimating. All counters are monotonic and thread-safe; reading them
+/// never perturbs estimation results.
 #[derive(Debug, Default)]
 pub struct CacheStats {
     estimates: AtomicU64,
-    profile_hits: AtomicU64,
-    profile_misses: AtomicU64,
+    profiles: AtomicU64,
     table_hits: AtomicU64,
     table_misses: AtomicU64,
     estimate_ns: AtomicU64,
@@ -110,9 +110,12 @@ pub struct CacheStatsSnapshot {
     pub estimate_hits: u64,
     /// `estimate()` calls; each one computes a fresh estimate.
     pub estimate_misses: u64,
-    /// Stage-profile lookups answered from the profile cache.
+    /// Always 0: the estimator keeps no cache of stage profiles (the
+    /// plan database memoises each Cell choice instead). The field stays
+    /// only because the end-to-end benchmark (`e2ebench/`) reads it.
     pub profile_hits: u64,
-    /// Stage-profile lookups that ran the profiler.
+    /// Cell profiles taken: one per [`CellEstimator::profile`] call, so
+    /// one per estimate.
     pub profile_misses: u64,
     /// Communication-table lookups answered from the table cache.
     pub table_hits: u64,
@@ -129,8 +132,8 @@ impl CacheStats {
         CacheStatsSnapshot {
             estimate_hits: 0,
             estimate_misses: self.estimates.load(Ordering::Relaxed),
-            profile_hits: self.profile_hits.load(Ordering::Relaxed),
-            profile_misses: self.profile_misses.load(Ordering::Relaxed),
+            profile_hits: 0,
+            profile_misses: self.profiles.load(Ordering::Relaxed),
             table_hits: self.table_hits.load(Ordering::Relaxed),
             table_misses: self.table_misses.load(Ordering::Relaxed),
             estimate_ns: self.estimate_ns.load(Ordering::Relaxed),
@@ -140,21 +143,21 @@ impl CacheStats {
 
 /// The agile Cell estimator.
 ///
-/// Owns the offline communication tables (built lazily per node class),
-/// a cache of runtime stage profiles (a job is profiled once per GPU type,
-/// §6.1), and a [`ProfilingMeter`] charged for every profile it takes.
-/// Whole estimates are not cached: the plan service memoises the Cell
-/// choice built from them.
+/// Owns the offline communication tables (built lazily per node class)
+/// and a [`ProfilingMeter`] charged for every profile it takes. Neither
+/// stage profiles nor whole estimates are cached: the plan service
+/// memoises the Cell choice built from them, which is how a job is
+/// profiled once per GPU type (§6.1).
 ///
-/// Each cache is one [`BudgetedMap`] behind one `RwLock`, keyed by small
-/// struct keys over interned model/hardware ids. A lookup takes the read
-/// lock, a miss computes outside any lock and then inserts under the
-/// write lock, as the plan service's memo maps do. Every estimator
-/// belongs to one plan service, and each service is driven by a single
-/// thread (the daemon thread, one run, or one experiment task), so the
-/// locks are uncontended. Every cached value is a deterministic function
-/// of its key (noise is keyed, not drawn), so eviction and a repeated
-/// computation can only cost time, never change a result.
+/// The table cache is one [`BudgetedMap`] behind one `RwLock`, keyed by
+/// interned hardware ids and never budgeted: it holds one entry per node
+/// class. A lookup takes the read lock, a miss builds outside any lock
+/// and then inserts under the write lock, as the plan service's memo
+/// maps do. Every estimator belongs to one plan service, and each
+/// service is driven by a single thread (the daemon thread, one run, or
+/// one experiment task), so the lock is uncontended. Tables and profiles
+/// are deterministic functions of their inputs (noise is keyed, not
+/// drawn), so a repeated estimate returns the same bits.
 pub struct CellEstimator {
     params: CostParams,
     noise: NoiseModel,
@@ -163,13 +166,12 @@ pub struct CellEstimator {
     stats: CacheStats,
     interner: Interner,
     tables: RwLock<BudgetedMap<TableKey, Arc<CommTables>>>,
-    profiles: RwLock<BudgetedMap<CellKey, Arc<CellProfiles>>>,
 }
 
 impl std::fmt::Debug for CellEstimator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CellEstimator")
-            .field("profiled_cells", &self.profiles.read().len())
+            .field("node_classes", &self.tables.read().len())
             .field("gpu_seconds", &self.meter.gpu_seconds())
             .finish()
     }
@@ -189,7 +191,6 @@ impl CellEstimator {
             stats: CacheStats::default(),
             interner: Interner::new(),
             tables: RwLock::new(BudgetedMap::new(None)),
-            profiles: RwLock::new(BudgetedMap::new(None)),
         }
     }
 
@@ -211,42 +212,11 @@ impl CellEstimator {
         &self.stats
     }
 
-    /// Applies a total byte budget across the two caches (tables ¼,
-    /// profiles ¾), sweeping oldest-first immediately. `None` lifts
-    /// both budgets. Eviction never changes estimation results — every
-    /// cached value is a pure function of its key — only hit rates.
-    pub fn set_mem_budget(&self, total: Option<usize>) {
-        self.tables.write().set_budget(total.map(|t| t / 4));
-        self.profiles.write().set_budget(total.map(|t| t - t / 4));
-    }
-
     /// The estimator's memory ledger: accounted bytes, entries, budget
-    /// and evictions per cache.
+    /// and evictions of its one cache, the communication tables.
     #[must_use]
     pub fn mem_report(&self) -> Vec<MemSection> {
-        vec![
-            self.tables.read().section("estimator.tables"),
-            self.profiles.read().section("estimator.profiles"),
-        ]
-    }
-
-    /// The interned struct key identifying one `(model, batch, cell, hw)`
-    /// combination in the profile cache.
-    fn cell_key(
-        &self,
-        graph: &ModelGraph,
-        global_batch: usize,
-        cell: &Cell,
-        hw: &HwTarget,
-    ) -> CellKey {
-        CellKey {
-            model: self.interner.intern(&graph.name),
-            batch: global_batch,
-            gpus: cell.num_gpus,
-            stages: cell.num_stages,
-            hw: self.interner.intern(hw.name()),
-            gpn: hw.packed_gpn,
-        }
+        vec![self.tables.read().section("estimator.tables")]
     }
 
     fn tables_for(&self, hw: &HwTarget, max_group: usize) -> Arc<CommTables> {
@@ -266,36 +236,11 @@ impl CellEstimator {
         built
     }
 
-    fn profiles_for(
-        &self,
-        graph: &ModelGraph,
-        global_batch: usize,
-        cell: &Cell,
-        hw: &HwTarget,
-    ) -> Arc<CellProfiles> {
-        let key = self.cell_key(graph, global_batch, cell, hw);
-        if let Some(p) = self.profiles.read().get(&key) {
-            self.stats.profile_hits.fetch_add(1, Ordering::Relaxed);
-            return p.clone();
-        }
-        self.stats.profile_misses.fetch_add(1, Ordering::Relaxed);
-        let prof = Arc::new(profile_cell(
-            &self.params,
-            &self.noise,
-            &self.meter,
-            graph,
-            global_batch,
-            cell,
-            hw,
-        ));
-        self.profiles.write().insert(key, prof.clone());
-        prof
-    }
-
-    /// Estimates a Cell: fetches its communication tables and stage
-    /// profiles (both cached), assembles the `2^Ns` grid and returns the
-    /// best feasible assembled plan. Every call counts one estimate and
-    /// adds its wall-clock to [`CacheStatsSnapshot::estimate_ns`].
+    /// Estimates a Cell in two steps: [`Self::profile`] into this
+    /// thread's profile buffer, then [`Self::assemble`]. Every call
+    /// profiles afresh (two single-GPU trials on the meter), counts one
+    /// estimate and adds its wall-clock to
+    /// [`CacheStatsSnapshot::estimate_ns`].
     ///
     /// Returns `None` when no assembled plan fits in memory and batch —
     /// the Cell is not schedulable.
@@ -328,25 +273,70 @@ impl CellEstimator {
     ) -> Option<CellEstimate> {
         self.stats.estimates.fetch_add(1, Ordering::Relaxed);
         let started = std::time::Instant::now();
-        let tables = self.tables_for(hw, cell.num_gpus);
-        let profiles = self.profiles_for(graph, global_batch, cell, hw);
-        let est = SCRATCH.with(|scratch| {
-            assemble_cell(
-                &self.params,
-                &tables,
-                &profiles,
-                graph,
-                global_batch,
-                cell,
-                hw,
-                &mut scratch.borrow_mut(),
-            )
+        let est = PROFILES.with(|profiles| {
+            let profiles = &mut profiles.borrow_mut();
+            self.profile(graph, global_batch, cell, hw, profiles);
+            self.assemble(profiles, graph, global_batch, cell, hw)
         });
         self.stats.estimate_ns.fetch_add(
             u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
             Ordering::Relaxed,
         );
         est
+    }
+
+    /// The first step of [`Self::estimate`]: profiles every stage of
+    /// `cell` under DP-only and TP-only on one device into `out`
+    /// (replacing what it held), charging two trials to the meter and
+    /// counting one [`CacheStatsSnapshot::profile_misses`].
+    pub fn profile(
+        &self,
+        graph: &ModelGraph,
+        global_batch: usize,
+        cell: &Cell,
+        hw: &HwTarget,
+        out: &mut SoaProfiles,
+    ) {
+        self.stats.profiles.fetch_add(1, Ordering::Relaxed);
+        profile_cell(
+            &self.params,
+            &self.noise,
+            &self.meter,
+            graph,
+            global_batch,
+            cell,
+            hw,
+            out,
+        );
+    }
+
+    /// The second step of [`Self::estimate`]: fetches the node class's
+    /// communication tables (cached), assembles the `2^Ns` grid from
+    /// `profiles`, which [`Self::profile`] filled for the same request,
+    /// and returns the best feasible assembled plan (`None` when none
+    /// fits in memory and batch).
+    #[must_use]
+    pub fn assemble(
+        &self,
+        profiles: &SoaProfiles,
+        graph: &ModelGraph,
+        global_batch: usize,
+        cell: &Cell,
+        hw: &HwTarget,
+    ) -> Option<CellEstimate> {
+        let tables = self.tables_for(hw, cell.num_gpus);
+        SCRATCH.with(|scratch| {
+            assemble_cell(
+                &self.params,
+                &tables,
+                profiles,
+                graph,
+                global_batch,
+                cell,
+                hw,
+                &mut scratch.borrow_mut(),
+            )
+        })
     }
 }
 
@@ -370,8 +360,9 @@ pub fn best_estimate(estimates: &[Option<CellEstimate>]) -> Option<usize> {
     best.map(|(i, _)| i)
 }
 
-/// Assembles the best plan over the `2^Ns` grid for one Cell, minimised
-/// over the gradient-accumulation factors, entirely on `scr`'s buffers.
+/// Assembles the best plan over the `2^Ns` grid for one Cell from its
+/// profile columns, minimised over the gradient-accumulation factors,
+/// entirely on `scr`'s buffers.
 ///
 /// The estimator mirrors the runtime's gradient-accumulation
 /// escalation: each accumulation factor's terms derive from the single
@@ -385,7 +376,7 @@ pub fn best_estimate(estimates: &[Option<CellEstimate>]) -> Option<usize> {
 fn assemble_cell(
     p: &CostParams,
     tables: &CommTables,
-    profiles: &CellProfiles,
+    soa: &SoaProfiles,
     graph: &ModelGraph,
     global_batch: usize,
     cell: &Cell,
@@ -396,8 +387,7 @@ fn assemble_cell(
     let base_b = 4 * n;
     let budget = hw.node.gpu.mem_bytes() as f64 * p.usable_mem_frac;
     let one_minus_ov = 1.0 - p.dp_overlap;
-    scr.soa.fill_from(profiles);
-    debug_assert_eq!(scr.soa.slots(), 2 * n);
+    debug_assert_eq!(soa.slots(), 2 * n);
 
     let mut best_found = false;
     let mut best_iter = f64::INFINITY;
@@ -417,9 +407,8 @@ fn assemble_cell(
             let g = cell.partition.gpus[s];
             for m in 0..2 {
                 let i = 2 * s + m;
-                let mem = scr.soa.fixed_mem_bytes[i] + scr.soa.scalable_mem_bytes[i] / f;
-                let feasible =
-                    scr.soa.batch_ok[i] && scr.soa.mb_samples[i] / f >= 1.0 && mem <= budget;
+                let mem = soa.fixed_mem_bytes[i] + soa.scalable_mem_bytes[i] / f;
+                let feasible = soa.batch_ok[i] && soa.mb_samples[i] / f >= 1.0 && mem <= budget;
                 scr.feasible.push(feasible);
                 if !feasible {
                     scr.busy.push(f64::INFINITY);
@@ -427,19 +416,19 @@ fn assemble_cell(
                     continue;
                 }
                 let tp_comm = if m == 1 {
-                    tables.lookup(CollectiveKind::AllReduce, g, scr.soa.tp_payload[i] / f)
+                    tables.lookup(CollectiveKind::AllReduce, g, soa.tp_payload[i] / f)
                 } else {
                     0.0
                 };
                 let dispatch =
-                    tables.lookup(CollectiveKind::AllToAll, g, scr.soa.dispatch_payload[i] / f);
+                    tables.lookup(CollectiveKind::AllToAll, g, soa.dispatch_payload[i] / f);
                 let sync = if m == 0 {
-                    tables.lookup(CollectiveKind::AllReduce, g, scr.soa.grad_bytes[i])
+                    tables.lookup(CollectiveKind::AllReduce, g, soa.grad_bytes[i])
                 } else {
                     0.0
                 };
-                let compute = scr.soa.fixed_compute_s[i]
-                    + (scr.soa.compute_s[i] - scr.soa.fixed_compute_s[i]).max(0.0) / f;
+                let compute = soa.fixed_compute_s[i]
+                    + (soa.compute_s[i] - soa.fixed_compute_s[i]).max(0.0) / f;
                 scr.busy.push(compute + tp_comm + dispatch);
                 scr.sync.push(sync);
             }
@@ -509,7 +498,7 @@ fn assemble_cell(
     let max_mem_bytes = modes
         .iter()
         .enumerate()
-        .map(|(s, &m)| scr.soa.mem_bytes[2 * s + m])
+        .map(|(s, &m)| soa.mem_bytes[2 * s + m])
         .fold(0.0, f64::max);
 
     Some(CellEstimate {
@@ -814,16 +803,18 @@ mod tests {
     }
 
     #[test]
-    fn profiling_cost_is_cached_per_cell() {
+    fn every_estimate_profiles_the_cell_afresh() {
+        // No profile is cached: the plan service memoises the Cell
+        // choice, so each estimate of the same Cell takes (and charges)
+        // its own two single-GPU trials.
         let est = CellEstimator::new(CostParams::default(), 29);
         let g = ModelConfig::new(ModelFamily::Bert, 1.3, 256).build();
         let cell = Cell::new(&g, 8, 4).unwrap();
         let hw = a100();
-        let _ = est.estimate(&g, 256, &cell, &hw);
-        let after_first = est.meter().gpu_seconds();
-        assert!(after_first > 0.0);
-        let _ = est.estimate(&g, 256, &cell, &hw);
-        assert_eq!(est.meter().gpu_seconds(), after_first);
+        for round in 1..=3_u64 {
+            let _ = est.estimate(&g, 256, &cell, &hw);
+            assert_eq!(est.meter().trials(), 2 * round);
+        }
     }
 
     #[test]
@@ -853,21 +844,25 @@ mod tests {
         assert_eq!((s1.profile_hits, s1.profile_misses), (0, 1));
         assert_eq!((s1.table_hits, s1.table_misses), (0, 1));
 
-        // A repeated Cell re-runs the assembly on cached parts.
+        // A repeated Cell profiles again and reuses the node class's
+        // tables.
         for _ in 0..3 {
             let _ = est.estimate(&g, 256, &cell, &hw);
         }
         let s2 = est.stats().snapshot();
         assert_eq!(s2.estimate_misses, 4);
-        assert_eq!((s2.profile_hits, s2.profile_misses), (3, 1));
+        assert_eq!((s2.profile_hits, s2.profile_misses), (0, 4));
         assert_eq!((s2.table_hits, s2.table_misses), (3, 1));
 
-        // Another Cell of the same job profiles afresh but shares the
-        // node class's tables.
+        // The two steps count apart: a profile counts no estimate and
+        // touches no table; an assembly counts only its table lookup.
         let cell2 = Cell::new(&g, 8, 2).unwrap();
-        let _ = est.estimate(&g, 256, &cell2, &hw);
+        let mut soa = SoaProfiles::default();
+        est.profile(&g, 256, &cell2, &hw, &mut soa);
+        let _ = est.assemble(&soa, &g, 256, &cell2, &hw);
         let s3 = est.stats().snapshot();
-        assert_eq!((s3.profile_hits, s3.profile_misses), (3, 2));
+        assert_eq!(s3.estimate_misses, 4);
+        assert_eq!((s3.profile_hits, s3.profile_misses), (0, 5));
         assert_eq!((s3.table_hits, s3.table_misses), (4, 1));
         assert_eq!(s3.estimate_hits, 0, "no estimate is ever cached");
     }
@@ -880,72 +875,22 @@ mod tests {
         let _ = est.estimate(&g, 256, &cell, &a100());
         let report = est.mem_report();
         let names: Vec<&str> = report.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(names, ["estimator.tables", "estimator.profiles"]);
-        for s in &report {
-            assert!(s.bytes > 0, "{} holds bytes after an estimate", s.name);
-            assert!(s.entries > 0);
-            assert_eq!(s.budget_bytes, None);
-            assert_eq!(s.evictions, 0);
-        }
-    }
-
-    #[test]
-    fn tiny_budget_evicts_but_never_changes_results() {
-        // An adversarially tiny budget forces constant eviction; every
-        // estimate must still be bitwise what an unbudgeted estimator
-        // returns, because cached values are pure functions of keys.
-        let est = CellEstimator::new(CostParams::default(), 59);
-        est.set_mem_budget(Some(1024));
-        let unbudgeted = CellEstimator::new(CostParams::default(), 59);
-        let hw = a100();
-        let mut evicted_something = false;
-        for (fam, size, batch) in [
-            (ModelFamily::Bert, 1.3, 256),
-            (ModelFamily::Moe, 1.3, 512),
-            (ModelFamily::WideResNet, 1.0, 512),
-            (ModelFamily::Bert, 2.6, 256),
-        ] {
-            let g = ModelConfig::new(fam, size, batch).build();
-            for (gpus, stages) in [(8, 4), (8, 2), (4, 2), (4, 1)] {
-                let Some(cell) = Cell::new(&g, gpus, stages) else {
-                    continue;
-                };
-                let budgeted = est.estimate(&g, batch, &cell, &hw);
-                let reference = unbudgeted.estimate(&g, batch, &cell, &hw);
-                match (budgeted, reference) {
-                    (None, None) => {}
-                    (Some(b), Some(r)) => {
-                        assert_eq!(b.iter_time_s.to_bits(), r.iter_time_s.to_bits());
-                        assert_eq!(b.plan.label(), r.plan.label());
-                    }
-                    (b, r) => panic!(
-                        "feasibility disagrees under budget: {} vs {}",
-                        b.is_some(),
-                        r.is_some()
-                    ),
-                }
-            }
-            evicted_something |= est.mem_report().iter().any(|s| s.evictions > 0);
-        }
-        assert!(evicted_something, "1 KiB budget must evict");
-        // Every cache is budgeted, so the ledger stays near the budget
-        // rather than growing with the workload.
-        for s in est.mem_report() {
-            assert!(s.budget_bytes.is_some());
-        }
-        // Each reports exactly its share of the total: tables ¼,
-        // profiles ¾.
-        est.set_mem_budget(Some(1000));
-        let budgets: Vec<Option<usize>> = est.mem_report().iter().map(|s| s.budget_bytes).collect();
-        assert_eq!(budgets, [Some(250), Some(750)]);
+        assert_eq!(names, ["estimator.tables"]);
+        let tables = &report[0];
+        assert!(tables.bytes > 0, "tables hold bytes after an estimate");
+        assert_eq!(tables.entries, 1, "one node class, one table set");
+        assert_eq!(tables.budget_bytes, None);
+        assert_eq!(tables.evictions, 0);
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
 
-        /// The table and profile caches are transparent: for any Cell, an
-        /// estimator whose caches are warm returns bit for bit what a
-        /// fresh one does (noise is keyed, not drawn from shared state).
+        /// The table cache is transparent and the two exposed steps are
+        /// the estimate: for any Cell, a warm estimator's estimate and
+        /// its `assemble` over a separately taken `profile` return bit
+        /// for bit what a fresh estimator does (noise is keyed, not drawn
+        /// from shared state).
         #[test]
         fn warm_equals_fresh(
             fam_idx in 0_usize..3,
@@ -968,21 +913,26 @@ mod tests {
             let warm = CellEstimator::new(CostParams::default(), 43);
             let _ = warm.estimate(&g, 256, &cell, &hw);
             let again = warm.estimate(&g, 256, &cell, &hw);
+            let mut soa = SoaProfiles::default();
+            warm.profile(&g, 256, &cell, &hw, &mut soa);
+            let stepped = warm.assemble(&soa, &g, 256, &cell, &hw);
             let fresh = CellEstimator::new(CostParams::default(), 43).estimate(&g, 256, &cell, &hw);
-            match (again, fresh) {
-                (None, None) => {}
-                (Some(w), Some(f)) => {
-                    prop_assert_eq!(w.iter_time_s.to_bits(), f.iter_time_s.to_bits());
-                    prop_assert_eq!(w.throughput_sps.to_bits(), f.throughput_sps.to_bits());
-                    prop_assert_eq!(w.max_mem_bytes.to_bits(), f.max_mem_bytes.to_bits());
-                    prop_assert_eq!(w.plan.label(), f.plan.label());
-                    prop_assert_eq!(&w.favors, &f.favors);
-                }
-                (w, f) => {
-                    return Err(TestCaseError::fail(format!(
-                        "feasibility disagrees: warm={} fresh={}",
-                        w.is_some(), f.is_some()
-                    )));
+            for got in [again, stepped] {
+                match (got, &fresh) {
+                    (None, None) => {}
+                    (Some(w), Some(f)) => {
+                        prop_assert_eq!(w.iter_time_s.to_bits(), f.iter_time_s.to_bits());
+                        prop_assert_eq!(w.throughput_sps.to_bits(), f.throughput_sps.to_bits());
+                        prop_assert_eq!(w.max_mem_bytes.to_bits(), f.max_mem_bytes.to_bits());
+                        prop_assert_eq!(w.plan.label(), f.plan.label());
+                        prop_assert_eq!(&w.favors, &f.favors);
+                    }
+                    (w, f) => {
+                        return Err(TestCaseError::fail(format!(
+                            "feasibility disagrees: warm={} fresh={}",
+                            w.is_some(), f.is_some()
+                        )));
+                    }
                 }
             }
         }

@@ -1,10 +1,10 @@
 //! Cache keys for the estimator.
 //!
-//! Model and hardware names become dense `u32` ids once, through the
-//! [`Interner`], so the estimator's cache keys are small `Copy` structs
-//! that never allocate or compare strings. The caches themselves are
-//! [`arena_runtime::BudgetedMap`]s; the keys only add a [`MemSize`]
-//! estimate so the maps can account their bytes.
+//! Hardware names become dense `u32` ids once, through the
+//! [`Interner`], so the table cache's key is a small `Copy` struct that
+//! never allocates or compares strings. The cache itself is an
+//! [`arena_runtime::BudgetedMap`]; the key only adds a [`MemSize`]
+//! estimate so the map can account its bytes.
 
 use std::collections::HashMap;
 
@@ -40,26 +40,6 @@ impl Interner {
     }
 }
 
-/// Identity for a `(model, batch, cell, hardware)` combination — the key
-/// of the stage-profile cache. `Cell` identity reduces to
-/// `(num_gpus, num_stages)` because stage partitioning is a pure
-/// function of those and the graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct CellKey {
-    pub(crate) model: u32,
-    pub(crate) batch: usize,
-    pub(crate) gpus: usize,
-    pub(crate) stages: usize,
-    pub(crate) hw: u32,
-    pub(crate) gpn: usize,
-}
-
-impl MemSize for CellKey {
-    fn mem_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-    }
-}
-
 /// Identity of a communication-table build: hardware class and packed
 /// GPUs-per-node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -86,29 +66,5 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(i.intern("bert"), a);
         assert_eq!(i.intern("moe"), b);
-    }
-
-    #[test]
-    fn distinct_fields_give_distinct_keys() {
-        let key = |model, batch, gpus, stages, hw, gpn| CellKey {
-            model,
-            batch,
-            gpus,
-            stages,
-            hw,
-            gpn,
-        };
-        let base = key(0, 256, 8, 4, 0, 4);
-        for other in [
-            key(1, 256, 8, 4, 0, 4),
-            key(0, 512, 8, 4, 0, 4),
-            key(0, 256, 4, 4, 0, 4),
-            key(0, 256, 8, 2, 0, 4),
-            key(0, 256, 8, 4, 1, 4),
-            key(0, 256, 8, 4, 0, 2),
-        ] {
-            assert_ne!(base, other);
-        }
-        assert_eq!(base, key(0, 256, 8, 4, 0, 4));
     }
 }

@@ -11,7 +11,8 @@
 //!    sizes; at estimation time costs are interpolated from the tables.
 //! 2. **Runtime** ([`profile`]): each stage's computation is profiled on a
 //!    *single GPU* under the two pure plans (DP-only and TP-only) with
-//!    distributed-equivalent compilation — the workflow of Fig. 10.
+//!    distributed-equivalent compilation — the workflow of Fig. 10 —
+//!    straight into struct-of-arrays columns.
 //! 3. **Assembly** ([`estimator`]): the `2^Ns` plans mixing DP-only /
 //!    TP-only per stage are priced by combining the two profiles with
 //!    table-interpolated communication (Fig. 9), and the best feasible
@@ -35,4 +36,5 @@ pub mod tables;
 pub use cell::{Cell, Favor};
 pub use estimator::{best_estimate, CacheStats, CacheStatsSnapshot, CellEstimate, CellEstimator};
 pub use keys::Interner;
+pub use profile::SoaProfiles;
 pub use tables::{CollectiveKind, CommTables};

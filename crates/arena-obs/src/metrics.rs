@@ -659,7 +659,7 @@ mod tests {
         let reg = MetricsRegistry::new(4);
         let sections = vec![
             arena_runtime::MemSection {
-                name: "estimator.profiles".to_string(),
+                name: "plans.cells".to_string(),
                 bytes: 4096,
                 entries: 12,
                 budget_bytes: Some(1 << 20),
@@ -669,13 +669,13 @@ mod tests {
         ];
         publish_mem_sections(&reg, &sections);
         let g = |name: &str| reg.gauge(name).get();
-        assert_eq!(g("mem.bytes{section=\"estimator.profiles\"}"), 4096.0);
-        assert_eq!(g("mem.entries{section=\"estimator.profiles\"}"), 12.0);
+        assert_eq!(g("mem.bytes{section=\"plans.cells\"}"), 4096.0);
+        assert_eq!(g("mem.entries{section=\"plans.cells\"}"), 12.0);
         assert_eq!(
-            g("mem.budget_bytes{section=\"estimator.profiles\"}"),
+            g("mem.budget_bytes{section=\"plans.cells\"}"),
             (1_u64 << 20) as f64
         );
-        assert_eq!(g("mem.evictions{section=\"estimator.profiles\"}"), 3.0);
+        assert_eq!(g("mem.evictions{section=\"plans.cells\"}"), 3.0);
         // Unbudgeted sections expose 0 (= unlimited) rather than no series.
         assert_eq!(g("mem.budget_bytes{section=\"plans.graphs\"}"), 0.0);
         let text = reg.expose();
@@ -684,7 +684,7 @@ mod tests {
         let mut grown = sections;
         grown[0].bytes = 8192;
         publish_mem_sections(&reg, &grown);
-        assert_eq!(g("mem.bytes{section=\"estimator.profiles\"}"), 8192.0);
+        assert_eq!(g("mem.bytes{section=\"plans.cells\"}"), 8192.0);
     }
 
     #[test]

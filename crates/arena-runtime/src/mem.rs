@@ -118,7 +118,7 @@ pub const MAP_ENTRY_OVERHEAD: usize = 48;
 /// One named component in a memory ledger.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MemSection {
-    /// Component name, dot-separated (e.g. `estimator.profiles`).
+    /// Component name, dot-separated (e.g. `plans.cells`).
     pub name: String,
     /// Live accounted bytes.
     pub bytes: usize,

@@ -11,7 +11,7 @@
 //! repeated same-class jobs inside one pass) skip re-enumeration
 //! entirely.
 //!
-//! Unlike the plan and estimator caches, which are byte-budgeted
+//! Unlike the plan database's maps, which are byte-budgeted
 //! `BudgetedMap`s, the memo has no budget and no entry cap: it holds at
 //! most one list per job class seen since the last capacity change, and
 //! the next allocation, release or fault empties it.

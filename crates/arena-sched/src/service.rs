@@ -154,14 +154,14 @@ impl PlanService {
     }
 
     /// Applies the `ARENA_MEM_BUDGET_BYTES` environment knob, when set:
-    /// half the total goes to the plan database, half to the estimator's
-    /// caches. Returns the budget read, for logging. With the variable
-    /// unset this is a no-op (budgets keep their current values, so a
+    /// the whole total goes to the plan database (the estimator's one
+    /// cache, its communication tables, holds one entry per node class).
+    /// Returns the budget read, for logging. With the variable unset
+    /// this is a no-op (budgets keep their current values, so a
     /// programmatic budget set earlier survives).
     pub fn apply_env_budget(&self) -> Option<usize> {
         let total = arena_runtime::mem_budget_from_env()?;
-        self.set_mem_budget(Some(total / 2));
-        self.estimator.set_mem_budget(Some(total / 2));
+        self.set_mem_budget(Some(total));
         Some(total)
     }
 

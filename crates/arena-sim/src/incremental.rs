@@ -476,8 +476,7 @@ struct EngineTelemetry {
     burst: Histogram,
     /// Event-heap depth after each burst.
     heap_depth: Gauge,
-    /// Estimator cache hit ratios, refreshed after every dispatch.
-    est_profile_ratio: Gauge,
+    /// Estimator table-cache hit ratio, refreshed after every dispatch.
     est_table_ratio: Gauge,
     /// Cumulative wall-clock spent computing estimates, seconds.
     est_seconds: Gauge,
@@ -515,7 +514,6 @@ impl EngineTelemetry {
         EngineTelemetry {
             burst: reg.histogram("sim.stage.burst_seconds"),
             heap_depth: reg.gauge("sim.heap_depth"),
-            est_profile_ratio: reg.gauge("sim.estimator.profile_hit_ratio"),
             est_table_ratio: reg.gauge("sim.estimator.table_hit_ratio"),
             est_seconds: reg.gauge("sim.estimator.estimate_seconds"),
             stage_merge: reg.histogram("sim.shard.merge"),
@@ -549,18 +547,12 @@ impl EngineTelemetry {
 
     /// Refreshes the estimator gauges from a cache-stats snapshot.
     fn observe_estimator(&self, est: &arena_estimator::CacheStatsSnapshot) {
-        let ratio = |hits: u64, misses: u64| {
-            let total = hits + misses;
-            if total == 0 {
-                0.0
-            } else {
-                hits as f64 / total as f64
-            }
-        };
-        self.est_profile_ratio
-            .set(ratio(est.profile_hits, est.profile_misses));
-        self.est_table_ratio
-            .set(ratio(est.table_hits, est.table_misses));
+        let lookups = est.table_hits + est.table_misses;
+        self.est_table_ratio.set(if lookups == 0 {
+            0.0
+        } else {
+            est.table_hits as f64 / lookups as f64
+        });
         self.est_seconds.set(est.estimate_ns as f64 / 1e9);
     }
 }
@@ -1122,7 +1114,6 @@ impl<'a> Engine<'a> {
             let est = self.service.estimator_stats();
             self.obs
                 .incr("estimator.estimate.misses", est.estimate_misses);
-            self.obs.incr("estimator.profile.hits", est.profile_hits);
             self.obs
                 .incr("estimator.profile.misses", est.profile_misses);
             self.obs.incr("estimator.table.hits", est.table_hits);

@@ -603,7 +603,7 @@ mod tests {
         }
         let text = registry.expose();
         assert!(text.contains("sim_heap_depth "));
-        assert!(text.contains("sim_estimator_profile_hit_ratio"));
+        assert!(text.contains("sim_estimator_table_hit_ratio"));
     }
 
     #[test]

@@ -292,7 +292,7 @@ fn watch_streams_numbered_samples_and_metrics_scrape_is_well_formed() {
         // Memory-ledger gauges publish on the engine's first pass (then
         // on a 1-in-64 clock), so a mid-run scrape already carries
         // cache occupancy.
-        "mem_bytes{section=\"estimator.profiles\"}",
+        "mem_bytes{section=\"estimator.tables\"}",
         "mem_budget_bytes{section=\"plans.cells\"}",
         "mem_evictions{section=\"estimator.tables\"}",
     ] {

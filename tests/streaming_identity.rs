@@ -140,7 +140,7 @@ fn streaming_identity_all_policies_faulted() {
     }
 }
 
-/// Runs the streaming driver with the given cache budget (None =
+/// Runs the streaming driver with the given plan-database budget (None =
 /// unlimited) and returns the summary plus the total evictions the
 /// budgeted maps performed.
 fn run_with_budget(
@@ -152,17 +152,11 @@ fn run_with_budget(
     let cfg = SimConfig::new(48.0 * 3600.0);
     let service = PlanService::new(&cluster, CostParams::default(), 17);
     service.set_mem_budget(budget);
-    service.estimator().set_mem_budget(budget);
     let mut policy = policy_by_name(policy_name, 1).expect("known policy");
     let summary = Run::new(&cluster, policy.as_mut(), &service, &cfg)
         .stream(&mut VecSource::new(jobs.to_vec()))
         .expect("in-memory source cannot fail");
-    let evictions = service
-        .mem_report()
-        .iter()
-        .chain(service.estimator().mem_report().iter())
-        .map(|s| s.evictions)
-        .sum();
+    let evictions = service.mem_report().iter().map(|s| s.evictions).sum();
     (summary, evictions)
 }
 
@@ -215,7 +209,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Cache eviction is semantically invisible at *any* budget: a run
-    /// whose plan/estimator caches are squeezed to a few hundred bytes
+    /// whose plan database is squeezed to a few hundred bytes
     /// schedules exactly like an unbudgeted one. Eviction may only cost
     /// recomputation, never change an answer.
     #[test]
