@@ -248,8 +248,8 @@ fn bench_perf_and_parallelism(smoke: bool) -> Vec<BenchEntry> {
 /// The agile Cell estimator (Fig. 12's machinery): the two steps of an
 /// estimate apart — plan assembly from a profile taken once, on warm
 /// tables (`estimate_uncached`, the SoA gate's entry), and profiling
-/// one Cell (`profile`) — then a cold estimator per call and offline
-/// communication-table construction.
+/// one Cell (`profile`) — then offline communication-table
+/// construction.
 fn bench_estimator(smoke: bool) -> Vec<BenchEntry> {
     let cluster = presets::physical_testbed();
     let hw = HwTarget::new(cluster.spec(GpuTypeId(0)));
@@ -274,23 +274,6 @@ fn bench_estimator(smoke: bool) -> Vec<BenchEntry> {
     ];
     let hw = a100_node();
     let n = iters(smoke, 30);
-    for (name, fam, size, gpus, stages) in [
-        ("bert1.3_8g_4s", ModelFamily::Bert, 1.3, 8, 4),
-        ("moe2.4_16g_8s", ModelFamily::Moe, 2.4, 16, 8),
-        ("wres2_8g_2s", ModelFamily::WideResNet, 2.0, 8, 2),
-    ] {
-        let graph = ModelConfig::new(fam, size, 256).build();
-        let cell = Cell::new(&graph, gpus, stages).expect("feasible cell");
-        out.push(time_loop(
-            &format!("estimator/estimate_cold/{name}"),
-            n,
-            || {
-                // Fresh estimator: pays profiling, table build and assembly.
-                let est = CellEstimator::new(CostParams::default(), 3);
-                black_box(est.estimate(&graph, 256, black_box(&cell), &hw));
-            },
-        ));
-    }
     let noise = NoiseModel::new(0.02, 1);
     out.push(time_loop("estimator/comm_tables_build_64", n, || {
         black_box(CommTables::build(&hw, 64, &noise));

@@ -56,22 +56,6 @@ pub enum NodeHealth {
     Healthy,
     /// Crashed: nothing allocatable; running jobs must be evicted.
     Failed,
-    /// Being decommissioned: nothing new allocatable, but existing
-    /// allocations keep running until released.
-    Draining,
-}
-
-/// One node-health transition applied online — pool/node coordinates
-/// plus the target state. Carried by serving-layer commands and routed
-/// through [`Cluster::apply_health_delta`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HealthDelta {
-    /// Pool index.
-    pub pool: usize,
-    /// Node index within the pool.
-    pub node: usize,
-    /// Target health state.
-    pub to: NodeHealth,
 }
 
 /// One homogeneous pool: `num_nodes` identical servers of one [`NodeSpec`].
@@ -103,17 +87,17 @@ impl Pool {
     fn sync_free(&mut self, node: usize) {
         self.free[node] = match self.health[node] {
             NodeHealth::Healthy => self.spec.gpus_per_node - self.used[node],
-            NodeHealth::Failed | NodeHealth::Draining => 0,
+            NodeHealth::Failed => 0,
         };
     }
 
-    /// Unavailable capacity on one node: GPUs a failed/draining node can
-    /// no longer offer (GPUs still granted to un-released allocations on
+    /// Unavailable capacity on one node: GPUs a failed node can no
+    /// longer offer (GPUs still granted to un-released allocations on
     /// it count as used, not failed).
     fn failed_contrib(&self, node: usize) -> usize {
         match self.health[node] {
             NodeHealth::Healthy => 0,
-            NodeHealth::Failed | NodeHealth::Draining => self.spec.gpus_per_node - self.used[node],
+            NodeHealth::Failed => self.spec.gpus_per_node - self.used[node],
         }
     }
 
@@ -149,9 +133,9 @@ pub struct PoolStats {
     pub total_gpus: usize,
     /// Currently free (allocatable) GPUs in the pool.
     pub free_gpus: usize,
-    /// GPUs unavailable due to failed or draining nodes (capacity those
-    /// nodes cannot offer; GPUs still held by un-released allocations on
-    /// them count as allocated, not failed).
+    /// GPUs unavailable due to failed nodes (capacity those nodes cannot
+    /// offer; GPUs still held by un-released allocations on them count
+    /// as allocated, not failed).
     pub failed_gpus: usize,
 }
 
@@ -230,14 +214,6 @@ impl Cluster {
         self.pools.get(id.0).map_or(0, |p| p.free_total)
     }
 
-    /// Free GPUs across all pools.
-    #[must_use]
-    pub fn total_free_gpus(&self) -> usize {
-        (0..self.pools.len())
-            .map(|i| self.free_gpus(GpuTypeId(i)))
-            .sum()
-    }
-
     /// Number of nodes in one pool (0 for an unknown pool).
     #[must_use]
     pub fn num_nodes(&self, id: GpuTypeId) -> usize {
@@ -251,9 +227,9 @@ impl Cluster {
         self.pools.get(id.0).map_or(0, |p| p.used_total)
     }
 
-    /// Unavailable capacity in one pool: GPUs on failed or draining nodes
-    /// that are neither free nor held by an allocation (O(1): served from
-    /// the capacity index).
+    /// Unavailable capacity in one pool: GPUs on failed nodes that are
+    /// neither free nor held by an allocation (O(1): served from the
+    /// capacity index).
     #[must_use]
     pub fn failed_gpus(&self, id: GpuTypeId) -> usize {
         self.pools.get(id.0).map_or(0, |p| p.failed_total)
@@ -316,50 +292,6 @@ impl Cluster {
         self.set_health(id, node, NodeHealth::Healthy)
     }
 
-    /// Starts decommissioning a node: nothing new is placed on it, but
-    /// existing allocations keep running until released.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClusterError::UnknownPool`] / [`ClusterError::UnknownNode`]
-    /// for out-of-range indices.
-    pub fn drain_node(&mut self, id: GpuTypeId, node: usize) -> Result<(), ClusterError> {
-        self.set_health(id, node, NodeHealth::Draining)
-    }
-
-    /// Applies one online health delta — the serving layer's uniform
-    /// entry point for capacity events arriving as commands rather than
-    /// as a pre-validated fault schedule. Idempotent like the individual
-    /// transitions it routes to.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClusterError::UnknownPool`] / [`ClusterError::UnknownNode`]
-    /// for out-of-range indices.
-    pub fn apply_health_delta(&mut self, delta: &HealthDelta) -> Result<(), ClusterError> {
-        self.set_health(GpuTypeId(delta.pool), delta.node, delta.to)
-    }
-
-    /// Per-pool node-health census `(healthy, draining, failed)`, in
-    /// pool order — the capacity view a status snapshot publishes.
-    #[must_use]
-    pub fn health_summary(&self) -> Vec<(usize, usize, usize)> {
-        self.pools
-            .iter()
-            .map(|p| {
-                let mut counts = (0, 0, 0);
-                for h in &p.health {
-                    match h {
-                        NodeHealth::Healthy => counts.0 += 1,
-                        NodeHealth::Draining => counts.1 += 1,
-                        NodeHealth::Failed => counts.2 += 1,
-                    }
-                }
-                counts
-            })
-            .collect()
-    }
-
     /// Statistics for every pool (O(pools): served from the capacity
     /// index, no node scans).
     #[must_use]
@@ -375,12 +307,6 @@ impl Cluster {
                 failed_gpus: p.failed_total,
             })
             .collect()
-    }
-
-    /// Whether `n` GPUs of type `id` could be allocated right now.
-    #[must_use]
-    pub fn can_alloc(&self, id: GpuTypeId, n: usize) -> bool {
-        n > 0 && self.free_gpus(id) >= n
     }
 
     /// Allocates `n` GPUs from pool `id`, packing onto as few nodes as
@@ -462,9 +388,8 @@ impl Cluster {
 
     /// Releases a previously granted allocation.
     ///
-    /// GPUs return to the free pool only on healthy nodes; on failed or
-    /// draining nodes they become unavailable capacity until the node is
-    /// repaired.
+    /// GPUs return to the free pool only on healthy nodes; on failed
+    /// nodes they become unavailable capacity until the node is repaired.
     ///
     /// # Errors
     ///
@@ -636,21 +561,6 @@ mod tests {
     }
 
     #[test]
-    fn drain_blocks_new_allocations_but_keeps_running_jobs() {
-        let mut c = small_cluster();
-        let a = c.allocate(GpuTypeId(0), 2).unwrap();
-        let node = a.node_gpus[0].0;
-        c.drain_node(GpuTypeId(0), node).unwrap();
-        assert_eq!(c.node_health(GpuTypeId(0), node), Ok(NodeHealth::Draining));
-        assert_eq!(c.free_gpus(GpuTypeId(0)), 12);
-        let b = c.allocate(GpuTypeId(0), 4).unwrap();
-        assert!(!b.uses_node(GpuTypeId(0), node));
-        // The draining node's job releases into unavailable capacity.
-        c.release(&a).unwrap();
-        assert_eq!(c.failed_gpus(GpuTypeId(0)), 4);
-    }
-
-    #[test]
     fn health_conservation_invariant() {
         let mut c = small_cluster();
         let a = c.allocate(GpuTypeId(0), 7).unwrap();
@@ -696,7 +606,7 @@ mod tests {
 
     /// The incremental capacity index must agree with a from-scratch scan
     /// of the node books after any interleaving of allocate / release /
-    /// fail / drain / repair.
+    /// fail / repair.
     #[test]
     fn capacity_index_matches_node_scans() {
         let mut c = small_cluster();
@@ -739,8 +649,7 @@ mod tests {
                         c.release(&a).unwrap();
                     }
                 }
-                3 => c.fail_node(pool, node).unwrap(),
-                4 => c.drain_node(pool, node).unwrap(),
+                3 | 4 => c.fail_node(pool, node).unwrap(),
                 _ => c.repair_node(pool, node).unwrap(),
             }
             scan_check(&c);

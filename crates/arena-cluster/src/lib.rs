@@ -28,7 +28,7 @@ pub mod node;
 pub mod presets;
 
 pub use alloc::{Allocation, MeshShape};
-pub use cluster::{Cluster, ClusterError, GpuTypeId, HealthDelta, NodeHealth, PoolStats};
+pub use cluster::{Cluster, ClusterError, GpuTypeId, NodeHealth, PoolStats};
 pub use gpu::{GpuArch, GpuSpec};
 pub use link::LinkKind;
 pub use node::NodeSpec;

@@ -18,11 +18,10 @@ use arena_model::ModelGraph;
 use arena_parallelism::{PipelinePlan, StageAssignment, StagePlan};
 use arena_perf::noise::NoiseModel;
 use arena_perf::{CostParams, HwTarget, ProfilingMeter};
-use arena_runtime::{BudgetedMap, MemSection};
+use arena_runtime::{BudgetedMap, MemSection, MemSize};
 use parking_lot::RwLock;
 
 use crate::cell::{Cell, Favor};
-use crate::keys::{Interner, TableKey};
 use crate::profile::{profile_cell, SoaProfiles};
 use crate::tables::{CollectiveKind, CommTables};
 
@@ -88,6 +87,20 @@ thread_local! {
     static SCRATCH: RefCell<AssemblyScratch> = RefCell::new(AssemblyScratch::default());
 }
 
+/// Identity of a communication-table build: the GPU model's name and
+/// the packed GPUs per node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct TableKey {
+    hw: &'static str,
+    gpn: usize,
+}
+
+impl MemSize for TableKey {
+    fn mem_bytes(&self) -> usize {
+        std::mem::size_of::<Self>()
+    }
+}
+
 /// Live hit/miss counters for the estimator's table cache, plus the
 /// counts of estimates and profiles and the total wall-clock spent
 /// estimating. All counters are monotonic and thread-safe; reading them
@@ -150,21 +163,20 @@ impl CacheStats {
 /// profiled once per GPU type (§6.1).
 ///
 /// The table cache is one [`BudgetedMap`] behind one `RwLock`, keyed by
-/// interned hardware ids and never budgeted: it holds one entry per node
-/// class. A lookup takes the read lock, a miss builds outside any lock
-/// and then inserts under the write lock, as the plan service's memo
-/// maps do. Every estimator belongs to one plan service, and each
-/// service is driven by a single thread (the daemon thread, one run, or
-/// one experiment task), so the lock is uncontended. Tables and profiles
-/// are deterministic functions of their inputs (noise is keyed, not
-/// drawn), so a repeated estimate returns the same bits.
+/// GPU model name and packed GPUs per node and never budgeted: it holds
+/// one entry per node class. A lookup takes the read lock, a miss builds
+/// outside any lock and then inserts under the write lock, as the plan
+/// service's memo maps do. Every estimator belongs to one plan service,
+/// and each service is driven by a single thread (the daemon thread, one
+/// run, or one experiment task), so the lock is uncontended. Tables and
+/// profiles are deterministic functions of their inputs (noise is keyed,
+/// not drawn), so a repeated estimate returns the same bits.
 pub struct CellEstimator {
     params: CostParams,
     noise: NoiseModel,
     table_noise: NoiseModel,
     meter: Arc<ProfilingMeter>,
     stats: CacheStats,
-    interner: Interner,
     tables: RwLock<BudgetedMap<TableKey, Arc<CommTables>>>,
 }
 
@@ -189,7 +201,6 @@ impl CellEstimator {
             table_noise,
             meter: Arc::new(ProfilingMeter::new()),
             stats: CacheStats::default(),
-            interner: Interner::new(),
             tables: RwLock::new(BudgetedMap::new(None)),
         }
     }
@@ -221,7 +232,7 @@ impl CellEstimator {
 
     fn tables_for(&self, hw: &HwTarget, max_group: usize) -> Arc<CommTables> {
         let key = TableKey {
-            hw: self.interner.intern(hw.name()),
+            hw: hw.name(),
             gpn: hw.packed_gpn,
         };
         if let Some(t) = self.tables.read().get(&key) {

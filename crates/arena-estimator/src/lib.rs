@@ -29,12 +29,10 @@
 
 pub mod cell;
 pub mod estimator;
-mod keys;
 pub mod profile;
 pub mod tables;
 
 pub use cell::{Cell, Favor};
 pub use estimator::{best_estimate, CacheStats, CacheStatsSnapshot, CellEstimate, CellEstimator};
-pub use keys::Interner;
 pub use profile::SoaProfiles;
 pub use tables::{CollectiveKind, CommTables};

@@ -1,6 +1,8 @@
 //! The Table-2 model zoo: every `(family, size, global batch)` used in the
 //! paper's experiments.
 
+use std::hash::{Hash, Hasher};
+
 use serde::{Deserialize, Serialize};
 
 use crate::graph::ModelGraph;
@@ -73,7 +75,12 @@ impl std::fmt::Display for ModelFamily {
 
 /// One trainable configuration: a family, a nominal size and a global
 /// batch size.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+///
+/// Equality and hashing compare `params_b` by its bits, so a
+/// configuration is a map key as it stands. [`ModelConfig::name`] prints
+/// `params_b` in its shortest round-trip form, so two configurations are
+/// equal exactly when their names and batches are.
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct ModelConfig {
     /// Model family.
     pub family: ModelFamily,
@@ -94,7 +101,14 @@ impl ModelConfig {
         }
     }
 
-    /// Display name, e.g. `"BERT-2.6B"`.
+    /// The fields that make a configuration's identity, `params_b` by
+    /// its bits: the one definition `PartialEq`, `Eq` and `Hash` share.
+    fn identity(&self) -> (ModelFamily, u64, usize) {
+        (self.family, self.params_b.to_bits(), self.global_batch)
+    }
+
+    /// Display name, e.g. `"BERT-2.6B"`. A label: look a configuration up
+    /// by the configuration itself.
     #[must_use]
     pub fn name(&self) -> String {
         format!("{}-{}B", self.family.short(), self.params_b)
@@ -112,6 +126,20 @@ impl ModelConfig {
             ModelFamily::Bert => bert::build(self.params_b),
             ModelFamily::Moe => moe::build(self.params_b),
         }
+    }
+}
+
+impl PartialEq for ModelConfig {
+    fn eq(&self, other: &Self) -> bool {
+        self.identity() == other.identity()
+    }
+}
+
+impl Eq for ModelConfig {}
+
+impl Hash for ModelConfig {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.identity().hash(state);
     }
 }
 
@@ -177,6 +205,26 @@ mod tests {
             assert!(g.len() >= 3, "{} has too few ops", cfg.name());
             assert!(g.total_flops_fwd() > 0.0);
             assert_eq!(g.family, cfg.family);
+        }
+    }
+
+    #[test]
+    fn equality_is_name_and_batch_equality() {
+        use std::collections::hash_map::DefaultHasher;
+        let hash = |c: &ModelConfig| {
+            let mut h = DefaultHasher::new();
+            c.hash(&mut h);
+            h.finish()
+        };
+        let grid = table2_full_grid();
+        for a in &grid {
+            for b in &grid {
+                let same_label = (a.name(), a.global_batch) == (b.name(), b.global_batch);
+                assert_eq!(a == b, same_label, "{} / {}", a.name(), b.name());
+                if a == b {
+                    assert_eq!(hash(a), hash(b));
+                }
+            }
         }
     }
 

@@ -7,7 +7,7 @@ use arena_cluster::{GpuTypeId, PoolStats};
 use arena_obs::Decision;
 
 pub use crate::memo::CandidateMemoStats;
-use crate::memo::{CandidateMemo, JobClassKey};
+use crate::memo::{job_class, CandidateMemo};
 use crate::policy::{Action, JobView, PlanMode, Policy, SchedEvent, SchedView};
 
 /// Which Arena variant runs.
@@ -160,7 +160,7 @@ impl ArenaPolicy {
     /// With zero failed capacity the ranking is exactly the fault-free
     /// one, so fault-free schedules are unchanged.
     fn candidates(&self, view: &SchedView<'_>, job: &JobView) -> Vec<Candidate> {
-        let key = JobClassKey::of(&job.spec);
+        let key = job_class(&job.spec);
         if self.use_memo {
             self.memo.borrow_mut().begin_pass(view.pools);
             if let Some(cached) = self.memo.borrow_mut().get(&key) {

@@ -25,31 +25,13 @@ use arena_trace::JobSpec;
 
 use crate::arena::Candidate;
 
-/// Everything a job's candidate list depends on besides pool state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct JobClassKey {
-    family: arena_model::zoo::ModelFamily,
-    params_mb: u64,
-    global_batch: usize,
-    requested_gpus: usize,
-    requested_pool: usize,
-}
+/// Everything a job's candidate list depends on besides pool state: its
+/// model configuration, requested GPU count and requested pool.
+pub(crate) type JobClass = (ModelConfig, usize, usize);
 
-impl JobClassKey {
-    pub(crate) fn of(spec: &JobSpec) -> Self {
-        let ModelConfig {
-            family,
-            params_b,
-            global_batch,
-        } = spec.model;
-        JobClassKey {
-            family,
-            params_mb: params_b.to_bits(),
-            global_batch,
-            requested_gpus: spec.requested_gpus,
-            requested_pool: spec.requested_pool,
-        }
-    }
+/// The class `spec` schedules as.
+pub(crate) fn job_class(spec: &JobSpec) -> JobClass {
+    (spec.model, spec.requested_gpus, spec.requested_pool)
 }
 
 /// Order-sensitive hash of every pool's capacity counts — the memo's
@@ -84,7 +66,7 @@ pub struct CandidateMemoStats {
 #[derive(Debug, Default)]
 pub(crate) struct CandidateMemo {
     pool_sig: Option<u64>,
-    entries: HashMap<JobClassKey, Arc<Vec<Candidate>>>,
+    entries: HashMap<JobClass, Arc<Vec<Candidate>>>,
     stats: CandidateMemoStats,
 }
 
@@ -102,7 +84,7 @@ impl CandidateMemo {
         }
     }
 
-    pub(crate) fn get(&mut self, key: &JobClassKey) -> Option<Arc<Vec<Candidate>>> {
+    pub(crate) fn get(&mut self, key: &JobClass) -> Option<Arc<Vec<Candidate>>> {
         let hit = self.entries.get(key).cloned();
         if hit.is_some() {
             self.stats.hits += 1;
@@ -112,7 +94,7 @@ impl CandidateMemo {
         hit
     }
 
-    pub(crate) fn put(&mut self, key: JobClassKey, value: Arc<Vec<Candidate>>) {
+    pub(crate) fn put(&mut self, key: JobClass, value: Arc<Vec<Candidate>>) {
         self.entries.insert(key, value);
     }
 
@@ -163,10 +145,13 @@ mod tests {
     #[test]
     fn same_class_jobs_share_a_key() {
         // Different ids and names, same scheduling class.
-        assert_eq!(JobClassKey::of(&spec(1)), JobClassKey::of(&spec(2)));
+        assert_eq!(job_class(&spec(1)), job_class(&spec(2)));
         let mut other = spec(3);
         other.requested_gpus = 4;
-        assert_ne!(JobClassKey::of(&spec(1)), JobClassKey::of(&other));
+        assert_ne!(job_class(&spec(1)), job_class(&other));
+        let mut bigger = spec(4);
+        bigger.model.params_b = 2.6;
+        assert_ne!(job_class(&spec(1)), job_class(&bigger));
     }
 
     #[test]
@@ -190,7 +175,7 @@ mod tests {
         let mut memo = CandidateMemo::default();
         let p = pools();
         memo.begin_pass(&p);
-        let key = JobClassKey::of(&spec(1));
+        let key = job_class(&spec(1));
         assert!(memo.get(&key).is_none());
         memo.put(key, Arc::new(Vec::new()));
         assert!(memo.get(&key).is_some());

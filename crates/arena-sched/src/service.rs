@@ -16,9 +16,9 @@
 //!   [`PlanService::arena_run`] then tunes the chosen Cell with the
 //!   pruned search, paying far less wall-clock than full exploration.
 //!
-//! All results are memoised by `(model, batch, gpus, pool)`: identical
-//! configurations are explored once, exactly as a real cluster caches
-//! profiling databases. The memo maps are byte-accounted
+//! All results are memoised by `(model configuration, gpus, pool)`:
+//! identical configurations are explored once, exactly as a real cluster
+//! caches profiling databases. The memo maps are byte-accounted
 //! [`BudgetedMap`]s: under a configured budget
 //! ([`PlanService::set_mem_budget`]) the plan database sheds its
 //! oldest entries and recomputes them on demand — every entry is a
@@ -32,7 +32,7 @@ use parking_lot::RwLock;
 
 use arena_cluster::{Cluster, GpuTypeId, NodeSpec};
 use arena_estimator::{best_estimate, Cell, CellEstimator, Favor};
-use arena_model::{ModelConfig, ModelGraph};
+use arena_model::{ModelConfig, ModelFamily, ModelGraph};
 use arena_parallelism::{PipelinePlan, PlanSpace, StageAssignment, StagePlan};
 use arena_perf::{CostParams, GroundTruth, HwTarget, SampledSearch};
 use arena_runtime::{BudgetedMap, MemSection, MemSize};
@@ -87,20 +87,38 @@ impl MemSize for CellChoice {
     }
 }
 
-type Key = (String, usize, usize, usize);
+/// A plan-database key: a configuration on `gpus` GPUs of `pool` — a
+/// [`GpuTypeId`] for the per-pool maps, `()` for `ideal`, which spans
+/// every pool.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct PlanKey<P> {
+    model: ModelConfig,
+    gpus: usize,
+    pool: P,
+}
+
+impl<P> MemSize for PlanKey<P> {
+    fn mem_bytes(&self) -> usize {
+        std::mem::size_of::<Self>()
+    }
+}
+
+type Key = PlanKey<GpuTypeId>;
 
 /// The plan-acquisition service.
 pub struct PlanService {
     gt: GroundTruth,
     estimator: CellEstimator,
     specs: Vec<NodeSpec>,
-    graphs: RwLock<HashMap<String, Arc<ModelGraph>>>,
+    /// Keyed by family and `params_b` bits: the graph does not depend
+    /// on the batch.
+    graphs: RwLock<HashMap<(ModelFamily, u64), Arc<ModelGraph>>>,
     adaptive: RwLock<BudgetedMap<Key, Option<RunPlan>>>,
     dp: RwLock<BudgetedMap<Key, Option<f64>>>,
     pure_dp: RwLock<BudgetedMap<Key, Option<f64>>>,
     cells: RwLock<BudgetedMap<Key, Option<CellChoice>>>,
     arena_runs: RwLock<BudgetedMap<Key, Option<RunPlan>>>,
-    ideal: RwLock<BudgetedMap<(String, usize, usize), f64>>,
+    ideal: RwLock<BudgetedMap<PlanKey<()>, f64>>,
 }
 
 impl std::fmt::Debug for PlanService {
@@ -227,7 +245,7 @@ impl PlanService {
     /// The (cached) operator graph of a model configuration.
     #[must_use]
     pub fn graph(&self, model: &ModelConfig) -> Arc<ModelGraph> {
-        let key = model.name();
+        let key = (model.family, model.params_b.to_bits());
         if let Some(g) = self.graphs.read().get(&key) {
             return g.clone();
         }
@@ -237,7 +255,11 @@ impl PlanService {
     }
 
     fn key(model: &ModelConfig, gpus: usize, pool: GpuTypeId) -> Key {
-        (model.name(), model.global_batch, gpus, pool.0)
+        PlanKey {
+            model: *model,
+            gpus,
+            pool,
+        }
     }
 
     /// Full adaptive-parallelism exploration: the best plan over every
@@ -455,11 +477,11 @@ impl PlanService {
     /// throughput across heterogeneous model families.
     #[must_use]
     pub fn ideal_sps(&self, spec: &JobSpec) -> f64 {
-        let key = (
-            spec.model.name(),
-            spec.model.global_batch,
-            spec.requested_gpus,
-        );
+        let key = PlanKey {
+            model: spec.model,
+            gpus: spec.requested_gpus,
+            pool: (),
+        };
         if let Some(&v) = self.ideal.read().get(&key) {
             return v;
         }
@@ -481,7 +503,6 @@ impl PlanService {
 mod tests {
     use super::*;
     use arena_cluster::presets;
-    use arena_model::zoo::ModelFamily;
 
     /// Every cache sits behind a lock, so one `&PlanService` may be
     /// shared across threads.

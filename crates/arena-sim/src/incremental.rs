@@ -40,8 +40,7 @@ use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use arena_cluster::{Allocation, Cluster, GpuTypeId};
-use arena_estimator::Interner;
-use arena_model::zoo::ModelFamily;
+use arena_model::{ModelConfig, ModelFamily};
 use arena_obs::{
     Counter, Decision, Gauge, Histogram, JobEventKind, MetricsRegistry, Obs, StopCause, TraceReport,
 };
@@ -351,9 +350,6 @@ pub(crate) enum JState {
 
 pub(crate) struct SJob {
     pub(crate) spec: Arc<JobSpec>,
-    /// `spec.model.name()` interned once at arrival — the plan-database
-    /// key component, so placements never hash a fresh `String`.
-    pub(crate) model_key: u32,
     pub(crate) state: JState,
     /// Epoch for this job's event-heap entries: bumped on every
     /// transition that invalidates a predicted event, so stale heap
@@ -604,8 +600,9 @@ pub struct Engine<'a> {
     // pass's views falls inside the view-build stage.
     view_queued: Vec<JobView>,
     view_running: Vec<JobView>,
-    interner: Interner,
-    acquired: HashSet<(u32, usize, usize, usize)>,
+    // Every (configuration, GPUs, pool) a placement has acquired a plan
+    // for: only the first placement of each pays the acquisition wall.
+    acquired: HashSet<(ModelConfig, usize, usize)>,
     t: f64,
     flog: FaultLog,
     next_round: f64,
@@ -668,7 +665,6 @@ impl<'a> Engine<'a> {
             order: Vec::new(),
             view_queued: Vec::new(),
             view_running: Vec::new(),
-            interner: Interner::new(),
             acquired: HashSet::new(),
             t: 0.0,
             flog: FaultLog::default(),
@@ -1480,10 +1476,8 @@ impl<'a> Engine<'a> {
             let spec = Arc::new(self.pending_jobs.pop_front().expect("front checked"));
             let iters = spec.iterations as f64;
             let id = spec.id;
-            let model_key = self.interner.intern(&spec.model.name());
             let idx = self.sjobs.push(SJob {
                 spec,
-                model_key,
                 state: JState::Queued,
                 generation: 0,
                 last_update_s: t,
@@ -1767,8 +1761,7 @@ impl<'a> Engine<'a> {
                                 j.restarts += 1;
                             }
                             self.obs.alloc_event(t, job, pool.0, &alloc.node_gpus, true);
-                            let key = (j.model_key, j.spec.model.global_batch, gpus, pool.0);
-                            let first = self.acquired.insert(key);
+                            let first = self.acquired.insert((j.spec.model, gpus, pool.0));
                             let state_bytes =
                                 8.0 * self.service.graph(&j.spec.model).total_param_bytes();
                             let ckpt = 2.0 * state_bytes / self.cfg.checkpoint_bw_bps;

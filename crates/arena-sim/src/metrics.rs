@@ -329,7 +329,9 @@ pub fn aggregate(
     faults: &FaultLog,
 ) -> Metrics {
     let mut jcts: Vec<f64> = records.iter().filter_map(JobRecord::jct_s).collect();
-    jcts.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    // JCTs are finite and non-negative (`finish >= submit`, and `x - x`
+    // is +0.0), so the total order is the numeric one.
+    jcts.sort_by(f64::total_cmp);
     let queues: Vec<f64> = records.iter().filter_map(JobRecord::queue_s).collect();
     let started = records.iter().filter(|r| r.start_s.is_some()).count();
     let restarts: u32 = records.iter().map(|r| r.restarts).sum();

@@ -205,7 +205,6 @@ mod tests {
                 requested_pool: 0,
                 deadline_s: None,
             }),
-            model_key: 0,
             state: JState::Queued,
             generation: id, // distinguishable per job for is_fresh tests
             last_update_s: 0.0,

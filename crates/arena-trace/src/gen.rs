@@ -139,7 +139,8 @@ fn proxy_iter_time(model: &ModelConfig, flops_fwd: f64, gpus: usize) -> f64 {
 pub struct GenSource {
     cfg: TraceConfig,
     rng: StdRng,
-    flops_cache: HashMap<String, f64>,
+    /// Forward FLOPs per model, keyed by family and `params_b` bits.
+    flops_cache: HashMap<(ModelFamily, u64), f64>,
     base_rate: f64,
     dur_median: f64,
     dur_sigma: f64,
@@ -232,7 +233,7 @@ impl Iterator for GenSource {
             lognormal(&mut self.rng, self.dur_median, self.dur_sigma).clamp(60.0, 1_209_600.0);
         let flops = *self
             .flops_cache
-            .entry(model.name())
+            .entry((family, model.params_b.to_bits()))
             .or_insert_with(|| model.build().total_flops_fwd());
         let iters = (duration / proxy_iter_time(&model, flops, requested_gpus))
             .round()
@@ -301,7 +302,7 @@ mod tests {
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.submit_s, y.submit_s);
             assert_eq!(x.requested_gpus, y.requested_gpus);
-            assert_eq!(x.model.name(), y.model.name());
+            assert_eq!(x.model, y.model);
         }
     }
 

@@ -54,7 +54,7 @@ mod tests {
         for (a, b) in jobs.iter().zip(&loaded) {
             assert_eq!(a.id, b.id);
             assert_eq!(a.submit_s, b.submit_s);
-            assert_eq!(a.model.name(), b.model.name());
+            assert_eq!(a.model, b.model);
             assert_eq!(a.requested_gpus, b.requested_gpus);
             assert_eq!(a.iterations, b.iterations);
         }

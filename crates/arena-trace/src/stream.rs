@@ -249,8 +249,7 @@ mod tests {
             assert_eq!(x.id, y.id);
             assert_eq!(x.name, y.name);
             assert_eq!(x.submit_s.to_bits(), y.submit_s.to_bits());
-            assert_eq!(x.model.name(), y.model.name());
-            assert_eq!(x.model.global_batch, y.model.global_batch);
+            assert_eq!(x.model, y.model);
             assert_eq!(x.iterations, y.iterations);
             assert_eq!(x.requested_gpus, y.requested_gpus);
             assert_eq!(x.requested_pool, y.requested_pool);
