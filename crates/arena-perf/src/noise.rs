@@ -19,9 +19,17 @@ pub struct NoiseModel {
 
 impl NoiseModel {
     /// Creates a noise model with relative standard deviation `sigma`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `0 <= sigma < 1/3`, the range whose factors are all
+    /// positive.
     #[must_use]
     pub fn new(sigma: f64, seed: u64) -> Self {
-        assert!((0.0..0.5).contains(&sigma), "sigma {sigma} out of range");
+        assert!(
+            (0.0..1.0 / 3.0).contains(&sigma),
+            "sigma {sigma} out of range"
+        );
         NoiseModel { sigma, seed }
     }
 
@@ -32,6 +40,14 @@ impl NoiseModel {
             sigma: 0.0,
             seed: 0,
         }
+    }
+
+    /// The smallest factor [`factor`](Self::factor) returns, `1 − 3 sigma`
+    /// (1 without noise): the clamp's lower end, bit for bit, and always
+    /// positive.
+    #[must_use]
+    pub fn floor(&self) -> f64 {
+        floor(self.sigma)
     }
 
     /// The multiplicative factor for a measurement identified by `key`.
@@ -93,8 +109,13 @@ impl PrefixedNoise {
         }
         // Var of one uniform(-0.5, 0.5) is 1/12; of the sum, 1/3.
         let gauss = z * 3.0_f64.sqrt();
-        (1.0 + self.sigma * gauss).clamp(1.0 - 3.0 * self.sigma, 1.0 + 3.0 * self.sigma)
+        (1.0 + self.sigma * gauss).clamp(floor(self.sigma), 1.0 + 3.0 * self.sigma)
     }
+}
+
+/// The lower end of the factor clamp at relative deviation `sigma`.
+fn floor(sigma: f64) -> f64 {
+    1.0 - 3.0 * sigma
 }
 
 #[cfg(test)]
@@ -141,6 +162,7 @@ mod tests {
     #[test]
     fn disabled_is_identity() {
         assert_eq!(NoiseModel::disabled().factor("anything"), 1.0);
+        assert_eq!(NoiseModel::disabled().floor(), 1.0);
     }
 
     #[test]
@@ -151,6 +173,7 @@ mod tests {
         for i in 0..COUNT {
             let f = n.factor(&format!("key{i}"));
             assert!(f > 0.8 && f < 1.2, "factor {f} out of bounds");
+            assert!(f >= n.floor(), "factor {f} under the floor");
             sum += f;
         }
         let mean = sum / COUNT as f64;

@@ -73,6 +73,14 @@ impl GroundTruth {
         &self.model.params
     }
 
+    /// The smallest factor measurement noise multiplies a noise-free
+    /// iteration time by ([`NoiseModel::floor`]), always positive: a plan
+    /// whose noise-free time is `t` measures at least `t × noise_floor()`.
+    #[must_use]
+    pub fn noise_floor(&self) -> f64 {
+        self.noise.floor()
+    }
+
     /// The measurement noise of plans of `graph` at `global_batch` on
     /// `hw`.
     pub(crate) fn plan_noise(

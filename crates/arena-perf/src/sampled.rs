@@ -144,19 +144,37 @@ impl<'a> SampledSearch<'a> {
 
     /// The fastest sample of `space.sample(cap)` by iteration time that
     /// also beats `bound` (strict `<`: the first of equals wins), as its
-    /// index in the space and iteration time. `trial` sees every sample's
-    /// iteration time (`None` when infeasible) in sample order.
+    /// index in the space and iteration time.
+    ///
+    /// `trial` sees each sample's iteration time (`None` when infeasible)
+    /// in sample order and returns whether it needs the next one. Once it
+    /// returns `false` it is not called again, and a sample whose
+    /// noise-free time × [`GroundTruth::noise_floor`] is already `>=` the
+    /// best time so far goes unmeasured: rounding is monotone and every
+    /// factor is at least the floor, so its measured time could not beat
+    /// the best either. The result is the full scan's, bit for bit.
     pub fn fastest(
         &self,
         cap: usize,
         bound: Option<f64>,
-        mut trial: impl FnMut(Option<f64>),
+        mut trial: impl FnMut(Option<f64>) -> bool,
     ) -> Option<(u128, f64)> {
+        let floor = self.gt.noise_floor();
+        let mut timing = true;
         let mut best_t = bound;
         let mut winner = None;
-        for (idx, r) in self.samples(cap) {
-            let t = r.ok().map(|m| m.iter_time_s);
-            trial(t);
+        let mut walk = self.space.sample_walk(cap);
+        let mut noise = self.gt.plan_noise(self.graph, self.global_batch, self.hw);
+        while let Some((idx, digits)) = walk.advance() {
+            let t = match self.evaluate(digits, false) {
+                Ok(perf) if timing || best_t.is_none_or(|b| perf.iter_time_s * floor < b) => {
+                    Some(self.perturb(digits, &perf, &mut noise).iter_time_s)
+                }
+                _ => None,
+            };
+            if timing {
+                timing = trial(t);
+            }
             if let Some(t) = t {
                 if best_t.is_none_or(|b| t < b) {
                     best_t = Some(t);
@@ -165,6 +183,58 @@ impl<'a> SampledSearch<'a> {
             }
         }
         winner
+    }
+
+    /// A lower bound on the noise-free iteration time
+    /// ([`PerfModel::evaluate`](crate::PerfModel::evaluate)) of every plan
+    /// of the space, or `None` when no plan of it is feasible.
+    ///
+    /// At each micro-batch count, each stage contributes its feasible
+    /// options' least busy time and least gradient synchronisation, and
+    /// the lesser of its two boundary terms, folded through the same
+    /// Fig. 10 composition a plan's stage costs fold through. Each step
+    /// of that fold is a sum, a maximum or a product of non-negative
+    /// terms (`dp_overlap` is a fraction), and rounding is monotone, so
+    /// no plan is faster at that count. A plan is feasible only at counts
+    /// where every stage has a feasible option, so the bound is the least
+    /// over those counts.
+    #[must_use]
+    pub fn lower_bound(&self) -> Option<f64> {
+        if !self.valid {
+            return None;
+        }
+        let options = self.space.options();
+        let microbatches = PipelinePlan::microbatches_for(options.len());
+        let mut bound: Option<f64> = None;
+        'count: for step in 0..STEPS {
+            let mut comp = Composition::default();
+            for (s, opts) in options.iter().enumerate() {
+                let rows = self.first[s]..self.first[s] + opts.len();
+                let least = rows
+                    .filter_map(|row| self.local[row * STEPS + step].as_ref().ok())
+                    .map(|cost| (cost.busy_s(), cost.dp_sync_s))
+                    .reduce(|(busy, sync), (b, y)| (busy.min(b), sync.min(y)));
+                let Some((busy_s, dp_sync_s)) = least else {
+                    continue 'count;
+                };
+                let [same, reshard] = self.boundary[s * STEPS + step];
+                comp.push(&StageCost {
+                    mb_samples: 0.0,
+                    compute_s: busy_s,
+                    tp_comm_s: 0.0,
+                    dispatch_s: 0.0,
+                    boundary_in_s: same.min(reshard),
+                    dp_sync_s,
+                    mem_bytes: 0.0,
+                });
+            }
+            let b = microbatches << step;
+            let t = comp
+                .perf(self.gt.params(), self.global_batch, b, Vec::new())
+                .iter_time_s;
+            bound = Some(bound.map_or(t, |lb| lb.min(t)));
+        }
+        bound
     }
 
     /// The sample of `space.sample(cap)` with the highest throughput (the
@@ -223,6 +293,12 @@ impl<'a> SampledSearch<'a> {
     /// `digits`, without the breakdown.
     fn measure(&self, digits: &[usize], noise: &mut PlanNoise) -> Result<Measured, Infeasible> {
         let perf = self.evaluate(digits, false)?;
+        Ok(self.perturb(digits, &perf, noise))
+    }
+
+    /// The measured times of the plan `digits` whose noise-free
+    /// evaluation is `perf`.
+    fn perturb(&self, digits: &[usize], perf: &PlanPerf, noise: &mut PlanNoise) -> Measured {
         let mut m = Measured {
             iter_time_s: perf.iter_time_s,
             throughput_sps: perf.throughput_sps,
@@ -232,7 +308,7 @@ impl<'a> SampledSearch<'a> {
             &self.labels[start..end]
         });
         noise.perturb(labels, &mut m.iter_time_s, &mut m.throughput_sps);
-        Ok(m)
+        m
     }
 
     /// [`PerfModel::evaluate`](crate::PerfModel::evaluate) of the plan with per-stage option indices

@@ -235,6 +235,9 @@ impl Policy for ElasticFlowPolicy {
             }
             free[pool.0] -= k_cur;
             want[entry.idx].2 = 2 * k_cur;
+            // `want` holds only ids taken from `all`. A search, not an
+            // index, so that duplicate ids (which `Run::batch` tolerates)
+            // resolve to the first job.
             let job = all.iter().find(|j| j.id() == id).expect("job exists");
             if let Some(gain) = gain_of(job, pool, 2 * k_cur) {
                 heap.push(HeapEntry {
@@ -247,6 +250,7 @@ impl Policy for ElasticFlowPolicy {
 
         // Emit the diff against current placements.
         for (id, pool, k) in want {
+            // `want` holds only ids taken from `all` (see above).
             let job = all.iter().find(|j| j.id() == id).expect("job exists");
             let unchanged = job
                 .placement

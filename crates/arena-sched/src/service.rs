@@ -42,6 +42,8 @@ use arena_tuner::tune_in_space;
 /// Wall-clock cap on one full adaptive exploration. Alpa reports ~40 min
 /// per exploration (§2.1); its DP/ILP search visits far fewer candidates
 /// than brute force, so exploration wall time is capped at that figure.
+/// Every trial costs at least `direct_profile_setup_s` (60 s by default),
+/// so 40 trials reach the cap.
 pub const EXPLORE_WALL_CAP_S: f64 = 2400.0;
 
 /// Plans sampled per stage-count space during exploration.
@@ -278,6 +280,7 @@ impl PlanService {
         }
         let graph = self.graph(model);
         let hw = self.hw(pool);
+        let floor = self.gt.noise_floor();
         let mut wall = 0.0;
         // The fastest plan so far (the first of equals wins), labelled
         // once per stage count that improved it.
@@ -286,8 +289,18 @@ impl PlanService {
             let space = PlanSpace::new(cell.partition);
             let search = SampledSearch::new(&self.gt, &graph, model.global_batch, &space, &hw);
             let bound = best.as_ref().map(|&(_, t)| t);
+            // Once the wall is capped, later trials cannot change it, so
+            // a stage count none of whose plans can beat the best, even
+            // at the noise floor, is skipped: the result keeps its bits.
+            if wall >= EXPLORE_WALL_CAP_S {
+                match search.lower_bound() {
+                    Some(lb) if bound.is_none_or(|b| lb * floor < b) => {}
+                    _ => continue,
+                }
+            }
             let fastest = search.fastest(EXPLORE_SAMPLE_CAP, bound, |t| {
                 wall += self.gt.trial_wall_s(t);
+                wall < EXPLORE_WALL_CAP_S
             });
             if let Some((idx, t)) = fastest {
                 best = Some((space.plan_at_index(idx).short_label(), t));
@@ -405,6 +418,7 @@ impl PlanService {
             })
             .collect();
         let best = best_estimate(&estimates).map(|i| {
+            // `best_estimate` returns only the index of a `Some` entry.
             let e = estimates[i].as_ref().expect("winning index is Some");
             CellChoice {
                 stages: cells[i].num_stages,
@@ -472,9 +486,11 @@ impl PlanService {
         (3.0 * log_ng * 60.0).min(1800.0)
     }
 
-    /// A job's ideal throughput: the best adaptive throughput on its
-    /// requested GPU count across all pools. Used to normalise cluster
-    /// throughput across heterogeneous model families.
+    /// A job's ideal throughput: the best adaptive throughput over every
+    /// pool at its requested GPU count and at twice that count (an
+    /// [`adaptive_run`](Self::adaptive_run) per pool and count), or 1.0
+    /// when none is feasible. Used to normalise cluster throughput across
+    /// heterogeneous model families.
     #[must_use]
     pub fn ideal_sps(&self, spec: &JobSpec) -> f64 {
         let key = PlanKey {

@@ -7,13 +7,16 @@
 //! hold the explorations built on it (`PlanService::adaptive_run` and
 //! `arena_run`, `GroundTruth::explore` and `best_silent`) to loops over
 //! `measure` and `profile_direct`, profiling meter included. Exact ties
-//! go to the first plan.
+//! go to the first plan. The work `fastest` and `adaptive_run` skip once
+//! the exploration wall is capped must not change a returned bit: the
+//! skipped samples' winner is the full scan's, and no plan is faster than
+//! its space's `lower_bound`.
 
 use arena::cluster::{presets, Cluster, GpuTypeId, MeshShape};
 use arena::estimator::Cell;
 use arena::model::zoo::{table2_configs, table2_full_grid, ModelFamily};
 use arena::model::{ModelConfig, ModelGraph, OpKind, Operator};
-use arena::parallelism::{PipelinePlan, PlanSpace, StagePartition};
+use arena::parallelism::{PipelinePlan, PlanSpace, StagePartition, StagePlan};
 use arena::perf::{CostParams, GroundTruth, HwTarget, Infeasible, PlanPerf, SampledSearch};
 use arena::sched::service::EXPLORE_WALL_CAP_S;
 use arena::sched::PlanService;
@@ -311,7 +314,16 @@ fn compare_runs(cluster: &Cluster) {
         let graph = service.graph(&model);
         for pool in cluster.pool_ids() {
             let hw = service.hw(pool);
-            for gpus in [1, 3, 8, 32] {
+            // 8 GPUs take 30 trials; from 16 on, explorations reach the
+            // wall cap, after which `adaptive_run` skips work. At 16,
+            // WRes-4B on V100 and MoE-10B on A100 each have a stage
+            // count whose lower bound is above the best time so far but
+            // within the noise floor of it, and that stage count wins.
+            let mut counts = vec![1, 3, 8, 16, 32, 64];
+            if pool == GpuTypeId(0) {
+                counts.push(128);
+            }
+            for gpus in counts {
                 let got = service.adaptive_run(&model, gpus, pool).map(|r| {
                     (
                         r.iter_time_s.to_bits(),
@@ -443,8 +455,8 @@ fn ties_go_to_the_first_plan() {
     let tie = f64::from_bits(times[0]);
 
     let first = space.plan_at_index(0);
-    assert_eq!(search.fastest(usize::MAX, None, |_| {}), Some((0, tie)));
-    assert_eq!(search.fastest(usize::MAX, Some(tie), |_| {}), None);
+    assert_eq!(search.fastest(usize::MAX, None, |_| true), Some((0, tie)));
+    assert_eq!(search.fastest(usize::MAX, Some(tie), |_| true), None);
     assert_eq!(
         gt.explore(&graph, gb, &space, &hw).map(|b| b.0).as_ref(),
         Some(&first)
@@ -457,4 +469,157 @@ fn ties_go_to_the_first_plan() {
     );
     let tuned = tune_in_space(&gt, &graph, gb, &space, &hw, DEFAULT_TUNE_CAP).expect("feasible");
     assert_eq!(tuned.plan, first);
+}
+
+/// The fastest of `samples` (strict `<`, the first of equals wins) that
+/// beats `bound`, as `(index, time bits)`.
+fn full_scan(
+    samples: &[(u128, Result<f64, Infeasible>)],
+    bound: Option<f64>,
+) -> Option<(u128, u64)> {
+    let mut best_t = bound;
+    let mut winner = None;
+    for &(idx, ref t) in samples {
+        if let Ok(t) = *t {
+            if best_t.is_none_or(|b| t < b) {
+                best_t = Some(t);
+                winner = Some((idx, t.to_bits()));
+            }
+        }
+    }
+    winner
+}
+
+#[test]
+fn fastest_returns_the_full_scan_winner_whenever_timing_stops() {
+    let targets = targets();
+    let gt = GroundTruth::new(CostParams::default(), 7);
+    let mut case = 0;
+    let mut spaces_seen = 0;
+    for model in table2_configs() {
+        let graph = model.build();
+        for gpus in GPUS {
+            let hw = &targets[case % targets.len()];
+            case += 1;
+            for space in spaces(&graph, gpus) {
+                let search = SampledSearch::new(&gt, &graph, model.global_batch, &space, hw);
+                let samples: Vec<_> = search
+                    .samples(EXPLORE_SAMPLES)
+                    .map(|(idx, r)| (idx, r.map(|m| m.iter_time_s)))
+                    .collect();
+                // No bound, the winner's time (nothing beats it), and a
+                // bound a little above it (few samples need measuring).
+                let winner = full_scan(&samples, None).map(|(_, t)| f64::from_bits(t));
+                for bound in [None, winner, winner.map(|t| t * 1.01)] {
+                    let want = full_scan(&samples, bound);
+                    for k in [0, 1, 40, usize::MAX] {
+                        let mut seen = 0;
+                        let got = search.fastest(EXPLORE_SAMPLES, bound, |t| {
+                            let (_, want) = &samples[seen];
+                            assert_eq!(
+                                t.map(f64::to_bits),
+                                want.as_ref().ok().map(|t| t.to_bits())
+                            );
+                            seen += 1;
+                            seen <= k
+                        });
+                        let ctx = || {
+                            format!(
+                                "{} x{gpus} on {}: k {k}, bound {bound:?}",
+                                graph.name,
+                                hw.name()
+                            )
+                        };
+                        assert_eq!(got.map(|(idx, t)| (idx, t.to_bits())), want, "{}", ctx());
+                        // Timed until the callback declined, never after.
+                        assert_eq!(seen, samples.len().min(k.saturating_add(1)), "{}", ctx());
+                    }
+                }
+                spaces_seen += 1;
+            }
+        }
+    }
+    assert!(spaces_seen > 300, "only {spaces_seen} spaces compared");
+}
+
+/// Whether `space` holds a feasible plan: one whose every stage takes its
+/// first option that is feasible at one shared micro-batch count, of the
+/// five the escalation tries. A stage's feasibility depends on its own
+/// option alone, and batch starvation only worsens with more
+/// micro-batches, so if no such plan is feasible at any count, none is.
+fn feasible_plan(
+    gt: &GroundTruth,
+    graph: &ModelGraph,
+    global_batch: usize,
+    space: &PlanSpace,
+    hw: &HwTarget,
+) -> bool {
+    let model = gt.model();
+    let base = space.plan_at_index(0);
+    (0..5).any(|step| {
+        let b = base.microbatches() << step;
+        let mut plan = base.clone();
+        for (s, options) in space.options().iter().enumerate() {
+            let fits = |&&option: &&StagePlan| {
+                let mut probe = base.clone();
+                probe.stages[s].plan = option;
+                model
+                    .stage_cost_at(graph, global_batch, &probe, s, hw, b)
+                    .is_ok()
+            };
+            match options.iter().find(fits) {
+                Some(&option) => plan.stages[s].plan = option,
+                None => return false,
+            }
+        }
+        model.evaluate(graph, global_batch, &plan, hw).is_ok()
+    })
+}
+
+#[test]
+fn lower_bound_is_below_every_sampled_plan() {
+    let gt = GroundTruth::new(CostParams::default(), 7);
+    let (mut plans, mut infeasible_spaces) = (0, 0);
+    for model in table2_configs() {
+        let graph = model.build();
+        let gb = model.global_batch;
+        for hw in targets() {
+            for gpus in GPUS {
+                for space in spaces(&graph, gpus) {
+                    let bound = SampledSearch::new(&gt, &graph, gb, &space, &hw).lower_bound();
+                    let mut feasible = false;
+                    for plan in space.sample(EXPLORE_SAMPLES) {
+                        let Ok(perf) = gt.model().evaluate(&graph, gb, &plan, &hw) else {
+                            continue;
+                        };
+                        feasible = true;
+                        plans += 1;
+                        let lb = bound.unwrap_or_else(|| {
+                            panic!("{} feasible on {} with no bound", plan.label(), hw.name())
+                        });
+                        assert!(
+                            lb <= perf.iter_time_s,
+                            "{} on {}: bound {lb} above {}",
+                            plan.label(),
+                            hw.name(),
+                            perf.iter_time_s
+                        );
+                    }
+                    // A strided sample can miss every feasible plan of
+                    // the space; the bound speaks for the whole space.
+                    let feasible = feasible || feasible_plan(&gt, &graph, gb, &space, &hw);
+                    assert_eq!(
+                        bound.is_some(),
+                        feasible,
+                        "{} x{gpus} on {}: bound {bound:?}",
+                        graph.name,
+                        hw.name()
+                    );
+                    infeasible_spaces += u64::from(!feasible);
+                }
+            }
+        }
+    }
+    assert!(plans > 100_000, "only {plans} feasible plans compared");
+    assert!(infeasible_spaces > 0, "no space without a feasible plan");
 }
