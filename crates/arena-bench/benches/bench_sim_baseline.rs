@@ -144,9 +144,7 @@ fn time_cold<F: FnMut(&PlanService)>(
 /// within 1.2x the small run's pins the memory model: resident state
 /// follows the *live* job count, not the trace length. Must run before
 /// every other bench so the watermark reflects the streaming runs and
-/// not an earlier fixture's transient. `ARENA_MEM_BUDGET_BYTES`, when
-/// set, additionally caps the plan/estimator caches (the CI fleet-scale
-/// job runs this bench under a budget).
+/// not an earlier fixture's transient.
 fn bench_stream_fleet() -> Vec<BenchEntry> {
     let cluster = presets::tiny_a100(256, 8);
     // Open-ended trace: the duration never binds; TakeSource cuts the
@@ -160,9 +158,6 @@ fn bench_stream_fleet() -> Vec<BenchEntry> {
     let mut peaks = Vec::new();
     for n in [small, big] {
         let service = PlanService::new(&cluster, CostParams::default(), 51);
-        if let Some(budget) = service.apply_env_budget() {
-            println!("stream_fleet: cache budget {budget} bytes (ARENA_MEM_BUDGET_BYTES)");
-        }
         let cfg = SimConfig::new(4.1e9);
         let mut policy = FcfsPolicy::new();
         let mut source = TakeSource::new(GenSource::new(&trace_cfg), n);

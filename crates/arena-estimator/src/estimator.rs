@@ -11,6 +11,7 @@
 //! warmup, except the returned [`CellEstimate`] itself.
 
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -18,7 +19,7 @@ use arena_model::ModelGraph;
 use arena_parallelism::{PipelinePlan, StageAssignment, StagePlan};
 use arena_perf::noise::NoiseModel;
 use arena_perf::{CostParams, HwTarget, ProfilingMeter};
-use arena_runtime::{BudgetedMap, MemSection, MemSize};
+use arena_runtime::{MemSection, MemSize};
 use parking_lot::RwLock;
 
 use crate::cell::{Cell, Favor};
@@ -162,11 +163,11 @@ impl CacheStats {
 /// memoises the Cell choice built from them, which is how a job is
 /// profiled once per GPU type (§6.1).
 ///
-/// The table cache is one [`BudgetedMap`] behind one `RwLock`, keyed by
-/// GPU model name and packed GPUs per node and never budgeted: it holds
-/// one entry per node class. A lookup takes the read lock, a miss builds
-/// outside any lock and then inserts under the write lock, as the plan
-/// service's memo maps do. Every estimator belongs to one plan service,
+/// The table cache is one `HashMap` behind one `RwLock`, keyed by GPU
+/// model name and packed GPUs per node: it holds one entry per node
+/// class. A lookup takes the read lock, a miss builds outside any lock
+/// and then inserts under the write lock, as the plan service's memo
+/// maps do. Every estimator belongs to one plan service,
 /// and each service is driven by a single thread (the daemon thread, one
 /// run, or one experiment task), so the lock is uncontended. Tables and
 /// profiles are deterministic functions of their inputs (noise is keyed,
@@ -177,7 +178,7 @@ pub struct CellEstimator {
     table_noise: NoiseModel,
     meter: Arc<ProfilingMeter>,
     stats: CacheStats,
-    tables: RwLock<BudgetedMap<TableKey, Arc<CommTables>>>,
+    tables: RwLock<HashMap<TableKey, Arc<CommTables>>>,
 }
 
 impl std::fmt::Debug for CellEstimator {
@@ -201,7 +202,7 @@ impl CellEstimator {
             table_noise,
             meter: Arc::new(ProfilingMeter::new()),
             stats: CacheStats::default(),
-            tables: RwLock::new(BudgetedMap::new(None)),
+            tables: RwLock::default(),
         }
     }
 
@@ -223,11 +224,11 @@ impl CellEstimator {
         &self.stats
     }
 
-    /// The estimator's memory ledger: accounted bytes, entries, budget
-    /// and evictions of its one cache, the communication tables.
+    /// The estimator's memory ledger: accounted bytes and entries of its
+    /// one cache, the communication tables, read from the live map.
     #[must_use]
     pub fn mem_report(&self) -> Vec<MemSection> {
-        vec![self.tables.read().section("estimator.tables")]
+        vec![MemSection::of_map("estimator.tables", &self.tables.read())]
     }
 
     fn tables_for(&self, hw: &HwTarget, max_group: usize) -> Arc<CommTables> {
@@ -890,8 +891,6 @@ mod tests {
         let tables = &report[0];
         assert!(tables.bytes > 0, "tables hold bytes after an estimate");
         assert_eq!(tables.entries, 1, "one node class, one table set");
-        assert_eq!(tables.budget_bytes, None);
-        assert_eq!(tables.evictions, 0);
     }
 
     proptest::proptest! {

@@ -469,12 +469,7 @@ impl MetricsRegistry {
 /// field, labelled by section:
 ///
 /// * `mem.bytes{section="..."}` — live accounted bytes,
-/// * `mem.entries{section="..."}` — live entries behind those bytes,
-/// * `mem.budget_bytes{section="..."}` — the byte budget, `0` meaning
-///   unlimited,
-/// * `mem.evictions{section="..."}` — cumulative entries evicted to
-///   stay under budget (monotone; a gauge because the source counter
-///   is already cumulative).
+/// * `mem.entries{section="..."}` — live entries behind those bytes.
 ///
 /// Callers refresh on their own cadence (the engine republishes after
 /// each scheduling pass); between refreshes the gauges hold the last
@@ -484,11 +479,6 @@ pub fn publish_mem_sections(reg: &MetricsRegistry, sections: &[arena_runtime::Me
         let labels: &[(&str, &str)] = &[("section", &s.name)];
         reg.set_gauge(&labeled("mem.bytes", labels), s.bytes as f64);
         reg.set_gauge(&labeled("mem.entries", labels), s.entries as f64);
-        reg.set_gauge(
-            &labeled("mem.budget_bytes", labels),
-            s.budget_bytes.unwrap_or(0) as f64,
-        );
-        reg.set_gauge(&labeled("mem.evictions", labels), s.evictions as f64);
     }
 }
 
@@ -658,26 +648,13 @@ mod tests {
     fn mem_sections_publish_as_labelled_gauges() {
         let reg = MetricsRegistry::new(4);
         let sections = vec![
-            arena_runtime::MemSection {
-                name: "plans.cells".to_string(),
-                bytes: 4096,
-                entries: 12,
-                budget_bytes: Some(1 << 20),
-                evictions: 3,
-            },
-            arena_runtime::MemSection::unbudgeted("plans.graphs", 512, 2),
+            arena_runtime::MemSection::new("plans.cells", 4096, 12),
+            arena_runtime::MemSection::new("plans.graphs", 512, 2),
         ];
         publish_mem_sections(&reg, &sections);
         let g = |name: &str| reg.gauge(name).get();
         assert_eq!(g("mem.bytes{section=\"plans.cells\"}"), 4096.0);
         assert_eq!(g("mem.entries{section=\"plans.cells\"}"), 12.0);
-        assert_eq!(
-            g("mem.budget_bytes{section=\"plans.cells\"}"),
-            (1_u64 << 20) as f64
-        );
-        assert_eq!(g("mem.evictions{section=\"plans.cells\"}"), 3.0);
-        // Unbudgeted sections expose 0 (= unlimited) rather than no series.
-        assert_eq!(g("mem.budget_bytes{section=\"plans.graphs\"}"), 0.0);
         let text = reg.expose();
         assert!(text.contains("mem_bytes{section=\"plans.graphs\"} 512"));
         // Republishing overwrites in place — gauges track the ledger.

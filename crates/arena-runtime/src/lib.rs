@@ -23,7 +23,7 @@
 
 pub mod mem;
 
-pub use mem::{mem_budget_from_env, BudgetedMap, MemSection, MemSize, MEM_BUDGET_ENV};
+pub use mem::{MemSection, MemSize};
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

@@ -11,10 +11,9 @@
 //! repeated same-class jobs inside one pass) skip re-enumeration
 //! entirely.
 //!
-//! Unlike the plan database's maps, which are byte-budgeted
-//! `BudgetedMap`s, the memo has no budget and no entry cap: it holds at
-//! most one list per job class seen since the last capacity change, and
-//! the next allocation, release or fault empties it.
+//! Unlike the plan database's maps, which keep every entry, the memo
+//! holds at most one list per job class seen since the last capacity
+//! change, and the next allocation, release or fault empties it.
 
 use std::collections::HashMap;
 use std::sync::Arc;

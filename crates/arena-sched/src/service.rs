@@ -18,12 +18,11 @@
 //!
 //! All results are memoised by `(model configuration, gpus, pool)`:
 //! identical configurations are explored once, exactly as a real cluster
-//! caches profiling databases. The memo maps are byte-accounted
-//! [`BudgetedMap`]s: under a configured budget
-//! ([`PlanService::set_mem_budget`]) the plan database sheds its
-//! oldest entries and recomputes them on demand — every entry is a
-//! pure function of its key, so eviction changes wall-clock and hit
-//! rates, never a returned plan.
+//! caches profiling databases (§6.1). The memo maps are plain hash maps
+//! that keep every entry: the set of keys a workload asks about is
+//! small, and [`PlanService::mem_report`] reads their byte ledger from
+//! the live maps. Every entry is a pure function of its key, so a warm
+//! service answers exactly as a fresh one does.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -35,7 +34,7 @@ use arena_estimator::{best_estimate, Cell, CellEstimator, Favor};
 use arena_model::{ModelConfig, ModelFamily, ModelGraph};
 use arena_parallelism::{PipelinePlan, PlanSpace, StageAssignment, StagePlan};
 use arena_perf::{CostParams, GroundTruth, HwTarget, SampledSearch};
-use arena_runtime::{BudgetedMap, MemSection, MemSize};
+use arena_runtime::{MemSection, MemSize};
 use arena_trace::JobSpec;
 use arena_tuner::tune_in_space;
 
@@ -115,12 +114,12 @@ pub struct PlanService {
     /// Keyed by family and `params_b` bits: the graph does not depend
     /// on the batch.
     graphs: RwLock<HashMap<(ModelFamily, u64), Arc<ModelGraph>>>,
-    adaptive: RwLock<BudgetedMap<Key, Option<RunPlan>>>,
-    dp: RwLock<BudgetedMap<Key, Option<f64>>>,
-    pure_dp: RwLock<BudgetedMap<Key, Option<f64>>>,
-    cells: RwLock<BudgetedMap<Key, Option<CellChoice>>>,
-    arena_runs: RwLock<BudgetedMap<Key, Option<RunPlan>>>,
-    ideal: RwLock<BudgetedMap<PlanKey<()>, f64>>,
+    adaptive: RwLock<HashMap<Key, Option<RunPlan>>>,
+    dp: RwLock<HashMap<Key, Option<f64>>>,
+    pure_dp: RwLock<HashMap<Key, Option<f64>>>,
+    cells: RwLock<HashMap<Key, Option<CellChoice>>>,
+    arena_runs: RwLock<HashMap<Key, Option<RunPlan>>>,
+    ideal: RwLock<HashMap<PlanKey<()>, f64>>,
 }
 
 impl std::fmt::Debug for PlanService {
@@ -133,85 +132,48 @@ impl std::fmt::Debug for PlanService {
 
 impl PlanService {
     /// Creates a service for `cluster` with the given cost constants.
-    ///
-    /// Honours `ARENA_MEM_BUDGET_BYTES` at construction, so every entry
-    /// point — `repro`, the daemon, the benches — runs budgeted under
-    /// the same operator knob. A later [`Self::set_mem_budget`] call
-    /// overrides it.
     #[must_use]
     pub fn new(cluster: &Cluster, params: CostParams, seed: u64) -> Self {
-        let specs = cluster.pool_ids().map(|id| cluster.spec(id)).collect();
-        let service = PlanService {
+        PlanService {
             gt: GroundTruth::new(params.clone(), seed),
             estimator: CellEstimator::new(params, seed),
-            specs,
-            graphs: RwLock::new(HashMap::new()),
-            adaptive: RwLock::new(BudgetedMap::new(None)),
-            dp: RwLock::new(BudgetedMap::new(None)),
-            pure_dp: RwLock::new(BudgetedMap::new(None)),
-            cells: RwLock::new(BudgetedMap::new(None)),
-            arena_runs: RwLock::new(BudgetedMap::new(None)),
-            ideal: RwLock::new(BudgetedMap::new(None)),
-        };
-        service.apply_env_budget();
-        service
+            specs: cluster.pool_ids().map(|id| cluster.spec(id)).collect(),
+            graphs: RwLock::default(),
+            adaptive: RwLock::default(),
+            dp: RwLock::default(),
+            pure_dp: RwLock::default(),
+            cells: RwLock::default(),
+            arena_runs: RwLock::default(),
+            ideal: RwLock::default(),
+        }
     }
 
-    /// Applies a total byte budget to the plan database (split evenly
-    /// across its six memo maps), sweeping oldest-first immediately;
-    /// `None` lifts it. The operator-graph cache is exempt: it is
-    /// bounded by the model zoo, not the trace. Evicted entries
-    /// recompute deterministically on the next lookup, so scheduling
-    /// output is unchanged — only wall-clock and hit rates move.
-    pub fn set_mem_budget(&self, total: Option<usize>) {
-        let share = total.map(|t| t / 6);
-        self.adaptive.write().set_budget(share);
-        self.dp.write().set_budget(share);
-        self.pure_dp.write().set_budget(share);
-        self.cells.write().set_budget(share);
-        self.arena_runs.write().set_budget(share);
-        self.ideal.write().set_budget(share);
-    }
-
-    /// Applies the `ARENA_MEM_BUDGET_BYTES` environment knob, when set:
-    /// the whole total goes to the plan database (the estimator's one
-    /// cache, its communication tables, holds one entry per node class).
-    /// Returns the budget read, for logging. With the variable unset
-    /// this is a no-op (budgets keep their current values, so a
-    /// programmatic budget set earlier survives).
-    pub fn apply_env_budget(&self) -> Option<usize> {
-        let total = arena_runtime::mem_budget_from_env()?;
-        self.set_mem_budget(Some(total));
-        Some(total)
-    }
-
-    /// The plan database's memory ledger (plus the unbudgeted graph
-    /// cache), one [`MemSection`] per map. The estimator's own ledger is
-    /// separate — see [`arena_estimator::CellEstimator::mem_report`].
+    /// The plan database's memory ledger, one [`MemSection`] per map,
+    /// read from the live maps. The estimator's own ledger is separate —
+    /// see [`arena_estimator::CellEstimator::mem_report`].
     #[must_use]
     pub fn mem_report(&self) -> Vec<MemSection> {
-        let graphs = self.graphs.read();
-        let graph_bytes: usize = graphs
-            .values()
-            .map(|g| {
-                std::mem::size_of::<ModelGraph>()
-                    + g.name.len()
-                    + g.ops.len() * g.ops.first().map_or(0, std::mem::size_of_val)
-            })
-            .sum();
-        let mut out = vec![MemSection::unbudgeted(
-            "plans.graphs",
-            graph_bytes,
-            graphs.len(),
-        )];
-        drop(graphs);
-        out.push(self.adaptive.read().section("plans.adaptive"));
-        out.push(self.dp.read().section("plans.dp"));
-        out.push(self.pure_dp.read().section("plans.pure_dp"));
-        out.push(self.cells.read().section("plans.cells"));
-        out.push(self.arena_runs.read().section("plans.arena_runs"));
-        out.push(self.ideal.read().section("plans.ideal"));
-        out
+        let graphs = {
+            let graphs = self.graphs.read();
+            let bytes = graphs
+                .values()
+                .map(|g| {
+                    std::mem::size_of::<ModelGraph>()
+                        + g.name.len()
+                        + g.ops.len() * g.ops.first().map_or(0, std::mem::size_of_val)
+                })
+                .sum();
+            MemSection::new("plans.graphs", bytes, graphs.len())
+        };
+        vec![
+            graphs,
+            MemSection::of_map("plans.adaptive", &self.adaptive.read()),
+            MemSection::of_map("plans.dp", &self.dp.read()),
+            MemSection::of_map("plans.pure_dp", &self.pure_dp.read()),
+            MemSection::of_map("plans.cells", &self.cells.read()),
+            MemSection::of_map("plans.arena_runs", &self.arena_runs.read()),
+            MemSection::of_map("plans.ideal", &self.ideal.read()),
+        ]
     }
 
     /// The ground truth backing this service.
@@ -436,8 +398,7 @@ impl PlanService {
     /// wall-clock.
     /// That wall-clock is summed from the tuning's own trials, so the
     /// result is a pure function of the key: what the service tuned
-    /// before, or whether an evicted entry is being tuned again, cannot
-    /// change it.
+    /// before cannot change it.
     #[must_use]
     pub fn arena_run(&self, model: &ModelConfig, gpus: usize, pool: GpuTypeId) -> Option<RunPlan> {
         let key = Self::key(model, gpus, pool);
@@ -573,12 +534,32 @@ mod tests {
     }
 
     #[test]
-    fn arena_run_is_independent_of_earlier_tunings() {
-        // The tuning wall is summed from the tuning's own trials, so a
-        // key tunes to the same bits on a fresh service and on one whose
-        // meter already holds another tuning's charges.
-        let cluster = presets::physical_testbed();
-        let bits = |r: RunPlan| {
+    fn every_lookup_is_independent_of_earlier_lookups() {
+        // Every plan-database entry is a pure function of its key (the
+        // tuning and exploration walls are summed from their own trials,
+        // never read off the shared meter), so all six lookups return
+        // the same bits on a fresh service and on one that first
+        // answered unrelated keys and then the same keys in reverse.
+        let cluster = presets::table1_simulated();
+        let moe24 = ModelConfig::new(ModelFamily::Moe, 2.4, 512);
+        let keys = [
+            (bert13(), 8, 0),
+            // Capped: its exploration reaches EXPLORE_WALL_CAP_S, so the
+            // later stage counts go through the pruned path.
+            (moe24, 16, 0),
+            (ModelConfig::new(ModelFamily::WideResNet, 1.0, 256), 4, 3),
+            // Pure DP is infeasible on 8 of the 24 GiB A10s; no plan at
+            // all fits on 4.
+            (ModelConfig::new(ModelFamily::Bert, 6.7, 128), 8, 2),
+            (ModelConfig::new(ModelFamily::Bert, 6.7, 128), 4, 2),
+            (ModelConfig::new(ModelFamily::Moe, 0.69, 256), 2, 1),
+        ];
+        let unrelated = [
+            (ModelConfig::new(ModelFamily::Moe, 1.3, 256), 4, 1),
+            (ModelConfig::new(ModelFamily::WideResNet, 0.5, 256), 8, 3),
+            (ModelConfig::new(ModelFamily::Bert, 2.6, 256), 16, 2),
+        ];
+        let run_bits = |r: RunPlan| {
             (
                 r.iter_time_s.to_bits(),
                 r.throughput_sps.to_bits(),
@@ -586,13 +567,48 @@ mod tests {
                 r.plan_label,
             )
         };
+        let answer = |s: &PlanService, &(model, gpus, pool): &(ModelConfig, usize, usize)| {
+            let spec = arena_trace::JobSpec {
+                id: 0,
+                name: "t".into(),
+                submit_s: 0.0,
+                model,
+                iterations: 10,
+                requested_gpus: gpus,
+                requested_pool: pool,
+                deadline_s: None,
+            };
+            let pool = GpuTypeId(pool);
+            (
+                s.adaptive_run(&model, gpus, pool).map(run_bits),
+                s.dp_profile(&model, gpus, pool).map(f64::to_bits),
+                s.pure_dp_profile(&model, gpus, pool).map(f64::to_bits),
+                s.cell_choice(&model, gpus, pool).map(|c| {
+                    (
+                        c.stages,
+                        c.iter_time_s.to_bits(),
+                        c.throughput_sps.to_bits(),
+                        c.favors.to_vec(),
+                    )
+                }),
+                s.arena_run(&model, gpus, pool).map(run_bits),
+                s.ideal_sps(&spec).to_bits(),
+            )
+        };
         let fresh = PlanService::new(&cluster, CostParams::default(), 17);
-        let want = fresh.arena_run(&bert13(), 8, GpuTypeId(0)).map(bits);
-        assert!(want.is_some());
+        let want: Vec<_> = keys.iter().map(|k| answer(&fresh, k)).collect();
+        let capped = fresh.adaptive_run(&moe24, 16, GpuTypeId(0)).unwrap();
+        assert_eq!(capped.acquire_wall_s, EXPLORE_WALL_CAP_S);
+        // Feasible and infeasible answers are both cached.
+        assert!(want.iter().any(|a| a.4.is_none()) && want.iter().any(|a| a.4.is_some()));
+
         let warmed = PlanService::new(&cluster, CostParams::default(), 17);
-        let moe = ModelConfig::new(ModelFamily::Moe, 1.3, 256);
-        assert!(warmed.arena_run(&moe, 4, GpuTypeId(0)).is_some());
-        assert_eq!(warmed.arena_run(&bert13(), 8, GpuTypeId(0)).map(bits), want);
+        for k in &unrelated {
+            let _ = answer(&warmed, k);
+        }
+        let mut got: Vec<_> = keys.iter().rev().map(|k| answer(&warmed, k)).collect();
+        got.reverse();
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -42,12 +42,12 @@ use std::time::{Duration, Instant};
 use arena_cluster::Cluster;
 use arena_obs::{Decision, MetricsRegistry, Obs};
 use arena_perf::CostParams;
-use arena_sched::{policy_by_name, PlanService};
+use arena_sched::{policy_by_name, PlanService, Policy};
 use arena_sim::{Engine, EngineState, ShardPlan, SimConfig, SimResult};
 use serde::Value;
 
 use crate::protocol::{
-    err_line, ok_line, parse_command, request_id, with_request_id, Command, Query,
+    err_line, json, ok_line, parse_command, request_id, with_request_id, Command, Query,
 };
 use crate::snapshot::{answer_query, ServerSnapshot, SnapshotHub};
 
@@ -337,7 +337,7 @@ fn with_sample(response: &str, sample: u64) -> String {
     match serde_json::from_str(response) {
         Ok(Value::Object(mut fields)) => {
             fields.push(("sample".to_string(), Value::U64(sample)));
-            serde_json::to_string(&Value::Object(fields)).expect("response serialises")
+            json(&Value::Object(fields))
         }
         _ => response.to_string(),
     }
@@ -359,13 +359,13 @@ impl Server {
     /// `publish_every` is zero, the resume log exists but cannot be read
     /// or the event log cannot be opened.
     pub fn start(mut cfg: ServerConfig) -> Result<Server, String> {
-        if policy_by_name(&cfg.policy, 1).is_none() {
+        let Some(policy) = policy_by_name(&cfg.policy, 1) else {
             return Err(format!(
                 "unknown policy `{}` (expected one of {:?})",
                 cfg.policy,
                 arena_sched::POLICY_NAMES
             ));
-        }
+        };
         if cfg.publish_every == 0 {
             return Err("publish_every must be at least 1".to_string());
         }
@@ -395,7 +395,11 @@ impl Server {
         let (ready_tx, ready) = mpsc::channel();
         let daemon = std::thread::Builder::new()
             .name("arena-daemon".to_string())
-            .spawn(move || daemon_main(cfg, &resume, log, rx, &hub, &shutdown, metrics, &ready_tx))
+            .spawn(move || {
+                daemon_main(
+                    cfg, policy, &resume, log, rx, &hub, &shutdown, metrics, &ready_tx,
+                )
+            })
             .map_err(|e| format!("failed to spawn daemon thread: {e}"))?;
         // Block until the daemon's first publication (which happens after
         // any resume-log replay) so a caller never observes the seq-0
@@ -528,6 +532,7 @@ impl EventLog {
 #[allow(clippy::too_many_arguments)]
 fn daemon_main(
     cfg: ServerConfig,
+    mut policy: Box<dyn Policy>,
     resume: &[u8],
     mut log: EventLog,
     rx: Receiver<Request>,
@@ -536,7 +541,6 @@ fn daemon_main(
     metrics: Arc<MetricsRegistry>,
     ready: &Sender<()>,
 ) -> ServerOutcome {
-    let mut policy = policy_by_name(&cfg.policy, 1).expect("policy validated in Server::start");
     let service = PlanService::new(&cfg.cluster, CostParams::default(), cfg.seed);
     let obs = Obs::enabled().with_metrics(Arc::clone(&metrics));
     let mut engine = Engine::new(

@@ -30,7 +30,7 @@
 //! the echoed correlation id.
 
 use arena_trace::{FaultEvent, FaultKind, JobSpec};
-use serde::{Deserialize, Value};
+use serde::{Deserialize, Serialize, Value};
 
 /// A read-only query, answered from the current snapshot without
 /// touching the decision thread.
@@ -228,6 +228,14 @@ pub fn request_id(line: &str) -> Option<Value> {
     v.get("id").cloned()
 }
 
+/// Renders `value` as one compact JSON line. This is the crate's one
+/// serialiser. It cannot fail: `serde_json::to_string` returns `Ok` for
+/// every value of the data model, and renders a non-finite float as
+/// `null` rather than refusing it.
+pub(crate) fn json<T: Serialize + ?Sized>(value: &T) -> String {
+    serde_json::to_string(value).expect("serialising to a string cannot fail")
+}
+
 /// Appends the echoed correlation id to a finished response line. The
 /// response is one of our own `ok_line`/`err_line` objects, so the
 /// re-parse cannot fail; anything else is returned untouched.
@@ -237,7 +245,7 @@ pub fn with_request_id(response: &str, id: &Value) -> String {
         Ok(Value::Object(mut fields)) => {
             fields.retain(|(k, _)| k != "id");
             fields.push(("id".to_string(), id.clone()));
-            serde_json::to_string(&Value::Object(fields)).expect("response serialises")
+            json(&Value::Object(fields))
         }
         _ => response.to_string(),
     }
@@ -247,7 +255,7 @@ pub fn with_request_id(response: &str, id: &Value) -> String {
 /// [`parse_command`] for the `submit` shape (client/test helper).
 #[must_use]
 pub fn submit_line(spec: &JobSpec) -> String {
-    let job = serde_json::to_string(spec).expect("job spec serialises");
+    let job = json(spec);
     format!("{{\"cmd\":\"submit\",\"job\":{job}}}")
 }
 
@@ -260,7 +268,7 @@ pub fn fault_line(fault: &FaultEvent) -> String {
     };
     format!(
         "{{\"cmd\":\"fault\",\"time_s\":{},\"pool\":{},\"node\":{},\"kind\":\"{kind}\"}}",
-        serde_json::to_string(&fault.time_s).expect("f64 serialises"),
+        json(&fault.time_s),
         fault.pool,
         fault.node
     )
@@ -271,18 +279,17 @@ pub fn fault_line(fault: &FaultEvent) -> String {
 pub fn ok_line(extra: Vec<(String, Value)>) -> String {
     let mut fields = vec![("ok".to_string(), Value::Bool(true))];
     fields.extend(extra);
-    serde_json::to_string(&Value::Object(fields)).expect("response serialises")
+    json(&Value::Object(fields))
 }
 
 /// An error response line. The daemon state is unchanged whenever a
 /// client sees one of these.
 #[must_use]
 pub fn err_line(msg: &str) -> String {
-    serde_json::to_string(&Value::Object(vec![
+    json(&Value::Object(vec![
         ("ok".to_string(), Value::Bool(false)),
         ("error".to_string(), Value::Str(msg.to_string())),
     ]))
-    .expect("response serialises")
 }
 
 #[cfg(test)]

@@ -293,11 +293,22 @@ fn watch_streams_numbered_samples_and_metrics_scrape_is_well_formed() {
         // on a 1-in-64 clock), so a mid-run scrape already carries
         // cache occupancy.
         "mem_bytes{section=\"estimator.tables\"}",
-        "mem_budget_bytes{section=\"plans.cells\"}",
-        "mem_evictions{section=\"estimator.tables\"}",
+        "mem_entries{section=\"plans.cells\"}",
     ] {
         assert!(text.contains(series), "scrape missing {series}:\n{text}");
     }
+    // The ledger is two gauge families, bytes and entries, and nothing
+    // else.
+    let mem_families: std::collections::BTreeSet<&str> = text
+        .lines()
+        .filter(|l| l.starts_with("mem_"))
+        .filter_map(|l| l.split('{').next())
+        .collect();
+    assert_eq!(
+        mem_families.into_iter().collect::<Vec<_>>(),
+        ["mem_bytes", "mem_entries"],
+        "unexpected memory-ledger series:\n{text}"
+    );
 
     // watch = repeated query with sample numbering, streamed via sink.
     let mut samples = Vec::new();
