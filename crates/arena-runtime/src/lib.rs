@@ -28,9 +28,6 @@ pub use mem::{MemSection, MemSize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Environment variable overriding the default worker count.
-pub const WORKER_THREADS_ENV: &str = "ARENA_WORKER_THREADS";
-
 /// A deterministic scoped-thread worker pool.
 ///
 /// Holds no threads while idle; each [`WorkerPool::map`] /
@@ -56,27 +53,16 @@ impl WorkerPool {
         WorkerPool::new(1)
     }
 
-    /// Reads `ARENA_WORKER_THREADS`, falling back to the machine's
-    /// available parallelism (capped at 8). Use for driver-level fan-out
-    /// where tasks are few and large.
+    /// One worker per hardware thread the machine offers, capped at 8.
+    /// Use for driver-level fan-out where tasks are few and large.
     #[must_use]
-    pub fn from_env() -> Self {
-        Self::from_env_or(
+    pub fn per_core() -> Self {
+        WorkerPool::new(
             std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1)
                 .min(8),
         )
-    }
-
-    /// Reads `ARENA_WORKER_THREADS`, falling back to `default`.
-    #[must_use]
-    pub fn from_env_or(default: usize) -> Self {
-        let threads = std::env::var(WORKER_THREADS_ENV)
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(default);
-        WorkerPool::new(threads)
     }
 
     /// Number of worker threads.
@@ -238,14 +224,5 @@ mod tests {
         let pool = WorkerPool::new(0);
         assert_eq!(pool.threads(), 1);
         assert_eq!(pool.map_indices(4, |i| i * 2), vec![0, 2, 4, 6]);
-    }
-
-    #[test]
-    fn from_env_or_prefers_env() {
-        // Read-only probe: the variable is unset in the test environment,
-        // so the default must win.
-        if std::env::var(WORKER_THREADS_ENV).is_err() {
-            assert_eq!(WorkerPool::from_env_or(3).threads(), 3);
-        }
     }
 }

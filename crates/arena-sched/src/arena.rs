@@ -1,13 +1,12 @@
 //! The Arena (Crius) Cell-based scheduler: Algorithm 1.
 
-use std::cell::RefCell;
-use std::sync::Arc;
+use std::collections::HashMap;
 
 use arena_cluster::{GpuTypeId, PoolStats};
+use arena_model::ModelConfig;
 use arena_obs::Decision;
+use arena_trace::JobSpec;
 
-pub use crate::memo::CandidateMemoStats;
-use crate::memo::{job_class, CandidateMemo};
 use crate::policy::{Action, JobView, PlanMode, Policy, SchedEvent, SchedView};
 
 /// Which Arena variant runs.
@@ -26,13 +25,23 @@ pub enum ArenaVariant {
 /// A candidate placement for one job, scored by estimated normalised
 /// throughput.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Candidate {
+struct Candidate {
     pool: GpuTypeId,
     gpus: usize,
     /// Estimated throughput / the job's ideal throughput.
     score: f64,
     /// Estimated seconds per iteration (for deadline checks).
     iter_time_s: f64,
+}
+
+/// Everything a job's unranked candidate list depends on besides the
+/// policy's variant and plan service: its model configuration, requested
+/// GPU count and requested pool.
+type JobClass = (ModelConfig, usize, usize);
+
+/// The class `spec` schedules as.
+fn job_class(spec: &JobSpec) -> JobClass {
+    (spec.model, spec.requested_gpus, spec.requested_pool)
 }
 
 /// How Arena orders its queue when picking the next job to place.
@@ -55,6 +64,9 @@ pub enum QueueOrder {
 /// loss. Departures additionally trigger upscaling of running jobs onto
 /// released resources, and opportunistic execution backfills idle GPUs
 /// behind a pending large job.
+///
+/// An instance serves one plan service (one run): its candidate memo
+/// keeps each job class's candidates for the policy's whole life.
 #[derive(Debug)]
 pub struct ArenaPolicy {
     variant: ArenaVariant,
@@ -64,10 +76,11 @@ pub struct ArenaPolicy {
     pub opportunistic: bool,
     /// Queue discipline.
     pub queue_order: QueueOrder,
-    /// Ranked-candidate memo (see [`crate::memo`]); flushed whenever the
-    /// per-pool free/failed/total signature moves.
-    memo: RefCell<CandidateMemo>,
-    use_memo: bool,
+    /// Each job class's candidates in grid order, unranked: a pure
+    /// function of the class, the variant and the plan service, so no
+    /// entry is ever flushed. Only the ranking reads pool state, and
+    /// `candidates` ranks a copy on every read.
+    memo: HashMap<JobClass, Vec<Candidate>>,
 }
 
 impl ArenaPolicy {
@@ -85,23 +98,8 @@ impl ArenaPolicy {
             search_depth: 3,
             opportunistic: true,
             queue_order: QueueOrder::Arrival,
-            memo: RefCell::new(CandidateMemo::default()),
-            use_memo: true,
+            memo: HashMap::new(),
         }
-    }
-
-    /// Disables the candidate memo (every list is re-enumerated) — the
-    /// sequential baseline the incremental path is benchmarked against.
-    #[must_use]
-    pub fn without_candidate_memo(mut self) -> Self {
-        self.use_memo = false;
-        self
-    }
-
-    /// Hit/miss/invalidation counters of the candidate memo.
-    #[must_use]
-    pub fn candidate_memo_stats(&self) -> CandidateMemoStats {
-        self.memo.borrow().stats()
     }
 
     /// Overrides the search depth (Fig. 21).
@@ -150,7 +148,9 @@ impl ArenaPolicy {
         }
     }
 
-    /// All estimated candidates for a job, best score first.
+    /// All estimated candidates for a job, best score first: the job
+    /// class's memoised grid (estimated on the class's first read),
+    /// ranked against `view.pools`.
     ///
     /// When part of the cluster is down, placement becomes
     /// failure-aware: a candidate's score is discounted by its pool's
@@ -159,34 +159,32 @@ impl ArenaPolicy {
     /// and exact ties prefer the pool with more spare healthy capacity.
     /// With zero failed capacity the ranking is exactly the fault-free
     /// one, so fault-free schedules are unchanged.
-    fn candidates(&self, view: &SchedView<'_>, job: &JobView) -> Vec<Candidate> {
-        let key = job_class(&job.spec);
-        if self.use_memo {
-            self.memo.borrow_mut().begin_pass(view.pools);
-            if let Some(cached) = self.memo.borrow_mut().get(&key) {
-                return cached.to_vec();
-            }
-        }
-        let ideal = view.service.ideal_sps(&job.spec);
-        let model = &job.spec.model;
-        let mut out: Vec<Candidate> = self
-            .grid(view, job)
-            .into_iter()
-            .filter_map(|(pool, gpus)| {
-                view.service
-                    .cell_choice(model, gpus, pool)
-                    .map(|c| Candidate {
-                        pool,
-                        gpus,
-                        score: c.throughput_sps / ideal,
-                        iter_time_s: c.iter_time_s,
+    fn candidates(&mut self, view: &SchedView<'_>, job: &JobView) -> Vec<Candidate> {
+        let class = job_class(&job.spec);
+        let mut out = match self.memo.get(&class) {
+            Some(grid) => grid.clone(),
+            None => {
+                let ideal = view.service.ideal_sps(&job.spec);
+                let model = &job.spec.model;
+                let grid: Vec<Candidate> = self
+                    .grid(view, job)
+                    .into_iter()
+                    .filter_map(|(pool, gpus)| {
+                        view.service
+                            .cell_choice(model, gpus, pool)
+                            .map(|c| Candidate {
+                                pool,
+                                gpus,
+                                score: c.throughput_sps / ideal,
+                                iter_time_s: c.iter_time_s,
+                            })
                     })
-            })
-            .collect();
+                    .collect();
+                self.memo.insert(class, grid.clone());
+                grid
+            }
+        };
         rank_candidates(&mut out, view.pools);
-        if self.use_memo {
-            self.memo.borrow_mut().put(key, Arc::new(out.clone()));
-        }
         out
     }
 
@@ -377,17 +375,18 @@ impl Virtual {
 }
 
 impl ArenaPolicy {
-    /// Tries to place `job`, applying up to `search_depth` scaling moves.
-    /// Returns true if placed. Appends emitted actions.
+    /// Tries to place `job` on one of its ranked candidates `cands`,
+    /// applying up to `search_depth` scaling moves. Returns true if
+    /// placed. Appends emitted actions.
     #[allow(clippy::too_many_lines)]
     fn cell_based_sched(
         &self,
         view: &SchedView<'_>,
         job: &JobView,
+        mut cands: Vec<Candidate>,
         virt: &mut Virtual,
         actions: &mut Vec<Action>,
     ) -> bool {
-        let mut cands = self.candidates(view, job);
         if self.variant == ArenaVariant::Deadline {
             cands.retain(|c| Self::meets_deadline(view, job, c));
         }
@@ -714,7 +713,7 @@ impl Policy for ArenaPolicy {
                 continue;
             }
 
-            if !self.cell_based_sched(view, job, &mut virt, &mut actions) {
+            if !self.cell_based_sched(view, job, cands, &mut virt, &mut actions) {
                 pending_blocked = true;
             }
         }
@@ -1023,43 +1022,45 @@ mod tests {
     }
 
     #[test]
-    fn memo_leaves_schedule_unchanged() {
-        let f = Fixture::new();
-        let queued: Vec<JobView> = (0..6).map(|i| job(i, 1.3, 8, (i % 2) as usize)).collect();
-        let pools = f.cluster.pool_stats();
-        let reference = ArenaPolicy::new()
-            .without_candidate_memo()
-            .schedule(SchedEvent::Round, &f.view(&queued, &[], &pools));
-        let actions = ArenaPolicy::new().schedule(SchedEvent::Round, &f.view(&queued, &[], &pools));
-        assert_eq!(actions, reference);
-    }
-
-    #[test]
-    fn memo_hits_on_quiet_rounds_and_flushes_on_capacity_change() {
-        let f = Fixture::new();
-        // Two same-class jobs: the second one's candidate list is a memo
-        // hit even within the first pass.
-        let queued = vec![job(1, 1.3, 8, 0), job(2, 1.3, 8, 0)];
-        let mut pools = f.cluster.pool_stats();
-        pools[0].free_gpus = 0;
-        pools[1].free_gpus = 0; // Nothing places, so pool state stays put.
-        let mut policy = ArenaPolicy::new();
-        let view = f.view(&queued, &[], &pools);
-        let _ = policy.schedule(SchedEvent::Round, &view);
-        let s1 = policy.candidate_memo_stats();
-        assert!(s1.hits > 0, "same-class job should hit the memo: {s1:?}");
-        assert!(s1.misses > 0);
-        // A quiet round re-enumerates nothing.
-        let _ = policy.schedule(SchedEvent::Round, &view);
-        let s2 = policy.candidate_memo_stats();
-        assert_eq!(s2.misses, s1.misses, "quiet round re-enumerated: {s2:?}");
-        assert_eq!(s2.invalidations, 0);
-        // Capacity moved (e.g. an allocation elsewhere): memo flushes.
-        pools[0].free_gpus = 8;
-        let _ = policy.schedule(SchedEvent::Round, &f.view(&queued, &[], &pools));
-        let s3 = policy.candidate_memo_stats();
-        assert_eq!(s3.invalidations, 1);
-        assert!(s3.misses > s2.misses);
+    fn warm_memo_ranks_against_the_current_pools() {
+        // Two identical pools, as in
+        // `failure_aware_placement_prefers_healthy_pool`: every candidate
+        // scores the same in both, so degrading one flips the choice. A
+        // policy whose memo was filled on the healthy view must emit
+        // exactly a fresh policy's actions after free GPUs change and
+        // after a pool degrades.
+        let spec = arena_cluster::NodeSpec::with_default_links(arena_cluster::GpuSpec::A40, 4);
+        let cluster = arena_cluster::Cluster::new(&[(spec, 8), (spec, 8)]);
+        let service = PlanService::new(&cluster, CostParams::default(), 3);
+        let queued = vec![job(1, 1.3, 8, 0)];
+        let healthy = cluster.pool_stats();
+        let mut busy = healthy.clone();
+        busy[0].free_gpus = 8;
+        let mut degraded = healthy.clone();
+        degraded[0].free_gpus = 16;
+        degraded[0].failed_gpus = 16;
+        let mut warm = ArenaPolicy::new();
+        let mut placed_pools = Vec::new();
+        for pools in [&healthy, &busy, &degraded] {
+            let view = SchedView {
+                now_s: 0.0,
+                queued: &queued,
+                running: &[],
+                pools,
+                service: &service,
+                obs: arena_obs::Obs::disabled(),
+            };
+            let fresh = ArenaPolicy::new().schedule(SchedEvent::Round, &view);
+            assert_eq!(warm.schedule(SchedEvent::Round, &view), fresh);
+            placed_pools.extend(fresh.iter().filter_map(|a| match a {
+                Action::Place { pool, .. } => Some(pool.0),
+                _ => None,
+            }));
+        }
+        assert_eq!(warm.memo.len(), 1, "one class, never flushed");
+        // Healthy: the grid-order tie goes to pool 0. Busy: pool 0 lacks
+        // room. Degraded: pool 0 has room again but ranks last.
+        assert_eq!(placed_pools, [0, 1, 1]);
     }
 
     #[test]

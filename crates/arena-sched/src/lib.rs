@@ -23,7 +23,6 @@ pub mod elasticflow;
 pub mod fcfs;
 pub mod gandiva;
 pub mod gavel;
-mod memo;
 pub mod policy;
 pub mod service;
 pub mod solver;
@@ -33,7 +32,7 @@ mod baseline_tests;
 #[cfg(test)]
 pub(crate) mod test_fixtures;
 
-pub use arena::{ArenaPolicy, ArenaVariant, CandidateMemoStats, QueueOrder};
+pub use arena::{ArenaPolicy, ArenaVariant, QueueOrder};
 pub use arena_obs::{Decision, DecisionKind, Obs, TraceReport};
 pub use elasticflow::ElasticFlowPolicy;
 pub use fcfs::FcfsPolicy;

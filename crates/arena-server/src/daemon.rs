@@ -468,7 +468,9 @@ fn empty_state() -> EngineState {
 }
 
 /// Incremental mirror of the observability decision log as immutable
-/// chunks, so snapshot publication cost tracks *new* decisions only.
+/// chunks: each refresh copies only the decisions recorded since the
+/// last one. Publishing clones `chunks`, one `Arc` per refresh that
+/// found new decisions, so its cost still grows with run length.
 struct DecisionMirror {
     chunks: Vec<Arc<Vec<Decision>>>,
     total: usize,

@@ -12,9 +12,11 @@
 //! moment without a snapshot.
 //!
 //! The decision log is mirrored as a vector of immutable chunks
-//! (`Arc<Vec<Decision>>`): each publish appends at most one new chunk
-//! and shallow-clones the chunk list, so publish cost is proportional
-//! to *new* decisions, not run length.
+//! (`Arc<Vec<Decision>>`): each publish appends at most one new chunk,
+//! so no decision is copied twice. A publish still grows with the run:
+//! it clones the chunk list (one `Arc` per earlier publish that recorded
+//! decisions) and rebuilds the engine state (one `JobStatus`, with its
+//! name cloned, per job ever submitted).
 
 use std::sync::{Arc, PoisonError, RwLock};
 

@@ -366,6 +366,10 @@ pub(crate) struct SJob {
     pub(crate) opportunistic: bool,
     pub(crate) sps: f64,
     pub(crate) iter_time: f64,
+    /// The job's ideal throughput, the timeline's normaliser: taken from
+    /// the plan service at the first round sample that finds the job
+    /// running, and kept, since it depends only on the spec.
+    pub(crate) ideal_sps: Option<f64>,
     pub(crate) start_s: Option<f64>,
     pub(crate) finish_s: Option<f64>,
     pub(crate) restarts: u32,
@@ -412,6 +416,22 @@ impl SJob {
     pub(crate) fn flush_alloc(&mut self, t: f64) {
         if let Some(since) = self.alloc_since.take() {
             self.allocated_gpu_s += (t - since) * self.gpus as f64;
+        }
+    }
+
+    /// The one release path: closes the job's open segments at `t`,
+    /// returns its GPUs (if it holds any) to `cluster` and records the
+    /// release.
+    pub(crate) fn release(&mut self, t: f64, cluster: &mut Cluster, obs: &Obs) {
+        self.flush_run(t);
+        self.flush_alloc(t);
+        if let Some(alloc) = self.alloc.take() {
+            // Cannot fail: `cluster` granted this allocation, and
+            // `take()` hands it back exactly once.
+            cluster
+                .release(&alloc)
+                .expect("the cluster granted this allocation");
+            obs.alloc_event(t, self.spec.id, alloc.pool.0, &alloc.node_gpus, false);
         }
     }
 }
@@ -906,13 +926,7 @@ impl<'a> Engine<'a> {
             if matches!(j.state, JState::Finished | JState::Dropped) {
                 return Ok(());
             }
-            j.flush_run(t);
-            j.flush_alloc(t);
-            if let Some(alloc) = j.alloc.take() {
-                self.cluster.release(&alloc).expect("release cancelled job");
-                self.obs
-                    .alloc_event(t, id, alloc.pool.0, &alloc.node_gpus, false);
-            }
+            j.release(t, &mut self.cluster, &self.obs);
             j.state = JState::Dropped;
             self.obs.job_event(t, id, JobEventKind::Drop);
             self.index.retire(j, idx);
@@ -1358,13 +1372,7 @@ impl<'a> Engine<'a> {
             if j.state == JState::Running && j.remaining <= EPS {
                 j.state = JState::Finished;
                 j.finish_s = Some(t);
-                j.flush_run(t);
-                j.flush_alloc(t);
-                if let Some(alloc) = j.alloc.take() {
-                    self.cluster.release(&alloc).expect("release finished job");
-                    self.obs
-                        .alloc_event(t, j.spec.id, alloc.pool.0, &alloc.node_gpus, false);
-                }
+                j.release(t, &mut self.cluster, &self.obs);
                 self.obs.job_event(t, j.spec.id, JobEventKind::Finish);
                 event = Some(SchedEvent::Departure(j.spec.id));
                 self.index.retire(j, i);
@@ -1406,12 +1414,7 @@ impl<'a> Engine<'a> {
                         {
                             continue;
                         }
-                        let alloc = j.alloc.take().expect("active job holds an allocation");
-                        self.cluster.release(&alloc).expect("release crashed job");
-                        j.flush_run(t);
-                        j.flush_alloc(t);
-                        self.obs
-                            .alloc_event(t, j.spec.id, alloc.pool.0, &alloc.node_gpus, false);
+                        j.release(t, &mut self.cluster, &self.obs);
                         // A running victim loses everything since its
                         // last checkpoint; a starting one had nothing to
                         // lose (its checkpoint was saved at placement).
@@ -1488,6 +1491,7 @@ impl<'a> Engine<'a> {
                 opportunistic: false,
                 sps: 0.0,
                 iter_time: 0.0,
+                ideal_sps: None,
                 start_s: None,
                 finish_s: None,
                 restarts: 0,
@@ -1523,17 +1527,29 @@ impl<'a> Engine<'a> {
         // loop's accumulation order.
         if matches!(event, Some(SchedEvent::Round)) {
             let _sample = stage(self.tele.as_ref(), |tele| &tele.stage_sample);
-            let running = || {
-                self.index
-                    .active
-                    .iter()
-                    .map(|&i| &self.sjobs[i])
-                    .filter(|j| j.state == JState::Running)
-            };
-            let norm: f64 = running()
-                .map(|j| j.sps / self.service.ideal_sps(&j.spec))
+            let norm: f64 = self
+                .index
+                .active
+                .iter()
+                .filter_map(|&i| {
+                    let j = &mut self.sjobs[i];
+                    if j.state != JState::Running {
+                        return None;
+                    }
+                    let ideal = *j
+                        .ideal_sps
+                        .get_or_insert_with(|| self.service.ideal_sps(&j.spec));
+                    Some(j.sps / ideal)
+                })
                 .sum();
-            let raw: f64 = running().map(|j| j.sps).sum();
+            let raw: f64 = self
+                .index
+                .active
+                .iter()
+                .map(|&i| &self.sjobs[i])
+                .filter(|j| j.state == JState::Running)
+                .map(|j| j.sps)
+                .sum();
             self.timeline.push((t, norm));
             self.raw_timeline.push((t, raw));
         }
@@ -1675,13 +1691,7 @@ impl<'a> Engine<'a> {
                     if matches!(j.state, JState::Finished | JState::Dropped) {
                         continue;
                     }
-                    j.flush_run(t);
-                    j.flush_alloc(t);
-                    if let Some(alloc) = j.alloc.take() {
-                        self.cluster.release(&alloc).expect("release dropped job");
-                        self.obs
-                            .alloc_event(t, job, alloc.pool.0, &alloc.node_gpus, false);
-                    }
+                    j.release(t, &mut self.cluster, &self.obs);
                     j.state = JState::Dropped;
                     self.obs.job_event(t, job, JobEventKind::Drop);
                     self.index.retire(j, idx);
@@ -1695,13 +1705,7 @@ impl<'a> Engine<'a> {
                     };
                     let j = &mut self.sjobs[idx];
                     if j.active() {
-                        j.flush_run(t);
-                        j.flush_alloc(t);
-                        if let Some(alloc) = j.alloc.take() {
-                            self.cluster.release(&alloc).expect("release evicted job");
-                            self.obs
-                                .alloc_event(t, job, alloc.pool.0, &alloc.node_gpus, false);
-                        }
+                        j.release(t, &mut self.cluster, &self.obs);
                         j.state = JState::Queued;
                         j.restarts += 1;
                         j.opportunistic = false;
@@ -1748,13 +1752,7 @@ impl<'a> Engine<'a> {
                     };
                     let was_active = j.active();
                     let prev_grant = was_active.then_some((j.pool, j.gpus));
-                    j.flush_run(t);
-                    j.flush_alloc(t);
-                    if let Some(alloc) = j.alloc.take() {
-                        self.cluster.release(&alloc).expect("release re-placed job");
-                        self.obs
-                            .alloc_event(t, job, alloc.pool.0, &alloc.node_gpus, false);
-                    }
+                    j.release(t, &mut self.cluster, &self.obs);
                     match self.cluster.allocate(pool, gpus) {
                         Ok(alloc) => {
                             if was_active {

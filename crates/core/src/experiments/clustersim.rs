@@ -110,7 +110,7 @@ fn run_comparison(
         &CostParams::default(),
         seed,
         &SimConfig::new(horizon_s),
-        &WorkerPool::from_env(),
+        &WorkerPool::per_core(),
     );
     let mut summaries: Vec<PolicySummary> = results.iter().map(PolicySummary::from).collect();
     super::fill_common_jct(&results, &mut summaries);

@@ -77,7 +77,7 @@ pub fn conformance_workload(quick: bool) -> Vec<TraceRun> {
     // service and Obs sink, so runs are independent; the pool merges them
     // back in the comparison set's order.
     let n = crate::experiments::comparison_policies().len();
-    WorkerPool::from_env().map_indices(n, |i| {
+    WorkerPool::per_core().map_indices(n, |i| {
         let mut policy = crate::experiments::comparison_policies()
             .into_iter()
             .nth(i)
@@ -310,7 +310,7 @@ pub fn timeline_workload(quick: bool) -> Vec<TimelineRun> {
     let sim_cfg = SimConfig::new(if quick { 12.0 * 3600.0 } else { 24.0 * 3600.0 });
 
     let n = crate::experiments::comparison_policies().len();
-    WorkerPool::from_env().map_indices(n, |i| {
+    WorkerPool::per_core().map_indices(n, |i| {
         let mut policy = crate::experiments::comparison_policies()
             .into_iter()
             .nth(i)

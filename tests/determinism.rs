@@ -7,8 +7,8 @@
 //! 1. **Ignored worker argument** — `policy_by_name("arena", n)` builds
 //!    the same policy at any `n` (decision log, job records, timelines,
 //!    metrics; only the wall-clock decision timer is exempt).
-//! 2. **Memo invariance** — the candidate memo's cold and warm paths
-//!    produce identical schedules.
+//! 2. **Memo invariance** — an Arena policy whose candidate memo a first
+//!    run filled replays the run exactly on the same plan service.
 //! 3. **Policy fan-out invariance** — `run_policies_parallel` returns
 //!    the same results at any pool size, in submission order.
 //! 4. **One estimate per Cell choice** — once a round has chosen its
@@ -61,9 +61,13 @@ fn fingerprint(mut r: SimResult) -> String {
 fn traced_arena_run(policy: &mut dyn Policy) -> SimResult {
     let cluster = arena::cluster::presets::physical_testbed();
     let service = PlanService::new(&cluster, CostParams::default(), 33);
+    traced_run_on(&cluster, &service, policy)
+}
+
+fn traced_run_on(cluster: &Cluster, service: &PlanService, policy: &mut dyn Policy) -> SimResult {
     let cfg = SimConfig::new(24.0 * 3600.0);
     let obs = Obs::enabled();
-    Run::new(&cluster, policy, &service, &cfg)
+    Run::new(cluster, policy, service, &cfg)
         .obs(&obs)
         .batch(&steady_trace(16))
 }
@@ -85,14 +89,12 @@ fn policy_by_name_ignores_the_worker_argument() {
 
 #[test]
 fn memo_cold_and_warm_paths_are_identical() {
-    let memoized = fingerprint(traced_arena_run(&mut ArenaPolicy::new()));
-    let unmemoized = fingerprint(traced_arena_run(
-        &mut ArenaPolicy::new().without_candidate_memo(),
-    ));
-    assert_eq!(
-        memoized, unmemoized,
-        "candidate memo changed scheduler output"
-    );
+    let cluster = arena::cluster::presets::physical_testbed();
+    let service = PlanService::new(&cluster, CostParams::default(), 33);
+    let mut policy = ArenaPolicy::new();
+    let cold = fingerprint(traced_run_on(&cluster, &service, &mut policy));
+    let warm = fingerprint(traced_run_on(&cluster, &service, &mut policy));
+    assert_eq!(cold, warm, "a warm candidate memo changed scheduler output");
 }
 
 #[test]
@@ -135,10 +137,9 @@ fn steady_rounds_make_no_estimator_lookups() {
         })
         .collect();
     let pools = cluster.pool_stats();
-    // Memo off so every round re-enumerates candidates through
-    // `PlanService::cell_choice`.
-    let mut policy = ArenaPolicy::new().without_candidate_memo();
-    let mut round = || {
+    // A fresh policy per round, so every round enumerates its candidates
+    // through `PlanService::cell_choice` with a cold candidate memo.
+    let round = || {
         let view = SchedView {
             now_s: 0.0,
             queued: &queued,
@@ -147,7 +148,7 @@ fn steady_rounds_make_no_estimator_lookups() {
             service: &service,
             obs: Obs::disabled(),
         };
-        policy.schedule(SchedEvent::Round, &view)
+        ArenaPolicy::new().schedule(SchedEvent::Round, &view)
     };
     let lookups = || {
         let stats = service.estimator_stats();
