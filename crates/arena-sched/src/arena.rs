@@ -1021,6 +1021,22 @@ mod tests {
         assert!(!actions.is_empty());
     }
 
+    fn spec(id: u64) -> JobSpec {
+        (*job(id, 1.3, 8, 0).spec).clone()
+    }
+
+    #[test]
+    fn same_class_jobs_share_a_key() {
+        // Different ids and names, same scheduling class.
+        assert_eq!(job_class(&spec(1)), job_class(&spec(2)));
+        let mut other = spec(3);
+        other.requested_gpus = 4;
+        assert_ne!(job_class(&spec(1)), job_class(&other));
+        let mut bigger = spec(4);
+        bigger.model.params_b = 2.6;
+        assert_ne!(job_class(&spec(1)), job_class(&bigger));
+    }
+
     #[test]
     fn warm_memo_ranks_against_the_current_pools() {
         // Two identical pools, as in

@@ -366,10 +366,6 @@ pub(crate) struct SJob {
     pub(crate) opportunistic: bool,
     pub(crate) sps: f64,
     pub(crate) iter_time: f64,
-    /// The job's ideal throughput, the timeline's normaliser: taken from
-    /// the plan service at the first round sample that finds the job
-    /// running, and kept, since it depends only on the spec.
-    pub(crate) ideal_sps: Option<f64>,
     pub(crate) start_s: Option<f64>,
     pub(crate) finish_s: Option<f64>,
     pub(crate) restarts: u32,
@@ -1491,7 +1487,6 @@ impl<'a> Engine<'a> {
                 opportunistic: false,
                 sps: 0.0,
                 iter_time: 0.0,
-                ideal_sps: None,
                 start_s: None,
                 finish_s: None,
                 restarts: 0,
@@ -1527,29 +1522,17 @@ impl<'a> Engine<'a> {
         // loop's accumulation order.
         if matches!(event, Some(SchedEvent::Round)) {
             let _sample = stage(self.tele.as_ref(), |tele| &tele.stage_sample);
-            let norm: f64 = self
-                .index
-                .active
-                .iter()
-                .filter_map(|&i| {
-                    let j = &mut self.sjobs[i];
-                    if j.state != JState::Running {
-                        return None;
-                    }
-                    let ideal = *j
-                        .ideal_sps
-                        .get_or_insert_with(|| self.service.ideal_sps(&j.spec));
-                    Some(j.sps / ideal)
-                })
+            let running = || {
+                self.index
+                    .active
+                    .iter()
+                    .map(|&i| &self.sjobs[i])
+                    .filter(|j| j.state == JState::Running)
+            };
+            let norm: f64 = running()
+                .map(|j| j.sps / self.service.ideal_sps(&j.spec))
                 .sum();
-            let raw: f64 = self
-                .index
-                .active
-                .iter()
-                .map(|&i| &self.sjobs[i])
-                .filter(|j| j.state == JState::Running)
-                .map(|j| j.sps)
-                .sum();
+            let raw: f64 = running().map(|j| j.sps).sum();
             self.timeline.push((t, norm));
             self.raw_timeline.push((t, raw));
         }

@@ -215,7 +215,6 @@ mod tests {
             opportunistic: false,
             sps: 0.0,
             iter_time: 0.0,
-            ideal_sps: None,
             start_s: None,
             finish_s: None,
             restarts: 0,

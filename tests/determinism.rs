@@ -7,17 +7,22 @@
 //! 1. **Ignored worker argument** — `policy_by_name("arena", n)` builds
 //!    the same policy at any `n` (decision log, job records, timelines,
 //!    metrics; only the wall-clock decision timer is exempt).
-//! 2. **Memo invariance** — an Arena policy whose candidate memo a first
-//!    run filled replays the run exactly on the same plan service.
+//! 2. **Memo invariance** — an Arena policy keeping its candidate memo
+//!    across runs on one plan service, with and without faults, emits
+//!    exactly what a fresh policy per pass emits.
 //! 3. **Policy fan-out invariance** — `run_policies_parallel` returns
 //!    the same results at any pool size, in submission order.
 //! 4. **One estimate per Cell choice** — once a round has chosen its
 //!    Cells, further rounds and the tuning of a placed job make no
 //!    estimator lookup.
 
+use arena::cluster::{GpuSpec, NodeSpec};
 use arena::experiments::run_policies_parallel;
 use arena::prelude::*;
-use arena::sched::{policy_by_name, Action, JobView, SchedEvent, SchedView};
+use arena::sched::{
+    policy_by_name, Action, ArenaVariant, JobView, PlanMode, SchedEvent, SchedView,
+};
+use arena::trace::{generate_faults, FaultConfig, FaultEvent};
 
 fn steady_trace(n: u64) -> Vec<JobSpec> {
     (0..n)
@@ -61,15 +66,41 @@ fn fingerprint(mut r: SimResult) -> String {
 fn traced_arena_run(policy: &mut dyn Policy) -> SimResult {
     let cluster = arena::cluster::presets::physical_testbed();
     let service = PlanService::new(&cluster, CostParams::default(), 33);
-    traced_run_on(&cluster, &service, policy)
+    traced_run_on(&cluster, &service, policy, &steady_trace(16), &[])
 }
 
-fn traced_run_on(cluster: &Cluster, service: &PlanService, policy: &mut dyn Policy) -> SimResult {
+fn traced_run_on(
+    cluster: &Cluster,
+    service: &PlanService,
+    policy: &mut dyn Policy,
+    jobs: &[JobSpec],
+    faults: &[FaultEvent],
+) -> SimResult {
     let cfg = SimConfig::new(24.0 * 3600.0);
     let obs = Obs::enabled();
     Run::new(cluster, policy, service, &cfg)
         .obs(&obs)
-        .batch(&steady_trace(16))
+        .faults(faults)
+        .batch(jobs)
+}
+
+/// Arena with a cold candidate memo on every pass: each `schedule` call
+/// goes to a fresh `ArenaPolicy` of the variant, whose only state is
+/// that memo.
+struct FreshArena(ArenaVariant);
+
+impl Policy for FreshArena {
+    fn name(&self) -> &'static str {
+        ArenaPolicy::with_variant(self.0).name()
+    }
+
+    fn plan_mode(&self) -> PlanMode {
+        ArenaPolicy::with_variant(self.0).plan_mode()
+    }
+
+    fn schedule(&mut self, event: SchedEvent, view: &SchedView<'_>) -> Vec<Action> {
+        ArenaPolicy::with_variant(self.0).schedule(event, view)
+    }
 }
 
 /// `policy_by_name`'s second argument once sized Arena's in-decision
@@ -89,12 +120,56 @@ fn policy_by_name_ignores_the_worker_argument() {
 
 #[test]
 fn memo_cold_and_warm_paths_are_identical() {
-    let cluster = arena::cluster::presets::physical_testbed();
+    // Two identical pools: a candidate scores the same in both, so the
+    // pools' failures decide the failure-aware ranking.
+    let node = NodeSpec::with_default_links(GpuSpec::A40, 2);
+    let cluster = Cluster::new(&[(node, 16), (node, 16)]);
     let service = PlanService::new(&cluster, CostParams::default(), 33);
-    let mut policy = ArenaPolicy::new();
-    let cold = fingerprint(traced_run_on(&cluster, &service, &mut policy));
-    let warm = fingerprint(traced_run_on(&cluster, &service, &mut policy));
-    assert_eq!(cold, warm, "a warm candidate memo changed scheduler output");
+    let mut cfg = FaultConfig::with_mtbf(4.0 * 3600.0);
+    cfg.repair_median_s = 900.0;
+    let faults = generate_faults(&cfg, &[16, 16], 24.0 * 3600.0);
+    // Every model configuration is requested at each GPU count and in
+    // both pools, so a memo key that dropped a class field would hand
+    // one class's candidates to another (the requested pool matters to
+    // Arena-NH only).
+    let jobs: Vec<JobSpec> = steady_trace(24)
+        .into_iter()
+        .map(|mut j| {
+            j.requested_gpus = [2, 4, 8][(j.id / 6 % 3) as usize];
+            j.requested_pool = (j.id / 2 % 2) as usize;
+            j
+        })
+        .collect();
+    for variant in [ArenaVariant::Full, ArenaVariant::NoHeterogeneity] {
+        // One policy for every run: its memo fills on the fault-free
+        // runs and is read warm while faults degrade pools.
+        let mut policy = ArenaPolicy::with_variant(variant);
+        for faults in [&[][..], &faults[..]] {
+            let fresh = traced_run_on(&cluster, &service, &mut FreshArena(variant), &jobs, faults);
+            if !faults.is_empty() {
+                assert!(
+                    fresh.metrics.failure_evictions > 0,
+                    "the fault schedule never hit a running job"
+                );
+            }
+            let fresh = fingerprint(fresh);
+            for pass in ["first", "second"] {
+                let memo = fingerprint(traced_run_on(
+                    &cluster,
+                    &service,
+                    &mut policy,
+                    &jobs,
+                    faults,
+                ));
+                assert_eq!(
+                    memo,
+                    fresh,
+                    "the memo changed {variant:?}'s output ({pass} run, {} faults)",
+                    faults.len()
+                );
+            }
+        }
+    }
 }
 
 #[test]
