@@ -18,7 +18,7 @@ use std::sync::Arc;
 use arena_model::ModelGraph;
 use arena_parallelism::{PipelinePlan, StageAssignment, StagePlan};
 use arena_perf::noise::NoiseModel;
-use arena_perf::{CostParams, HwTarget, ProfilingMeter};
+use arena_perf::{CostParams, HwTarget};
 use arena_runtime::{MemSection, MemSize};
 use parking_lot::RwLock;
 
@@ -157,9 +157,8 @@ impl CacheStats {
 
 /// The agile Cell estimator.
 ///
-/// Owns the offline communication tables (built lazily per node class)
-/// and a [`ProfilingMeter`] charged for every profile it takes. Neither
-/// stage profiles nor whole estimates are cached: the plan service
+/// Owns the offline communication tables (built lazily per node class).
+/// Neither stage profiles nor whole estimates are cached: the plan service
 /// memoises the Cell choice built from them, which is how a job is
 /// profiled once per GPU type (§6.1).
 ///
@@ -176,7 +175,6 @@ pub struct CellEstimator {
     params: CostParams,
     noise: NoiseModel,
     table_noise: NoiseModel,
-    meter: Arc<ProfilingMeter>,
     stats: CacheStats,
     tables: RwLock<HashMap<TableKey, Arc<CommTables>>>,
 }
@@ -185,7 +183,6 @@ impl std::fmt::Debug for CellEstimator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CellEstimator")
             .field("node_classes", &self.tables.read().len())
-            .field("gpu_seconds", &self.meter.gpu_seconds())
             .finish()
     }
 }
@@ -200,16 +197,9 @@ impl CellEstimator {
             params,
             noise,
             table_noise,
-            meter: Arc::new(ProfilingMeter::new()),
             stats: CacheStats::default(),
             tables: RwLock::default(),
         }
-    }
-
-    /// The meter charged by this estimator's profiling activity.
-    #[must_use]
-    pub fn meter(&self) -> &Arc<ProfilingMeter> {
-        &self.meter
     }
 
     /// The cost constants in use.
@@ -250,9 +240,8 @@ impl CellEstimator {
 
     /// Estimates a Cell in two steps: [`Self::profile`] into this
     /// thread's profile buffer, then [`Self::assemble`]. Every call
-    /// profiles afresh (two single-GPU trials on the meter), counts one
-    /// estimate and adds its wall-clock to
-    /// [`CacheStatsSnapshot::estimate_ns`].
+    /// profiles afresh (two single-GPU trials), counts one estimate and
+    /// adds its wall-clock to [`CacheStatsSnapshot::estimate_ns`].
     ///
     /// Returns `None` when no assembled plan fits in memory and batch —
     /// the Cell is not schedulable.
@@ -272,8 +261,6 @@ impl CellEstimator {
     /// let estimate = estimator.estimate(&graph, 256, &cell, &hw).unwrap();
     /// assert!(estimate.throughput_sps > 0.0);
     /// assert_eq!(estimate.favors.len(), 4);
-    /// // Two ~30 s single-GPU profiles per Cell (§8.2).
-    /// assert!(estimator.meter().gpu_seconds() < 120.0);
     /// ```
     #[must_use]
     pub fn estimate(
@@ -299,8 +286,9 @@ impl CellEstimator {
 
     /// The first step of [`Self::estimate`]: profiles every stage of
     /// `cell` under DP-only and TP-only on one device into `out`
-    /// (replacing what it held), charging two trials to the meter and
-    /// counting one [`CacheStatsSnapshot::profile_misses`].
+    /// (replacing what it held) and counts one
+    /// [`CacheStatsSnapshot::profile_misses`]. The profile's two
+    /// single-GPU trials took [`SoaProfiles::trial_walls_s`].
     pub fn profile(
         &self,
         graph: &ModelGraph,
@@ -313,7 +301,6 @@ impl CellEstimator {
         profile_cell(
             &self.params,
             &self.noise,
-            &self.meter,
             graph,
             global_batch,
             cell,
@@ -817,15 +804,15 @@ mod tests {
     #[test]
     fn every_estimate_profiles_the_cell_afresh() {
         // No profile is cached: the plan service memoises the Cell
-        // choice, so each estimate of the same Cell takes (and charges)
-        // its own two single-GPU trials.
+        // choice, so each estimate of the same Cell takes its own
+        // profile.
         let est = CellEstimator::new(CostParams::default(), 29);
         let g = ModelConfig::new(ModelFamily::Bert, 1.3, 256).build();
         let cell = Cell::new(&g, 8, 4).unwrap();
         let hw = a100();
         for round in 1..=3_u64 {
             let _ = est.estimate(&g, 256, &cell, &hw);
-            assert_eq!(est.meter().trials(), 2 * round);
+            assert_eq!(est.stats().snapshot().profile_misses, round);
         }
     }
 
@@ -835,8 +822,9 @@ mod tests {
         let est = CellEstimator::new(CostParams::default(), 31);
         let g = ModelConfig::new(ModelFamily::Bert, 1.3, 256).build();
         let cell = Cell::new(&g, 8, 4).unwrap();
-        let _ = est.estimate(&g, 256, &cell, &a100());
-        let gpu_s = est.meter().gpu_seconds();
+        let mut soa = SoaProfiles::default();
+        est.profile(&g, 256, &cell, &a100(), &mut soa);
+        let gpu_s: f64 = soa.trial_walls_s(est.params()).iter().sum();
         assert!(gpu_s > 40.0 && gpu_s < 120.0, "per-cell cost {gpu_s}s");
     }
 

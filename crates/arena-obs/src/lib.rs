@@ -105,10 +105,10 @@ pub struct Decision {
     pub time_s: f64,
     /// Deciding policy's display name (stamped), `"engine"` for
     /// engine-originated records.
-    pub policy: String,
+    pub policy: &'static str,
     /// The event that fired the pass (stamped): `arrival`, `departure`,
     /// `round`, `node-failure`, `node-repair`.
-    pub trigger: String,
+    pub trigger: &'static str,
     /// Action kind.
     pub kind: DecisionKind,
     /// Subject job id.
@@ -139,8 +139,8 @@ impl Decision {
         Decision {
             seq: 0,
             time_s: 0.0,
-            policy: String::new(),
-            trigger: String::new(),
+            policy: "",
+            trigger: "",
             kind,
             job,
             pool: None,
@@ -232,8 +232,8 @@ impl Decision {
         s.push('{');
         let _ = write!(s, "\"seq\":{}", self.seq);
         let _ = write!(s, ",\"time_s\":{}", json_f64(self.time_s));
-        let _ = write!(s, ",\"policy\":\"{}\"", json_escape(&self.policy));
-        let _ = write!(s, ",\"trigger\":\"{}\"", json_escape(&self.trigger));
+        let _ = write!(s, ",\"policy\":\"{}\"", json_escape(self.policy));
+        let _ = write!(s, ",\"trigger\":\"{}\"", json_escape(self.trigger));
         let _ = write!(s, ",\"kind\":\"{}\"", self.kind.as_str());
         let _ = write!(s, ",\"job\":{}", self.job);
         match self.pool {
@@ -365,8 +365,8 @@ impl HistStats {
 struct Inner {
     // Context stamped onto decisions.
     time_s: f64,
-    policy: String,
-    trigger: String,
+    policy: &'static str,
+    trigger: &'static str,
     seq: u64,
     decisions: Vec<Decision>,
     timeline: Timeline,
@@ -450,15 +450,11 @@ impl Obs {
     /// Sets the decision-stamping context: simulation time, deciding
     /// policy and the event that fired the pass. The engine calls this
     /// before every dispatch; recorded decisions inherit the values.
-    pub fn context(&self, time_s: f64, policy: &str, trigger: &str) {
+    pub fn context(&self, time_s: f64, policy: &'static str, trigger: &'static str) {
         if let Some(mut g) = self.lock() {
             g.time_s = time_s;
-            if g.policy != policy {
-                g.policy = policy.to_string();
-            }
-            if g.trigger != trigger {
-                g.trigger = trigger.to_string();
-            }
+            g.policy = policy;
+            g.trigger = trigger;
         }
     }
 
@@ -469,8 +465,8 @@ impl Obs {
             d.seq = g.seq;
             g.seq += 1;
             d.time_s = g.time_s;
-            d.policy.clone_from(&g.policy);
-            d.trigger.clone_from(&g.trigger);
+            d.policy = g.policy;
+            d.trigger = g.trigger;
             g.decisions.push(d);
         }
     }

@@ -23,11 +23,12 @@
 //! * [`noise`] — deterministic, seeded multiplicative measurement noise so
 //!   "measuring" the same plan twice agrees but the estimator cannot be
 //!   trivially exact.
-//! * [`meter`] — GPU-second accounting for profiling activity, used to
-//!   reproduce the overhead comparisons of Fig. 12(b)/13(b).
 //! * [`oracle`] — the [`oracle::GroundTruth`] facade
-//!   combining all of the above; "running" or "directly profiling" a plan
-//!   goes through it.
+//!   combining all of the above: "running" a plan goes through it, and it
+//!   prices one Alpa-style direct-profiling trial
+//!   ([`GroundTruth::trial_wall_s`]). Every search sums the trials it
+//!   makes, which is how the overhead comparisons of Fig. 12(b)/13(b)
+//!   are counted.
 //! * [`sampled`] — [`sampled::SampledSearch`], which measures many plans
 //!   of one plan space from a per-partition stage-cost table, bit for bit
 //!   as the facade would.
@@ -43,7 +44,6 @@
 pub mod collective;
 pub mod compute;
 pub mod memory;
-pub mod meter;
 pub mod noise;
 pub mod oracle;
 pub mod params;
@@ -51,7 +51,6 @@ pub mod pipeline;
 pub mod sampled;
 pub mod target;
 
-pub use meter::ProfilingMeter;
 pub use noise::NoiseModel;
 pub use oracle::GroundTruth;
 pub use params::CostParams;

@@ -1,36 +1,35 @@
 //! The ground-truth facade: "running" and "profiling" plans.
 
 use std::fmt::Display;
-use std::sync::Arc;
 
 use arena_model::ModelGraph;
-use arena_parallelism::{write_plan_label, PipelinePlan, PlanSpace};
+use arena_parallelism::{write_plan_label, PipelinePlan};
 
-use crate::meter::ProfilingMeter;
 use crate::noise::{NoiseModel, PrefixedNoise};
 use crate::params::CostParams;
 use crate::pipeline::{Infeasible, PerfModel, PlanPerf};
-use crate::sampled::SampledSearch;
 use crate::target::HwTarget;
 
 /// Ground-truth performance: the analytical model plus deterministic
-/// measurement noise and profiling-cost accounting.
+/// measurement noise and the price of profiling.
 ///
 /// Everything the paper does *on real hardware* goes through this type:
 ///
-/// * [`measure`](GroundTruth::measure) — the performance a job actually
-///   achieves when it runs (free: running a job is not profiling).
-/// * [`profile_direct`](GroundTruth::profile_direct) — an Alpa-style
-///   trial: compile + warm-up + measured iterations on the plan's full
-///   allocation, charged to the [`ProfilingMeter`].
-/// * [`explore`](GroundTruth::explore) — full adaptive-parallelism
-///   exploration of a plan space: directly profiles every plan and
-///   returns the best, exactly the expensive workflow of Fig. 2.
+/// * [`measure`](GroundTruth::measure) — the performance a plan
+///   achieves when it runs. An Alpa-style direct-profiling trial
+///   measures the same thing.
+/// * [`trial_wall_s`](GroundTruth::trial_wall_s) — the wall-clock that
+///   trial occupies the plan's full allocation for: compile + warm-up +
+///   measured iterations. A search sums its own trials, so its cost is
+///   a pure function of the search.
+///
+/// Full exploration of a plan space, the expensive workflow of Fig. 2,
+/// is [`SampledSearch::profile_best`](crate::SampledSearch::profile_best)
+/// over every plan.
 #[derive(Debug, Clone)]
 pub struct GroundTruth {
     model: PerfModel,
     noise: NoiseModel,
-    meter: Arc<ProfilingMeter>,
 }
 
 impl GroundTruth {
@@ -41,7 +40,6 @@ impl GroundTruth {
         GroundTruth {
             model: PerfModel::new(params),
             noise,
-            meter: Arc::new(ProfilingMeter::new()),
         }
     }
 
@@ -51,7 +49,6 @@ impl GroundTruth {
         GroundTruth {
             model: PerfModel::new(params),
             noise: NoiseModel::disabled(),
-            meter: Arc::new(ProfilingMeter::new()),
         }
     }
 
@@ -59,12 +56,6 @@ impl GroundTruth {
     #[must_use]
     pub fn model(&self) -> &PerfModel {
         &self.model
-    }
-
-    /// The shared profiling meter.
-    #[must_use]
-    pub fn meter(&self) -> &Arc<ProfilingMeter> {
-        &self.meter
     }
 
     /// The cost constants in use.
@@ -99,7 +90,8 @@ impl GroundTruth {
     }
 
     /// Measures a plan as the hardware would: analytical cost perturbed by
-    /// deterministic noise. No profiling cost is charged.
+    /// deterministic noise. A direct-profiling trial of the plan reads
+    /// this and costs [`trial_wall_s`](Self::trial_wall_s).
     ///
     /// # Errors
     ///
@@ -151,7 +143,10 @@ impl GroundTruth {
 
     /// Wall-clock of one direct-profiling trial: compile + warm-up +
     /// measured iterations at `iter_time_s`, or the compilation alone
-    /// when the plan proved infeasible (`None`).
+    /// when the plan proved infeasible (`None`): a real tuner discovers
+    /// OOM only after building the executable. The trial occupies every
+    /// GPU of the plan, so its GPU-seconds are this times the plan's GPU
+    /// count.
     #[must_use]
     pub fn trial_wall_s(&self, iter_time_s: Option<f64>) -> f64 {
         let p = self.params();
@@ -159,62 +154,6 @@ impl GroundTruth {
             Some(t) => p.direct_profile_setup_s + p.direct_profile_iters * t,
             None => p.direct_profile_setup_s,
         }
-    }
-
-    /// Charges one direct-profiling trial on `gpus` GPUs to the meter
-    /// (see [`trial_wall_s`](Self::trial_wall_s)).
-    pub(crate) fn charge_trial(&self, iter_time_s: Option<f64>, gpus: usize) {
-        self.meter.charge(self.trial_wall_s(iter_time_s), gpus);
-    }
-
-    /// Directly profiles a plan on its full allocation (Alpa-style trial),
-    /// charging compile + warm-up + measured iterations on every GPU.
-    ///
-    /// Infeasible plans still pay the compilation part of the trial — a
-    /// real tuner discovers OOM only after building the executable.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Infeasible`] as [`measure`](Self::measure) does.
-    pub fn profile_direct(
-        &self,
-        graph: &ModelGraph,
-        global_batch: usize,
-        plan: &PipelinePlan,
-        hw: &HwTarget,
-    ) -> Result<PlanPerf, Infeasible> {
-        let perf = self.measure(graph, global_batch, plan, hw);
-        self.charge_trial(perf.as_ref().ok().map(|p| p.iter_time_s), plan.total_gpus());
-        perf
-    }
-
-    /// Full adaptive-parallelism exploration: directly profiles every plan
-    /// in `space` and returns the best `(plan, perf)` by throughput.
-    ///
-    /// Returns `None` when no plan in the space is feasible.
-    #[must_use]
-    pub fn explore(
-        &self,
-        graph: &ModelGraph,
-        global_batch: usize,
-        space: &PlanSpace,
-        hw: &HwTarget,
-    ) -> Option<(PipelinePlan, PlanPerf)> {
-        SampledSearch::new(self, graph, global_batch, space, hw).profile_best(usize::MAX, |_| {})
-    }
-
-    /// The best plan in `space` by *true* performance, without charging
-    /// the meter — the omniscient reference used to score estimation and
-    /// tuning accuracy.
-    #[must_use]
-    pub fn best_silent(
-        &self,
-        graph: &ModelGraph,
-        global_batch: usize,
-        space: &PlanSpace,
-        hw: &HwTarget,
-    ) -> Option<(PipelinePlan, PlanPerf)> {
-        SampledSearch::new(self, graph, global_batch, space, hw).best_silent(usize::MAX)
     }
 }
 
@@ -255,7 +194,7 @@ mod tests {
     use super::*;
     use arena_cluster::{GpuSpec, NodeSpec};
     use arena_model::zoo::{ModelConfig, ModelFamily};
-    use arena_parallelism::determine_stages;
+    use arena_parallelism::{determine_stages, PlanSpace};
 
     fn setup() -> (GroundTruth, ModelGraph, HwTarget) {
         let gt = GroundTruth::new(CostParams::default(), 7);
@@ -282,39 +221,15 @@ mod tests {
     }
 
     #[test]
-    fn direct_profiling_charges_gpu_time() {
-        let (gt, g, hw) = setup();
-        let plan = space(&g, 4, 1).iter().next().unwrap();
-        assert_eq!(gt.meter().gpu_seconds(), 0.0);
-        let perf = gt.profile_direct(&g, 256, &plan, &hw).unwrap();
-        let expected = (gt.params().direct_profile_setup_s
-            + gt.params().direct_profile_iters * perf.iter_time_s)
-            * 4.0;
-        let charged = gt.meter().gpu_seconds();
-        assert!((charged - expected).abs() < 1e-9);
-    }
-
-    #[test]
     fn infeasible_trials_still_cost_setup() {
         let gt = GroundTruth::new(CostParams::default(), 7);
         let g = ModelConfig::new(ModelFamily::Bert, 6.7, 128).build();
         let hw = HwTarget::new(NodeSpec::with_default_links(GpuSpec::A10, 2));
         let plan = space(&g, 2, 1).iter().next().unwrap(); // hopeless on 24 GiB
-        let r = gt.profile_direct(&g, 128, &plan, &hw);
-        assert!(r.is_err());
-        assert!(gt.meter().gpu_seconds() > 0.0);
-    }
-
-    #[test]
-    fn explore_finds_best_and_charges_everything() {
-        let (gt, g, hw) = setup();
-        let sp = space(&g, 4, 2);
-        let (_, best) = gt.explore(&g, 256, &sp, &hw).unwrap();
-        // Exploration profiled every plan in the space.
-        assert_eq!(gt.meter().trials(), sp.len() as u64);
-        // Silent best agrees with explored best (same noise model).
-        let (_, silent) = gt.best_silent(&g, 256, &sp, &hw).unwrap();
-        assert_eq!(best.throughput_sps, silent.throughput_sps);
+        assert!(gt.measure(&g, 128, &plan, &hw).is_err());
+        let setup = gt.params().direct_profile_setup_s;
+        assert!(setup > 0.0);
+        assert_eq!(gt.trial_wall_s(None), setup);
     }
 
     #[test]

@@ -44,7 +44,6 @@ pub struct SampledSearch<'a> {
     /// Every plan of a space shares its partition, so either all of them
     /// cover the model or none does.
     valid: bool,
-    gpus: usize,
     /// Row of option 0 of each stage: stage `s`, option `o` is row
     /// `first[s] + o`.
     first: Vec<usize>,
@@ -79,7 +78,6 @@ impl<'a> SampledSearch<'a> {
             space,
             hw,
             valid: plan0.is_valid_for(graph),
-            gpus: plan0.total_gpus(),
             first: Vec::with_capacity(plan0.num_stages()),
             local: Vec::with_capacity(rows * STEPS),
             labels: String::new(),
@@ -90,7 +88,7 @@ impl<'a> SampledSearch<'a> {
             return search;
         }
         let model = gt.model();
-        let ch = hw.channel_for(search.gpus);
+        let ch = hw.channel_for(plan0.total_gpus());
         let microbatches = plan0.microbatches();
         for (s, (st, opts)) in plan0.stages.iter().zip(space.options()).enumerate() {
             search.first.push(search.label_spans.len());
@@ -238,39 +236,19 @@ impl<'a> SampledSearch<'a> {
     }
 
     /// The sample of `space.sample(cap)` with the highest throughput (the
-    /// first of equals wins), with its full measurement. Charges nothing.
-    #[must_use]
-    pub(crate) fn best_silent(&self, cap: usize) -> Option<(PipelinePlan, PlanPerf)> {
-        self.best(cap, false, |_| {})
-    }
-
-    /// The sample of `space.sample(cap)` with the highest throughput (the
     /// first of equals wins), with its full measurement, by Alpa-style
-    /// direct profiling: every sample is charged to the meter as one
-    /// trial, in sample order, as [`GroundTruth::profile_direct`] charges
-    /// it. `trial` sees every sample's iteration time (`None` when
-    /// infeasible) in sample order, as [`Self::fastest`]'s does.
+    /// direct profiling: one trial per sample. `trial` sees every
+    /// sample's iteration time (`None` when infeasible) in sample order,
+    /// as [`Self::fastest`]'s does, so a caller sums the search's cost
+    /// from [`GroundTruth::trial_wall_s`].
     pub fn profile_best(
         &self,
         cap: usize,
-        trial: impl FnMut(Option<f64>),
-    ) -> Option<(PipelinePlan, PlanPerf)> {
-        self.best(cap, true, trial)
-    }
-
-    fn best(
-        &self,
-        cap: usize,
-        charge: bool,
         mut trial: impl FnMut(Option<f64>),
     ) -> Option<(PipelinePlan, PlanPerf)> {
         let mut best: Option<(u128, Measured)> = None;
         for (idx, r) in self.samples(cap) {
-            if charge {
-                let t = r.as_ref().ok().map(|m| m.iter_time_s);
-                self.gt.charge_trial(t, self.gpus);
-                trial(t);
-            }
+            trial(r.as_ref().ok().map(|m| m.iter_time_s));
             if let Ok(m) = r {
                 if best.is_none_or(|(_, b)| m.throughput_sps > b.throughput_sps) {
                     best = Some((idx, m));

@@ -13,7 +13,7 @@
 //! * A pool of one thread (or a single task) runs inline on the caller's
 //!   thread: pool size 1 is the trivially-sequential case.
 //!
-//! Anything a task writes into shared state (caches, meters) may land in
+//! Anything a task writes into shared state (caches, counters) may land in
 //! a different order across pool sizes; callers must only share state
 //! whose observable values are order-independent (e.g. deterministic
 //! keyed caches where every writer computes the same value).

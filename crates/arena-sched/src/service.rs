@@ -176,12 +176,6 @@ impl PlanService {
         ]
     }
 
-    /// The ground truth backing this service.
-    #[must_use]
-    pub fn ground_truth(&self) -> &GroundTruth {
-        &self.gt
-    }
-
     /// The Cell estimator backing this service.
     #[must_use]
     pub fn estimator(&self) -> &CellEstimator {
@@ -437,16 +431,6 @@ impl PlanService {
         })
     }
 
-    /// One-time profiling wall-clock Arena pays when a job arrives: two
-    /// ~30 s single-GPU profiles per Cell, three GPU-count variants,
-    /// `log N_G` stage counts, with per-GPU-type profiling in parallel
-    /// (§6.1/§8.2). Bounded by the paper's 30-minute guarantee.
-    #[must_use]
-    pub fn arena_profile_wall(&self, requested_gpus: usize) -> f64 {
-        let log_ng = (requested_gpus.max(2) as f64).log2().ceil();
-        (3.0 * log_ng * 60.0).min(1800.0)
-    }
-
     /// A job's ideal throughput: the best adaptive throughput over every
     /// pool at its requested GPU count and at twice that count (an
     /// [`adaptive_run`](Self::adaptive_run) per pool and count), or 1.0
@@ -536,10 +520,10 @@ mod tests {
     #[test]
     fn every_lookup_is_independent_of_earlier_lookups() {
         // Every plan-database entry is a pure function of its key (the
-        // tuning and exploration walls are summed from their own trials,
-        // never read off the shared meter), so all six lookups return
-        // the same bits on a fresh service and on one that first
-        // answered unrelated keys and then the same keys in reverse.
+        // tuning and exploration walls are summed from their own
+        // trials), so all six lookups return the same bits on a fresh
+        // service and on one that first answered unrelated keys and then
+        // the same keys in reverse.
         let cluster = presets::table1_simulated();
         let moe24 = ModelConfig::new(ModelFamily::Moe, 2.4, 512);
         let keys = [
@@ -656,14 +640,5 @@ mod tests {
             deadline_s: None,
         };
         assert!(s.ideal_sps(&spec) > 0.0);
-    }
-
-    #[test]
-    fn profile_wall_bounded_by_paper_guarantee() {
-        let s = service();
-        for ng in [1, 2, 8, 64] {
-            let w = s.arena_profile_wall(ng);
-            assert!(w > 0.0 && w <= 1800.0, "wall {w} for NG={ng}");
-        }
     }
 }

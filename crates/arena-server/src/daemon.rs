@@ -35,7 +35,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -134,7 +134,9 @@ enum Request {
 /// The shutdown flag plus the listener addresses to wake when it is
 /// set. An acceptor blocks in `accept`, so requesting shutdown makes one
 /// loopback connection to each registered listener, which returns the
-/// `accept` and lets the acceptor see the flag.
+/// `accept` and lets the acceptor see the flag. The wake list is only
+/// pushed to and cloned, so a panic while it is locked cannot leave it
+/// half-written, and both locks recover from poisoning.
 #[derive(Default)]
 struct Shutdown {
     requested: AtomicBool,
@@ -149,7 +151,11 @@ impl Shutdown {
     /// Sets the flag; the first call wakes every registered listener.
     fn request(&self) {
         if !self.requested.swap(true, Ordering::SeqCst) {
-            let addrs = self.wake.lock().expect("wake list lock poisoned").clone();
+            let addrs = self
+                .wake
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .clone();
             for addr in addrs {
                 let _ = TcpStream::connect(addr);
             }
@@ -162,7 +168,7 @@ impl Shutdown {
     /// woken at least once whichever call comes first.
     fn wake_on_request(&self, addr: SocketAddr) {
         let requested = {
-            let mut addrs = self.wake.lock().expect("wake list lock poisoned");
+            let mut addrs = self.wake.lock().unwrap_or_else(PoisonError::into_inner);
             addrs.push(addr);
             self.is_requested()
         };
@@ -346,7 +352,7 @@ fn with_sample(response: &str, sample: u64) -> String {
 /// A running daemon plus its join handle.
 pub struct Server {
     handle: ServerHandle,
-    daemon: Option<JoinHandle<ServerOutcome>>,
+    daemon: JoinHandle<ServerOutcome>,
 }
 
 impl Server {
@@ -409,10 +415,7 @@ impl Server {
             let _ = daemon.join();
             return Err("daemon exited before publishing a snapshot".to_string());
         }
-        Ok(Server {
-            handle,
-            daemon: Some(daemon),
-        })
+        Ok(Server { handle, daemon })
     }
 
     /// A cloneable handle to the daemon.
@@ -427,17 +430,16 @@ impl Server {
     ///
     /// # Panics
     ///
-    /// Panics if the daemon thread itself panicked.
+    /// Panics with the daemon thread's own panic if it panicked.
     #[must_use]
-    pub fn join(mut self) -> ServerOutcome {
+    pub fn join(self) -> ServerOutcome {
         if !self.handle.is_shutdown() {
             let _ = self.handle.handle_line("{\"cmd\":\"shutdown\"}");
         }
-        self.daemon
-            .take()
-            .expect("daemon already joined")
-            .join()
-            .expect("daemon thread panicked")
+        match self.daemon.join() {
+            Ok(outcome) => outcome,
+            Err(panic) => std::panic::resume_unwind(panic),
+        }
     }
 }
 

@@ -9,11 +9,11 @@
 //! a stage favouring data parallelism is tuned only from DP-only to
 //! half-hybrid (`tp ≤ √g`), and symmetrically for tensor parallelism.
 //!
-//! Both the pruned and the unpruned search charge the ground-truth
-//! profiling meter, so the tuning-time reductions of Fig. 13(b) fall out
-//! of the accounting. A [`TuneResult`] sums its cost from its own trials
-//! rather than from the shared meter, so it is a pure function of the
-//! search, whatever the meter holds already.
+//! Both the pruned and the unpruned search profile every plan they try
+//! on the job's full allocation, and a [`TuneResult`] sums the search's
+//! own trials ([`GroundTruth::trial_wall_s`]), so the tuning-time
+//! reductions of Fig. 13(b) fall out of the accounting, and a result is
+//! a pure function of its search.
 
 #![forbid(unsafe_code)]
 
@@ -31,8 +31,8 @@ pub struct TuneResult {
     pub perf: PlanPerf,
     /// Plans directly profiled during the search.
     pub trials: u64,
-    /// GPU-seconds this search charged to the profiling meter, summed
-    /// trial by trial in sample order.
+    /// GPU-seconds of this search's trials, summed trial by trial in
+    /// sample order.
     pub gpu_seconds: f64,
     /// Wall-clock seconds of this search's trials, summed the same way.
     pub wall_seconds: f64,
@@ -212,7 +212,7 @@ mod tests {
     }
 
     #[test]
-    fn tuning_finds_a_plan_and_charges_meter() {
+    fn tuning_finds_a_plan_and_costs_gpu_time() {
         let (gt, est, g) = setup(1.3, 256);
         let cell = Cell::new(&g, 8, 2).unwrap();
         let e = est.estimate(&g, 256, &cell, &a100()).unwrap();

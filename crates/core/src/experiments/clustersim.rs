@@ -2,7 +2,7 @@
 
 use serde::Serialize;
 
-use arena_cluster::{presets, Cluster, GpuTypeId};
+use arena_cluster::{presets, Cluster};
 use arena_estimator::{Cell, CellEstimator};
 use arena_model::zoo::{ModelConfig, ModelFamily};
 use arena_perf::{CostParams, GroundTruth};
@@ -357,12 +357,6 @@ pub fn timeline_table(exp: &ClusterExperiment) -> Table {
         t.row(row);
     }
     t
-}
-
-/// Ensures a pool id lookup helper is exercised (used by examples).
-#[must_use]
-pub fn pool_of(cluster: &Cluster, gpu_name: &str) -> GpuTypeId {
-    cluster.pool_by_gpu_name(gpu_name).unwrap_or(GpuTypeId(0))
 }
 
 #[cfg(test)]

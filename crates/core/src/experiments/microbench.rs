@@ -4,7 +4,7 @@
 use serde::Serialize;
 
 use arena_cluster::{GpuSpec, NodeSpec};
-use arena_estimator::{Cell, CellEstimator};
+use arena_estimator::{Cell, CellEstimator, SoaProfiles};
 use arena_model::zoo::{ModelConfig, ModelFamily};
 use arena_perf::{CostParams, GroundTruth, HwTarget};
 use arena_tuner::{tune_full, tune_pruned};
@@ -67,10 +67,9 @@ pub fn fig12() -> Vec<Fig12Row> {
             let est = CellEstimator::new(params, 500 + i as u64);
             let graph = model.build();
 
-            // Best Cell by estimate, then re-run the winning Cell's two
-            // profilings on a fresh meter: the figure compares the cost of
+            // Best Cell by estimate: the figure compares the cost of
             // acquiring ONE Cell's performance data agilely vs directly.
-            let (cell, _) = Cell::generate(&graph, gpus)
+            let (cell, e) = Cell::generate(&graph, gpus)
                 .into_iter()
                 .filter_map(|c| {
                     est.estimate(&graph, model.global_batch, &c, &hw)
@@ -78,17 +77,17 @@ pub fn fig12() -> Vec<Fig12Row> {
                 })
                 .max_by(|a, b| a.1.throughput_sps.partial_cmp(&b.1.throughput_sps).unwrap())
                 .expect("some cell is feasible");
-            let fresh = CellEstimator::new(CostParams::default(), 500 + i as u64);
-            let e = fresh
-                .estimate(&graph, model.global_batch, &cell, &hw)
-                .expect("chosen cell estimates");
-            let agile_gpu_s = fresh.meter().gpu_seconds();
+            // The winning Cell's profile: two trials on one GPU.
+            let mut profile = SoaProfiles::default();
+            est.profile(&graph, model.global_batch, &cell, &hw, &mut profile);
+            let agile_gpu_s: f64 = profile.trial_walls_s(est.params()).iter().sum();
 
-            // Direct measurement of the same plan on its full allocation.
+            // One direct trial of the same plan on its full allocation.
             let measured = gt
-                .profile_direct(&graph, model.global_batch, &e.plan, &hw)
+                .measure(&graph, model.global_batch, &e.plan, &hw)
                 .expect("estimated plan is feasible");
-            let direct_gpu_s = gt.meter().gpu_seconds();
+            let direct_gpu_s =
+                gt.trial_wall_s(Some(measured.iter_time_s)) * e.plan.total_gpus() as f64;
 
             let accuracy = 1.0 - (e.iter_time_s - measured.iter_time_s) / measured.iter_time_s;
             Fig12Row {
@@ -265,16 +264,23 @@ pub struct ProfilingBudget {
 pub fn profiling_budget() -> ProfilingBudget {
     let hw = a100_target();
     let params = CostParams::default();
+    let mut profile = SoaProfiles::default();
     let mut cells = 0_u64;
     let mut total = 0.0;
     for (model, gpus) in fig12_configs() {
         let est = CellEstimator::new(params.clone(), 900);
         let graph = model.build();
+        // Every Cell is profiled, feasible or not; the trials run one
+        // after another.
+        let mut wall = 0.0;
         for cell in Cell::generate(&graph, gpus) {
-            let _ = est.estimate(&graph, model.global_batch, &cell, &hw);
+            est.profile(&graph, model.global_batch, &cell, &hw, &mut profile);
+            for trial in profile.trial_walls_s(&params) {
+                wall += trial;
+            }
+            cells += 1;
         }
-        cells += est.meter().trials() / 2;
-        total += est.meter().wall_seconds();
+        total += wall;
     }
     let per_cell_s = total / cells as f64;
     ProfilingBudget {

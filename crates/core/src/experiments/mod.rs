@@ -156,9 +156,9 @@ pub fn run_policies(
 /// Each policy gets its *own* [`PlanService`] built from the same
 /// `(params, seed)` pair. The service is a pure function of cluster,
 /// cost parameters and seed, so every run still sees identical ground
-/// truth, while no wall-clock profiling meter is shared across threads —
-/// apart from `avg_decision_s` (wall-clock) the results are identical to
-/// a sequential run, at any worker-pool size.
+/// truth and no state is shared across threads: apart from
+/// `avg_decision_s` (wall-clock) the results are identical to a
+/// sequential run, at any worker-pool size.
 #[must_use]
 pub fn run_policies_parallel(
     cluster: &arena_cluster::Cluster,

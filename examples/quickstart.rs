@@ -8,7 +8,7 @@
 //! build the model graph, generate its Cells, estimate them agilely,
 //! tune the winning Cell, and compare against exhaustive exploration.
 
-use arena::estimator::Cell;
+use arena::estimator::{Cell, SoaProfiles};
 use arena::prelude::*;
 use arena::tuner::{tune_full, tune_pruned};
 
@@ -41,10 +41,17 @@ fn main() {
     let cells = Cell::generate(&graph, 8);
     println!("\ncells for 8 GPUs:");
 
-    // 2. Estimate each Cell agilely (two single-GPU profiles per Cell).
+    // 2. Estimate each Cell agilely: profile it (two single-GPU trials),
+    //    then assemble its plan grid from the profile.
     let mut best: Option<(Cell, arena::estimator::CellEstimate)> = None;
+    let mut profile = SoaProfiles::default();
+    let mut profile_gpu_s = 0.0;
     for cell in cells {
-        match estimator.estimate(&graph, model.global_batch, &cell, &hw) {
+        estimator.profile(&graph, model.global_batch, &cell, &hw, &mut profile);
+        for trial in profile.trial_walls_s(estimator.params()) {
+            profile_gpu_s += trial;
+        }
+        match estimator.assemble(&profile, &graph, model.global_batch, &cell, &hw) {
             Some(e) => {
                 println!(
                     "  {}: est {:.1} samples/s via {} (favors {:?})",
@@ -64,10 +71,7 @@ fn main() {
         }
     }
     let (cell, estimate) = best.expect("some cell is feasible");
-    println!(
-        "estimation cost: {:.0} GPU-seconds on one device",
-        estimator.meter().gpu_seconds()
-    );
+    println!("estimation cost: {profile_gpu_s:.0} GPU-seconds on one device");
 
     // 3. Tune the winning Cell with the pruned (Cell-guided) search.
     let tuned = tune_pruned(&gt, &graph, model.global_batch, &cell, &estimate, &hw)
@@ -81,9 +85,8 @@ fn main() {
     );
 
     // 4. Compare against exhaustive exploration of the same Cell.
-    let gt_full = GroundTruth::new(gt.params().clone(), 42);
-    let full = tune_full(&gt_full, &graph, model.global_batch, &cell, &hw)
-        .expect("full search finds a plan");
+    let full =
+        tune_full(&gt, &graph, model.global_batch, &cell, &hw).expect("full search finds a plan");
     println!(
         "full exploration:   {} -> {:.1} samples/s ({} trials, {:.0} GPU-s)",
         full.plan.short_label(),

@@ -5,12 +5,12 @@
 //! stage-cost table instead of calling `GroundTruth::measure`. These tests
 //! hold it to `measure` bit for bit over every Table-2 configuration, and
 //! hold the explorations built on it (`PlanService::adaptive_run` and
-//! `arena_run`, `GroundTruth::explore` and `best_silent`) to loops over
-//! `measure` and `profile_direct`, profiling meter included. Exact ties
-//! go to the first plan. The work `fastest` and `adaptive_run` skip once
-//! the exploration wall is capped must not change a returned bit: the
-//! skipped samples' winner is the full scan's, and no plan is faster than
-//! its space's `lower_bound`.
+//! `arena_run`, `SampledSearch::profile_best`, `tune_in_space`) to loops
+//! over `measure`, trial walls included. Exact ties go to the first plan.
+//! The work `fastest` and `adaptive_run` skip once the exploration wall
+//! is capped must not change a returned bit: the skipped samples' winner
+//! is the full scan's, and no plan is faster than its space's
+//! `lower_bound`.
 
 use arena::cluster::{presets, Cluster, GpuTypeId, MeshShape};
 use arena::estimator::Cell;
@@ -262,23 +262,17 @@ fn reference_adaptive(
 }
 
 /// The best of `plans` by throughput (strict `>`, the first of equals
-/// wins), each profiled directly (`charge`) or measured silently.
+/// wins).
 fn reference_best(
     gt: &GroundTruth,
     graph: &ModelGraph,
     global_batch: usize,
     plans: impl Iterator<Item = PipelinePlan>,
     hw: &HwTarget,
-    charge: bool,
 ) -> Option<(PipelinePlan, PlanPerf)> {
     let mut best: Option<(PipelinePlan, PlanPerf)> = None;
     for plan in plans {
-        let r = if charge {
-            gt.profile_direct(graph, global_batch, &plan, hw)
-        } else {
-            gt.measure(graph, global_batch, &plan, hw)
-        };
-        if let Ok(perf) = r {
+        if let Ok(perf) = gt.measure(graph, global_batch, &plan, hw) {
             if best
                 .as_ref()
                 .is_none_or(|(_, b)| perf.throughput_sps > b.throughput_sps)
@@ -296,16 +290,8 @@ fn assert_same_perf(got: &PlanPerf, want: &PlanPerf) {
     assert_eq!(got, want);
 }
 
-fn assert_same_meter(got: &GroundTruth, want: &GroundTruth) {
-    let (g, w) = (got.meter(), want.meter());
-    assert_eq!(g.trials(), w.trials());
-    assert_eq!(g.gpu_seconds().to_bits(), w.gpu_seconds().to_bits());
-    assert_eq!(g.wall_seconds().to_bits(), w.wall_seconds().to_bits());
-}
-
 /// Adaptive and Arena runs of a few models on every pool of `cluster`,
-/// field by field against the reference loops, with the meter the
-/// tunings charged.
+/// field by field against the reference loops.
 fn compare_runs(cluster: &Cluster) {
     let params = CostParams::default();
     let service = PlanService::new(cluster, params.clone(), 7);
@@ -353,13 +339,29 @@ fn compare_runs(cluster: &Cluster) {
                     let space = pruned_space(&cell, &estimate.favors);
                     let plans = space.sample(DEFAULT_TUNE_CAP);
                     let (plan, perf) =
-                        reference_best(&reference, &graph, model.global_batch, plans, &hw, true)?;
-                    // The tuning's own trials, summed in sample order
-                    // from zero.
-                    let wall = space.sample(DEFAULT_TUNE_CAP).fold(0.0, |wall, plan| {
-                        let t = reference.measure(&graph, model.global_batch, &plan, &hw);
-                        wall + reference.trial_wall_s(t.ok().map(|p| p.iter_time_s))
-                    });
+                        reference_best(&reference, &graph, model.global_batch, plans, &hw)?;
+                    // The tuning profiles every sampled plan once, and
+                    // sums its own trials in sample order from zero.
+                    let walls: Vec<f64> = space
+                        .sample(DEFAULT_TUNE_CAP)
+                        .map(|plan| {
+                            let t = reference.measure(&graph, model.global_batch, &plan, &hw);
+                            reference.trial_wall_s(t.ok().map(|p| p.iter_time_s))
+                        })
+                        .collect();
+                    let wall = walls.iter().fold(0.0, |sum, w| sum + w);
+                    let gpu_s = walls.iter().fold(0.0, |sum, w| sum + w * gpus as f64);
+                    let tuned = tune_in_space(
+                        &reference,
+                        &graph,
+                        model.global_batch,
+                        &space,
+                        &hw,
+                        DEFAULT_TUNE_CAP,
+                    )?;
+                    assert_eq!(tuned.trials, walls.len() as u64);
+                    assert_eq!(tuned.wall_seconds.to_bits(), wall.to_bits());
+                    assert_eq!(tuned.gpu_seconds.to_bits(), gpu_s.to_bits());
                     Some((plan, perf, wall))
                 });
                 match (got, want) {
@@ -375,7 +377,6 @@ fn compare_runs(cluster: &Cluster) {
                     (None, None) => {}
                     (got, want) => panic!("arena run {got:?} vs reference {want:?}"),
                 }
-                assert_same_meter(service.ground_truth(), &reference);
             }
         }
     }
@@ -388,29 +389,31 @@ fn explorations_match_reference_loops() {
 }
 
 #[test]
-fn explore_and_best_silent_match_reference_loops() {
+fn profile_best_matches_reference_loop() {
     let hw = HwTarget::new(presets::physical_testbed().spec(GpuTypeId(0)));
     let gt = GroundTruth::new(CostParams::default(), 7);
-    let reference = GroundTruth::new(CostParams::default(), 7);
     for model in table2_configs().into_iter().step_by(4) {
         let graph = model.build();
         let gb = model.global_batch;
         for space in spaces(&graph, 8) {
-            let got = gt.explore(&graph, gb, &space, &hw);
-            let want = reference_best(&reference, &graph, gb, space.iter(), &hw, true);
+            // One trial per plan, in sample order, seeing what `measure`
+            // returns for it.
+            let mut trials = Vec::new();
+            let got = SampledSearch::new(&gt, &graph, gb, &space, &hw)
+                .profile_best(usize::MAX, |t| trials.push(t.map(f64::to_bits)));
+            let want_trials: Vec<_> = space
+                .iter()
+                .map(|plan| {
+                    let t = gt.measure(&graph, gb, &plan, &hw);
+                    t.ok().map(|p| p.iter_time_s.to_bits())
+                })
+                .collect();
+            assert_eq!(trials, want_trials);
+            let want = reference_best(&gt, &graph, gb, space.iter(), &hw);
             assert_eq!(got.as_ref().map(|b| &b.0), want.as_ref().map(|b| &b.0));
             if let (Some((_, got)), Some((_, want))) = (&got, &want) {
                 assert_same_perf(got, want);
             }
-            assert_same_meter(&gt, &reference);
-
-            let got = gt.best_silent(&graph, gb, &space, &hw);
-            let want = reference_best(&reference, &graph, gb, space.iter(), &hw, false);
-            assert_eq!(got.as_ref().map(|b| &b.0), want.as_ref().map(|b| &b.0));
-            if let (Some((_, got)), Some((_, want))) = (&got, &want) {
-                assert_same_perf(got, want);
-            }
-            assert_same_meter(&gt, &reference);
         }
     }
 }
@@ -458,11 +461,8 @@ fn ties_go_to_the_first_plan() {
     assert_eq!(search.fastest(usize::MAX, None, |_| true), Some((0, tie)));
     assert_eq!(search.fastest(usize::MAX, Some(tie), |_| true), None);
     assert_eq!(
-        gt.explore(&graph, gb, &space, &hw).map(|b| b.0).as_ref(),
-        Some(&first)
-    );
-    assert_eq!(
-        gt.best_silent(&graph, gb, &space, &hw)
+        search
+            .profile_best(usize::MAX, |_| {})
             .map(|b| b.0)
             .as_ref(),
         Some(&first)
