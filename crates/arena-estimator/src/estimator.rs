@@ -287,8 +287,9 @@ impl CellEstimator {
     /// The first step of [`Self::estimate`]: profiles every stage of
     /// `cell` under DP-only and TP-only on one device into `out`
     /// (replacing what it held) and counts one
-    /// [`CacheStatsSnapshot::profile_misses`]. The profile's two
-    /// single-GPU trials took [`SoaProfiles::trial_walls_s`].
+    /// [`CacheStatsSnapshot::profile_misses`].
+    /// [`SoaProfiles::trial_walls_s`] prices the profile's two single-GPU
+    /// trials.
     pub fn profile(
         &self,
         graph: &ModelGraph,
